@@ -13,20 +13,18 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import rail, svgplot
 from .experiment import (
     ExperimentConfig,
     _atomic_write,
     read_runs_csv,
     run_experiment,
+    scenario,
     write_errors_csv,
     write_report_csv,
     write_runs_csv,
 )
-from .network import GenerationFailed, build_graph, generate_deployment
-from .radio import PathLossModel
+from .network import GenerationFailed
 
 log = logging.getLogger("railsim")
 
@@ -84,16 +82,12 @@ def cmd_demo(args) -> int:
         log.error("cannot load config: %s", exc)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    density = cfg.densities[0]
     try:
-        dep = generate_deployment(
-            cfg.width, cfg.height, density, cfg.n_anchors, cfg.comm_range, cfg.base_seed
-        )
+        # run 0 of the first density, exactly as `rail run` scores it
+        dep, g = scenario(cfg, cfg.densities[0], 0)
     except GenerationFailed as exc:
         log.error("deployment generation failed: %s", exc)
         return 2
-    model = PathLossModel(sigma=cfg.sigma)
-    g = build_graph(dep, model, rng=np.random.default_rng(cfg.base_seed))
     results = rail.localize_all(dep, g)
 
     target = args.target if args.target is not None else dep.unknown_ids[0]

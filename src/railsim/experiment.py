@@ -24,11 +24,10 @@ from .geometry import Point, contains, distance
 from .network import (
     Deployment,
     GenerationFailed,
+    NetworkGraph,
     build_graph,
     generate_deployment,
     hop_tree_ranging,
-    min_hops,
-    shortest_ranging,
 )
 from .radio import PathLossModel
 
@@ -52,6 +51,15 @@ class ExperimentConfig:
             raise ValueError("runs_per_density must be >= 1")
         if not self.densities:
             raise ValueError("densities must be non-empty")
+        if min(self.densities) < 1:
+            raise ValueError("densities must be >= 1")
+        if self.n_anchors < 3:
+            raise ValueError("n_anchors must be >= 3")
+        # written as `not > 0` so that NaN is rejected too
+        if not (self.width > 0 and self.height > 0 and self.comm_range > 0):
+            raise ValueError("width, height and comm_range must be positive")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be >= 0")
         unknown = set(self.algorithms) - set(ALL_ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -126,12 +134,17 @@ def run_seed(base_seed: int, density: int, run_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecord:
-    seed = run_seed(cfg.base_seed, density, run_index)
+def scenario(
+    cfg: ExperimentConfig, density: int, run_index: int
+) -> tuple[Deployment, NetworkGraph]:
+    """The deployment and RSSI graph of one run of the sweep.
+
+    The deployment and the edge noise draw from two streams spawned from
+    (base_seed, density, run_index); ``rail run`` scores this scenario and
+    ``rail demo`` renders it.
+    """
     ss = np.random.SeedSequence([cfg.base_seed, density, run_index])
     dep_stream, noise_stream = ss.spawn(2)
-
-    model = PathLossModel(sigma=cfg.sigma)
     try:
         dep = generate_deployment(
             cfg.width, cfg.height, density, cfg.n_anchors, cfg.comm_range, dep_stream
@@ -140,14 +153,14 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
         raise GenerationFailed(
             f"density {density}, run {run_index}: {exc}"
         ) from exc
-    g = build_graph(dep, model, rng=np.random.default_rng(noise_stream))
+    model = PathLossModel(sigma=cfg.sigma)
+    return dep, build_graph(dep, model, rng=np.random.default_rng(noise_stream))
 
+
+def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecord:
+    seed = run_seed(cfg.base_seed, density, run_index)
+    dep, g = scenario(cfg, density, run_index)
     targets = list(dep.unknown_ids)
-    all_ids = list(range(len(dep.nodes)))
-    ranging = {
-        a: {r.target_id: r for r in shortest_ranging(g, a, all_ids)}
-        for a in dep.anchor_ids
-    }
 
     estimates: dict[str, list[Point]] = {}
     errors: dict[str, list[float]] = {}
@@ -161,8 +174,16 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
             contains(results[t][1].box, dep.nodes[t]) for t in targets
         )
 
+    if "MinMax" in cfg.algorithms or "RssiDvHop" in cfg.algorithms:
+        # Both baselines flood beacons by hop count: one BFS tree per anchor
+        # gives Min-Max its minimum hop counts and DV-hop its accumulated
+        # RSSI distance along the hop-minimal path (not the distance-optimal
+        # one RAIL uses).
+        acc, hops = {}, {}
+        for a in dep.anchor_ids:
+            acc[a], hops[a] = hop_tree_ranging(g, a)
+
     if "MinMax" in cfg.algorithms:
-        hops = {a: min_hops(g, a) for a in dep.anchor_ids}
         est = []
         for t in targets:
             inputs = [(dep.nodes[a], hops[a][t]) for a in dep.anchor_ids]
@@ -170,10 +191,6 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
         estimates["MinMax"] = est
 
     if "RssiDvHop" in cfg.algorithms:
-        # DV-hop propagates beacons by hop count, so the accumulated RSSI
-        # distance follows the hop-minimal flooding path, not the
-        # distance-optimal one RAIL uses.
-        acc = {a: hop_tree_ranging(g, a)[0] for a in dep.anchor_ids}
         est = []
         for t in targets:
             chosen = sorted(dep.anchor_ids, key=lambda a: acc[a][t])[:3]

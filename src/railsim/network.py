@@ -1,5 +1,6 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
-edge weights, and multi-hop shortest-distance / hop-count queries.
+edge weights, and multi-hop queries: one shortest-path tree per source
+(``dijkstra_tree``) and one minimum-hop flooding tree (``hop_tree_ranging``).
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -8,15 +9,17 @@ shortest distance upper-bounds the straight-line distance.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .geometry import Point, distance
@@ -89,20 +92,27 @@ class RangingResult:
 
 
 class NetworkGraph:
-    """Symmetric one-hop adjacency with per-edge estimated distances."""
+    """Symmetric one-hop adjacency with per-edge estimated distances, kept
+    both as sorted per-node lists and as one CSR matrix for scipy.
+    """
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
         self.adjacency = [sorted(nbrs) for nbrs in adjacency]
-        self.node_count = len(self.adjacency)
+        self.node_count = n = len(self.adjacency)
+        degree = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        weights = [w for nbrs in self.adjacency for _, w in nbrs]
+        heads = [v for nbrs in self.adjacency for v, _ in nbrs]
+        self.matrix = csr_matrix((weights, heads, indptr), shape=(n, n), dtype=float)
+        self.edge_rows = np.repeat(np.arange(n), degree)  # tail node of each CSR entry
 
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
-        for n, w in self.adjacency[u]:
-            if n == v:
-                return w
-        return None
+        row = self.adjacency[u]
+        i = bisect_left(row, (v,))
+        return row[i][1] if i < len(row) and row[i][0] == v else None
 
 
 def _triangle_area(a: Point, b: Point, c: Point) -> float:
@@ -225,56 +235,45 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[list[float], list[int]]:
-    """Single-source shortest paths; returns (dist, pred) arrays.
+def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[list[float], list[int], list[int]]:
+    """Single-source shortest paths; returns (dist, pred, hops) per node.
 
     Distance ties are broken so the recovered path is the lexicographically
-    smallest node-id sequence among all minimum-distance paths.
+    smallest node-id sequence among all minimum-distance paths. scipy's
+    Dijkstra accumulates ``dist[u] + w`` exactly as a textbook one does, so
+    only nodes with two or more exact-tight predecessors need their pred
+    re-resolved; that runs in increasing-distance order, so every candidate
+    path is already final. Unreachable nodes have dist inf, pred and hops -1.
     """
-    n = g.node_count
-    dist = [math.inf] * n
-    pred = [-1] * n
-    done = [False] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        base = dist[u]
-        for v, w in g.adjacency[u]:
-            if done[v]:
-                continue
-            nd = base + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and pred[v] >= 0 and pred[v] != u:
-                # exact tie: keep the lexicographically smaller path
-                if _reconstruct(pred, u) + (v,) < _reconstruct(pred, v):
-                    pred[v] = u
-    return dist, pred
+    d, p = dijkstra(g.matrix, indices=source, return_predecessors=True)
+    heads = g.matrix.indices
+    tails = d[g.edge_rows]
+    tight = np.isfinite(tails) & (tails + g.matrix.data == d[heads])
+    n_tight = np.bincount(heads[tight], minlength=g.node_count)
+    ties = set(np.flatnonzero(n_tight >= 2).tolist())
+    dist = d.tolist()
+    pred = np.where(p < 0, -1, p).tolist()
+    hops = [-1] * g.node_count
+    hops[source] = 0
+    for v in np.argsort(d, kind="stable").tolist():
+        if v in ties:
+            tight_preds = [u for u, w in g.adjacency[v] if dist[u] + w == dist[v]]
+            pred[v] = min(tight_preds, key=lambda u: _reconstruct(pred, u) + (v,))
+        if pred[v] >= 0:
+            hops[v] = hops[pred[v]] + 1
+    return dist, pred, hops
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
-    """Shortest estimated distances, hop counts and paths to each target."""
-    dist, pred = dijkstra_tree(g, source)
+    """Shortest estimated distances, hop counts and paths to each target,
+    read from ``dijkstra_tree``.
+    """
+    dist, pred, hops = dijkstra_tree(g, source)
     out = []
     for t in targets:
         if math.isinf(dist[t]):
             raise Unreachable(f"node {t} unreachable from {source}")
-        path = _reconstruct(pred, t) if t != source else (source,)
-        out.append(
-            RangingResult(
-                anchor_id=source,
-                target_id=t,
-                shortest_distance=dist[t],
-                hop_count=len(path) - 1,
-                path=path,
-            )
-        )
+        out.append(RangingResult(source, t, dist[t], hops[t], _reconstruct(pred, t)))
     return out
 
 
@@ -284,11 +283,12 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[list[float], list[in
     Models hop-count-propagation protocols: each node keeps the first beacon
     it hears (deterministically, from its smallest-id discovered neighbor)
     and accumulates per-hop RSSI distances along that tree path. Unlike
-    ``shortest_ranging`` the path is hop-minimal, not distance-minimal, so
+    ``dijkstra_tree`` the path is hop-minimal, not distance-minimal, so
     the accumulated distance overestimates more strongly.
 
-    Returns (accumulated distance, hop count) per node; raises Unreachable
-    if the graph is disconnected from the source.
+    Returns (accumulated distance, hop count) per node; the hop counts are
+    the BFS minimum hops. Raises Unreachable if the graph is disconnected
+    from the source.
     """
     n = g.node_count
     dist = [math.inf] * n
@@ -307,20 +307,3 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[list[float], list[in
     if missing:
         raise Unreachable(f"nodes {missing[:5]} unreachable from {source}")
     return dist, hops
-
-
-def min_hops(g: NetworkGraph, source: int) -> list[int]:
-    """BFS hop counts on the unweighted graph; raises if any node unreachable."""
-    hops = [-1] * g.node_count
-    hops[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v, _ in g.adjacency[u]:
-            if hops[v] < 0:
-                hops[v] = hops[u] + 1
-                q.append(v)
-    missing = [i for i, h in enumerate(hops) if h < 0]
-    if missing:
-        raise Unreachable(f"nodes {missing[:5]} unreachable from {source}")
-    return hops

@@ -10,19 +10,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
 from . import geometry
 from .geometry import AABox, Point, Ray, make_ray
-from .network import (
-    Deployment,
-    NetworkGraph,
-    RangingResult,
-    dijkstra_tree,
-    shortest_ranging,
-)
+from .network import Deployment, NetworkGraph, Unreachable, dijkstra_tree
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 
@@ -40,12 +30,15 @@ class LocationCase(Enum):
 
 @dataclass(frozen=True)
 class AnchorTriple:
-    """Three anchors with their ground-truth geometry and pairwise ranging."""
+    """Three anchors with their ground-truth geometry and pairwise ranging:
+    shortest multi-hop distances (SD) and their hop counts.
+    """
 
     ids: tuple[int, int, int]
     positions: tuple[Point, Point, Point]
     pairwise_true_distances: tuple[float, float, float]  # (01, 02, 12)
-    pairwise_ranging: tuple[RangingResult, RangingResult, RangingResult]
+    pairwise_sd: tuple[float, float, float]
+    pairwise_hops: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,13 @@ class RailDiagnostics:
         }
 
 
-def make_anchor_triple(
-    dep: Deployment,
-    ids: Sequence[int],
-    ranging_by_anchor: dict[int, list[RangingResult]],
-) -> AnchorTriple:
-    """Assemble an AnchorTriple from per-anchor single-source ranging tables."""
+def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> AnchorTriple:
+    """Assemble an AnchorTriple from the anchors' ``dijkstra_tree`` results,
+    keyed by anchor id.
+    """
     a, b, c = sorted(ids)
     pa, pb, pc = dep.nodes[a], dep.nodes[b], dep.nodes[c]
+    pairs = ((a, b), (a, c), (b, c))
     return AnchorTriple(
         ids=(a, b, c),
         positions=(pa, pb, pc),
@@ -91,11 +83,8 @@ def make_anchor_triple(
             geometry.distance(pa, pc),
             geometry.distance(pb, pc),
         ),
-        pairwise_ranging=(
-            ranging_by_anchor[a][b],
-            ranging_by_anchor[a][c],
-            ranging_by_anchor[b][c],
-        ),
+        pairwise_sd=tuple(trees[u][0][v] for u, v in pairs),
+        pairwise_hops=tuple(trees[u][2][v] for u, v in pairs),
     )
 
 
@@ -103,21 +92,16 @@ def anchor_square(pos: Point, sd: float) -> AABox:
     return AABox(pos.x - sd, pos.x + sd, pos.y - sd, pos.y + sd)
 
 
-def bounding_box(
-    anchors: AnchorTriple, ranging: Sequence[RangingResult]
-) -> Optional[AABox]:
+def bounding_box(anchors: AnchorTriple, sds: Sequence[float]) -> Optional[AABox]:
     """Intersection of the three per-anchor squares of half-width SD."""
-    squares = [
-        anchor_square(pos, r.shortest_distance)
-        for pos, r in zip(anchors.positions, ranging)
-    ]
+    squares = [anchor_square(pos, sd) for pos, sd in zip(anchors.positions, sds)]
     return geometry.intersect_boxes(squares)
 
 
 def per_hop_error(anchors: AnchorTriple) -> float:
     """Average per-hop excess of anchor-pairwise multi-hop distances."""
-    sd_sum = sum(r.shortest_distance for r in anchors.pairwise_ranging)
-    hop_sum = sum(r.hop_count for r in anchors.pairwise_ranging)
+    sd_sum = sum(anchors.pairwise_sd)
+    hop_sum = sum(anchors.pairwise_hops)
     if hop_sum == 0:
         raise ValueError("anchor pair with zero hop count")
     td_sum = sum(anchors.pairwise_true_distances)
@@ -140,72 +124,18 @@ def corrected_angle(
     return math.acos(min(1.0, max(-1.0, cos)))
 
 
-class PathCache:
-    """Caches single-source shortest-path queries over one graph.
+def _tree(g: NetworkGraph, trees: dict, source: int) -> tuple[list, list, list]:
+    """``dijkstra_tree(g, source)``, memoised in ``trees``."""
+    if source not in trees:
+        trees[source] = dijkstra_tree(g, source)
+    return trees[source]
 
-    Anchor-rooted queries keep full predecessor trees from the hand-rolled
-    tie-broken Dijkstra; distance/hop lookups from other sources (the c-side
-    of the angle triangle) go through scipy's C implementation, which agrees
-    with the hand-rolled one on tie-free weights.
-    """
 
-    def __init__(self, g: NetworkGraph):
-        self.g = g
-        self._trees: dict[int, tuple[list[float], list[int]]] = {}
-        self._aux: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._matrix = None
-
-    def tree(self, source: int) -> tuple[list[float], list[int]]:
-        if source not in self._trees:
-            self._trees[source] = dijkstra_tree(self.g, source)
-        return self._trees[source]
-
-    def path(self, source: int, target: int) -> tuple[int, ...]:
-        dist, pred = self.tree(source)
-        if math.isinf(dist[target]):
-            from .network import Unreachable
-
-            raise Unreachable(f"node {target} unreachable from {source}")
-        path = [target]
-        while pred[path[-1]] >= 0:
-            path.append(pred[path[-1]])
-        return tuple(reversed(path))
-
-    def _sparse(self):
-        if self._matrix is None:
-            rows, cols, vals = [], [], []
-            for u, nbrs in enumerate(self.g.adjacency):
-                for v, w in nbrs:
-                    rows.append(u)
-                    cols.append(v)
-                    vals.append(w)
-            n = self.g.node_count
-            self._matrix = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._matrix
-
-    def dist_hops(self, source: int, target: int) -> tuple[float, int]:
-        """Shortest estimated distance and its hop count between two nodes."""
-        if source == target:
-            return 0.0, 0
-        if source in self._trees:
-            dist, _ = self._trees[source]
-            return dist[target], len(self.path(source, target)) - 1
-        if source not in self._aux:
-            d, p = _csgraph_dijkstra(
-                self._sparse(), indices=source, return_predecessors=True
-            )
-            self._aux[source] = (d, p)
-        d, p = self._aux[source]
-        if not math.isfinite(d[target]):
-            from .network import Unreachable
-
-            raise Unreachable(f"node {target} unreachable from {source}")
-        hops = 0
-        v = target
-        while v != source:
-            v = int(p[v])
-            hops += 1
-        return float(d[target]), hops
+def _ancestor(pred: list[int], hops: list[int], v: int, k: int) -> int:
+    """The node k hops from the tree root on the root's path to v."""
+    for _ in range(hops[v] - k):
+        v = pred[v]
+    return v
 
 
 def estimate_angle(
@@ -214,7 +144,7 @@ def estimate_angle(
     at: int,
     ref: int,
     target: int,
-    cache: Optional[PathCache] = None,
+    trees: Optional[dict] = None,
 ) -> AngleEstimate:
     """Estimate the angle at anchor ``at`` between the directions to ``ref``
     and to ``target``.
@@ -224,24 +154,22 @@ def estimate_angle(
     connection between their hop-K nodes, form the triangle the angle is
     read from; each side is shortened by the per-hop error before applying
     the law of cosines. K shrinks when either path is shorter than 3 hops.
+    ``trees`` memoises ``dijkstra_tree`` per source across calls.
     """
     if target == at or target == ref or at == ref:
         raise DegenerateGeometry(f"target {target} coincides with an anchor")
-    if cache is None:
-        cache = PathCache(g)
-    path_ref = cache.path(at, ref)
-    path_tgt = cache.path(at, target)
-    k = min(3, len(path_ref) - 1, len(path_tgt) - 1)
-    if k == 0:
-        raise DegenerateGeometry("target or reference coincides with the anchor")
+    if trees is None:
+        trees = {}
+    dist, pred, hops = _tree(g, trees, at)
+    for v in (ref, target):
+        if math.isinf(dist[v]):
+            raise Unreachable(f"node {v} unreachable from {at}")
+    k = min(3, hops[ref], hops[target])
 
-    node_a, node_b = path_ref[k], path_tgt[k]
-    a_len = sum(
-        _edge(g, path_ref[i], path_ref[i + 1]) for i in range(k)
-    )
-    b_len = sum(
-        _edge(g, path_tgt[i], path_tgt[i + 1]) for i in range(k)
-    )
+    # a prefix length is the hop-K node's tree distance: Dijkstra summed the
+    # same K edges in path order
+    node_a, node_b = _ancestor(pred, hops, ref, k), _ancestor(pred, hops, target, k)
+    a_len, b_len = dist[node_a], dist[node_b]
     if node_a == node_b:
         c_len, c_hops = 0.0, 0
     else:
@@ -251,17 +179,12 @@ def estimate_angle(
         else:
             # same-hop nodes out of range of each other: fall back to their
             # multi-hop shortest distance
-            c_len, c_hops = cache.dist_hops(node_a, node_b)
+            c_dist, _, c_hop = _tree(g, trees, node_a)
+            c_len, c_hops = c_dist[node_b], c_hop[node_b]
     theta = corrected_angle(a_len, b_len, c_len, e, k, k, c_hops)
     return AngleEstimate(
         at_anchor=at, reference_anchor=ref, theta=theta, samples_used=k
     )
-
-
-def _edge(g: NetworkGraph, u: int, v: int) -> float:
-    w = g.edge_weight(u, v)
-    assert w is not None, f"path edge {u}-{v} missing from graph"
-    return w
 
 
 def _rotate(dx: float, dy: float, theta: float) -> tuple[float, float]:
@@ -351,54 +274,38 @@ def localize_all(
     """Run the full pipeline for every unknown node.
 
     When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance.
+    anchors by estimated shortest distance. Each source's ``dijkstra_tree``,
+    anchors and angle-triangle fallbacks alike, is computed once per call.
     """
-    cache = PathCache(g)
-    all_ids = list(range(len(dep.nodes)))
-    ranging_by_anchor: dict[int, dict[int, RangingResult]] = {}
-    for a in dep.anchor_ids:
-        dist, _ = cache.tree(a)
-        table = {}
-        for t in all_ids:
-            path = cache.path(a, t) if t != a else (a,)
-            table[t] = RangingResult(
-                anchor_id=a,
-                target_id=t,
-                shortest_distance=dist[t],
-                hop_count=len(path) - 1,
-                path=path,
-            )
-        ranging_by_anchor[a] = table
+    trees: dict = {}
+    sd = {a: _tree(g, trees, a)[0] for a in dep.anchor_ids}
 
     triples: dict[tuple[int, ...], tuple[AnchorTriple, float]] = {}
 
     def get_triple(ids: tuple[int, ...]) -> tuple[AnchorTriple, float]:
         if ids not in triples:
-            triple = make_anchor_triple(dep, ids, ranging_by_anchor)
+            triple = make_anchor_triple(dep, ids, trees)
             triples[ids] = (triple, per_hop_error(triple))
         return triples[ids]
 
     results = {}
     for t in dep.unknown_ids:
-        chosen = sorted(
-            dep.anchor_ids, key=lambda a: ranging_by_anchor[a][t].shortest_distance
-        )[:3]
+        chosen = sorted(dep.anchor_ids, key=lambda a: sd[a][t])[:3]
         ids = tuple(sorted(chosen))
         triple, e = get_triple(ids)
-        ranging = [ranging_by_anchor[a][t] for a in triple.ids]
-        box = bounding_box(triple, ranging)
+        sds = [sd[a][t] for a in triple.ids]
+        box = bounding_box(triple, sds)
 
         angles = {}
         for i in triple.ids:
             for j in triple.ids:
                 if i != j:
-                    angles[(i, j)] = estimate_angle(g, e, i, j, t, cache)
+                    angles[(i, j)] = estimate_angle(g, e, i, j, t, trees)
         rays = build_rays(triple, angles)
 
         fallback = None
         if box is None:
-            best = min(ranging, key=lambda r: r.shortest_distance)
-            pos = triple.positions[triple.ids.index(best.anchor_id)]
-            fallback = anchor_square(pos, best.shortest_distance)
+            best = min(range(3), key=lambda i: sds[i])
+            fallback = anchor_square(triple.positions[best], sds[best])
         results[t] = precise_location(box, rays, empty_fallback=fallback)
     return results

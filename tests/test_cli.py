@@ -4,6 +4,7 @@ import json
 import pytest
 
 from railsim.cli import main
+from railsim.experiment import ExperimentConfig, scenario
 from railsim.network import Deployment
 
 SMALL_CFG = {
@@ -40,6 +41,18 @@ class TestRun:
         bad.write_text('{"densities": "sixty"}')
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"n_anchors": 2}, {"sigma": -1}, {"comm_range": 0}, {"densities": [0]},
+    ])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SMALL_CFG, **bad}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
+        assert "cannot load config" in caplog.text
+        assert not out.exists()
+
     def test_seed_override_deterministic(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", cfg_path, "--out", str(a), "--seed", "77"]) == 0
@@ -65,6 +78,14 @@ class TestDemo:
         dep = Deployment.from_json_dict(scene["deployment"])
         assert len(dep.nodes) == SMALL_CFG["densities"][0] + 3
         assert scene["target"] in {int(k) for k in scene["estimates"]}
+
+    def test_draws_run_0_of_first_density(self, cfg_path, tmp_path):
+        out = tmp_path / "demo"
+        assert main(["demo", "--config", cfg_path, "--out", str(out), "--seed", "8"]) == 0
+        scene = json.loads((out / "scene.json").read_text())
+        cfg = ExperimentConfig.from_json_dict({**SMALL_CFG, "base_seed": 8})
+        dep, _ = scenario(cfg, SMALL_CFG["densities"][0], 0)
+        assert Deployment.from_json_dict(scene["deployment"]) == dep
 
     def test_target_selection(self, cfg_path, tmp_path):
         out = tmp_path / "demo"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -42,6 +43,17 @@ class TestBasics:
             ExperimentConfig(densities=())
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("Nope",))
+        for bad in (
+            {"n_anchors": 2},
+            {"width": 0.0},
+            {"height": -5.0},
+            {"comm_range": 0.0},
+            {"comm_range": math.nan},
+            {"sigma": -1.0},
+            {"densities": (100, 0)},
+        ):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
 
     def test_config_json_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -155,6 +167,27 @@ class TestCsv:
         )
         assert len(rows) == want
         assert all(math.isfinite(float(r["error_m"])) for r in rows)
+
+    # sha256 of (report.csv, runs.csv, errors.csv), captured before the
+    # shortest-path layer was rewritten on scipy; any change to what a run
+    # computes shows here
+    @pytest.mark.parametrize("sigma, digests", [
+        (0.0, ("847715c6ae8ff3c38ab9c7a487e9164a82d683db590dc9534e54f1f0290fdddc",
+               "b694d53eb43a88daf0a8f1dc6aa87949dad3e5f60942e0f771f57e99821d6511",
+               "80cd06c6d52dffb0454bda00661005ad680139b36bae33c5d2007e4f3822a6fa")),
+        (2.0, ("59337e97f6e8e6587a4464738ad9c252913275e6d306b468336b15f74303fa46",
+               "7cbc7b4fec97b54dcb6637c677a9860e7e3369b62c57a61e04520210c1458013",
+               "b9503c5228d4270a4902ecbbed4e0fb733d145dab3c58f07b8da2be4cf26d2e1")),
+    ])
+    def test_pinned_digests(self, sigma, digests, tmp_path):
+        cfg = ExperimentConfig(densities=(60, 120), runs_per_density=3, sigma=sigma, base_seed=4)
+        report = run_experiment(cfg)
+        got = []
+        for name, write in (("report.csv", write_report_csv), ("runs.csv", write_runs_csv),
+                            ("errors.csv", write_errors_csv)):
+            write(report, str(tmp_path / name))
+            got.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        assert tuple(got) == digests
 
     def test_byte_identical_across_runs(self, small_report, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,7 +13,6 @@ from railsim.network import (
     build_graph,
     generate_deployment,
     hop_tree_ranging,
-    min_hops,
     shortest_ranging,
 )
 from railsim.radio import PathLossModel
@@ -64,6 +63,41 @@ def bellman_ford(g, source):
     return dist
 
 
+def bfs_levels(g, source):
+    """Oracle: iterative frontier expansion without a queue."""
+    level = {source}
+    seen = {source}
+    expect = [None] * g.node_count
+    expect[source] = 0
+    h = 0
+    while level:
+        h += 1
+        nxt = set()
+        for u in level:
+            for v, _ in g.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    expect[v] = h
+                    nxt.add(v)
+        level = nxt
+    return expect
+
+
+def random_lattice(rng):
+    """A 2x3 to 3x4 grid with integer weights in {1, 2} and shuffled node
+    ids: exact distance ties everywhere."""
+    rows, cols = [(2, 3), (2, 4), (3, 3), (3, 4)][int(rng.integers(4))]
+    ids = rng.permutation(rows * cols).reshape(rows, cols)
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((int(ids[r, c]), int(ids[r, c + 1]), float(rng.integers(1, 3))))
+            if r + 1 < rows:
+                edges.append((int(ids[r, c]), int(ids[r + 1, c]), float(rng.integers(1, 3))))
+    return graph_from_edges(rows * cols, edges)
+
+
 def random_connected_graph(rng, n_max=10):
     n = int(rng.integers(2, n_max + 1))
     pts = rng.uniform(0, 10, size=(n, 2))
@@ -77,7 +111,7 @@ def random_connected_graph(rng, n_max=10):
                 edges.append((i, j, d))
         g = graph_from_edges(n, edges)
         try:
-            min_hops(g, 0)
+            hop_tree_ranging(g, 0)
             return g
         except Unreachable:
             continue
@@ -110,7 +144,7 @@ class TestGenerateDeployment:
         dep = generate_deployment(50, 50, 100, 3, 10, seed=3)
         g = build_graph(dep, MODEL)
         for a in dep.anchor_ids:
-            min_hops(g, a)  # raises if any node unreachable
+            hop_tree_ranging(g, a)  # raises if any node unreachable
 
     def test_json_round_trip(self):
         dep = generate_deployment(50, 50, 20, 3, 15, seed=5)
@@ -180,11 +214,19 @@ class TestShortestRanging:
         g = graph_from_edges(4, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
         (res,) = shortest_ranging(g, 0, [3])
         assert res.path == (0, 1, 3)
+        # a direct edge ties a 3-hop detour whose first hop has the smaller id;
+        # the tie-breaker compares whole paths, not just the predecessors'
+        g = graph_from_edges(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        (res,) = shortest_ranging(g, 0, [3])
+        assert res.path == (0, 1, 2, 3)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(123)
-        for _ in range(200):
-            g = random_connected_graph(rng)
+        graphs = itertools.chain(
+            (random_connected_graph(rng) for _ in range(200)),
+            (random_lattice(rng) for _ in range(200)),
+        )
+        for g in graphs:
             for target in range(1, g.node_count):
                 got = shortest_ranging(g, 0, [target])[0]
                 dist, path = brute_force_shortest(g, 0, target)
@@ -211,36 +253,21 @@ class TestShortestRanging:
 
 
 class TestMinHops:
+    """The hop counts of the flooding tree are the BFS minimum hops."""
+
     def test_path_graph(self):
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert min_hops(g, 0) == [0, 1, 2]
+        assert hop_tree_ranging(g, 0)[1] == [0, 1, 2]
 
     def test_direct_neighbor(self):
         g = graph_from_edges(2, [(0, 1, 3.0)])
-        assert min_hops(g, 0)[1] == 1
+        assert hop_tree_ranging(g, 0)[1][1] == 1
 
     def test_matches_exhaustive_bfs(self):
         rng = np.random.default_rng(321)
         for _ in range(50):
             g = random_connected_graph(rng)
-            got = min_hops(g, 0)
-            # oracle: iterative frontier expansion without a queue
-            level = {0}
-            seen = {0}
-            expect = [None] * g.node_count
-            expect[0] = 0
-            h = 0
-            while level:
-                h += 1
-                nxt = set()
-                for u in level:
-                    for v, _ in g.adjacency[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            expect[v] = h
-                            nxt.add(v)
-                level = nxt
-            assert got == expect
+            assert hop_tree_ranging(g, 0)[1] == bfs_levels(g, 0)
 
 
 def test_hop_tree_ranging_overestimates_weighted_shortest():
@@ -249,7 +276,7 @@ def test_hop_tree_ranging_overestimates_weighted_shortest():
     for a in dep.anchor_ids:
         acc, hops = hop_tree_ranging(g, a)
         weighted = shortest_ranging(g, a, list(range(len(dep.nodes))))
-        bfs = min_hops(g, a)
+        bfs = bfs_levels(g, a)
         for r in weighted:
             t = r.target_id
             assert acc[t] >= r.shortest_distance - 1e-9

@@ -6,10 +6,9 @@ import pytest
 from railsim.geometry import AABox, Point, contains, distance, make_ray
 from railsim.network import (
     NetworkGraph,
-    RangingResult,
     build_graph,
+    dijkstra_tree,
     generate_deployment,
-    shortest_ranging,
 )
 from railsim.radio import PathLossModel
 from railsim.rail import (
@@ -17,7 +16,6 @@ from railsim.rail import (
     AngleEstimate,
     DegenerateGeometry,
     LocationCase,
-    PathCache,
     anchor_square,
     bounding_box,
     build_rays,
@@ -40,20 +38,13 @@ def graph_from_edges(n, edges):
     return NetworkGraph(adj)
 
 
-def ranging(anchor, target, dist, hops, path):
-    return RangingResult(anchor, target, dist, hops, path)
-
-
 def triple_with(sds_pairwise, true_pairwise, hops_pairwise, positions):
-    pairs = [(0, 1), (0, 2), (1, 2)]
     return AnchorTriple(
         ids=(0, 1, 2),
         positions=tuple(positions),
         pairwise_true_distances=tuple(true_pairwise),
-        pairwise_ranging=tuple(
-            ranging(a, b, sd, h, tuple([a] + [99] * (h - 1) + [b]))
-            for (a, b), sd, h in zip(pairs, sds_pairwise, hops_pairwise)
-        ),
+        pairwise_sd=tuple(sds_pairwise),
+        pairwise_hops=tuple(hops_pairwise),
     )
 
 
@@ -63,10 +54,7 @@ class TestBoundingBox:
             [1, 1, 1], [1, 1, 1], [1, 1, 1],
             [Point(0, 0), Point(20, 0), Point(0, 20)],
         )
-        r = [ranging(0, 9, 10, 2, (0, 5, 9)),
-             ranging(1, 9, 15, 2, (1, 5, 9)),
-             ranging(2, 9, 15, 2, (2, 5, 9))]
-        assert bounding_box(t, r) == AABox(5, 10, 5, 10)
+        assert bounding_box(t, [10, 15, 15]) == AABox(5, 10, 5, 10)
 
     def test_single_anchor_square(self):
         assert anchor_square(Point(0, 0), 5) == AABox(-5, 5, -5, 5)
@@ -75,14 +63,10 @@ class TestBoundingBox:
         for seed in range(5):
             dep = generate_deployment(50, 50, 120, 3, 10, seed=seed)
             g = build_graph(dep, MODEL)
-            allids = list(range(len(dep.nodes)))
-            tables = {
-                a: {r.target_id: r for r in shortest_ranging(g, a, allids)}
-                for a in dep.anchor_ids
-            }
-            triple = make_anchor_triple(dep, dep.anchor_ids, tables)
+            trees = {a: dijkstra_tree(g, a) for a in dep.anchor_ids}
+            triple = make_anchor_triple(dep, dep.anchor_ids, trees)
             for t in dep.unknown_ids:
-                box = bounding_box(triple, [tables[a][t] for a in triple.ids])
+                box = bounding_box(triple, [trees[a][0][t] for a in triple.ids])
                 assert box is not None
                 assert contains(box, dep.nodes[t])
 
@@ -158,9 +142,9 @@ class TestEstimateAngle:
         for seed in (1, 4):
             dep = generate_deployment(50, 50, 100, 3, 10, seed=seed)
             g = build_graph(dep, MODEL)
-            cache = PathCache(g)
+            trees = {}
             for t in list(dep.unknown_ids)[::7]:
-                est = estimate_angle(g, 2.5, 0, 1, t, cache)
+                est = estimate_angle(g, 2.5, 0, 1, t, trees)
                 assert 0.0 <= est.theta <= math.pi
                 assert 1 <= est.samples_used <= 3
 
@@ -201,7 +185,8 @@ class TestBuildRays:
             ids=t1.ids,
             positions=tuple(Point(p.x * 3, p.y * 3) for p in t1.positions),
             pairwise_true_distances=tuple(d * 3 for d in t1.pairwise_true_distances),
-            pairwise_ranging=t1.pairwise_ranging,
+            pairwise_sd=t1.pairwise_sd,
+            pairwise_hops=t1.pairwise_hops,
         )
         a = self._angles(1.1, 0.6)
         r1 = build_rays(t1, a)
