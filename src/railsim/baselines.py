@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .geometry import Point
+import numpy as np
+
+from .geometry import Point, first_max, first_min
 
 DET_TOL = 1e-9
 
@@ -29,6 +31,19 @@ class BaselineEstimate:
     degenerate: bool = False
 
 
+def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: float):
+    """``min_max`` for many targets: anchor coordinates (k,), hop counts
+    (k, m). Returns the estimates (x, y) and the inverted flags, each (m,).
+    """
+    reach = hops * comm_range
+    x_min = first_max(*(x - r for x, r in zip(ax, reach)))
+    x_max = first_min(*(x + r for x, r in zip(ax, reach)))
+    y_min = first_max(*(y - r for y, r in zip(ay, reach)))
+    y_max = first_min(*(y + r for y, r in zip(ay, reach)))
+    inverted = (x_min > x_max) | (y_min > y_max)
+    return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, inverted
+
+
 def min_max(anchors: Sequence[tuple[Point, int]], comm_range: float) -> BaselineEstimate:
     """Center of the intersection of per-anchor squares of half-width
     hops * comm_range.
@@ -36,13 +51,42 @@ def min_max(anchors: Sequence[tuple[Point, int]], comm_range: float) -> Baseline
     The (max-of-mins, min-of-maxes) rectangle is centered even when it is
     inverted; the degenerate flag records that situation.
     """
-    x_min = max(p.x - h * comm_range for p, h in anchors)
-    x_max = min(p.x + h * comm_range for p, h in anchors)
-    y_min = max(p.y - h * comm_range for p, h in anchors)
-    y_max = min(p.y + h * comm_range for p, h in anchors)
-    inverted = x_min > x_max or y_min > y_max
-    center = Point((x_min + x_max) / 2.0, (y_min + y_max) / 2.0)
-    return BaselineEstimate(Algorithm.MIN_MAX, center, degenerate=inverted)
+    ax = np.array([p.x for p, _ in anchors], dtype=float)
+    ay = np.array([p.y for p, _ in anchors], dtype=float)
+    hops = np.array([[h] for _, h in anchors])
+    x, y, inverted = min_max_all(ax, ay, hops, comm_range)
+    return BaselineEstimate(Algorithm.MIN_MAX, Point(float(x[0]), float(y[0])),
+                            degenerate=bool(inverted[0]))
+
+
+def rssi_dv_hop_all(ax: np.ndarray, ay: np.ndarray, chosen: np.ndarray, d: np.ndarray):
+    """``rssi_dv_hop`` for many targets: anchor coordinates (k,), the three
+    anchors (indices into them) of each target and their distances, both
+    (3, m). Returns the estimates (x, y) and the degenerate flags, each (m,).
+    """
+    # squares by Python's float power (the C library pow), as the scalar
+    # solve took them
+    ax2 = np.array([x**2 for x in ax.tolist()])
+    ay2 = np.array([y**2 for y in ay.tolist()])
+    (p1x, p2x, p3x), (p1y, p2y, p3y) = ax[chosen], ay[chosen]
+    (s1x, s2x, s3x), (s1y, s2y, s3y) = ax2[chosen], ay2[chosen]
+    d1, d2, d3 = d
+
+    a11 = 2.0 * (p1x - p3x)
+    a12 = 2.0 * (p1y - p3y)
+    a21 = 2.0 * (p2x - p3x)
+    a22 = 2.0 * (p2y - p3y)
+    b1 = (d3 * d3 - d1 * d1) + (s1x - s3x) + (s1y - s3y)
+    b2 = (d3 * d3 - d2 * d2) + (s2x - s3x) + (s2y - s3y)
+
+    det = a11 * a22 - a12 * a21
+    degenerate = np.abs(det) < DET_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (b1 * a22 - b2 * a12) / det
+        y = (a11 * b2 - a21 * b1) / det
+    x = np.where(degenerate, (p1x + p2x + p3x) / 3.0, x)
+    y = np.where(degenerate, (p1y + p2y + p3y) / 3.0, y)
+    return x, y, degenerate
 
 
 def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
@@ -54,23 +98,9 @@ def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
     """
     if len(anchors) != 3:
         raise ValueError("exactly three anchors required")
-    (p1, d1), (p2, d2), (p3, d3) = anchors
-
-    a11 = 2.0 * (p1.x - p3.x)
-    a12 = 2.0 * (p1.y - p3.y)
-    a21 = 2.0 * (p2.x - p3.x)
-    a22 = 2.0 * (p2.y - p3.y)
-    b1 = (d3 * d3 - d1 * d1) + (p1.x**2 - p3.x**2) + (p1.y**2 - p3.y**2)
-    b2 = (d3 * d3 - d2 * d2) + (p2.x**2 - p3.x**2) + (p2.y**2 - p3.y**2)
-
-    det = a11 * a22 - a12 * a21
-    if abs(det) < DET_TOL:
-        centroid = Point(
-            (p1.x + p2.x + p3.x) / 3.0,
-            (p1.y + p2.y + p3.y) / 3.0,
-        )
-        return BaselineEstimate(Algorithm.RSSI_DV_HOP, centroid, degenerate=True)
-
-    x = (b1 * a22 - b2 * a12) / det
-    y = (a11 * b2 - a21 * b1) / det
-    return BaselineEstimate(Algorithm.RSSI_DV_HOP, Point(x, y))
+    ax = np.array([p.x for p, _ in anchors], dtype=float)
+    ay = np.array([p.y for p, _ in anchors], dtype=float)
+    d = np.array([[dist] for _, dist in anchors], dtype=float)
+    x, y, degenerate = rssi_dv_hop_all(ax, ay, np.array([[0], [1], [2]]), d)
+    return BaselineEstimate(Algorithm.RSSI_DV_HOP, Point(float(x[0]), float(y[0])),
+                            degenerate=bool(degenerate[0]))

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import Point, contains, distance
+from .geometry import Point, distance, first_max, first_min, libm
 from .network import (
     Deployment,
     GenerationFailed,
@@ -119,13 +119,19 @@ def localization_error(true_p: Point, est_p: Point) -> float:
     return distance(true_p, est_p)
 
 
+def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
+    """``clamp_to_area`` for arrays of estimates."""
+    return first_min(first_max(x, 0.0), width), first_min(first_max(y, 0.0), height)
+
+
 def clamp_to_area(p: Point, width: float, height: float) -> Point:
     """Clip an estimate into the deployment region.
 
     All nodes are known to live inside the region, so estimates outside it
     are trimmed; applied uniformly to every algorithm.
     """
-    return Point(min(max(p.x, 0.0), width), min(max(p.y, 0.0), height))
+    x, y = clamp_all(np.array([p.x]), np.array([p.y]), width, height)
+    return Point(float(x[0]), float(y[0]))
 
 
 def run_seed(base_seed: int, density: int, run_index: int) -> int:
@@ -161,49 +167,43 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
     seed = run_seed(cfg.base_seed, density, run_index)
     dep, g = scenario(cfg, density, run_index)
     targets = list(dep.unknown_ids)
+    truth_x, truth_y = dep.coords[targets, 0], dep.coords[targets, 1]
 
-    estimates: dict[str, list[Point]] = {}
-    errors: dict[str, list[float]] = {}
+    found: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     rail_contained = 0
 
     if "RAIL" in cfg.algorithms:
         results = rail.localize_all(dep, g)
-        est = [results[t][0] for t in targets]
-        estimates["RAIL"] = est
-        rail_contained = sum(
-            contains(results[t][1].box, dep.nodes[t]) for t in targets
-        )
+        found["RAIL"] = (results.x, results.y)
+        rail_contained = int(results.box_contains(truth_x, truth_y).sum())
 
     if "MinMax" in cfg.algorithms or "RssiDvHop" in cfg.algorithms:
         # Both baselines flood beacons by hop count: one BFS tree per anchor
         # gives Min-Max its minimum hop counts and DV-hop its accumulated
         # RSSI distance along the hop-minimal path (not the distance-optimal
         # one RAIL uses).
-        acc, hops = {}, {}
-        for a in dep.anchor_ids:
-            acc[a], hops[a] = hop_tree_ranging(g, a)
+        floods = [hop_tree_ranging(g, a) for a in dep.anchor_ids]
+        acc = np.stack([f[0] for f in floods])[:, targets]
+        hops = np.stack([f[1] for f in floods])[:, targets]
+        anchor_x, anchor_y = dep.coords[list(dep.anchor_ids)].T
 
     if "MinMax" in cfg.algorithms:
-        est = []
-        for t in targets:
-            inputs = [(dep.nodes[a], hops[a][t]) for a in dep.anchor_ids]
-            est.append(baselines.min_max(inputs, cfg.comm_range).position)
-        estimates["MinMax"] = est
+        found["MinMax"] = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)[:2]
 
     if "RssiDvHop" in cfg.algorithms:
-        est = []
-        for t in targets:
-            chosen = sorted(dep.anchor_ids, key=lambda a: acc[a][t])[:3]
-            inputs = [(dep.nodes[a], acc[a][t]) for a in chosen]
-            est.append(baselines.rssi_dv_hop(inputs).position)
-        estimates["RssiDvHop"] = est
+        # the three anchors with the shortest accumulated distance, nearest first
+        chosen = np.argsort(acc, axis=0, kind="stable")[:3]
+        found["RssiDvHop"] = baselines.rssi_dv_hop_all(
+            anchor_x, anchor_y, chosen, np.take_along_axis(acc, chosen, axis=0)
+        )[:2]
 
-    for alg, est in estimates.items():
-        clamped = [clamp_to_area(p, cfg.width, cfg.height) for p in est]
-        estimates[alg] = clamped
-        errors[alg] = [
-            localization_error(dep.nodes[t], p) for t, p in zip(targets, clamped)
-        ]
+    estimates: dict[str, list[Point]] = {}
+    errors: dict[str, list[float]] = {}
+    for alg, (x, y) in found.items():
+        x, y = clamp_all(x, y, cfg.width, cfg.height)
+        estimates[alg] = [Point(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        # localization_error, elementwise
+        errors[alg] = libm(math.hypot, truth_x - x, truth_y - y).tolist()
 
     return RunRecord(
         density=density,

@@ -12,17 +12,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import Point, distance
+from .geometry import Point, distance, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 
@@ -52,6 +51,13 @@ class Deployment:
     def unknown_ids(self) -> tuple[int, ...]:
         anchors = set(self.anchor_ids)
         return tuple(i for i in range(len(self.nodes)) if i not in anchors)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (n, 2) array of the node positions."""
+        xy = np.array([(p.x, p.y) for p in self.nodes], dtype=float).reshape(-1, 2)
+        xy.flags.writeable = False
+        return xy
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,52 +98,72 @@ class RangingResult:
 
 
 class NetworkGraph:
-    """Symmetric one-hop adjacency with per-edge estimated distances, kept
-    both as sorted per-node lists and as one CSR matrix for scipy.
+    """Symmetric one-hop adjacency with per-edge estimated distances, held as
+    one CSR matrix whose rows are sorted by neighbor id.
+
+    ``adjacency[u]`` is row u as a sorted list of (neighbor, weight) tuples,
+    built on first use.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
-        self.adjacency = [sorted(nbrs) for nbrs in adjacency]
-        self.node_count = n = len(self.adjacency)
-        degree = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
-        indptr = np.concatenate(([0], np.cumsum(degree)))
-        weights = [w for nbrs in self.adjacency for _, w in nbrs]
-        heads = [v for nbrs in self.adjacency for v, _ in nbrs]
-        self.matrix = csr_matrix((weights, heads, indptr), shape=(n, n), dtype=float)
-        self.edge_rows = np.repeat(np.arange(n), degree)  # tail node of each CSR entry
+        tails = [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
+        heads = [v for nbrs in adjacency for v, _ in nbrs]
+        weights = [w for nbrs in adjacency for _, w in nbrs]
+        self._set_edges(len(adjacency), np.array(tails, dtype=np.intp),
+                        np.array(heads, dtype=np.intp), np.array(weights, dtype=float))
+
+    @classmethod
+    def from_edges(cls, n: int, tails: np.ndarray, heads: np.ndarray,
+                   weights: np.ndarray) -> "NetworkGraph":
+        """The graph with one directed entry per (tail, head, weight) triple."""
+        g = cls.__new__(cls)
+        g._set_edges(n, tails, heads, weights)
+        return g
+
+    def _set_edges(self, n, tails, heads, weights) -> None:
+        keys = tails.astype(np.int64) * n + heads
+        order = np.argsort(keys, kind="stable")  # parallel entries keep their order
+        tails, heads = tails[order], heads[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+        self.node_count = n
+        self.matrix = csr_matrix((weights[order], heads, indptr), shape=(n, n), dtype=float)
+        self.edge_rows = tails  # tail node of each CSR entry
+        # one sorted key per CSR entry, then a sentinel no edge query reaches
+        self._keys = np.append(keys[order], n * n)
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, float]]]:
+        pairs = list(zip(self.matrix.indices.tolist(), self.matrix.data.tolist()))
+        bounds = self.matrix.indptr.tolist()
+        return [pairs[bounds[u]:bounds[u + 1]] for u in range(self.node_count)]
 
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]
 
+    def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """(found, CSR position) of the first entry u -> v, per element of
+        the node arrays u and v; the position is meaningless where not found.
+        """
+        keys = np.asarray(u, dtype=np.int64) * self.node_count + v
+        pos = np.searchsorted(self._keys, keys)
+        return self._keys[pos] == keys, pos
+
     def edge_weight(self, u: int, v: int) -> Optional[float]:
-        row = self.adjacency[u]
-        i = bisect_left(row, (v,))
-        return row[i][1] if i < len(row) and row[i][0] == v else None
+        found, pos = self.edge_index(u, v)
+        return float(self.matrix.data[pos]) if found else None
 
 
 def _triangle_area(a: Point, b: Point, c: Point) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2.0
 
 
-def _components_ok(positions: np.ndarray, anchor_ids: Sequence[int], comm_range: float) -> bool:
-    """True when every node can reach every anchor over one-hop links."""
+def _components_ok(positions: np.ndarray, comm_range: float) -> bool:
+    """True when every node can reach every other (so every anchor) over
+    one-hop links."""
     n = len(positions)
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(comm_range, output_type="ndarray")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[ri] = rj
-    root = find(anchor_ids[0])
-    return all(find(k) == root for k in range(n))
+    pairs = cKDTree(positions).query_pairs(comm_range, output_type="ndarray")
+    links = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(links, directed=False, return_labels=False) == 1
 
 
 def generate_deployment(
@@ -179,12 +205,12 @@ def generate_deployment(
             for i, j, k in itertools.combinations(range(n_anchors), 3)
         ):
             continue
-        if not _components_ok(coords, anchor_ids, comm_range):
+        if not _components_ok(coords, comm_range):
             continue
         return Deployment(
             width=width,
             height=height,
-            nodes=tuple(Point(float(x), float(y)) for x, y in coords),
+            nodes=tuple(Point(x, y) for x, y in coords.tolist()),
             anchor_ids=anchor_ids,
             comm_range=comm_range,
         )
@@ -203,28 +229,30 @@ def build_graph(
 
     Each edge gets a single RSSI measurement (shared by both directions);
     noise draws are consumed in sorted (i, j) edge order so a fixed rng seed
-    yields a fixed graph.
+    yields a fixed graph. Two co-located nodes (an in-range pair at distance
+    0) have no RSSI and raise ValueError naming both ids.
     """
     n = len(dep.nodes)
-    coords = np.array([[p.x, p.y] for p in dep.nodes])
-    tree = cKDTree(coords)
-    pairs = tree.query_pairs(dep.comm_range, output_type="ndarray")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
+    coords = dep.coords
+    pairs = cKDTree(coords).query_pairs(dep.comm_range, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    i, j = pairs[:, 0], pairs[:, 1]
 
     if rng is not None and model.sigma > 0:
         noise = rng.normal(0.0, model.sigma, size=len(pairs))
     else:
         noise = np.zeros(len(pairs))
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), nz in zip(pairs, noise):
-        i, j = int(i), int(j)
-        true_d = distance(dep.nodes[i], dep.nodes[j])
-        est = estimate_distance(model, rssi_at(model, true_d, float(nz)))
-        adjacency[i].append((j, est))
-        adjacency[j].append((i, est))
-    return NetworkGraph(adjacency)
+    delta = coords[i] - coords[j]
+    true_d = libm(math.hypot, delta[:, 0], delta[:, 1])
+    colocated = np.flatnonzero(true_d == 0)
+    if colocated.size:
+        k = colocated[0]
+        raise ValueError(f"nodes {i[k]} and {j[k]} are co-located: zero distance has no RSSI")
+    est = estimate_distance(model, rssi_at(model, true_d, noise))
+    return NetworkGraph.from_edges(
+        n, np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((est, est))
+    )
 
 
 def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
@@ -235,8 +263,25 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[list[float], list[int], list[int]]:
-    """Single-source shortest paths; returns (dist, pred, hops) per node.
+def _depths(pred: np.ndarray, root: int) -> np.ndarray:
+    """Hop count of every node in the tree given by pred (-1 off the tree)
+    by pointer jumping: each pass doubles how far every node has looked up.
+    """
+    hops = (pred >= 0).astype(np.intp)  # edges to ``up``
+    up = pred.copy()
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        nxt = up[live]
+        hops[live] += hops[nxt]
+        up[live] = up[nxt]
+        live = live[up[live] >= 0]
+    hops[pred < 0] = -1
+    hops[root] = 0
+    return hops
+
+
+def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-source shortest paths; returns (dist, pred, hops) arrays.
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
@@ -246,22 +291,22 @@ def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[list[float], list[int],
     path is already final. Unreachable nodes have dist inf, pred and hops -1.
     """
     d, p = dijkstra(g.matrix, indices=source, return_predecessors=True)
-    heads = g.matrix.indices
-    tails = d[g.edge_rows]
-    tight = np.isfinite(tails) & (tails + g.matrix.data == d[heads])
-    n_tight = np.bincount(heads[tight], minlength=g.node_count)
-    ties = set(np.flatnonzero(n_tight >= 2).tolist())
-    dist = d.tolist()
-    pred = np.where(p < 0, -1, p).tolist()
-    hops = [-1] * g.node_count
-    hops[source] = 0
-    for v in np.argsort(d, kind="stable").tolist():
-        if v in ties:
-            tight_preds = [u for u, w in g.adjacency[v] if dist[u] + w == dist[v]]
-            pred[v] = min(tight_preds, key=lambda u: _reconstruct(pred, u) + (v,))
-        if pred[v] >= 0:
-            hops[v] = hops[pred[v]] + 1
-    return dist, pred, hops
+    m = g.matrix
+    tight = d[g.edge_rows] + m.data == d[m.indices]
+    n_tight = np.bincount(m.indices[tight], minlength=g.node_count)
+    pred = np.where(p < 0, -1, p)
+    ties = np.flatnonzero(n_tight >= 2)
+    ties = ties[np.isfinite(d[ties])]  # inf + w == inf is no tie
+    if ties.size:
+        dist, pl = d.tolist(), pred.tolist()
+        bounds = m.indptr.tolist()
+        for v in ties[np.argsort(d[ties], kind="stable")].tolist():
+            row = slice(bounds[v], bounds[v + 1])
+            nbrs = zip(m.indices[row].tolist(), m.data[row].tolist())
+            tight_preds = [u for u, w in nbrs if dist[u] + w == dist[v]]
+            pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
+        pred = np.array(pl)
+    return d, pred, _depths(pred, source)
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
@@ -269,15 +314,16 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
     read from ``dijkstra_tree``.
     """
     dist, pred, hops = dijkstra_tree(g, source)
+    pred = pred.tolist()
     out = []
     for t in targets:
         if math.isinf(dist[t]):
             raise Unreachable(f"node {t} unreachable from {source}")
-        out.append(RangingResult(source, t, dist[t], hops[t], _reconstruct(pred, t)))
+        out.append(RangingResult(source, t, float(dist[t]), int(hops[t]), _reconstruct(pred, t)))
     return out
 
 
-def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[list[float], list[int]]:
+def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """Accumulated edge estimates along the BFS (minimum-hop) flooding tree.
 
     Models hop-count-propagation protocols: each node keeps the first beacon
@@ -286,24 +332,32 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[list[float], list[in
     ``dijkstra_tree`` the path is hop-minimal, not distance-minimal, so
     the accumulated distance overestimates more strongly.
 
-    Returns (accumulated distance, hop count) per node; the hop counts are
+    Returns (accumulated distance, hop count) arrays; the hop counts are
     the BFS minimum hops. Raises Unreachable if the graph is disconnected
     from the source.
     """
     n = g.node_count
-    dist = [math.inf] * n
-    hops = [-1] * n
-    dist[source] = 0.0
-    hops[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v, w in g.adjacency[u]:
-            if hops[v] < 0:
-                hops[v] = hops[u] + 1
-                dist[v] = dist[u] + w
-                q.append(v)
-    missing = [i for i, h in enumerate(hops) if h < 0]
-    if missing:
-        raise Unreachable(f"nodes {missing[:5]} unreachable from {source}")
+    order, pred = breadth_first_order(g.matrix, source, return_predecessors=True)
+    if len(order) < n:
+        missing = np.setdiff1d(np.arange(n), order)
+        raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {source}")
+    # scipy scans each row in CSR (neighbor-id) order and keeps the first
+    # discoverer, as a FIFO flood does. So each hop level is a contiguous run
+    # of ``order`` whose parents form the previous run, and the distances
+    # accumulate one level per numpy pass, indexed by position in ``order``.
+    child = order[1:]
+    step = g.matrix.data[g.edge_index(pred[child], child)[1]]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    parent_rank = rank[pred[child]]  # non-decreasing
+    bounds = [0, 1]  # level h holds ranks bounds[h]:bounds[h + 1]
+    while bounds[-1] < n:
+        bounds.append(1 + int(np.searchsorted(parent_rank, bounds[-1])))
+    acc = np.zeros(n)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        acc[lo:hi] = acc[parent_rank[lo - 1:hi - 1]] + step[lo - 1:hi - 1]
+    dist = np.empty(n)
+    hops = np.empty(n, dtype=np.intp)
+    dist[order] = acc
+    hops[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     return dist, hops

@@ -1,13 +1,19 @@
 """Log-distance path-loss model: RSSI generation and distance inversion.
 
 All randomness is injected by the caller (a single seeded generator lives in
-the experiment harness), so both functions here are deterministic.
+the experiment harness), so both functions here are deterministic. Both take
+a float or an array (one value per edge) and give the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
+
+from .geometry import libm
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,22 @@ class PathLossModel:
             raise ValueError("sigma must be non-negative")
 
 
-def rssi_at(model: PathLossModel, d: float, noise_draw: float = 0.0) -> float:
+def _elementwise(fn, x):
+    return libm(fn, x) if isinstance(x, np.ndarray) else fn(x)
+
+
+def rssi_at(model: PathLossModel, d, noise_draw=0.0):
     """Received strength (dBm) at distance d, plus a caller-drawn noise term."""
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return model.rssi_d0 - 10.0 * model.n_exp * math.log10(d / model.d0) + noise_draw
+    if np.any(np.less_equal(d, 0)):
+        raise ValueError(f"distance must be positive, got {np.min(d)}")
+    return (
+        model.rssi_d0
+        - 10.0 * model.n_exp * _elementwise(math.log10, d / model.d0)
+        + noise_draw
+    )
 
 
-def estimate_distance(model: PathLossModel, rssi: float) -> float:
+def estimate_distance(model: PathLossModel, rssi):
     """Invert the path-loss model: distance (m) implied by a received strength."""
-    return model.d0 * 10.0 ** ((model.rssi_d0 - rssi) / (10.0 * model.n_exp))
+    exponent = (model.rssi_d0 - rssi) / (10.0 * model.n_exp)
+    return model.d0 * _elementwise(partial(pow, 10.0), exponent)

@@ -1,17 +1,28 @@
 """The RAIL localization pipeline: per-target bounding box, system per-hop
 error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
+
+Every stage is an array pass over all targets (``localize_all``); the scalar
+helpers (``bounding_box``, ``corrected_angle``, ``estimate_angle``,
+``build_rays``, ``precise_location``) are one-row calls of the same passes.
+Transcendentals go through ``geometry.libm`` and every expression keeps the
+scalar operand order, so the array passes give the scalar results bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import geometry
-from .geometry import AABox, Point, Ray, make_ray
+from .geometry import AABox, Point, Ray, first_max, first_min, libm
 from .network import Deployment, NetworkGraph, Unreachable, dijkstra_tree
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
@@ -26,6 +37,10 @@ class LocationCase(Enum):
     SINGLE_INTERSECTION = "SingleIntersection"
     ALL_OUTSIDE = "AllOutside"
     NO_INTERSECTION = "NoIntersection"
+
+
+CASES = tuple(LocationCase)  # a case code is an index into CASES
+MULTI, SINGLE, ALL_OUTSIDE, NO_INTERSECTION = range(4)
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,62 @@ class RailDiagnostics:
         }
 
 
+class RailResults(Mapping):
+    """The estimates and diagnostics of a set of targets, as arrays.
+
+    Per target i: estimate ``(x[i], y[i])``, ``case[i]`` (an index into
+    ``CASES``), the box ``box[:, i]`` (x_min, x_max, y_min, y_max; the
+    empty-box fallback where the squares did not meet), rays ``r`` from
+    ``(ray_x[r, i], ray_y[r, i])`` along ``(ray_dx[r, i], ray_dy[r, i])``,
+    and the forward intersection of each ray pair ``q`` (pairs in (0, 1),
+    (0, 2), (1, 2) order) at ``(hit_x[q, i], hit_y[q, i])`` where
+    ``hit[q, i]``. As a mapping, ``results[t]`` is target t's
+    ``(Point, RailDiagnostics)``.
+    """
+
+    def __init__(self, targets, x, y, case, box, rays, hits):
+        self.targets = np.asarray(targets)
+        self.x, self.y, self.case, self.box = x, y, case, box
+        self.ray_x, self.ray_y, self.ray_dx, self.ray_dy = rays
+        self.hit_x, self.hit_y, self.hit = hits
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {t: i for i, t in enumerate(self.targets.tolist())}
+
+    def __getitem__(self, target: int) -> tuple[Point, RailDiagnostics]:
+        return self.row(self._index[target])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def row(self, i: int) -> tuple[Point, RailDiagnostics]:
+        """The i-th target's estimate and diagnostics as objects."""
+        rays = tuple(
+            Ray(Point(float(ox[i]), float(oy[i])), float(dx[i]), float(dy[i]))
+            for ox, oy, dx, dy in zip(self.ray_x, self.ray_y, self.ray_dx, self.ray_dy)
+        )
+        hits = [
+            Point(float(px[i]), float(py[i]))
+            for px, py, ok in zip(self.hit_x, self.hit_y, self.hit) if ok[i]
+        ]
+        diag = RailDiagnostics(
+            case_fired=CASES[self.case[i]],
+            box=AABox(*(float(v) for v in self.box[:, i])),
+            rays=rays,
+            intersections=hits,
+        )
+        return Point(float(self.x[i]), float(self.y[i])), diag
+
+    def box_contains(self, x: np.ndarray, y: np.ndarray,
+                     tol: float = geometry.DEFAULT_TOL) -> np.ndarray:
+        """Per target, whether its box holds the point (x[i], y[i])."""
+        return _inside(self.box, x, y, tol)
+
+
 def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> AnchorTriple:
     """Assemble an AnchorTriple from the anchors' ``dijkstra_tree`` results,
     keyed by anchor id.
@@ -83,8 +154,8 @@ def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> Anch
             geometry.distance(pa, pc),
             geometry.distance(pb, pc),
         ),
-        pairwise_sd=tuple(trees[u][0][v] for u, v in pairs),
-        pairwise_hops=tuple(trees[u][2][v] for u, v in pairs),
+        pairwise_sd=tuple(float(trees[u][0][v]) for u, v in pairs),
+        pairwise_hops=tuple(int(trees[u][2][v]) for u, v in pairs),
     )
 
 
@@ -92,10 +163,25 @@ def anchor_square(pos: Point, sd: float) -> AABox:
     return AABox(pos.x - sd, pos.x + sd, pos.y - sd, pos.y + sd)
 
 
+def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the intersection of the anchor squares of half-width sd
+    around (ax, ay) (rows: anchors), as (4, m) bounds, and where it is empty.
+    """
+    box = np.stack((
+        first_max(*(ax - sd)),
+        first_min(*(ax + sd)),
+        first_max(*(ay - sd)),
+        first_min(*(ay + sd)),
+    ))
+    return box, (box[0] > box[1]) | (box[2] > box[3])
+
+
 def bounding_box(anchors: AnchorTriple, sds: Sequence[float]) -> Optional[AABox]:
     """Intersection of the three per-anchor squares of half-width SD."""
-    squares = [anchor_square(pos, sd) for pos, sd in zip(anchors.positions, sds)]
-    return geometry.intersect_boxes(squares)
+    ax = np.array([[p.x] for p in anchors.positions], dtype=float)
+    ay = np.array([[p.y] for p in anchors.positions], dtype=float)
+    box, empty = _boxes(ax, ay, np.array(sds, dtype=float).reshape(3, 1))
+    return None if empty[0] else AABox(*(float(v) for v in box[:, 0]))
 
 
 def per_hop_error(anchors: AnchorTriple) -> float:
@@ -108,6 +194,15 @@ def per_hop_error(anchors: AnchorTriple) -> float:
     return max((sd_sum - td_sum) / hop_sum, 0.0)
 
 
+def _corrected_angles(a, b, c, e, hops_a, hops_b, hops_c) -> np.ndarray:
+    """Elementwise ``corrected_angle``."""
+    ac = np.where(hops_a >= 2, first_max(a - e * hops_a, MIN_SIDE), first_max(a, MIN_SIDE))
+    bc = np.where(hops_b >= 2, first_max(b - e * hops_b, MIN_SIDE), first_max(b, MIN_SIDE))
+    cc = np.where(hops_c >= 2, first_max(c - e * hops_c, MIN_SIDE), first_max(c, 0.0))
+    cos = (ac * ac + bc * bc - cc * cc) / (2.0 * ac * bc)
+    return libm(math.acos, first_min(1.0, first_max(-1.0, cos)))
+
+
 def corrected_angle(
     a: float, b: float, c: float, e: float, hops_a: int, hops_b: int, hops_c: int
 ) -> float:
@@ -117,25 +212,82 @@ def corrected_angle(
     at MIN_SIDE; the cosine argument is clamped to [-1, 1] so violated
     triangle inequalities map to 0 or pi.
     """
-    ac = max(a - e * hops_a, MIN_SIDE) if hops_a >= 2 else max(a, MIN_SIDE)
-    bc = max(b - e * hops_b, MIN_SIDE) if hops_b >= 2 else max(b, MIN_SIDE)
-    cc = max(c - e * hops_c, MIN_SIDE) if hops_c >= 2 else max(c, 0.0)
-    cos = (ac * ac + bc * bc - cc * cc) / (2.0 * ac * bc)
-    return math.acos(min(1.0, max(-1.0, cos)))
+    sides = (np.array([v], dtype=float) for v in (a, b, c, e))
+    hops = (np.array([h]) for h in (hops_a, hops_b, hops_c))
+    return float(_corrected_angles(*sides, *hops)[0])
 
 
-def _tree(g: NetworkGraph, trees: dict, source: int) -> tuple[list, list, list]:
+def _tree(g: NetworkGraph, trees: dict, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``dijkstra_tree(g, source)``, memoised in ``trees``."""
     if source not in trees:
         trees[source] = dijkstra_tree(g, source)
     return trees[source]
 
 
-def _ancestor(pred: list[int], hops: list[int], v: int, k: int) -> int:
-    """The node k hops from the tree root on the root's path to v."""
-    for _ in range(hops[v] - k):
-        v = pred[v]
+class _Forest(NamedTuple):
+    """The shortest-path trees of some sources, stacked as (sources, n)
+    arrays; row r belongs to node ``ids[r]``."""
+
+    ids: np.ndarray
+    dist: np.ndarray
+    pred: np.ndarray
+    hops: np.ndarray
+
+    @classmethod
+    def of(cls, g: NetworkGraph, trees: dict, sources: Sequence[int]) -> "_Forest":
+        stacked = zip(*(_tree(g, trees, s) for s in sources))
+        return cls(np.array(sources, dtype=np.intp), *map(np.stack, stacked))
+
+
+def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The node k hops from the root of tree ``rows`` on its path to v, by
+    binary lifting: ``up`` holds each node's 2**r-th ancestor in pass r
+    (entries above a root are never read)."""
+    v = v.copy()
+    steps = forest.hops[rows, v] - k
+    up = forest.pred
+    while steps.any():
+        odd = np.flatnonzero(steps & 1)
+        v[odd] = up[rows[odd], v[odd]]
+        steps >>= 1
+        up = np.take_along_axis(up, up, axis=1)
     return v
+
+
+def _angles(g: NetworkGraph, trees: dict, forest: _Forest, rows: np.ndarray,
+            ref: np.ndarray, target: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the corrected angle at the root of tree ``rows`` between
+    the directions to ``ref`` and to ``target`` (see ``estimate_angle``),
+    and the prefix length K.
+    """
+    for v in (ref, target):
+        missing = np.isinf(forest.dist[rows, v])
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise Unreachable(f"node {v[i]} unreachable from {forest.ids[rows[i]]}")
+    k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
+
+    # a prefix length is the hop-K node's tree distance: Dijkstra summed the
+    # same K edges in path order
+    node_a = _ancestors(forest, rows, ref, k)
+    node_b = _ancestors(forest, rows, target, k)
+    a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
+    c_len = np.zeros(len(rows))
+    c_hops = np.zeros(len(rows), dtype=np.intp)
+    apart = node_a != node_b
+    found, pos = g.edge_index(node_a, node_b)
+    direct = apart & found
+    c_len[direct] = g.matrix.data[pos[direct]]
+    c_hops[direct] = 1
+    # same-hop nodes out of range of each other: fall back to their
+    # multi-hop shortest distance
+    far = np.flatnonzero(apart & ~found)
+    if far.size:
+        sources, rows_a = np.unique(node_a[far], return_inverse=True)
+        side = _Forest.of(g, trees, sources.tolist())
+        c_len[far] = side.dist[rows_a, node_b[far]]
+        c_hops[far] = side.hops[rows_a, node_b[far]]
+    return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
 def estimate_angle(
@@ -160,41 +312,60 @@ def estimate_angle(
         raise DegenerateGeometry(f"target {target} coincides with an anchor")
     if trees is None:
         trees = {}
-    dist, pred, hops = _tree(g, trees, at)
-    for v in (ref, target):
-        if math.isinf(dist[v]):
-            raise Unreachable(f"node {v} unreachable from {at}")
-    k = min(3, hops[ref], hops[target])
-
-    # a prefix length is the hop-K node's tree distance: Dijkstra summed the
-    # same K edges in path order
-    node_a, node_b = _ancestor(pred, hops, ref, k), _ancestor(pred, hops, target, k)
-    a_len, b_len = dist[node_a], dist[node_b]
-    if node_a == node_b:
-        c_len, c_hops = 0.0, 0
-    else:
-        direct = g.edge_weight(node_a, node_b)
-        if direct is not None:
-            c_len, c_hops = direct, 1
-        else:
-            # same-hop nodes out of range of each other: fall back to their
-            # multi-hop shortest distance
-            c_dist, _, c_hop = _tree(g, trees, node_a)
-            c_len, c_hops = c_dist[node_b], c_hop[node_b]
-    theta = corrected_angle(a_len, b_len, c_len, e, k, k, c_hops)
+    theta, k = _angles(g, trees, _Forest.of(g, trees, [at]), np.zeros(1, dtype=np.intp),
+                       np.array([ref]), np.array([target]), np.array([e], dtype=float))
     return AngleEstimate(
-        at_anchor=at, reference_anchor=ref, theta=theta, samples_used=k
+        at_anchor=at, reference_anchor=ref, theta=float(theta[0]), samples_used=int(k[0])
     )
 
 
-def _rotate(dx: float, dy: float, theta: float) -> tuple[float, float]:
-    ct, st = math.cos(theta), math.sin(theta)
+def _rotate(dx, dy, theta):
+    ct, st = libm(math.cos, theta), libm(math.sin, theta)
     return dx * ct - dy * st, dx * st + dy * ct
 
 
-def _angle_between(ax: float, ay: float, bx: float, by: float) -> float:
-    cos = min(1.0, max(-1.0, ax * bx + ay * by))
-    return math.acos(cos)
+def _angle_between(ax, ay, bx, by):
+    return libm(math.acos, first_min(1.0, first_max(-1.0, ax * bx + ay * by)))
+
+
+def _unit(ax, ay, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the unit vector from anchor i to anchor j."""
+    d = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    if (d == 0).any():
+        raise DegenerateGeometry("coincident anchors")
+    return (ax[j] - ax[i]) / d, (ay[j] - ay[i]) / d
+
+
+def _others(i: int) -> tuple[int, int]:
+    """The two triple members other than i, in order."""
+    return tuple(x for x in range(3) if x != i)
+
+
+def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the unit direction of each anchor's ray toward the target:
+    anchors (ax, ay) of shape (3, m) in id order, ``theta[(i, j)]`` the
+    estimated angle at anchor i between anchor j and the target.
+
+    Anchor i's baseline to j (the lower-id other anchor) is rotated by
+    theta[(i, j)], counterclockwise or clockwise, whichever candidate's angle
+    to the direction i -> k is closer to theta[(i, k)] (ties go
+    counterclockwise).
+    """
+    out = []
+    for i in range(3):
+        j, k = _others(i)
+        bx, by = _unit(ax, ay, i, j)
+        kx, ky = _unit(ax, ay, i, k)
+        ccw = _rotate(bx, by, theta[(i, j)])
+        cw = _rotate(bx, by, -theta[(i, j)])
+        err_ccw = np.abs(_angle_between(*ccw, kx, ky) - theta[(i, k)])
+        err_cw = np.abs(_angle_between(*cw, kx, ky) - theta[(i, k)])
+        pick = err_ccw <= err_cw
+        dx, dy = np.where(pick, ccw[0], cw[0]), np.where(pick, ccw[1], cw[1])
+        norm = libm(math.hypot, dx, dy)  # make_ray's normalisation
+        out.append((dx / norm, dy / norm))
+    dx, dy = zip(*out)
+    return np.array(dx), np.array(dy)
 
 
 def build_rays(
@@ -207,30 +378,88 @@ def build_rays(
     the candidate whose angle to A_i->A_k best matches the estimated angle
     at A_i relative to A_k wins (ties go counterclockwise).
     """
-    rays = []
-    for i, pos_i in zip(anchors.ids, anchors.positions):
-        j, k = sorted(x for x in anchors.ids if x != i)
-        pos_j = anchors.positions[anchors.ids.index(j)]
-        pos_k = anchors.positions[anchors.ids.index(k)]
-        theta_ij = angles[(i, j)].theta
-        theta_ik = angles[(i, k)].theta
-
-        bx, by = _unit(pos_i, pos_j)
-        kx, ky = _unit(pos_i, pos_k)
-        ccw = _rotate(bx, by, theta_ij)
-        cw = _rotate(bx, by, -theta_ij)
-        err_ccw = abs(_angle_between(*ccw, kx, ky) - theta_ik)
-        err_cw = abs(_angle_between(*cw, kx, ky) - theta_ik)
-        dx, dy = ccw if err_ccw <= err_cw else cw
-        rays.append(make_ray(pos_i, dx, dy))
-    return tuple(rays)
+    ids, pos = anchors.ids, anchors.positions
+    order = sorted(range(3), key=lambda i: ids[i])
+    ax = np.array([[pos[i].x] for i in order], dtype=float)
+    ay = np.array([[pos[i].y] for i in order], dtype=float)
+    theta = {(i, j): np.array([angles[(ids[order[i]], ids[order[j]])].theta])
+             for i in range(3) for j in _others(i)}
+    dx, dy = _ray_directions(ax, ay, theta)
+    rays = {order[r]: Ray(pos[order[r]], float(dx[r, 0]), float(dy[r, 0])) for r in range(3)}
+    return tuple(rays[i] for i in range(3))
 
 
-def _unit(src: Point, dst: Point) -> tuple[float, float]:
-    d = geometry.distance(src, dst)
-    if d == 0:
-        raise DegenerateGeometry("coincident anchors")
-    return (dst.x - src.x) / d, (dst.y - src.y) / d
+def _inside(box: np.ndarray, x, y, tol: float) -> np.ndarray:
+    return (box[0] - tol <= x) & (x <= box[1] + tol) & (box[2] - tol <= y) & (y <= box[3] + tol)
+
+
+def _locate(box: np.ndarray, rays, tol: float):
+    """The four-case rule for each column: the box (4, m) and the rays as
+    (origin x, origin y, dx, dy) arrays of shape (R, m). Returns the
+    estimate (x, y), the case codes and the ray-pair intersections
+    (x, y, found), each (R(R-1)/2, m).
+    """
+    ox, oy, dx, dy = rays
+    n_rays, m = ox.shape
+    pairs = [(i, j) for i in range(n_rays) for j in range(i + 1, n_rays)]
+    hx, hy, hit = [], [], []
+    for i, j in pairs:
+        # geometry.ray_pair_intersection, elementwise
+        det = dx[i] * dy[j] - dy[i] * dx[j]
+        sx, sy = ox[j] - ox[i], oy[j] - oy[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (sx * dy[j] - sy * dx[j]) / det
+            t2 = (sx * dy[i] - sy * dx[i]) / det
+        ok = ~(np.abs(det) <= tol) & ~(t1 < -tol) & ~(t2 < -tol)
+        t1 = np.where(ok, t1, 0.0)
+        hx.append(ox[i] + t1 * dx[i])
+        hy.append(oy[i] + t1 * dy[i])
+        hit.append(ok)
+    shape = (len(pairs), m)
+    hx, hy = np.array(hx, dtype=float).reshape(shape), np.array(hy, dtype=float).reshape(shape)
+    hit = np.array(hit, dtype=bool).reshape(shape)
+    inside = hit & _inside(box, hx, hy, tol)
+    n_inside = inside.sum(axis=0)
+
+    # case 1: centroid of the inside points, summed in order from 0 as
+    # geometry.centroid does; case 2: the one inside point
+    sum_x, sum_y = np.zeros(m), np.zeros(m)
+    one_x, one_y = np.zeros(m), np.zeros(m)
+    for q in range(len(hit)):
+        sum_x = np.where(inside[q], sum_x + hx[q], sum_x)
+        sum_y = np.where(inside[q], sum_y + hy[q], sum_y)
+        one_x = np.where(inside[q], hx[q], one_x)
+        one_y = np.where(inside[q], hy[q], one_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(n_inside >= 2, sum_x / n_inside, one_x)
+        y = np.where(n_inside >= 2, sum_y / n_inside, one_y)
+    case = np.where(n_inside >= 2, MULTI, SINGLE)
+
+    # case 4: no intersection at all, the box center
+    none = ~hit.any(axis=0)
+    case[none] = NO_INTERSECTION
+    x[none] = ((box[0] + box[1]) / 2.0)[none]
+    y[none] = ((box[2] + box[3]) / 2.0)[none]
+
+    # case 3: all intersections outside, the nearest one projected onto the
+    # box (the first of equally near ones)
+    out = np.flatnonzero((n_inside == 0) & ~none)
+    if out.size:
+        b = box[:, out]
+        best = np.full(out.size, math.inf)
+        near_x, near_y = np.zeros(out.size), np.zeros(out.size)
+        for q in range(len(hit)):
+            px, py = hx[q, out], hy[q, out]
+            gap = libm(math.hypot,
+                       first_max(b[0] - px, 0.0, px - b[1]),
+                       first_max(b[2] - py, 0.0, py - b[3]))
+            closer = hit[q, out] & (gap < best)
+            best = np.where(closer, gap, best)
+            near_x, near_y = np.where(closer, px, near_x), np.where(closer, py, near_y)
+        case[out] = ALL_OUTSIDE
+        x[out] = first_min(first_max(near_x, b[0]), b[1])
+        y[out] = first_min(first_max(near_y, b[2]), b[3])
+    return x, y, case, (hx, hy, hit)
 
 
 def precise_location(
@@ -246,66 +475,52 @@ def precise_location(
         box = empty_fallback
     if box is None:
         raise ValueError("empty box with no fallback")
-
-    pts = []
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            p = geometry.ray_pair_intersection(rays[i], rays[j])
-            if p is not None:
-                pts.append(p)
-
-    inside = [p for p in pts if geometry.contains(box, p, tol)]
-    if len(inside) >= 2:
-        case, est = LocationCase.MULTI_INTERSECTION, geometry.centroid(inside)
-    elif len(inside) == 1:
-        case, est = LocationCase.SINGLE_INTERSECTION, inside[0]
-    elif pts:
-        nearest = min(pts, key=lambda p: geometry.box_distance(box, p))
-        case, est = LocationCase.ALL_OUTSIDE, geometry.project_onto_box(box, nearest)
-    else:
-        case, est = LocationCase.NO_INTERSECTION, geometry.box_center(box)
-    diag = RailDiagnostics(case_fired=case, box=box, rays=tuple(rays), intersections=pts)
-    return est, diag
+    bounds = np.array([[box.x_min], [box.x_max], [box.y_min], [box.y_max]], dtype=float)
+    columns = [(r.origin.x, r.origin.y, r.dx, r.dy) for r in rays]
+    arrays = tuple(np.array(columns, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2))
+    x, y, case, hits = _locate(bounds, arrays, tol)
+    return RailResults([0], x, y, case, bounds, arrays, hits).row(0)
 
 
-def localize_all(
-    dep: Deployment, g: NetworkGraph
-) -> dict[int, tuple[Point, RailDiagnostics]]:
-    """Run the full pipeline for every unknown node.
+def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
+    """Run the full pipeline for every unknown node, as array passes over
+    all targets.
 
     When more than three anchors exist, each target uses its three nearest
     anchors by estimated shortest distance. Each source's ``dijkstra_tree``,
     anchors and angle-triangle fallbacks alike, is computed once per call.
     """
     trees: dict = {}
-    sd = {a: _tree(g, trees, a)[0] for a in dep.anchor_ids}
+    forest = _Forest.of(g, trees, dep.anchor_ids)
+    targets = np.array(dep.unknown_ids, dtype=np.intp)
+    m = len(targets)
+    row_of = np.full(g.node_count, -1, dtype=np.intp)
+    row_of[forest.ids] = np.arange(len(forest.ids))
 
-    triples: dict[tuple[int, ...], tuple[AnchorTriple, float]] = {}
+    # the three nearest anchors by SD (ties: anchor_ids order), sorted by id
+    nearest = np.argsort(forest.dist[:, targets], axis=0, kind="stable")[:3]
+    chosen = np.sort(forest.ids[nearest], axis=0)  # (3, m) anchor ids
+    rows = row_of[chosen]
+    # one per-hop error per distinct triple
+    triples, which = np.unique(chosen, axis=1, return_inverse=True)
+    e = np.array([per_hop_error(make_anchor_triple(dep, ids, trees))
+                  for ids in triples.T.tolist()])[which]
 
-    def get_triple(ids: tuple[int, ...]) -> tuple[AnchorTriple, float]:
-        if ids not in triples:
-            triple = make_anchor_triple(dep, ids, trees)
-            triples[ids] = (triple, per_hop_error(triple))
-        return triples[ids]
+    ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
+    sd = forest.dist[rows, targets]
+    box, empty = _boxes(ax, ay, sd)
+    # empty box: fall back to the square of the anchor with the smallest SD
+    best = np.argmin(sd, axis=0)
+    cols = np.arange(m)
+    bx, by, bsd = ax[best, cols], ay[best, cols], sd[best, cols]
+    fallback = np.stack((bx - bsd, bx + bsd, by - bsd, by + bsd))
+    box = np.where(empty, fallback, box)
 
-    results = {}
-    for t in dep.unknown_ids:
-        chosen = sorted(dep.anchor_ids, key=lambda a: sd[a][t])[:3]
-        ids = tuple(sorted(chosen))
-        triple, e = get_triple(ids)
-        sds = [sd[a][t] for a in triple.ids]
-        box = bounding_box(triple, sds)
-
-        angles = {}
-        for i in triple.ids:
-            for j in triple.ids:
-                if i != j:
-                    angles[(i, j)] = estimate_angle(g, e, i, j, t, trees)
-        rays = build_rays(triple, angles)
-
-        fallback = None
-        if box is None:
-            best = min(range(3), key=lambda i: sds[i])
-            fallback = anchor_square(triple.positions[best], sds[best])
-        results[t] = precise_location(box, rays, empty_fallback=fallback)
-    return results
+    theta = {
+        (i, j): _angles(g, trees, forest, rows[i], chosen[j], targets, e)[0]
+        for i in range(3) for j in _others(i)
+    }
+    ray_dx, ray_dy = _ray_directions(ax, ay, theta)
+    rays = (ax, ay, ray_dx, ray_dy)
+    x, y, case, hits = _locate(box, rays, geometry.DEFAULT_TOL)
+    return RailResults(targets, x, y, case, box, rays, hits)

@@ -5,8 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim.baselines import Algorithm, min_max, rssi_dv_hop
+from railsim.baselines import Algorithm, min_max, min_max_all, rssi_dv_hop, rssi_dv_hop_all
 from railsim.geometry import Point, distance
+
+
+def scalar_min_max(anchors, comm_range):
+    """Oracle: the per-target Min-Max formula in plain Python floats."""
+    x_min = max(p.x - h * comm_range for p, h in anchors)
+    x_max = min(p.x + h * comm_range for p, h in anchors)
+    y_min = max(p.y - h * comm_range for p, h in anchors)
+    y_max = min(p.y + h * comm_range for p, h in anchors)
+    return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, x_min > x_max or y_min > y_max
+
+
+def scalar_dv_hop(anchors):
+    """Oracle: the per-target linearised trilateration in plain Python floats."""
+    (p1, d1), (p2, d2), (p3, d3) = anchors
+    a11, a12 = 2.0 * (p1.x - p3.x), 2.0 * (p1.y - p3.y)
+    a21, a22 = 2.0 * (p2.x - p3.x), 2.0 * (p2.y - p3.y)
+    b1 = (d3 * d3 - d1 * d1) + (p1.x**2 - p3.x**2) + (p1.y**2 - p3.y**2)
+    b2 = (d3 * d3 - d2 * d2) + (p2.x**2 - p3.x**2) + (p2.y**2 - p3.y**2)
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-9:
+        return (p1.x + p2.x + p3.x) / 3.0, (p1.y + p2.y + p3.y) / 3.0, True
+    return (b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det, False
+
+
+def test_array_kernels_match_scalar_formulas():
+    # every target's result is bit-equal to the plain-float formula,
+    # including collinear (degenerate) and inverted draws
+    rng = np.random.default_rng(21)
+    for k in (3, 4, 6):
+        ax, ay = rng.uniform(0, 50, k), rng.uniform(0, 50, k)
+        if k == 4:  # three anchors on the line y = 2x + 1
+            ax[:3], ay[:3] = (1.0, 5.0, 9.0), (3.0, 11.0, 19.0)
+        m = 400
+        hops = rng.integers(0, 6, size=(k, m))
+        acc = rng.uniform(0.0, 60.0, size=(k, m))
+        chosen = np.argsort(acc, axis=0, kind="stable")[:3]
+        mx, my, inverted = min_max_all(ax, ay, hops, 10.0)
+        dx, dy, degenerate = rssi_dv_hop_all(ax, ay, chosen, np.take_along_axis(acc, chosen, 0))
+        pts = [Point(x, y) for x, y in zip(ax.tolist(), ay.tolist())]
+        for t in range(m):
+            want = scalar_min_max([(p, int(h)) for p, h in zip(pts, hops[:, t])], 10.0)
+            assert (mx[t], my[t], inverted[t]) == want
+            want = scalar_dv_hop([(pts[a], float(acc[a, t])) for a in chosen[:, t]])
+            assert (dx[t], dy[t], degenerate[t]) == want
+        assert inverted.any() and not inverted.all()
+        assert degenerate.any() == (k == 4)
 
 
 class TestMinMax:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from railsim.network import (
     hop_tree_ranging,
     shortest_ranging,
 )
-from railsim.radio import PathLossModel
+from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
 MODEL = PathLossModel()
 
@@ -61,6 +62,23 @@ def bellman_ford(g, source):
         if not changed:
             break
     return dist
+
+
+def deque_flood(g, source):
+    """Oracle: the FIFO flood, one node at a time; each node keeps its first
+    discoverer and adds that edge's weight."""
+    dist = [math.inf] * g.node_count
+    hops = [-1] * g.node_count
+    dist[source], hops[source] = 0.0, 0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        for v, w in g.adjacency[u]:
+            if hops[v] < 0:
+                hops[v] = hops[u] + 1
+                dist[v] = dist[u] + w
+                q.append(v)
+    return dist, hops
 
 
 def bfs_levels(g, source):
@@ -179,6 +197,36 @@ class TestBuildGraph:
                 assert distance(dep.nodes[u], dep.nodes[v]) <= dep.comm_range
                 assert w > 0
 
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_weights_equal_scalar_round_trip(self, sigma):
+        # every weight is bit-equal to the scalar RSSI round trip of its
+        # edge, with the noise drawn in sorted (i, j) edge order
+        model = PathLossModel(sigma=sigma)
+        for n_unknown in (100, 500):
+            dep = generate_deployment(50, 50, n_unknown, 3, 10, seed=n_unknown)
+            g = build_graph(dep, model, rng=np.random.default_rng(5))
+            edges = sorted((u, v) for u in range(g.node_count)
+                           for v, _ in g.adjacency[u] if u < v)
+            noise = (np.random.default_rng(5).normal(0.0, sigma, size=len(edges))
+                     if sigma > 0 else np.zeros(len(edges)))
+            for (u, v), nz in zip(edges, noise.tolist()):
+                true_d = distance(dep.nodes[u], dep.nodes[v])
+                want = estimate_distance(model, rssi_at(model, true_d, nz))
+                assert g.edge_weight(u, v) == want
+                assert g.edge_weight(v, u) == want
+
+    def test_colocated_unknowns_rejected(self):
+        nodes = (Point(0, 0), Point(30, 0), Point(0, 30), Point(5, 5), Point(5, 5))
+        dep = Deployment(50, 50, nodes, (0, 1, 2), 10.0)
+        with pytest.raises(ValueError, match="nodes 3 and 4 are co-located"):
+            build_graph(dep, MODEL)
+
+    def test_unknown_on_anchor_rejected(self):
+        nodes = (Point(0, 0), Point(30, 0), Point(0, 30), Point(30, 0))
+        dep = Deployment(50, 50, nodes, (0, 1, 2), 10.0)
+        with pytest.raises(ValueError, match="nodes 1 and 3 are co-located"):
+            build_graph(dep, MODEL, rng=np.random.default_rng(1))
+
     def test_noise_changes_weights_deterministically(self):
         dep = generate_deployment(50, 50, 30, 3, 12, seed=2)
         noisy = PathLossModel(sigma=2.0)
@@ -257,17 +305,38 @@ class TestMinHops:
 
     def test_path_graph(self):
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert hop_tree_ranging(g, 0)[1] == [0, 1, 2]
+        assert hop_tree_ranging(g, 0)[1].tolist() == [0, 1, 2]
 
     def test_direct_neighbor(self):
         g = graph_from_edges(2, [(0, 1, 3.0)])
         assert hop_tree_ranging(g, 0)[1][1] == 1
 
+    def test_unreachable(self):
+        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(Unreachable, match=r"\[2, 3\]"):
+            hop_tree_ranging(g, 0)
+
+    def test_matches_deque_flood(self):
+        rng = np.random.default_rng(99)
+        graphs = itertools.chain(
+            (random_connected_graph(rng, n_max=40) for _ in range(200)),
+            (random_lattice(rng) for _ in range(200)),
+        )
+        for g in graphs:
+            for source in {0, g.node_count - 1}:
+                dist, hops = hop_tree_ranging(g, source)
+                assert (dist.tolist(), hops.tolist()) == deque_flood(g, source)
+        dep = generate_deployment(50, 50, 300, 3, 10, seed=4)
+        g = build_graph(dep, PathLossModel(sigma=4.0), rng=np.random.default_rng(4))
+        for a in dep.anchor_ids:
+            dist, hops = hop_tree_ranging(g, a)
+            assert (dist.tolist(), hops.tolist()) == deque_flood(g, a)
+
     def test_matches_exhaustive_bfs(self):
         rng = np.random.default_rng(321)
         for _ in range(50):
             g = random_connected_graph(rng)
-            assert hop_tree_ranging(g, 0)[1] == bfs_levels(g, 0)
+            assert hop_tree_ranging(g, 0)[1].tolist() == bfs_levels(g, 0)
 
 
 def test_hop_tree_ranging_overestimates_weighted_shortest():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from railsim import geometry
 from railsim.geometry import AABox, Point, contains, distance, make_ray
 from railsim.network import (
     NetworkGraph,
@@ -258,7 +259,113 @@ class TestPreciseLocation:
                 assert contains(box, est, tol=1e-6)
 
 
+def reference_localize(dep, g):
+    """Oracle: RAIL one target at a time with Python floats, ``math`` and the
+    scalar geometry primitives, as the pipeline ran before it became array
+    passes. Returns {target: (estimate, case value, box, intersections)}."""
+    trees = {}
+
+    def tree(s):
+        if s not in trees:
+            trees[s] = [a.tolist() for a in dijkstra_tree(g, s)]
+        return trees[s]
+
+    def corrected(a, b, c, e, ha, hb, hc):
+        ac = max(a - e * ha, 0.01) if ha >= 2 else max(a, 0.01)
+        bc = max(b - e * hb, 0.01) if hb >= 2 else max(b, 0.01)
+        cc = max(c - e * hc, 0.01) if hc >= 2 else max(c, 0.0)
+        cos = (ac * ac + bc * bc - cc * cc) / (2.0 * ac * bc)
+        return math.acos(min(1.0, max(-1.0, cos)))
+
+    def angle(e, at, ref, t):
+        dist, pred, hops = tree(at)
+        k = min(3, hops[ref], hops[t])
+        ends = []
+        for v in (ref, t):
+            for _ in range(hops[v] - k):
+                v = pred[v]
+            ends.append(v)
+        na, nb = ends
+        if na == nb:
+            c, ch = 0.0, 0
+        elif g.edge_weight(na, nb) is not None:
+            c, ch = g.edge_weight(na, nb), 1
+        else:
+            c, ch = tree(na)[0][nb], tree(na)[2][nb]
+        return corrected(dist[na], dist[nb], c, e, k, k, ch)
+
+    def unit(p, q):
+        d = distance(p, q)
+        return (q.x - p.x) / d, (q.y - p.y) / d
+
+    def rotate(x, y, th):
+        return x * math.cos(th) - y * math.sin(th), x * math.sin(th) + y * math.cos(th)
+
+    def between(x, y, u, v):
+        return math.acos(min(1.0, max(-1.0, x * u + y * v)))
+
+    out = {}
+    for t in dep.unknown_ids:
+        ids = sorted(sorted(dep.anchor_ids, key=lambda a: tree(a)[0][t])[:3])
+        pos = [dep.nodes[a] for a in ids]
+        sds = [tree(a)[0][t] for a in ids]
+        pairs = ((0, 1), (0, 2), (1, 2))
+        sd_sum = sum(tree(ids[u])[0][ids[v]] for u, v in pairs)
+        hop_sum = sum(tree(ids[u])[2][ids[v]] for u, v in pairs)
+        td_sum = sum(distance(pos[u], pos[v]) for u, v in pairs)
+        e = max((sd_sum - td_sum) / hop_sum, 0.0)
+        box = geometry.intersect_boxes(
+            [AABox(p.x - d, p.x + d, p.y - d, p.y + d) for p, d in zip(pos, sds)])
+        if box is None:
+            b = min(range(3), key=lambda i: sds[i])
+            box = AABox(pos[b].x - sds[b], pos[b].x + sds[b], pos[b].y - sds[b], pos[b].y + sds[b])
+        rays = []
+        for i in range(3):
+            j, k = (x for x in range(3) if x != i)
+            th_j, th_k = angle(e, ids[i], ids[j], t), angle(e, ids[i], ids[k], t)
+            bx, by = unit(pos[i], pos[j])
+            kx, ky = unit(pos[i], pos[k])
+            ccw, cw = rotate(bx, by, th_j), rotate(bx, by, -th_j)
+            pick = abs(between(*ccw, kx, ky) - th_k) <= abs(between(*cw, kx, ky) - th_k)
+            rays.append(make_ray(pos[i], *(ccw if pick else cw)))
+        pts = [p for i, j in pairs
+               if (p := geometry.ray_pair_intersection(rays[i], rays[j])) is not None]
+        inside = [p for p in pts if contains(box, p)]
+        if len(inside) >= 2:
+            case, est = LocationCase.MULTI_INTERSECTION, geometry.centroid(inside)
+        elif inside:
+            case, est = LocationCase.SINGLE_INTERSECTION, inside[0]
+        elif pts:
+            near = min(pts, key=lambda p: geometry.box_distance(box, p))
+            case, est = LocationCase.ALL_OUTSIDE, geometry.project_onto_box(box, near)
+        else:
+            case, est = LocationCase.NO_INTERSECTION, geometry.box_center(box)
+        out[t] = (est, case, box, pts)
+    return out
+
+
 class TestLocalizeAll:
+    @pytest.mark.parametrize("width, height, n, anchors, sigma, seed", [
+        (50, 50, 120, 3, 0.0, 1),
+        (50, 50, 300, 3, 4.0, 2),
+        (50, 50, 200, 4, 1.0, 3),
+        (60, 60, 200, 6, 4.0, 4),
+        (200, 20, 200, 3, 0.0, 5),
+        (120, 40, 250, 5, 3.0, 6),
+    ])
+    def test_matches_scalar_reference(self, width, height, n, anchors, sigma, seed):
+        dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
+        g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
+        results = localize_all(dep, g)
+        want = reference_localize(dep, g)
+        assert list(results) == list(want)
+        for i, t in enumerate(results):
+            est, diag = results[t]
+            assert (est, diag.case_fired, diag.box, diag.intersections) == want[t]
+            assert (results.x[i], results.y[i]) == (est.x, est.y)
+        assert {c.value for c in (results[t][1].case_fired for t in results)} >= (
+            {"MultiIntersection", "SingleIntersection"})
+
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
         g = build_graph(dep, MODEL)
