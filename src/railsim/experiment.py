@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import Point, distance, first_max, first_min, libm
+from .geometry import Point, first_max, first_min, libm
 from .network import (
     Deployment,
     GenerationFailed,
@@ -114,9 +114,15 @@ class ExperimentReport:
     records: list[RunRecord] = field(repr=False, default_factory=list)
 
 
+def localization_errors(true_x, true_y, x, y) -> np.ndarray:
+    """Euclidean distances between true and estimated coordinates, elementwise."""
+    return libm(math.hypot, true_x - x, true_y - y)  # geometry.distance
+
+
 def localization_error(true_p: Point, est_p: Point) -> float:
     """Euclidean distance between true and estimated coordinates."""
-    return distance(true_p, est_p)
+    return float(localization_errors(np.array([true_p.x]), np.array([true_p.y]),
+                                     np.array([est_p.x]), np.array([est_p.y]))[0])
 
 
 def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
@@ -202,8 +208,7 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
     for alg, (x, y) in found.items():
         x, y = clamp_all(x, y, cfg.width, cfg.height)
         estimates[alg] = [Point(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        # localization_error, elementwise
-        errors[alg] = libm(math.hypot, truth_x - x, truth_y - y).tolist()
+        errors[alg] = localization_errors(truth_x, truth_y, x, y).tolist()
 
     return RunRecord(
         density=density,

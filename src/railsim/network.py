@@ -122,7 +122,7 @@ class NetworkGraph:
 
     def _set_edges(self, n, tails, heads, weights) -> None:
         keys = tails.astype(np.int64) * n + heads
-        order = np.argsort(keys, kind="stable")  # parallel entries keep their order
+        order = np.lexsort((weights, keys))  # parallel entries: smallest weight first
         tails, heads = tails[order], heads[order]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
         self.node_count = n

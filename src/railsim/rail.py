@@ -133,10 +133,9 @@ class RailResults(Mapping):
         )
         return Point(float(self.x[i]), float(self.y[i])), diag
 
-    def box_contains(self, x: np.ndarray, y: np.ndarray,
-                     tol: float = geometry.DEFAULT_TOL) -> np.ndarray:
+    def box_contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per target, whether its box holds the point (x[i], y[i])."""
-        return _inside(self.box, x, y, tol)
+        return _inside(self.box, x, y, geometry.DEFAULT_TOL)
 
 
 def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> AnchorTriple:
@@ -159,20 +158,22 @@ def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> Anch
     )
 
 
+def _squares(x, y, sd) -> np.ndarray:
+    """The squares of half-width sd around (x, y), elementwise, stacked as
+    (x_min, x_max, y_min, y_max)."""
+    return np.stack((x - sd, x + sd, y - sd, y + sd))
+
+
 def anchor_square(pos: Point, sd: float) -> AABox:
-    return AABox(pos.x - sd, pos.x + sd, pos.y - sd, pos.y + sd)
+    return AABox(*(float(v) for v in _squares(pos.x, pos.y, sd)))
 
 
 def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the intersection of the anchor squares of half-width sd
     around (ax, ay) (rows: anchors), as (4, m) bounds, and where it is empty.
     """
-    box = np.stack((
-        first_max(*(ax - sd)),
-        first_min(*(ax + sd)),
-        first_max(*(ay - sd)),
-        first_min(*(ay + sd)),
-    ))
+    x_min, x_max, y_min, y_max = _squares(ax, ay, sd)
+    box = np.stack((first_max(*x_min), first_min(*x_max), first_max(*y_min), first_min(*y_max)))
     return box, (box[0] > box[1]) | (box[2] > box[3])
 
 
@@ -504,7 +505,7 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     # one per-hop error per distinct triple
     triples, which = np.unique(chosen, axis=1, return_inverse=True)
     e = np.array([per_hop_error(make_anchor_triple(dep, ids, trees))
-                  for ids in triples.T.tolist()])[which]
+                  for ids in triples.T.tolist()])[which.ravel()]
 
     ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
     sd = forest.dist[rows, targets]
@@ -512,9 +513,7 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     # empty box: fall back to the square of the anchor with the smallest SD
     best = np.argmin(sd, axis=0)
     cols = np.arange(m)
-    bx, by, bsd = ax[best, cols], ay[best, cols], sd[best, cols]
-    fallback = np.stack((bx - bsd, bx + bsd, by - bsd, by + bsd))
-    box = np.where(empty, fallback, box)
+    box = np.where(empty, _squares(ax[best, cols], ay[best, cols], sd[best, cols]), box)
 
     theta = {
         (i, j): _angles(g, trees, forest, rows[i], chosen[j], targets, e)[0]

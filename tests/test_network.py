@@ -237,6 +237,17 @@ class TestBuildGraph:
         assert g1.adjacency != g3.adjacency
 
 
+class TestNetworkGraph:
+    def test_parallel_entries_sorted_by_weight(self):
+        # rows are sorted by (neighbor, weight) whatever the given order, so
+        # edge lookups and floods read the smallest of parallel weights
+        g = NetworkGraph([[(2, 3.0), (1, 7.0), (1, 4.0)], [(0, 4.0)], [(0, 3.0)]])
+        assert g.adjacency[0] == [(1, 4.0), (1, 7.0), (2, 3.0)]
+        assert g.edge_weight(0, 1) == 4.0
+        acc, hops = hop_tree_ranging(g, 0)
+        assert acc.tolist() == [0.0, 4.0, 3.0] and hops.tolist() == [0, 1, 1]
+
+
 class TestShortestRanging:
     def test_single_path(self):
         g = graph_from_edges(3, [(0, 1, 4.0), (1, 2, 3.0)])

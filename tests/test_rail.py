@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -344,27 +345,43 @@ def reference_localize(dep, g):
     return out
 
 
+# (width, height, nodes, anchors, sigma, seed) of the deployments that
+# localize_all is checked on against reference_localize
+REFERENCE_DEPLOYMENTS = [
+    (50, 50, 120, 3, 0.0, 1),
+    (50, 50, 300, 3, 4.0, 2),
+    (50, 50, 200, 4, 1.0, 3),
+    (60, 60, 200, 6, 4.0, 4),
+    (200, 20, 200, 3, 0.0, 5),
+    (120, 40, 250, 5, 3.0, 6),
+]
+
+
+@functools.cache
+def localized(width, height, n, anchors, sigma, seed):
+    dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
+    g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
+    return localize_all(dep, g), dep, g
+
+
 class TestLocalizeAll:
-    @pytest.mark.parametrize("width, height, n, anchors, sigma, seed", [
-        (50, 50, 120, 3, 0.0, 1),
-        (50, 50, 300, 3, 4.0, 2),
-        (50, 50, 200, 4, 1.0, 3),
-        (60, 60, 200, 6, 4.0, 4),
-        (200, 20, 200, 3, 0.0, 5),
-        (120, 40, 250, 5, 3.0, 6),
-    ])
+    @pytest.mark.parametrize("width, height, n, anchors, sigma, seed", REFERENCE_DEPLOYMENTS)
     def test_matches_scalar_reference(self, width, height, n, anchors, sigma, seed):
-        dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
-        g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
-        results = localize_all(dep, g)
+        results, dep, g = localized(width, height, n, anchors, sigma, seed)
         want = reference_localize(dep, g)
         assert list(results) == list(want)
         for i, t in enumerate(results):
             est, diag = results[t]
             assert (est, diag.case_fired, diag.box, diag.intersections) == want[t]
             assert (results.x[i], results.y[i]) == (est.x, est.y)
-        assert {c.value for c in (results[t][1].case_fired for t in results)} >= (
-            {"MultiIntersection", "SingleIntersection"})
+
+    def test_reference_deployments_fire_every_case(self):
+        # the reference comparison covers all four cases of the rule
+        fired = set()
+        for params in REFERENCE_DEPLOYMENTS:
+            results = localized(*params)[0]
+            fired.update(results[t][1].case_fired for t in results)
+        assert fired == set(LocationCase)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
