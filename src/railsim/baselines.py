@@ -8,7 +8,6 @@ into a linearized trilateration solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -18,22 +17,20 @@ from .geometry import Point, first_max, first_min
 DET_TOL = 1e-9
 
 
-class Algorithm(Enum):
-    MIN_MAX = "MinMax"
-    RSSI_DV_HOP = "RssiDvHop"
-    RAIL = "RAIL"
-
-
 @dataclass(frozen=True)
 class BaselineEstimate:
-    algorithm: Algorithm
     position: Point
     degenerate: bool = False
 
 
 def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: float):
-    """``min_max`` for many targets: anchor coordinates (k,), hop counts
-    (k, m). Returns the estimates (x, y) and the inverted flags, each (m,).
+    """Min-Max for many targets: the center of the intersection of the
+    per-anchor squares of half-width hops * comm_range. Anchor coordinates
+    are (k,), hop counts (k, m). Returns the estimates (x, y) and the
+    inverted flags, each (m,).
+
+    The (max-of-mins, min-of-maxes) rectangle is centered even when it is
+    inverted; the flag records that situation.
     """
     reach = hops * comm_range
     x_min = first_max(*(x - r for x, r in zip(ax, reach)))
@@ -42,21 +39,6 @@ def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: fl
     y_max = first_min(*(y + r for y, r in zip(ay, reach)))
     inverted = (x_min > x_max) | (y_min > y_max)
     return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, inverted
-
-
-def min_max(anchors: Sequence[tuple[Point, int]], comm_range: float) -> BaselineEstimate:
-    """Center of the intersection of per-anchor squares of half-width
-    hops * comm_range.
-
-    The (max-of-mins, min-of-maxes) rectangle is centered even when it is
-    inverted; the degenerate flag records that situation.
-    """
-    ax = np.array([p.x for p, _ in anchors], dtype=float)
-    ay = np.array([p.y for p, _ in anchors], dtype=float)
-    hops = np.array([[h] for _, h in anchors])
-    x, y, inverted = min_max_all(ax, ay, hops, comm_range)
-    return BaselineEstimate(Algorithm.MIN_MAX, Point(float(x[0]), float(y[0])),
-                            degenerate=bool(inverted[0]))
 
 
 def rssi_dv_hop_all(ax: np.ndarray, ay: np.ndarray, chosen: np.ndarray, d: np.ndarray):
@@ -102,5 +84,4 @@ def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
     ay = np.array([p.y for p, _ in anchors], dtype=float)
     d = np.array([[dist] for _, dist in anchors], dtype=float)
     x, y, degenerate = rssi_dv_hop_all(ax, ay, np.array([[0], [1], [2]]), d)
-    return BaselineEstimate(Algorithm.RSSI_DV_HOP, Point(float(x[0]), float(y[0])),
-                            degenerate=bool(degenerate[0]))
+    return BaselineEstimate(Point(float(x[0]), float(y[0])), degenerate=bool(degenerate[0]))

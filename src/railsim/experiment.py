@@ -15,7 +15,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class RunRecord:
     run_index: int
     seed: int
     node_ids: list[int]
-    true_positions: list[Point]
     estimates: dict[str, list[Point]]
     errors: dict[str, list[float]]
     run_mean_error: dict[str, float]
@@ -119,25 +118,13 @@ def localization_errors(true_x, true_y, x, y) -> np.ndarray:
     return libm(math.hypot, true_x - x, true_y - y)  # geometry.distance
 
 
-def localization_error(true_p: Point, est_p: Point) -> float:
-    """Euclidean distance between true and estimated coordinates."""
-    return float(localization_errors(np.array([true_p.x]), np.array([true_p.y]),
-                                     np.array([est_p.x]), np.array([est_p.y]))[0])
-
-
 def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
-    """``clamp_to_area`` for arrays of estimates."""
-    return first_min(first_max(x, 0.0), width), first_min(first_max(y, 0.0), height)
-
-
-def clamp_to_area(p: Point, width: float, height: float) -> Point:
-    """Clip an estimate into the deployment region.
+    """Clip estimates into the deployment region, elementwise.
 
     All nodes are known to live inside the region, so estimates outside it
     are trimmed; applied uniformly to every algorithm.
     """
-    x, y = clamp_all(np.array([p.x]), np.array([p.y]), width, height)
-    return Point(float(x[0]), float(y[0]))
+    return first_min(first_max(x, 0.0), width), first_min(first_max(y, 0.0), height)
 
 
 def run_seed(base_seed: int, density: int, run_index: int) -> int:
@@ -215,7 +202,6 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
         run_index=run_index,
         seed=seed,
         node_ids=targets,
-        true_positions=[dep.nodes[t] for t in targets],
         estimates=estimates,
         errors=errors,
         run_mean_error={alg: float(np.mean(errs)) for alg, errs in errors.items()},
@@ -223,7 +209,7 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
     )
 
 
-def aggregate(records: Sequence[RunRecord], cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
+def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> ExperimentReport:
     """Pooled per-node mean and population std per (algorithm, density),
     plus the per-run mean series.
     """
@@ -239,7 +225,7 @@ def aggregate(records: Sequence[RunRecord], cfg: Optional[ExperimentConfig] = No
     mean = {k: float(np.mean(v)) for k, v in pooled.items()}
     std = {k: float(np.std(v)) for k, v in pooled.items()}
     return ExperimentReport(
-        config=cfg if cfg is not None else ExperimentConfig(),
+        config=cfg,
         mean_error=mean,
         std_error=std,
         run_series=series,

@@ -24,6 +24,9 @@ from scipy.spatial import cKDTree
 from .geometry import Point, distance, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
+# every anchor triple must span a triangle larger than this (m^2)
+ANCHOR_AREA_MIN = 25.0
+
 
 class GenerationFailed(Exception):
     """Deployment constraints could not be satisfied within max_attempts."""
@@ -174,12 +177,11 @@ def generate_deployment(
     comm_range: float,
     seed,
     max_attempts: int = 1000,
-    anchor_area_min: float = 25.0,
 ) -> Deployment:
     """Sample uniform deployments until all placement constraints hold.
 
     Constraints: anchors pairwise farther apart than comm_range, every anchor
-    triple spans a triangle of area > anchor_area_min (keeps the baseline
+    triple spans a triangle of area > ANCHOR_AREA_MIN (keeps the baseline
     linear system well-conditioned), and every node reaches every anchor
     through the connectivity graph.
     """
@@ -201,7 +203,7 @@ def generate_deployment(
         ):
             continue
         if any(
-            _triangle_area(anchors[i], anchors[j], anchors[k]) <= anchor_area_min
+            _triangle_area(anchors[i], anchors[j], anchors[k]) <= ANCHOR_AREA_MIN
             for i, j, k in itertools.combinations(range(n_anchors), 3)
         ):
             continue

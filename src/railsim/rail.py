@@ -2,12 +2,13 @@
 error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
 
-Every stage is an array pass over all targets (``localize_all``); the scalar
-helpers (``bounding_box``, ``corrected_angle``, ``estimate_angle``,
-``build_rays``, ``precise_location``) are one-row calls of the same passes.
-Transcendentals go through ``geometry.libm`` and every expression keeps the
-scalar operand order, so the array passes give the scalar results bit for
-bit.
+Every stage is an array pass over all targets, and ``localize_all`` runs
+them in order: ``_boxes`` (with ``_squares`` for the empty-box fallback),
+``_per_hop_errors``, ``_angles``, ``_ray_directions`` and ``_locate``.
+``corrected_angle`` is the one scalar entry point, a one-row call of the
+angle formula. Transcendentals go through ``geometry.libm`` and every
+expression keeps the scalar operand order, so the passes give the results of
+the per-target scalar formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import geometry
-from .geometry import AABox, Point, Ray, first_max, first_min, libm
+from .geometry import DEFAULT_TOL, AABox, Point, Ray, first_max, first_min, libm
 from .network import Deployment, NetworkGraph, Unreachable, dijkstra_tree
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
@@ -41,27 +41,6 @@ class LocationCase(Enum):
 
 CASES = tuple(LocationCase)  # a case code is an index into CASES
 MULTI, SINGLE, ALL_OUTSIDE, NO_INTERSECTION = range(4)
-
-
-@dataclass(frozen=True)
-class AnchorTriple:
-    """Three anchors with their ground-truth geometry and pairwise ranging:
-    shortest multi-hop distances (SD) and their hop counts.
-    """
-
-    ids: tuple[int, int, int]
-    positions: tuple[Point, Point, Point]
-    pairwise_true_distances: tuple[float, float, float]  # (01, 02, 12)
-    pairwise_sd: tuple[float, float, float]
-    pairwise_hops: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    at_anchor: int
-    reference_anchor: int
-    theta: float  # radians, in [0, pi]
-    samples_used: int
 
 
 @dataclass
@@ -135,37 +114,13 @@ class RailResults(Mapping):
 
     def box_contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per target, whether its box holds the point (x[i], y[i])."""
-        return _inside(self.box, x, y, geometry.DEFAULT_TOL)
-
-
-def make_anchor_triple(dep: Deployment, ids: Sequence[int], trees: dict) -> AnchorTriple:
-    """Assemble an AnchorTriple from the anchors' ``dijkstra_tree`` results,
-    keyed by anchor id.
-    """
-    a, b, c = sorted(ids)
-    pa, pb, pc = dep.nodes[a], dep.nodes[b], dep.nodes[c]
-    pairs = ((a, b), (a, c), (b, c))
-    return AnchorTriple(
-        ids=(a, b, c),
-        positions=(pa, pb, pc),
-        pairwise_true_distances=(
-            geometry.distance(pa, pb),
-            geometry.distance(pa, pc),
-            geometry.distance(pb, pc),
-        ),
-        pairwise_sd=tuple(float(trees[u][0][v]) for u, v in pairs),
-        pairwise_hops=tuple(int(trees[u][2][v]) for u, v in pairs),
-    )
+        return _inside(self.box, x, y)
 
 
 def _squares(x, y, sd) -> np.ndarray:
     """The squares of half-width sd around (x, y), elementwise, stacked as
     (x_min, x_max, y_min, y_max)."""
     return np.stack((x - sd, x + sd, y - sd, y + sd))
-
-
-def anchor_square(pos: Point, sd: float) -> AABox:
-    return AABox(*(float(v) for v in _squares(pos.x, pos.y, sd)))
 
 
 def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,22 +132,19 @@ def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, 
     return box, (box[0] > box[1]) | (box[2] > box[3])
 
 
-def bounding_box(anchors: AnchorTriple, sds: Sequence[float]) -> Optional[AABox]:
-    """Intersection of the three per-anchor squares of half-width SD."""
-    ax = np.array([[p.x] for p in anchors.positions], dtype=float)
-    ay = np.array([[p.y] for p in anchors.positions], dtype=float)
-    box, empty = _boxes(ax, ay, np.array(sds, dtype=float).reshape(3, 1))
-    return None if empty[0] else AABox(*(float(v) for v in box[:, 0]))
-
-
-def per_hop_error(anchors: AnchorTriple) -> float:
-    """Average per-hop excess of anchor-pairwise multi-hop distances."""
-    sd_sum = sum(anchors.pairwise_sd)
-    hop_sum = sum(anchors.pairwise_hops)
-    if hop_sum == 0:
+def _per_hop_errors(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """Per column, the system per-hop error of an anchor triple: the average
+    per-hop excess of the pairwise shortest distances over the true ones,
+    clamped at 0. Anchors (ax, ay) are (3, m) in id order; the pairwise SDs
+    and hop counts are (3, m) in (01, 02, 12) order.
+    """
+    pairs = ((0, 1), (0, 2), (1, 2))
+    hop_sum = hops[0] + hops[1] + hops[2]
+    if (hop_sum == 0).any():
         raise ValueError("anchor pair with zero hop count")
-    td_sum = sum(anchors.pairwise_true_distances)
-    return max((sd_sum - td_sum) / hop_sum, 0.0)
+    # the true sides, as geometry.distance takes them
+    true = [libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j]) for i, j in pairs]
+    return first_max((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
 
 
 def _corrected_angles(a, b, c, e, hops_a, hops_b, hops_c) -> np.ndarray:
@@ -239,6 +191,12 @@ class _Forest(NamedTuple):
         stacked = zip(*(_tree(g, trees, s) for s in sources))
         return cls(np.array(sources, dtype=np.intp), *map(np.stack, stacked))
 
+    @classmethod
+    def over(cls, g: NetworkGraph, trees: dict, nodes: np.ndarray) -> tuple["_Forest", np.ndarray]:
+        """The trees of the distinct ``nodes``, and each node's row."""
+        sources, rows = np.unique(nodes, return_inverse=True)
+        return cls.of(g, trees, sources.tolist()), rows
+
 
 def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The node k hops from the root of tree ``rows`` on its path to v, by
@@ -255,17 +213,24 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
     return v
 
 
-def _angles(g: NetworkGraph, trees: dict, forest: _Forest, rows: np.ndarray,
-            ref: np.ndarray, target: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the corrected angle at the root of tree ``rows`` between
-    the directions to ``ref`` and to ``target`` (see ``estimate_angle``),
-    and the prefix length K.
+def _angles(g: NetworkGraph, trees: dict, at: np.ndarray, ref: np.ndarray,
+            target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the estimated angle at anchor ``at`` between the directions
+    to ``ref`` and to ``target``, and the prefix length K.
+
+    The two path-prefix segments formed by the first K <= 3 hops of the
+    shortest paths toward ``ref`` and toward ``target``, together with the
+    connection between their hop-K nodes, form the triangle the angle is
+    read from; each side is shortened by the per-hop error ``e`` before
+    applying the law of cosines. K shrinks when either path is shorter than
+    3 hops. ``trees`` memoises ``dijkstra_tree`` per source across calls.
     """
+    forest, rows = _Forest.over(g, trees, at)
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
         if missing.any():
             i = int(np.argmax(missing))
-            raise Unreachable(f"node {v[i]} unreachable from {forest.ids[rows[i]]}")
+            raise Unreachable(f"node {v[i]} unreachable from {at[i]}")
     k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
@@ -284,40 +249,10 @@ def _angles(g: NetworkGraph, trees: dict, forest: _Forest, rows: np.ndarray,
     # multi-hop shortest distance
     far = np.flatnonzero(apart & ~found)
     if far.size:
-        sources, rows_a = np.unique(node_a[far], return_inverse=True)
-        side = _Forest.of(g, trees, sources.tolist())
+        side, rows_a = _Forest.over(g, trees, node_a[far])
         c_len[far] = side.dist[rows_a, node_b[far]]
         c_hops[far] = side.hops[rows_a, node_b[far]]
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
-
-
-def estimate_angle(
-    g: NetworkGraph,
-    e: float,
-    at: int,
-    ref: int,
-    target: int,
-    trees: Optional[dict] = None,
-) -> AngleEstimate:
-    """Estimate the angle at anchor ``at`` between the directions to ``ref``
-    and to ``target``.
-
-    The two path-prefix segments formed by the first K <= 3 hops of the
-    shortest paths toward ``ref`` and toward ``target``, together with the
-    connection between their hop-K nodes, form the triangle the angle is
-    read from; each side is shortened by the per-hop error before applying
-    the law of cosines. K shrinks when either path is shorter than 3 hops.
-    ``trees`` memoises ``dijkstra_tree`` per source across calls.
-    """
-    if target == at or target == ref or at == ref:
-        raise DegenerateGeometry(f"target {target} coincides with an anchor")
-    if trees is None:
-        trees = {}
-    theta, k = _angles(g, trees, _Forest.of(g, trees, [at]), np.zeros(1, dtype=np.intp),
-                       np.array([ref]), np.array([target]), np.array([e], dtype=float))
-    return AngleEstimate(
-        at_anchor=at, reference_anchor=ref, theta=float(theta[0]), samples_used=int(k[0])
-    )
 
 
 def _rotate(dx, dy, theta):
@@ -369,37 +304,18 @@ def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta: dict) -> tuple[np.nda
     return np.array(dx), np.array(dy)
 
 
-def build_rays(
-    anchors: AnchorTriple, angles: dict[tuple[int, int], AngleEstimate]
-) -> tuple[Ray, Ray, Ray]:
-    """One ray per anchor toward the target.
-
-    For anchor A_i the estimated angle to the target is measured from the
-    baseline A_i->A_j; the third anchor A_k disambiguates the rotation sign:
-    the candidate whose angle to A_i->A_k best matches the estimated angle
-    at A_i relative to A_k wins (ties go counterclockwise).
-    """
-    ids, pos = anchors.ids, anchors.positions
-    order = sorted(range(3), key=lambda i: ids[i])
-    ax = np.array([[pos[i].x] for i in order], dtype=float)
-    ay = np.array([[pos[i].y] for i in order], dtype=float)
-    theta = {(i, j): np.array([angles[(ids[order[i]], ids[order[j]])].theta])
-             for i in range(3) for j in _others(i)}
-    dx, dy = _ray_directions(ax, ay, theta)
-    rays = {order[r]: Ray(pos[order[r]], float(dx[r, 0]), float(dy[r, 0])) for r in range(3)}
-    return tuple(rays[i] for i in range(3))
-
-
-def _inside(box: np.ndarray, x, y, tol: float) -> np.ndarray:
+def _inside(box: np.ndarray, x, y) -> np.ndarray:
+    tol = DEFAULT_TOL
     return (box[0] - tol <= x) & (x <= box[1] + tol) & (box[2] - tol <= y) & (y <= box[3] + tol)
 
 
-def _locate(box: np.ndarray, rays, tol: float):
+def _locate(box: np.ndarray, rays):
     """The four-case rule for each column: the box (4, m) and the rays as
     (origin x, origin y, dx, dy) arrays of shape (R, m). Returns the
     estimate (x, y), the case codes and the ray-pair intersections
     (x, y, found), each (R(R-1)/2, m).
     """
+    tol = DEFAULT_TOL
     ox, oy, dx, dy = rays
     n_rays, m = ox.shape
     pairs = [(i, j) for i in range(n_rays) for j in range(i + 1, n_rays)]
@@ -419,7 +335,7 @@ def _locate(box: np.ndarray, rays, tol: float):
     shape = (len(pairs), m)
     hx, hy = np.array(hx, dtype=float).reshape(shape), np.array(hy, dtype=float).reshape(shape)
     hit = np.array(hit, dtype=bool).reshape(shape)
-    inside = hit & _inside(box, hx, hy, tol)
+    inside = hit & _inside(box, hx, hy)
     n_inside = inside.sum(axis=0)
 
     # case 1: centroid of the inside points, summed in order from 0 as
@@ -463,26 +379,6 @@ def _locate(box: np.ndarray, rays, tol: float):
     return x, y, case, (hx, hy, hit)
 
 
-def precise_location(
-    box: Optional[AABox],
-    rays: Sequence[Ray],
-    empty_fallback: Optional[AABox] = None,
-    tol: float = geometry.DEFAULT_TOL,
-) -> tuple[Point, RailDiagnostics]:
-    """Resolve the final estimate from the box and the forward ray
-    intersections, by the four-case rule.
-    """
-    if box is None:
-        box = empty_fallback
-    if box is None:
-        raise ValueError("empty box with no fallback")
-    bounds = np.array([[box.x_min], [box.x_max], [box.y_min], [box.y_max]], dtype=float)
-    columns = [(r.origin.x, r.origin.y, r.dx, r.dy) for r in rays]
-    arrays = tuple(np.array(columns, dtype=float).reshape(-1, 4, 1).transpose(1, 0, 2))
-    x, y, case, hits = _locate(bounds, arrays, tol)
-    return RailResults([0], x, y, case, bounds, arrays, hits).row(0)
-
-
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     """Run the full pipeline for every unknown node, as array passes over
     all targets.
@@ -492,23 +388,26 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     anchors and angle-triangle fallbacks alike, is computed once per call.
     """
     trees: dict = {}
-    forest = _Forest.of(g, trees, dep.anchor_ids)
+    anchors = _Forest.of(g, trees, dep.anchor_ids)
     targets = np.array(dep.unknown_ids, dtype=np.intp)
     m = len(targets)
-    row_of = np.full(g.node_count, -1, dtype=np.intp)
-    row_of[forest.ids] = np.arange(len(forest.ids))
 
-    # the three nearest anchors by SD (ties: anchor_ids order), sorted by id
-    nearest = np.argsort(forest.dist[:, targets], axis=0, kind="stable")[:3]
-    chosen = np.sort(forest.ids[nearest], axis=0)  # (3, m) anchor ids
-    rows = row_of[chosen]
+    # the three nearest anchors by SD (ties: anchor_ids order), in id order
+    nearest = np.argsort(anchors.dist[:, targets], axis=0, kind="stable")[:3]
+    nearest = np.take_along_axis(nearest, np.argsort(anchors.ids[nearest], axis=0), axis=0)
+    chosen = anchors.ids[nearest]  # (3, m) anchor ids
     # one per-hop error per distinct triple
-    triples, which = np.unique(chosen, axis=1, return_inverse=True)
-    e = np.array([per_hop_error(make_anchor_triple(dep, ids, trees))
-                  for ids in triples.T.tolist()])[which.ravel()]
+    triples, which = np.unique(nearest, axis=1, return_inverse=True)
+    ends = anchors.ids[triples]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    e = _per_hop_errors(
+        dep.coords[ends, 0], dep.coords[ends, 1],
+        np.array([anchors.dist[triples[i], ends[j]] for i, j in pairs]),
+        np.array([anchors.hops[triples[i], ends[j]] for i, j in pairs]),
+    )[which.ravel()]
 
     ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
-    sd = forest.dist[rows, targets]
+    sd = anchors.dist[nearest, targets]
     box, empty = _boxes(ax, ay, sd)
     # empty box: fall back to the square of the anchor with the smallest SD
     best = np.argmin(sd, axis=0)
@@ -516,10 +415,10 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     box = np.where(empty, _squares(ax[best, cols], ay[best, cols], sd[best, cols]), box)
 
     theta = {
-        (i, j): _angles(g, trees, forest, rows[i], chosen[j], targets, e)[0]
+        (i, j): _angles(g, trees, chosen[i], chosen[j], targets, e)[0]
         for i in range(3) for j in _others(i)
     }
     ray_dx, ray_dy = _ray_directions(ax, ay, theta)
     rays = (ax, ay, ray_dx, ray_dy)
-    x, y, case, hits = _locate(box, rays, geometry.DEFAULT_TOL)
+    x, y, case, hits = _locate(box, rays)
     return RailResults(targets, x, y, case, box, rays, hits)

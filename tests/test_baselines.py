@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim.baselines import Algorithm, min_max, min_max_all, rssi_dv_hop, rssi_dv_hop_all
+from railsim.baselines import min_max_all, rssi_dv_hop, rssi_dv_hop_all
 from railsim.geometry import Point, distance
 
 
@@ -55,23 +55,26 @@ def test_array_kernels_match_scalar_formulas():
         assert degenerate.any() == (k == 4)
 
 
+def min_max_one(anchors, comm_range):
+    """``min_max_all`` for one target: (x, y, inverted) from (Point, hops) pairs."""
+    ax = np.array([p.x for p, _ in anchors])
+    ay = np.array([p.y for p, _ in anchors])
+    x, y, inverted = min_max_all(ax, ay, np.array([[h] for _, h in anchors]), comm_range)
+    return x[0], y[0], inverted[0]
+
+
 class TestMinMax:
     def test_hand_example(self):
         # anchors at corners, 1 hop each with R = 10: rect is the
         # intersection of three 10 m squares
-        anchors = [
-            (Point(0, 0), 1),
-            (Point(20, 0), 2),
-            (Point(0, 20), 2),
-        ]
-        est = min_max(anchors, comm_range=10)
-        assert est.algorithm == Algorithm.MIN_MAX
-        assert (est.position.x, est.position.y) == pytest.approx((5, 5))
-        assert not est.degenerate
+        x, y, inverted = min_max_all(np.array([0.0, 20.0, 0.0]), np.array([0.0, 0.0, 20.0]),
+                                     np.array([[1], [2], [2]]), comm_range=10)
+        assert (x[0], y[0]) == pytest.approx((5, 5))
+        assert not inverted[0]
 
     def test_single_anchor_center_is_anchor(self):
-        est = min_max([(Point(3, 4), 2)], comm_range=5)
-        assert (est.position.x, est.position.y) == pytest.approx((3, 4))
+        x, y, _ = min_max_all(np.array([3.0]), np.array([4.0]), np.array([[2]]), comm_range=5)
+        assert (x[0], y[0]) == pytest.approx((3, 4))
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(0)
@@ -80,11 +83,9 @@ class TestMinMax:
                 (Point(*rng.uniform(0, 50, 2)), int(rng.integers(1, 5)))
                 for _ in range(3)
             ]
-            a = min_max(pts, comm_range=10)
-            b = min_max(pts[::-1], comm_range=10)
-            assert (a.position.x, a.position.y) == pytest.approx(
-                (b.position.x, b.position.y)
-            )
+            a = min_max_one(pts, comm_range=10)
+            b = min_max_one(pts[::-1], comm_range=10)
+            assert a[:2] == pytest.approx(b[:2])
 
     def test_truth_contained_when_hops_exact(self):
         # if hop counts upper-bound true distance / R, the true position
@@ -97,19 +98,19 @@ class TestMinMax:
                 p = Point(*rng.uniform(0, 50, 2))
                 hops = max(1, math.ceil(distance(p, truth) / 10))
                 anchors.append((p, hops))
-            est = min_max(anchors, comm_range=10)
-            assert not est.degenerate
+            x, _, inverted = min_max_one(anchors, comm_range=10)
+            assert not inverted
             lo_x = max(p.x - h * 10 for p, h in anchors)
             hi_x = min(p.x + h * 10 for p, h in anchors)
-            assert lo_x - 1e-9 <= est.position.x <= hi_x + 1e-9
+            assert lo_x - 1e-9 <= x <= hi_x + 1e-9
 
     def test_inverted_rect_flagged_degenerate(self):
         # squares that cannot overlap
-        anchors = [(Point(0, 0), 1), (Point(100, 0), 1)]
-        est = min_max(anchors, comm_range=10)
-        assert est.degenerate
+        x, _, inverted = min_max_all(np.array([0.0, 100.0]), np.array([0.0, 0.0]),
+                                     np.array([[1], [1]]), comm_range=10)
+        assert inverted[0]
         # still centers the (inverted) rect
-        assert est.position.x == pytest.approx(50)
+        assert x[0] == pytest.approx(50)
 
 
 class TestRssiDvHop:
@@ -118,7 +119,6 @@ class TestRssiDvHop:
         anchors = [Point(0, 0), Point(10, 0), Point(0, 10)]
         obs = [(p, distance(p, truth)) for p in anchors]
         est = rssi_dv_hop(obs)
-        assert est.algorithm == Algorithm.RSSI_DV_HOP
         assert (est.position.x, est.position.y) == pytest.approx((3, 4), abs=1e-9)
         assert not est.degenerate
 

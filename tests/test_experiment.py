@@ -9,16 +9,17 @@ import pytest
 from railsim.experiment import (
     ExperimentConfig,
     aggregate,
-    clamp_to_area,
-    localization_error,
+    clamp_all,
+    localization_errors,
     read_runs_csv,
     run_experiment,
     run_seed,
+    scenario,
     write_errors_csv,
     write_report_csv,
     write_runs_csv,
 )
-from railsim.geometry import Point
+from railsim.geometry import distance
 
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
 
@@ -34,11 +35,13 @@ def small_report():
 
 class TestBasics:
     def test_localization_error(self):
-        assert localization_error(Point(0, 0), Point(3, 4)) == pytest.approx(5.0)
+        zero = np.array([0.0])
+        errs = localization_errors(zero, zero, np.array([3.0]), np.array([4.0]))
+        assert errs.tolist() == pytest.approx([5.0])
 
     def test_clamp(self):
-        assert clamp_to_area(Point(-3, 60), 50, 50) == Point(0, 50)
-        assert clamp_to_area(Point(12, 7), 50, 50) == Point(12, 7)
+        x, y = clamp_all(np.array([-3.0, 12.0]), np.array([60.0, 7.0]), 50, 50)
+        assert (x.tolist(), y.tolist()) == ([0, 12], [50, 7])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -247,9 +250,11 @@ class TestRecords:
 
     def test_errors_match_estimates(self, small_report):
         for rec in small_report.records:
+            nodes = scenario(SMALL, rec.density, rec.run_index)[0].nodes
+            truths = [nodes[t] for t in rec.node_ids]
             for alg, pts in rec.estimates.items():
-                for truth, est, err in zip(rec.true_positions, pts, rec.errors[alg]):
-                    assert err == pytest.approx(localization_error(truth, est))
+                for truth, est, err in zip(truths, pts, rec.errors[alg]):
+                    assert err == distance(truth, est)
 
     def test_box_contains_counts(self, small_report):
         for rec in small_report.records:

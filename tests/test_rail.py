@@ -7,6 +7,7 @@ import pytest
 from railsim import geometry
 from railsim.geometry import AABox, Point, contains, distance, make_ray
 from railsim.network import (
+    Deployment,
     NetworkGraph,
     build_graph,
     dijkstra_tree,
@@ -14,19 +15,19 @@ from railsim.network import (
 )
 from railsim.radio import PathLossModel
 from railsim.rail import (
-    AnchorTriple,
-    AngleEstimate,
-    DegenerateGeometry,
+    ALL_OUTSIDE,
+    MULTI,
+    NO_INTERSECTION,
+    SINGLE,
     LocationCase,
-    anchor_square,
-    bounding_box,
-    build_rays,
+    _angles,
+    _boxes,
+    _locate,
+    _per_hop_errors,
+    _ray_directions,
+    _squares,
     corrected_angle,
-    estimate_angle,
     localize_all,
-    make_anchor_triple,
-    per_hop_error,
-    precise_location,
 )
 
 MODEL = PathLossModel()
@@ -40,54 +41,54 @@ def graph_from_edges(n, edges):
     return NetworkGraph(adj)
 
 
-def triple_with(sds_pairwise, true_pairwise, hops_pairwise, positions):
-    return AnchorTriple(
-        ids=(0, 1, 2),
-        positions=tuple(positions),
-        pairwise_true_distances=tuple(true_pairwise),
-        pairwise_sd=tuple(sds_pairwise),
-        pairwise_hops=tuple(hops_pairwise),
-    )
+def column(*values):
+    """One (len(values), 1) float column."""
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 class TestBoundingBox:
     def test_manual_intersection(self):
-        t = triple_with(
-            [1, 1, 1], [1, 1, 1], [1, 1, 1],
-            [Point(0, 0), Point(20, 0), Point(0, 20)],
-        )
-        assert bounding_box(t, [10, 15, 15]) == AABox(5, 10, 5, 10)
+        box, empty = _boxes(column(0, 20, 0), column(0, 0, 20), column(10, 15, 15))
+        assert box[:, 0].tolist() == [5, 10, 5, 10]
+        assert not empty[0]
 
     def test_single_anchor_square(self):
-        assert anchor_square(Point(0, 0), 5) == AABox(-5, 5, -5, 5)
+        assert _squares(0.0, 0.0, 5.0).tolist() == [-5, 5, -5, 5]
 
     def test_contains_truth_when_noise_free(self):
         for seed in range(5):
             dep = generate_deployment(50, 50, 120, 3, 10, seed=seed)
             g = build_graph(dep, MODEL)
-            trees = {a: dijkstra_tree(g, a) for a in dep.anchor_ids}
-            triple = make_anchor_triple(dep, dep.anchor_ids, trees)
-            for t in dep.unknown_ids:
-                box = bounding_box(triple, [trees[a][0][t] for a in triple.ids])
-                assert box is not None
-                assert contains(box, dep.nodes[t])
+            targets = list(dep.unknown_ids)
+            anchors = list(dep.anchor_ids)
+            sd = np.stack([dijkstra_tree(g, a)[0][targets] for a in anchors])
+            ax, ay = (np.repeat(dep.coords[anchors, i, None], len(targets), axis=1)
+                      for i in (0, 1))
+            box, empty = _boxes(ax, ay, sd)
+            assert not empty.any()
+            results = localize_all(dep, g)
+            assert (results.box == box).all()
+            assert results.box_contains(dep.coords[targets, 0], dep.coords[targets, 1]).all()
 
 
 class TestPerHopError:
+    # anchors (0, 0), (6, 0), (0, 8): true sides 6, 8 and 10 m
+    ax, ay = column(0, 6, 0), column(0, 0, 8)
+    hops = np.array([[2], [2], [2]])
+
     def test_zero_when_paths_straight(self):
-        t = triple_with([10, 10, 10], [10, 10, 10], [2, 2, 2],
-                        [Point(0, 0), Point(10, 0), Point(0, 10)])
-        assert per_hop_error(t) == 0.0
+        assert _per_hop_errors(self.ax, self.ay, column(6, 8, 10), self.hops)[0] == 0.0
 
     def test_hand_value(self):
-        t = triple_with([12, 12, 12], [10, 10, 10], [2, 2, 2],
-                        [Point(0, 0), Point(10, 0), Point(0, 10)])
-        assert per_hop_error(t) == pytest.approx(1.0)
+        e = _per_hop_errors(self.ax, self.ay, column(8, 10, 12), self.hops)
+        assert e[0] == pytest.approx(1.0)
 
     def test_clamped_at_zero(self):
-        t = triple_with([9, 9, 9], [10, 10, 10], [2, 2, 2],
-                        [Point(0, 0), Point(10, 0), Point(0, 10)])
-        assert per_hop_error(t) == 0.0
+        assert _per_hop_errors(self.ax, self.ay, column(5, 7, 9), self.hops)[0] == 0.0
+
+    def test_zero_hop_sum_rejected(self):
+        with pytest.raises(ValueError):
+            _per_hop_errors(self.ax, self.ay, column(6, 8, 10), np.zeros((3, 1), dtype=int))
 
 
 class TestCorrectedAngle:
@@ -111,17 +112,24 @@ class TestCorrectedAngle:
             assert math.isfinite(th)
 
 
+def angle(g, e, at, ref, target, trees=None):
+    """``_angles`` for one item: (theta, K)."""
+    theta, k = _angles(g, {} if trees is None else trees, np.array([at]), np.array([ref]),
+                       np.array([target]), np.array([e]))
+    return theta[0], k[0]
+
+
 class TestEstimateAngle:
     def test_right_triangle_single_hop(self):
         g = graph_from_edges(3, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
-        est = estimate_angle(g, 0.0, at=0, ref=1, target=2)
-        assert est.theta == pytest.approx(math.pi / 2, abs=1e-9)
-        assert est.samples_used == 1
+        theta, k = angle(g, 0.0, at=0, ref=1, target=2)
+        assert theta == pytest.approx(math.pi / 2, abs=1e-9)
+        assert k == 1
 
     def test_collinear_single_hop(self):
         g = graph_from_edges(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 5.0)])
-        est = estimate_angle(g, 0.0, at=0, ref=1, target=2)
-        assert est.theta == pytest.approx(math.pi, abs=1e-9)
+        theta, _ = angle(g, 0.0, at=0, ref=1, target=2)
+        assert theta == pytest.approx(math.pi, abs=1e-9)
 
     def test_corrected_equilateral_two_hops(self):
         # both prefix segments are 2 hops of 6 m; connection is 2 hops of 6 m
@@ -131,70 +139,59 @@ class TestEstimateAngle:
             (1, 5, 6.0), (5, 2, 6.0),   # connection between hop-2 nodes
         ]
         g = graph_from_edges(6, edges)
-        est = estimate_angle(g, 1.0, at=0, ref=1, target=2)
-        assert est.theta == pytest.approx(math.pi / 3, abs=1e-9)
-        assert est.samples_used == 2
-
-    def test_target_equals_anchor_raises(self):
-        g = graph_from_edges(3, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
-        with pytest.raises(DegenerateGeometry):
-            estimate_angle(g, 0.0, at=0, ref=1, target=1)
+        theta, k = angle(g, 1.0, at=0, ref=1, target=2)
+        assert theta == pytest.approx(math.pi / 3, abs=1e-9)
+        assert k == 2
 
     def test_output_in_range_on_random_networks(self):
         for seed in (1, 4):
             dep = generate_deployment(50, 50, 100, 3, 10, seed=seed)
             g = build_graph(dep, MODEL)
-            trees = {}
-            for t in list(dep.unknown_ids)[::7]:
-                est = estimate_angle(g, 2.5, 0, 1, t, trees)
-                assert 0.0 <= est.theta <= math.pi
-                assert 1 <= est.samples_used <= 3
+            targets = np.array(dep.unknown_ids[::7])
+            m = len(targets)
+            theta, k = _angles(g, {}, np.zeros(m, dtype=int), np.ones(m, dtype=int), targets,
+                               np.full(m, 2.5))
+            assert ((0.0 <= theta) & (theta <= math.pi)).all()
+            assert ((1 <= k) & (k <= 3)).all()
 
 
 class TestBuildRays:
-    def _triple(self):
-        return triple_with([14.1, 14.1, 14.1], [14.1, 14.1, 14.1], [2, 2, 2],
-                           [Point(0, 0), Point(10, 0), Point(0, 10)])
+    # anchors (0, 0), (10, 0), (0, 10) in id order
+    ax, ay = column(0, 10, 0), column(0, 0, 10)
 
     def _angles(self, th_01, th_02, rest=math.pi / 4):
-        angles = {}
-        for i in (0, 1, 2):
-            for j in (0, 1, 2):
-                if i != j:
-                    angles[(i, j)] = AngleEstimate(i, j, rest, 1)
-        angles[(0, 1)] = AngleEstimate(0, 1, th_01, 1)
-        angles[(0, 2)] = AngleEstimate(0, 2, th_02, 1)
+        angles = {(i, j): column(rest)[0] for i in range(3) for j in range(3) if i != j}
+        angles[(0, 1)] = column(th_01)[0]
+        angles[(0, 2)] = column(th_02)[0]
         return angles
 
     def test_disambiguation_picks_matching_candidate(self):
-        rays = build_rays(self._triple(), self._angles(math.pi / 4, math.pi / 4))
-        r = rays[0]
-        assert (r.dx, r.dy) == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
+        dx, dy = _ray_directions(self.ax, self.ay, self._angles(math.pi / 4, math.pi / 4))
+        assert (dx[0, 0], dy[0, 0]) == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
 
     def test_zero_angle_along_baseline(self):
-        rays = build_rays(self._triple(), self._angles(0.0, math.pi / 2))
-        r = rays[0]
-        assert (r.dx, r.dy) == pytest.approx((1.0, 0.0))
+        dx, dy = _ray_directions(self.ax, self.ay, self._angles(0.0, math.pi / 2))
+        assert (dx[0, 0], dy[0, 0]) == pytest.approx((1.0, 0.0))
 
     def test_right_angle_toward_disambiguator(self):
-        rays = build_rays(self._triple(), self._angles(math.pi / 2, 0.0))
-        r = rays[0]
-        assert (r.dx, r.dy) == pytest.approx((0.0, 1.0))
+        dx, dy = _ray_directions(self.ax, self.ay, self._angles(math.pi / 2, 0.0))
+        assert (dx[0, 0], dy[0, 0]) == pytest.approx((0.0, 1.0))
 
     def test_scale_invariance(self):
-        t1 = self._triple()
-        scaled = AnchorTriple(
-            ids=t1.ids,
-            positions=tuple(Point(p.x * 3, p.y * 3) for p in t1.positions),
-            pairwise_true_distances=tuple(d * 3 for d in t1.pairwise_true_distances),
-            pairwise_sd=t1.pairwise_sd,
-            pairwise_hops=t1.pairwise_hops,
-        )
         a = self._angles(1.1, 0.6)
-        r1 = build_rays(t1, a)
-        r2 = build_rays(scaled, a)
-        for x, y in zip(r1, r2):
-            assert (x.dx, x.dy) == pytest.approx((y.dx, y.dy))
+        dx1, dy1 = _ray_directions(self.ax, self.ay, a)
+        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, a)
+        for r in range(3):
+            assert (dx1[r, 0], dy1[r, 0]) == pytest.approx((dx2[r, 0], dy2[r, 0]))
+
+
+def locate(cases):
+    """``_locate`` over one column per (AABox, rays) case; returns the
+    estimate (x, y) and the case codes."""
+    box = np.array([[b.x_min, b.x_max, b.y_min, b.y_max] for b, _ in cases]).T
+    rays = np.array([[[r.origin.x, r.origin.y, r.dx, r.dy] for r in rs] for _, rs in cases])
+    x, y, case, _ = _locate(box, tuple(rays.transpose(2, 1, 0)))
+    return x, y, case
 
 
 class TestPreciseLocation:
@@ -205,45 +202,50 @@ class TestPreciseLocation:
         r1 = make_ray(Point(-1, 2), 1, 0)     # y = 2
         r2 = make_ray(Point(2, -1), 0, 1)     # x = 2 -> (2,2)
         r3 = make_ray(Point(4, 8), 0, -1)     # x = 4 downward -> (4,2)
-        est, diag = precise_location(self.box, [r1, r2, r3])
-        assert diag.case_fired == LocationCase.MULTI_INTERSECTION
-        assert (est.x, est.y) == pytest.approx((3, 2))
+        x, y, case = locate([(self.box, [r1, r2, r3])])
+        assert case[0] == MULTI
+        assert (x[0], y[0]) == pytest.approx((3, 2))
 
     def test_single_in_box(self):
         r1 = make_ray(Point(-1, 3), 1, 0)     # y = 3
         r2 = make_ray(Point(7, -1), 0, 1)     # x = 7 -> (7,3) in box
-        r3 = make_ray(Point(30, 0), 0, 1)     # far right, no forward crossing of r1? yes (30,3) out of box
-        est, diag = precise_location(self.box, [r1, r2, r3])
-        assert diag.case_fired == LocationCase.SINGLE_INTERSECTION
-        assert (est.x, est.y) == pytest.approx((7, 3))
+        r3 = make_ray(Point(30, 0), 0, 1)     # crosses r1 at (30,3), out of the box
+        x, y, case = locate([(self.box, [r1, r2, r3])])
+        assert case[0] == SINGLE
+        assert (x[0], y[0]) == pytest.approx((7, 3))
 
     def test_all_outside_projects_nearest(self):
         r1 = make_ray(Point(11, 5), 1, 0)
         r2 = make_ray(Point(12, -1), 0, 1)    # -> (12,5), distance 2 from box
-        r3 = make_ray(Point(20, 15), 0, 1)    # -> (20, ...) no crossing with r1? crosses at (20,5)? yes dist ~10
-        est, diag = precise_location(self.box, [r1, r2, r3])
-        assert diag.case_fired == LocationCase.ALL_OUTSIDE
-        assert (est.x, est.y) == pytest.approx((10, 5))
+        r3 = make_ray(Point(20, 15), 0, 1)    # points away from r1: no crossing
+        x, y, case = locate([(self.box, [r1, r2, r3])])
+        assert case[0] == ALL_OUTSIDE
+        assert (x[0], y[0]) == pytest.approx((10, 5))
 
     def test_parallel_rays_box_center(self):
         rays = [make_ray(Point(0, i), 1, 0) for i in range(3)]
-        est, diag = precise_location(self.box, rays)
-        assert diag.case_fired == LocationCase.NO_INTERSECTION
-        assert (est.x, est.y) == pytest.approx((5, 5))
+        x, y, case = locate([(self.box, rays)])
+        assert case[0] == NO_INTERSECTION
+        assert (x[0], y[0]) == pytest.approx((5, 5))
 
     def test_empty_box_uses_fallback(self):
-        rays = [make_ray(Point(0, i), 1, 0) for i in range(3)]
-        fb = AABox(2, 4, 2, 4)
-        est, diag = precise_location(None, rays, empty_fallback=fb)
-        assert (est.x, est.y) == pytest.approx((3, 3))
-        assert diag.box == fb
-
-    def test_empty_box_without_fallback_errors(self):
-        with pytest.raises(ValueError):
-            precise_location(None, [make_ray(Point(0, 0), 1, 0)] * 3)
+        # anchors 0-2 one 1 m hop from target 3 and 2 hops from each other:
+        # the three 1 m squares do not meet, so the box falls back to the
+        # square of the first anchor with the smallest SD, anchor 0's
+        dep = Deployment(
+            width=20.0, height=20.0,
+            nodes=(Point(0, 0), Point(20, 0), Point(0, 20), Point(5, 5)),
+            anchor_ids=(0, 1, 2), comm_range=10.0,
+        )
+        g = graph_from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        results = localize_all(dep, g)
+        est, diag = results[3]
+        assert diag.box == AABox(-1, 1, -1, 1)
+        assert contains(diag.box, est)
 
     def test_estimate_in_box_for_cases_1_3_4(self):
         rng = np.random.default_rng(42)
+        cases = []
         for _ in range(500):
             box = AABox(0, rng.uniform(5, 20), 0, rng.uniform(5, 20))
             rays = []
@@ -255,9 +257,11 @@ class TestPreciseLocation:
                         math.cos(ang), math.sin(ang),
                     )
                 )
-            est, diag = precise_location(box, rays)
-            if diag.case_fired != LocationCase.SINGLE_INTERSECTION:
-                assert contains(box, est, tol=1e-6)
+            cases.append((box, rays))
+        x, y, case = locate(cases)
+        for (box, _), px, py, c in zip(cases, x.tolist(), y.tolist(), case.tolist()):
+            if c != SINGLE:
+                assert contains(box, Point(px, py), tol=1e-6)
 
 
 def reference_localize(dep, g):
@@ -376,12 +380,19 @@ class TestLocalizeAll:
             assert (results.x[i], results.y[i]) == (est.x, est.y)
 
     def test_reference_deployments_fire_every_case(self):
-        # the reference comparison covers all four cases of the rule
-        fired = set()
+        # the reference comparison covers all four cases of the rule and
+        # the empty-box fallback
+        fired, empty_boxes = set(), 0
         for params in REFERENCE_DEPLOYMENTS:
-            results = localized(*params)[0]
+            results, dep, g = localized(*params)
             fired.update(results[t][1].case_fired for t in results)
+            anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
+            sd = np.stack([dijkstra_tree(g, a)[0][targets] for a in anchors])
+            nearest = np.argsort(sd, axis=0, kind="stable")[:3]
+            ax, ay = (dep.coords[anchors, i][nearest] for i in (0, 1))
+            empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
         assert fired == set(LocationCase)
+        assert empty_boxes > 0
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
