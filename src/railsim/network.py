@@ -1,6 +1,7 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
-edge weights, and multi-hop queries: one shortest-path tree per source
-(``dijkstra_tree``) and one minimum-hop flooding tree (``hop_tree_ranging``).
+edge weights, and multi-hop queries: the shortest-path trees of a batch of
+sources from one scipy call (``dijkstra_trees``) and one minimum-hop flooding
+tree (``hop_tree_ranging``).
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -62,6 +63,12 @@ class Deployment:
         xy.flags.writeable = False
         return xy
 
+    @cached_property
+    def links(self) -> np.ndarray:
+        """(pairs, 2) array of the node pairs (i, j), i < j, at most
+        comm_range apart, in no particular order."""
+        return cKDTree(self.coords).query_pairs(self.comm_range, output_type="ndarray")
+
     def to_json_dict(self) -> dict:
         return {
             "width": self.width,
@@ -105,15 +112,16 @@ class NetworkGraph:
     one CSR matrix whose rows are sorted by neighbor id.
 
     ``adjacency[u]`` is row u as a sorted list of (neighbor, weight) tuples,
-    built on first use.
+    built on first use. Parallel entries keep their given order, except that
+    the adjacency constructor puts the smallest weight first.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
-        tails = [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
-        heads = [v for nbrs in adjacency for v, _ in nbrs]
-        weights = [w for nbrs in adjacency for _, w in nbrs]
-        self._set_edges(len(adjacency), np.array(tails, dtype=np.intp),
-                        np.array(heads, dtype=np.intp), np.array(weights, dtype=float))
+        tails = np.array([u for u, nbrs in enumerate(adjacency) for _ in nbrs], dtype=np.intp)
+        heads = np.array([v for nbrs in adjacency for v, _ in nbrs], dtype=np.intp)
+        weights = np.array([w for nbrs in adjacency for _, w in nbrs], dtype=float)
+        order = np.argsort(weights, kind="stable")  # parallel entries: smallest weight first
+        self._set_edges(len(adjacency), tails[order], heads[order], weights[order])
 
     @classmethod
     def from_edges(cls, n: int, tails: np.ndarray, heads: np.ndarray,
@@ -125,7 +133,7 @@ class NetworkGraph:
 
     def _set_edges(self, n, tails, heads, weights) -> None:
         keys = tails.astype(np.int64) * n + heads
-        order = np.lexsort((weights, keys))  # parallel entries: smallest weight first
+        order = np.argsort(keys, kind="stable")
         tails, heads = tails[order], heads[order]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
         self.node_count = n
@@ -160,11 +168,10 @@ def _triangle_area(a: Point, b: Point, c: Point) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2.0
 
 
-def _components_ok(positions: np.ndarray, comm_range: float) -> bool:
+def _components_ok(dep: Deployment) -> bool:
     """True when every node can reach every other (so every anchor) over
     one-hop links."""
-    n = len(positions)
-    pairs = cKDTree(positions).query_pairs(comm_range, output_type="ndarray")
+    n, pairs = len(dep.nodes), dep.links
     links = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     return connected_components(links, directed=False, return_labels=False) == 1
 
@@ -207,15 +214,15 @@ def generate_deployment(
             for i, j, k in itertools.combinations(range(n_anchors), 3)
         ):
             continue
-        if not _components_ok(coords, comm_range):
-            continue
-        return Deployment(
+        dep = Deployment(
             width=width,
             height=height,
             nodes=tuple(Point(x, y) for x, y in coords.tolist()),
             anchor_ids=anchor_ids,
             comm_range=comm_range,
         )
+        if _components_ok(dep):  # computes dep.links, which build_graph reads
+            return dep
     raise GenerationFailed(
         f"no valid deployment in {max_attempts} attempts "
         f"(area {width}x{height}, {n_unknown} unknown, {n_anchors} anchors, R={comm_range})"
@@ -236,7 +243,7 @@ def build_graph(
     """
     n = len(dep.nodes)
     coords = dep.coords
-    pairs = cKDTree(coords).query_pairs(dep.comm_range, output_type="ndarray")
+    pairs = dep.links
     pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     i, j = pairs[:, 0], pairs[:, 1]
 
@@ -265,57 +272,75 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def _depths(pred: np.ndarray, root: int) -> np.ndarray:
-    """Hop count of every node in the tree given by pred (-1 off the tree)
-    by pointer jumping: each pass doubles how far every node has looked up.
+def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop count of every node in each row's tree given by pred (-1 off the
+    tree; row r rooted at sources[r]) by pointer jumping over the flattened
+    rows: each pass doubles how far every node has looked up.
     """
-    hops = (pred >= 0).astype(np.intp)  # edges to ``up``
-    up = pred.copy()
+    k, n = pred.shape
+    flat = pred.ravel()
+    hops = (flat >= 0).astype(np.intp)  # edges to ``up``
+    up = np.where(flat >= 0, flat + np.repeat(np.arange(k) * n, n), -1)
     live = np.flatnonzero(up >= 0)
     while live.size:
         nxt = up[live]
         hops[live] += hops[nxt]
         up[live] = up[nxt]
         live = live[up[live] >= 0]
-    hops[pred < 0] = -1
-    hops[root] = 0
+    hops[flat < 0] = -1
+    hops = hops.reshape(k, n)
+    hops[np.arange(k), sources] = 0
     return hops
 
 
-def dijkstra_tree(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-source shortest paths; returns (dist, pred, hops) arrays.
+def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
+    """Re-resolve, in place, the pred of every node of one tree with two or
+    more exact-tight predecessors to the one on the lexicographically
+    smallest path; in increasing-distance order, so every candidate path is
+    already final."""
+    m = g.matrix
+    tight = dist[g.edge_rows] + m.data == dist[m.indices]
+    n_tight = np.bincount(m.indices[tight], minlength=g.node_count)
+    ties = np.flatnonzero(n_tight >= 2)
+    ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
+    if not ties.size:
+        return
+    d, pl = dist.tolist(), pred.tolist()
+    bounds = m.indptr.tolist()
+    for v in ties[np.argsort(dist[ties], kind="stable")].tolist():
+        row = slice(bounds[v], bounds[v + 1])
+        nbrs = zip(m.indices[row].tolist(), m.data[row].tolist())
+        tight_preds = [u for u, w in nbrs if d[u] + w == d[v]]
+        pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
+    pred[:] = pl
+
+
+def dijkstra_trees(
+    g: NetworkGraph, sources: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest paths from each source, from one scipy call; returns (dist,
+    pred, hops) arrays of shape (len(sources), n), row r for sources[r].
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
-    Dijkstra accumulates ``dist[u] + w`` exactly as a textbook one does, so
-    only nodes with two or more exact-tight predecessors need their pred
-    re-resolved; that runs in increasing-distance order, so every candidate
-    path is already final. Unreachable nodes have dist inf, pred and hops -1.
+    Dijkstra runs each source on its own and accumulates ``dist[u] + w``
+    exactly as a textbook one does, so only nodes with two or more
+    exact-tight predecessors need their pred re-resolved, one row at a time.
+    Unreachable nodes have dist inf, pred and hops -1.
     """
-    d, p = dijkstra(g.matrix, indices=source, return_predecessors=True)
-    m = g.matrix
-    tight = d[g.edge_rows] + m.data == d[m.indices]
-    n_tight = np.bincount(m.indices[tight], minlength=g.node_count)
-    pred = np.where(p < 0, -1, p)
-    ties = np.flatnonzero(n_tight >= 2)
-    ties = ties[np.isfinite(d[ties])]  # inf + w == inf is no tie
-    if ties.size:
-        dist, pl = d.tolist(), pred.tolist()
-        bounds = m.indptr.tolist()
-        for v in ties[np.argsort(d[ties], kind="stable")].tolist():
-            row = slice(bounds[v], bounds[v + 1])
-            nbrs = zip(m.indices[row].tolist(), m.data[row].tolist())
-            tight_preds = [u for u, w in nbrs if dist[u] + w == dist[v]]
-            pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
-        pred = np.array(pl)
-    return d, pred, _depths(pred, source)
+    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+    dist, p = dijkstra(g.matrix, indices=sources, return_predecessors=True)
+    pred = np.where(p < 0, -1, p).astype(np.intp)
+    for d, pr in zip(dist, pred):
+        _resolve_ties(g, d, pr)
+    return dist, pred, _depths(pred, sources)
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
     """Shortest estimated distances, hop counts and paths to each target,
-    read from ``dijkstra_tree``.
+    read from ``dijkstra_trees``.
     """
-    dist, pred, hops = dijkstra_tree(g, source)
+    dist, pred, hops = (a[0] for a in dijkstra_trees(g, [source]))
     pred = pred.tolist()
     out = []
     for t in targets:
@@ -331,7 +356,7 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarr
     Models hop-count-propagation protocols: each node keeps the first beacon
     it hears (deterministically, from its smallest-id discovered neighbor)
     and accumulates per-hop RSSI distances along that tree path. Unlike
-    ``dijkstra_tree`` the path is hop-minimal, not distance-minimal, so
+    ``dijkstra_trees`` the path is hop-minimal, not distance-minimal, so
     the accumulated distance overestimates more strongly.
 
     Returns (accumulated distance, hop count) arrays; the hop counts are

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_TOL, AABox, Point, Ray, first_max, first_min, libm
-from .network import Deployment, NetworkGraph, Unreachable, dijkstra_tree
+from .network import Deployment, NetworkGraph, Unreachable, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 
@@ -170,13 +170,6 @@ def corrected_angle(
     return float(_corrected_angles(*sides, *hops)[0])
 
 
-def _tree(g: NetworkGraph, trees: dict, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``dijkstra_tree(g, source)``, memoised in ``trees``."""
-    if source not in trees:
-        trees[source] = dijkstra_tree(g, source)
-    return trees[source]
-
-
 class _Forest(NamedTuple):
     """The shortest-path trees of some sources, stacked as (sources, n)
     arrays; row r belongs to node ``ids[r]``."""
@@ -187,15 +180,9 @@ class _Forest(NamedTuple):
     hops: np.ndarray
 
     @classmethod
-    def of(cls, g: NetworkGraph, trees: dict, sources: Sequence[int]) -> "_Forest":
-        stacked = zip(*(_tree(g, trees, s) for s in sources))
-        return cls(np.array(sources, dtype=np.intp), *map(np.stack, stacked))
-
-    @classmethod
-    def over(cls, g: NetworkGraph, trees: dict, nodes: np.ndarray) -> tuple["_Forest", np.ndarray]:
-        """The trees of the distinct ``nodes``, and each node's row."""
-        sources, rows = np.unique(nodes, return_inverse=True)
-        return cls.of(g, trees, sources.tolist()), rows
+    def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
+        ids = np.array(sources, dtype=np.intp)
+        return cls(ids, *dijkstra_trees(g, ids))
 
 
 def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -213,24 +200,25 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
     return v
 
 
-def _angles(g: NetworkGraph, trees: dict, at: np.ndarray, ref: np.ndarray,
+def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
             target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the estimated angle at anchor ``at`` between the directions
-    to ``ref`` and to ``target``, and the prefix length K.
+    """Per item, the estimated angle at the anchor of tree ``rows`` of
+    ``forest`` between the directions to ``ref`` and to ``target``, and the
+    prefix length K.
 
     The two path-prefix segments formed by the first K <= 3 hops of the
     shortest paths toward ``ref`` and toward ``target``, together with the
     connection between their hop-K nodes, form the triangle the angle is
     read from; each side is shortened by the per-hop error ``e`` before
     applying the law of cosines. K shrinks when either path is shorter than
-    3 hops. ``trees`` memoises ``dijkstra_tree`` per source across calls.
+    3 hops. The connections that need a multi-hop path take one
+    ``dijkstra_trees`` call over their distinct sources.
     """
-    forest, rows = _Forest.over(g, trees, at)
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
         if missing.any():
             i = int(np.argmax(missing))
-            raise Unreachable(f"node {v[i]} unreachable from {at[i]}")
+            raise Unreachable(f"node {v[i]} unreachable from {forest.ids[rows[i]]}")
     k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
@@ -249,9 +237,10 @@ def _angles(g: NetworkGraph, trees: dict, at: np.ndarray, ref: np.ndarray,
     # multi-hop shortest distance
     far = np.flatnonzero(apart & ~found)
     if far.size:
-        side, rows_a = _Forest.over(g, trees, node_a[far])
-        c_len[far] = side.dist[rows_a, node_b[far]]
-        c_hops[far] = side.hops[rows_a, node_b[far]]
+        sources, side = np.unique(node_a[far], return_inverse=True)
+        dist, _, hops = dijkstra_trees(g, sources)
+        c_len[far] = dist[side, node_b[far]]
+        c_hops[far] = hops[side, node_b[far]]
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
@@ -384,11 +373,11 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     all targets.
 
     When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance. Each source's ``dijkstra_tree``,
-    anchors and angle-triangle fallbacks alike, is computed once per call.
+    anchors by estimated shortest distance. One ``dijkstra_trees`` call gives
+    the anchors' trees and one ``_angles`` call reads all six angles of
+    every target, so a run makes at most two shortest-path calls.
     """
-    trees: dict = {}
-    anchors = _Forest.of(g, trees, dep.anchor_ids)
+    anchors = _Forest.of(g, dep.anchor_ids)
     targets = np.array(dep.unknown_ids, dtype=np.intp)
     m = len(targets)
 
@@ -414,10 +403,13 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     cols = np.arange(m)
     box = np.where(empty, _squares(ax[best, cols], ay[best, cols], sd[best, cols]), box)
 
-    theta = {
-        (i, j): _angles(g, trees, chosen[i], chosen[j], targets, e)[0]
-        for i in range(3) for j in _others(i)
-    }
+    # the six (anchor i, reference anchor j) angle items of every target,
+    # stacked in key order
+    keys = [(i, j) for i in range(3) for j in _others(i)]
+    at, ref = (np.array(side) for side in zip(*keys))
+    theta = _angles(g, anchors, nearest[at].ravel(), chosen[ref].ravel(),
+                    np.tile(targets, len(keys)), np.tile(e, len(keys)))[0]
+    theta = dict(zip(keys, theta.reshape(len(keys), m)))
     ray_dx, ray_dy = _ray_directions(ax, ay, theta)
     rays = (ax, ay, ray_dx, ray_dy)
     x, y, case, hits = _locate(box, rays)

@@ -12,6 +12,7 @@ from railsim.network import (
     NetworkGraph,
     Unreachable,
     build_graph,
+    dijkstra_trees,
     generate_deployment,
     hop_tree_ranging,
     shortest_ranging,
@@ -29,21 +30,27 @@ def graph_from_edges(n, edges):
     return NetworkGraph(adj)
 
 
-def brute_force_shortest(g, source, target):
-    """Oracle: enumerate all simple paths, min by (distance, path sequence)."""
-    best = None
+def brute_force_shortest(g, source):
+    """Oracle: enumerate all simple paths from source; per reachable node,
+    the min (distance, path sequence)."""
+    best = {}
     stack = [(source, (source,), 0.0)]
     while stack:
         node, path, acc = stack.pop()
-        if node == target:
-            key = (acc, path)
-            if best is None or key < best:
-                best = key
-            continue
+        if node not in best or (acc, path) < best[node]:
+            best[node] = (acc, path)
         for v, w in g.adjacency[node]:
             if v not in path:
                 stack.append((v, path + (v,), acc + w))
     return best
+
+
+def tree_path(pred, v):
+    """The root-to-v path of a pred row."""
+    path = [v]
+    while pred[path[-1]] >= 0:
+        path.append(pred[path[-1]])
+    return tuple(reversed(path))
 
 
 def bellman_ford(g, source):
@@ -286,9 +293,10 @@ class TestShortestRanging:
             (random_lattice(rng) for _ in range(200)),
         )
         for g in graphs:
+            want = brute_force_shortest(g, 0)
             for target in range(1, g.node_count):
                 got = shortest_ranging(g, 0, [target])[0]
-                dist, path = brute_force_shortest(g, 0, target)
+                dist, path = want[target]
                 assert got.shortest_distance == pytest.approx(dist, abs=1e-9)
                 assert got.path == path
                 assert got.hop_count == len(path) - 1
@@ -309,6 +317,47 @@ class TestShortestRanging:
             for r in shortest_ranging(g, a, list(range(len(dep.nodes)))):
                 true_d = distance(dep.nodes[a], dep.nodes[r.target_id])
                 assert r.shortest_distance >= true_d - 1e-6
+
+
+class TestDijkstraTrees:
+    def test_every_source_matches_brute_force(self):
+        # all sources of a graph in one call; every row is its own tree
+        rng = np.random.default_rng(123)
+        graphs = itertools.chain(
+            (random_connected_graph(rng) for _ in range(200)),
+            (random_lattice(rng) for _ in range(200)),
+        )
+        for g in graphs:
+            n = g.node_count
+            dist, pred, hops = dijkstra_trees(g, range(n))
+            assert dist.shape == pred.shape == hops.shape == (n, n)
+            for s in range(n):
+                want = brute_force_shortest(g, s)
+                for t in range(n):
+                    d, path = want[t]
+                    assert dist[s, t] == pytest.approx(d, abs=1e-9)
+                    assert tree_path(pred[s], t) == path
+                    assert hops[s, t] == len(path) - 1
+
+    def test_disconnected_rows(self):
+        g = graph_from_edges(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
+        dist, pred, hops = dijkstra_trees(g, [3, 0])
+        assert dist.tolist() == [[math.inf, math.inf, 1.0, 0.0, 1.5],
+                                 [0.0, 2.0, math.inf, math.inf, math.inf]]
+        assert pred.tolist() == [[-1, -1, 3, -1, 3], [-1, 0, -1, -1, -1]]
+        assert hops.tolist() == [[-1, -1, 1, 0, 1], [0, 1, -1, -1, -1]]
+
+    def test_rows_re_resolve_different_ties(self):
+        # two copies of a gadget where a direct edge ties a 3-hop detour with
+        # the smaller first hop: row 0 re-resolves node 3, row 1 node 7
+        gadget = [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        g = graph_from_edges(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
+        dist, pred, hops = dijkstra_trees(g, [0, 4])
+        assert pred.tolist() == [[-1, 0, 1, 2, -1, -1, -1, -1],
+                                 [-1, -1, -1, -1, -1, 4, 5, 6]]
+        assert hops.tolist() == [[0, 1, 2, 3, -1, -1, -1, -1],
+                                 [-1, -1, -1, -1, 0, 1, 2, 3]]
+        assert dist[0, 3] == dist[1, 7] == 3.0
 
 
 class TestMinHops:

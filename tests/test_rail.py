@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from railsim import geometry
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+from railsim import geometry, network
 from railsim.geometry import AABox, Point, contains, distance, make_ray
 from railsim.network import (
     Deployment,
     NetworkGraph,
     build_graph,
-    dijkstra_tree,
+    dijkstra_trees,
     generate_deployment,
 )
 from railsim.radio import PathLossModel
@@ -21,6 +23,7 @@ from railsim.rail import (
     SINGLE,
     LocationCase,
     _angles,
+    _Forest,
     _boxes,
     _locate,
     _per_hop_errors,
@@ -61,7 +64,7 @@ class TestBoundingBox:
             g = build_graph(dep, MODEL)
             targets = list(dep.unknown_ids)
             anchors = list(dep.anchor_ids)
-            sd = np.stack([dijkstra_tree(g, a)[0][targets] for a in anchors])
+            sd = dijkstra_trees(g, anchors)[0][:, targets]
             ax, ay = (np.repeat(dep.coords[anchors, i, None], len(targets), axis=1)
                       for i in (0, 1))
             box, empty = _boxes(ax, ay, sd)
@@ -112,9 +115,9 @@ class TestCorrectedAngle:
             assert math.isfinite(th)
 
 
-def angle(g, e, at, ref, target, trees=None):
+def angle(g, e, at, ref, target):
     """``_angles`` for one item: (theta, K)."""
-    theta, k = _angles(g, {} if trees is None else trees, np.array([at]), np.array([ref]),
+    theta, k = _angles(g, _Forest.of(g, [at]), np.array([0]), np.array([ref]),
                        np.array([target]), np.array([e]))
     return theta[0], k[0]
 
@@ -149,8 +152,8 @@ class TestEstimateAngle:
             g = build_graph(dep, MODEL)
             targets = np.array(dep.unknown_ids[::7])
             m = len(targets)
-            theta, k = _angles(g, {}, np.zeros(m, dtype=int), np.ones(m, dtype=int), targets,
-                               np.full(m, 2.5))
+            theta, k = _angles(g, _Forest.of(g, [0]), np.zeros(m, dtype=int),
+                               np.ones(m, dtype=int), targets, np.full(m, 2.5))
             assert ((0.0 <= theta) & (theta <= math.pi)).all()
             assert ((1 <= k) & (k <= 3)).all()
 
@@ -272,7 +275,7 @@ def reference_localize(dep, g):
 
     def tree(s):
         if s not in trees:
-            trees[s] = [a.tolist() for a in dijkstra_tree(g, s)]
+            trees[s] = [a[0].tolist() for a in dijkstra_trees(g, [s])]
         return trees[s]
 
     def corrected(a, b, c, e, ha, hb, hc):
@@ -387,12 +390,30 @@ class TestLocalizeAll:
             results, dep, g = localized(*params)
             fired.update(results[t][1].case_fired for t in results)
             anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
-            sd = np.stack([dijkstra_tree(g, a)[0][targets] for a in anchors])
+            sd = dijkstra_trees(g, anchors)[0][:, targets]
             nearest = np.argsort(sd, axis=0, kind="stable")[:3]
             ax, ay = (dep.coords[anchors, i][nearest] for i in (0, 1))
             empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
         assert fired == set(LocationCase)
         assert empty_boxes > 0
+
+    def test_at_most_two_shortest_path_calls(self, monkeypatch):
+        # the anchor trees and every far c side each take one batched scipy
+        # call, however many anchors and angle items a run has
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("indices"))
+            return scipy_dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(network, "dijkstra", counted)
+        for width, height, n, anchors, sigma, seed in REFERENCE_DEPLOYMENTS:
+            dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
+            g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
+            calls.clear()
+            localize_all(dep, g)
+            assert 1 <= len(calls) <= 2
+            assert calls[0].tolist() == list(dep.anchor_ids)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
