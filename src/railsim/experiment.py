@@ -4,6 +4,10 @@ Euclidean error metric, and mean/std aggregation with CSV export.
 Per-run seeds derive from (base_seed, density, run_index), so runs can
 execute serially or in parallel with bit-identical results; all three
 algorithms share one deployment and graph per run for paired comparison.
+
+A run's record holds arrays, not per-node objects: each algorithm's
+estimates are one record array with fields ``x`` and ``y`` and its errors
+one float array, so a record crosses the process pool as a few buffers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import Point, first_max, first_min, libm
+from .geometry import first_max, first_min, libm
 from .network import (
     Deployment,
     GenerationFailed,
@@ -98,8 +102,8 @@ class RunRecord:
     run_index: int
     seed: int
     node_ids: list[int]
-    estimates: dict[str, list[Point]]
-    errors: dict[str, list[float]]
+    estimates: dict[str, np.recarray]  # per algorithm, fields x and y per node
+    errors: dict[str, np.ndarray]  # per algorithm, float64 per node
     run_mean_error: dict[str, float]
     rail_box_contains: int = 0  # targets whose box held the true position
 
@@ -190,12 +194,12 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
             anchor_x, anchor_y, chosen, np.take_along_axis(acc, chosen, axis=0)
         )[:2]
 
-    estimates: dict[str, list[Point]] = {}
-    errors: dict[str, list[float]] = {}
+    estimates: dict[str, np.recarray] = {}
+    errors: dict[str, np.ndarray] = {}
     for alg, (x, y) in found.items():
         x, y = clamp_all(x, y, cfg.width, cfg.height)
-        estimates[alg] = [Point(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        errors[alg] = localization_errors(truth_x, truth_y, x, y).tolist()
+        estimates[alg] = np.rec.fromarrays((x, y), names="x,y")
+        errors[alg] = localization_errors(truth_x, truth_y, x, y)
 
     return RunRecord(
         density=density,
@@ -216,14 +220,15 @@ def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> Experiment
     if not records:
         raise ValueError("no run records to aggregate")
     records = sorted(records, key=lambda r: (r.density, r.run_index))
-    pooled: dict[tuple[str, int], list[float]] = {}
+    pooled: dict[tuple[str, int], list[np.ndarray]] = {}
     series: dict[tuple[str, int], list[float]] = {}
     for rec in records:
         for alg, errs in rec.errors.items():
-            pooled.setdefault((alg, rec.density), []).extend(errs)
+            pooled.setdefault((alg, rec.density), []).append(errs)
             series.setdefault((alg, rec.density), []).append(rec.run_mean_error[alg])
-    mean = {k: float(np.mean(v)) for k, v in pooled.items()}
-    std = {k: float(np.std(v)) for k, v in pooled.items()}
+    pooled_errs = {k: np.concatenate(v) for k, v in pooled.items()}
+    mean = {k: float(np.mean(v)) for k, v in pooled_errs.items()}
+    std = {k: float(np.std(v)) for k, v in pooled_errs.items()}
     return ExperimentReport(
         config=cfg,
         mean_error=mean,
@@ -290,8 +295,9 @@ def write_errors_csv(report: ExperimentReport, path: str) -> None:
     for rec in report.records:
         for alg in report.config.algorithms:
             if alg in rec.errors:
-                for node, err in zip(rec.node_ids, rec.errors[alg]):
-                    lines.append(f"{alg},{rec.density},{rec.run_index},{node},{_fmt(err)}")
+                prefix = f"{alg},{rec.density},{rec.run_index},"
+                lines.extend(f"{prefix}{node},{err:.4f}"
+                             for node, err in zip(rec.node_ids, rec.errors[alg].tolist()))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -3,6 +3,10 @@ edge weights, and multi-hop queries: the shortest-path trees of a batch of
 sources from one scipy call (``dijkstra_trees``) and one minimum-hop flooding
 tree (``hop_tree_ranging``).
 
+A deployment holds its node positions as one (n, 2) coordinate array, and
+the rejection sampler checks each attempt's anchors with array passes; the
+per-node ``Point`` objects are built only when ``Deployment.nodes`` is read.
+
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
 shortest distance upper-bounds the straight-line distance.
@@ -22,7 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import Point, distance, libm
+from .geometry import Point, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -37,31 +41,48 @@ class Unreachable(Exception):
     """A query target has no path from the source node."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deployment:
-    """Ground truth of one simulated world.
+    """Ground truth of one simulated world: node i sits at ``coords[i]``.
 
-    Anchors occupy the first ``len(anchor_ids)`` node slots by construction,
-    but consumers should rely on ``anchor_ids`` only.
+    ``coords`` is stored as a read-only (n, 2) float array (a copy of what
+    the caller passed). Anchors occupy the first ``len(anchor_ids)`` node
+    slots by construction, but consumers should rely on ``anchor_ids`` only.
     """
 
     width: float
     height: float
-    nodes: tuple[Point, ...]
+    coords: np.ndarray
     anchor_ids: tuple[int, ...]
     comm_range: float
+
+    def __post_init__(self):
+        xy = np.array(self.coords, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"coords must have shape (n, 2), not {xy.shape}")
+        if not np.isfinite(xy).all():
+            raise ValueError("non-finite node position")
+        xy.flags.writeable = False
+        object.__setattr__(self, "coords", xy)
+
+    def __eq__(self, other):
+        if not isinstance(other, Deployment):
+            return NotImplemented
+        return (
+            (self.width, self.height, self.anchor_ids, self.comm_range)
+            == (other.width, other.height, other.anchor_ids, other.comm_range)
+            and np.array_equal(self.coords, other.coords)
+        )
 
     @property
     def unknown_ids(self) -> tuple[int, ...]:
         anchors = set(self.anchor_ids)
-        return tuple(i for i in range(len(self.nodes)) if i not in anchors)
+        return tuple(i for i in range(len(self.coords)) if i not in anchors)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Read-only (n, 2) array of the node positions."""
-        xy = np.array([(p.x, p.y) for p in self.nodes], dtype=float).reshape(-1, 2)
-        xy.flags.writeable = False
-        return xy
+    def nodes(self) -> tuple[Point, ...]:
+        """The node positions as Points, for the demo and the scene render."""
+        return tuple(Point(x, y) for x, y in self.coords.tolist())
 
     @cached_property
     def links(self) -> np.ndarray:
@@ -73,7 +94,7 @@ class Deployment:
         return {
             "width": self.width,
             "height": self.height,
-            "nodes": [[p.x, p.y] for p in self.nodes],
+            "nodes": self.coords.tolist(),
             "anchor_ids": list(self.anchor_ids),
             "comm_range": self.comm_range,
         }
@@ -83,7 +104,7 @@ class Deployment:
         return cls(
             width=float(d["width"]),
             height=float(d["height"]),
-            nodes=tuple(Point(float(x), float(y)) for x, y in d["nodes"]),
+            coords=d["nodes"],
             anchor_ids=tuple(int(i) for i in d["anchor_ids"]),
             comm_range=float(d["comm_range"]),
         )
@@ -164,14 +185,10 @@ class NetworkGraph:
         return float(self.matrix.data[pos]) if found else None
 
 
-def _triangle_area(a: Point, b: Point, c: Point) -> float:
-    return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2.0
-
-
 def _components_ok(dep: Deployment) -> bool:
     """True when every node can reach every other (so every anchor) over
     one-hop links."""
-    n, pairs = len(dep.nodes), dep.links
+    n, pairs = len(dep.coords), dep.links
     links = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     return connected_components(links, directed=False, return_labels=False) == 1
 
@@ -200,27 +217,19 @@ def generate_deployment(
     rng = np.random.default_rng(seed)
     n_total = n_anchors + n_unknown
     anchor_ids = tuple(range(n_anchors))
+    pi, pj = np.triu_indices(n_anchors, 1)  # every anchor pair
+    ti, tj, tk = np.array(list(itertools.combinations(range(n_anchors), 3))).T
 
     for _ in range(max_attempts):
         coords = rng.uniform((0.0, 0.0), (width, height), size=(n_total, 2))
-        anchors = [Point(*coords[i]) for i in range(n_anchors)]
-        if any(
-            distance(anchors[i], anchors[j]) <= comm_range
-            for i, j in itertools.combinations(range(n_anchors), 2)
-        ):
+        x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
+        if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
             continue
-        if any(
-            _triangle_area(anchors[i], anchors[j], anchors[k]) <= ANCHOR_AREA_MIN
-            for i, j, k in itertools.combinations(range(n_anchors), 3)
-        ):
+        # twice the signed area of each anchor triangle
+        cross = (x[tj] - x[ti]) * (y[tk] - y[ti]) - (x[tk] - x[ti]) * (y[tj] - y[ti])
+        if (np.abs(cross) / 2.0 <= ANCHOR_AREA_MIN).any():
             continue
-        dep = Deployment(
-            width=width,
-            height=height,
-            nodes=tuple(Point(x, y) for x, y in coords.tolist()),
-            anchor_ids=anchor_ids,
-            comm_range=comm_range,
-        )
+        dep = Deployment(width, height, coords, anchor_ids, comm_range)
         if _components_ok(dep):  # computes dep.links, which build_graph reads
             return dep
     raise GenerationFailed(
@@ -241,8 +250,8 @@ def build_graph(
     yields a fixed graph. Two co-located nodes (an in-range pair at distance
     0) have no RSSI and raise ValueError naming both ids.
     """
-    n = len(dep.nodes)
     coords = dep.coords
+    n = len(coords)
     pairs = dep.links
     pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     i, j = pairs[:, 0], pairs[:, 1]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from railsim import geometry
 from railsim.experiment import (
     ExperimentConfig,
     aggregate,
@@ -31,6 +32,32 @@ NOISY6_SMALL = {"densities": (200,), "n_anchors": 6, "sigma": 4.0, "runs_per_den
 @pytest.fixture(scope="module")
 def small_report():
     return run_experiment(SMALL)
+
+
+def assert_records_equal(got, want):
+    """Two sweeps' records hold the same runs, estimates and errors, bit
+    for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.density, a.run_index, a.seed) == (b.density, b.run_index, b.seed)
+        assert a.node_ids == b.node_ids
+        assert a.rail_box_contains == b.rail_box_contains
+        assert a.run_mean_error == b.run_mean_error
+        assert a.estimates.keys() == b.estimates.keys() == a.errors.keys()
+        for alg in a.estimates:
+            assert np.array_equal(a.estimates[alg].x, b.estimates[alg].x)
+            assert np.array_equal(a.estimates[alg].y, b.estimates[alg].y)
+            assert np.array_equal(a.errors[alg], b.errors[alg])
+
+
+def write_csvs(report, out_dir):
+    """The three CSVs of a report, as {name: bytes}."""
+    out = {}
+    for name, write in (("report.csv", write_report_csv), ("runs.csv", write_runs_csv),
+                        ("errors.csv", write_errors_csv)):
+        write(report, str(out_dir / name))
+        out[name] = (out_dir / name).read_bytes()
+    return out
 
 
 class TestBasics:
@@ -104,9 +131,7 @@ class TestDeterminism:
     def test_repeat_identical(self, small_report):
         r2 = run_experiment(SMALL)
         assert r2.mean_error == small_report.mean_error
-        for a, b in zip(r2.records, small_report.records):
-            assert a.errors == b.errors
-            assert a.seed == b.seed
+        assert_records_equal(r2.records, small_report.records)
 
     def test_parallel_matches_serial(self, small_report):
         r2 = run_experiment(SMALL, n_workers=2)
@@ -201,13 +226,9 @@ class TestCsv:
     ])
     def test_pinned_digests(self, overrides, digests, tmp_path):
         cfg = ExperimentConfig(**{**PIN_BASE, **overrides})
-        report = run_experiment(cfg)
-        got = []
-        for name, write in (("report.csv", write_report_csv), ("runs.csv", write_runs_csv),
-                            ("errors.csv", write_errors_csv)):
-            write(report, str(tmp_path / name))
-            got.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
-        assert tuple(got) == digests
+        csvs = write_csvs(run_experiment(cfg), tmp_path)
+        got = tuple(hashlib.sha256(data).hexdigest() for data in csvs.values())
+        assert got == digests
 
     # the CSVs round to 4 decimals; these pin every estimate and error to the
     # last bit (float.hex), captured before the run pipeline became
@@ -234,10 +255,13 @@ class TestCsv:
         assert h.hexdigest() == digest
 
     def test_byte_identical_across_runs(self, small_report, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_runs_csv(small_report, str(a))
-        write_runs_csv(run_experiment(SMALL, n_workers=2), str(b))
-        assert a.read_bytes() == b.read_bytes()
+        # the records come back from the pool's workers unpickled
+        pooled = run_experiment(SMALL, n_workers=2)
+        assert_records_equal(pooled.records, small_report.records)
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "pooled").mkdir()
+        assert write_csvs(pooled, tmp_path / "pooled") == write_csvs(
+            small_report, tmp_path / "serial")
 
 
 class TestRecords:
@@ -255,6 +279,29 @@ class TestRecords:
             for alg, pts in rec.estimates.items():
                 for truth, est, err in zip(truths, pts, rec.errors[alg]):
                     assert err == distance(truth, est)
+
+    def test_records_hold_arrays(self, small_report):
+        for rec in small_report.records:
+            for alg in SMALL.algorithms:
+                est, err = rec.estimates[alg], rec.errors[alg]
+                assert est.dtype.names == ("x", "y")
+                assert est.shape == err.shape == (len(rec.node_ids),)
+                assert est.x.dtype == est.y.dtype == err.dtype == np.float64
+
+    def test_sweep_builds_no_points(self, monkeypatch, tmp_path):
+        calls = []
+        post_init = geometry.Point.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(geometry.Point, "__post_init__", counting)
+        write_csvs(run_experiment(ExperimentConfig(
+            densities=(60, 120), n_anchors=4, sigma=2.0, runs_per_density=2)), tmp_path)
+        assert len(calls) == 0
+        geometry.Point(0.0, 0.0)  # the counter sees every Point
+        assert len(calls) == 1
 
     def test_box_contains_counts(self, small_report):
         for rec in small_report.records:

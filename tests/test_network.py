@@ -7,10 +7,12 @@ import pytest
 
 from railsim.geometry import Point, distance
 from railsim.network import (
+    ANCHOR_AREA_MIN,
     Deployment,
     GenerationFailed,
     NetworkGraph,
     Unreachable,
+    _components_ok,
     build_graph,
     dijkstra_trees,
     generate_deployment,
@@ -143,6 +145,48 @@ def random_connected_graph(rng, n_max=10):
     return graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
+def _triangle_area(a: Point, b: Point, c: Point) -> float:
+    return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2.0
+
+
+def reference_deployment(width, height, n_unknown, n_anchors, comm_range, seed,
+                         max_attempts=1000):
+    """Oracle: the rejection loop one anchor pair and one anchor triangle at
+    a time on Points, as ``generate_deployment`` ran before its anchor
+    checks became array passes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        coords = rng.uniform((0.0, 0.0), (width, height), size=(n_anchors + n_unknown, 2))
+        anchors = [Point(*coords[i]) for i in range(n_anchors)]
+        if any(
+            distance(anchors[i], anchors[j]) <= comm_range
+            for i, j in itertools.combinations(range(n_anchors), 2)
+        ):
+            continue
+        if any(
+            _triangle_area(anchors[i], anchors[j], anchors[k]) <= ANCHOR_AREA_MIN
+            for i, j, k in itertools.combinations(range(n_anchors), 3)
+        ):
+            continue
+        dep = Deployment(width, height, coords, tuple(range(n_anchors)), comm_range)
+        if _components_ok(dep):
+            return dep
+    raise GenerationFailed(f"no valid deployment in {max_attempts} attempts")
+
+
+def attempt(generate, *args, **kwargs):
+    """A generator's deployment, or None if it raised GenerationFailed."""
+    try:
+        return generate(*args, **kwargs)
+    except GenerationFailed:
+        return None
+
+
+def assert_same_deployment(got, want):
+    assert got.anchor_ids == want.anchor_ids
+    assert np.array_equal(got.coords, want.coords)
+
+
 class TestGenerateDeployment:
     def test_table_densities(self):
         dep = generate_deployment(50, 50, 500, 3, 10, seed=1)
@@ -175,21 +219,91 @@ class TestGenerateDeployment:
         dep = generate_deployment(50, 50, 20, 3, 15, seed=5)
         assert Deployment.from_json(dep.to_json()) == dep
 
+    # (width, height, n_unknown, n_anchors, comm_range, seeds); the last is
+    # tight: most attempts put two of 6 anchors within range on 40 x 40 m
+    @pytest.mark.parametrize("width, height, n_unknown, n_anchors, comm_range, seeds", [
+        (50, 50, 40, 3, 10, 60),
+        (50, 50, 40, 4, 10, 50),
+        (80, 30, 40, 5, 10, 40),
+        (50, 50, 40, 6, 10, 30),
+        (40, 40, 60, 6, 10, 30),
+    ])
+    def test_matches_scalar_reference(self, width, height, n_unknown, n_anchors,
+                                      comm_range, seeds):
+        args = (width, height, n_unknown, n_anchors, comm_range)
+        for seed in range(seeds):
+            assert_same_deployment(generate_deployment(*args, seed),
+                                   reference_deployment(*args, seed))
+
+    def test_gives_up_with_scalar_reference(self):
+        # at 3 attempts the tight case fails for some seeds and not others;
+        # both loops fail on the same ones
+        args = (40, 40, 60, 6, 10)
+        failed = 0
+        for seed in range(40):
+            got = attempt(generate_deployment, *args, seed, max_attempts=3)
+            want = attempt(reference_deployment, *args, seed, max_attempts=3)
+            assert (got is None) == (want is None)
+            if got is None:
+                failed += 1
+            else:
+                assert_same_deployment(got, want)
+        assert 0 < failed < 40
+
+
+class TestDeploymentCoords:
+    def test_coords_read_only(self):
+        dep = generate_deployment(50, 50, 100, 3, 10, seed=1)
+        assert dep.coords.shape == (103, 2) and dep.coords.dtype == float
+        with pytest.raises(ValueError):
+            dep.coords[0, 0] = 1.0
+
+    def test_caller_array_copied(self):
+        xy = np.array([[0.0, 0.0], [5.0, 0.0]])
+        dep = Deployment(50, 50, xy, (0,), 10.0)
+        xy[0, 0] = 1.0
+        assert dep.coords[0, 0] == 0.0 and xy.flags.writeable
+
+    def test_nodes_match_coords(self):
+        dep = generate_deployment(50, 50, 100, 3, 10, seed=2)
+        assert len(dep.nodes) == len(dep.coords)
+        assert [(p.x, p.y) for p in dep.nodes] == [tuple(r) for r in dep.coords.tolist()]
+        assert all(type(p.x) is float for p in dep.nodes)
+
+    def test_one_coordinate_makes_unequal(self):
+        dep = generate_deployment(50, 50, 100, 3, 10, seed=3)
+        xy = dep.coords.copy()
+        xy[7, 1] = np.nextafter(xy[7, 1], 100.0)
+        other = Deployment(dep.width, dep.height, xy, dep.anchor_ids, dep.comm_range)
+        assert other != dep
+        assert Deployment(dep.width, dep.height, dep.coords, dep.anchor_ids,
+                          dep.comm_range) == dep
+
+    @pytest.mark.parametrize("coords", [
+        [[0.0, 0.0, 1.0]],
+        [0.0, 1.0],
+        [[0.0, math.nan]],
+        [[math.inf, 0.0]],
+    ])
+    def test_bad_coords_rejected(self, coords):
+        with pytest.raises(ValueError):
+            Deployment(50, 50, coords, (0,), 10.0)
+
 
 class TestBuildGraph:
     def test_exact_round_trip_edge(self):
-        dep = Deployment(50, 50, (Point(0, 0), Point(5, 0)), (0,), 10.0)
+        dep = Deployment(50, 50, np.array([[0, 0], [5, 0]]), (0,), 10.0)
         g = build_graph(dep, MODEL)
         assert g.edge_weight(0, 1) == pytest.approx(5.0, rel=1e-9)
         assert g.edge_weight(1, 0) == g.edge_weight(0, 1)
 
     def test_out_of_range_pair(self):
-        dep = Deployment(50, 50, (Point(0, 0), Point(10.01, 0)), (0,), 10.0)
+        dep = Deployment(50, 50, np.array([[0, 0], [10.01, 0]]), (0,), 10.0)
         g = build_graph(dep, MODEL)
         assert g.edge_weight(0, 1) is None
 
     def test_collinear_chain(self):
-        dep = Deployment(50, 50, (Point(0, 0), Point(6, 0), Point(12, 0)), (0,), 10.0)
+        dep = Deployment(50, 50, np.array([[0, 0], [6, 0], [12, 0]]), (0,), 10.0)
         g = build_graph(dep, MODEL)
         assert g.edge_weight(0, 1) is not None
         assert g.edge_weight(1, 2) is not None
@@ -223,14 +337,14 @@ class TestBuildGraph:
                 assert g.edge_weight(v, u) == want
 
     def test_colocated_unknowns_rejected(self):
-        nodes = (Point(0, 0), Point(30, 0), Point(0, 30), Point(5, 5), Point(5, 5))
-        dep = Deployment(50, 50, nodes, (0, 1, 2), 10.0)
+        coords = np.array([[0, 0], [30, 0], [0, 30], [5, 5], [5, 5]])
+        dep = Deployment(50, 50, coords, (0, 1, 2), 10.0)
         with pytest.raises(ValueError, match="nodes 3 and 4 are co-located"):
             build_graph(dep, MODEL)
 
     def test_unknown_on_anchor_rejected(self):
-        nodes = (Point(0, 0), Point(30, 0), Point(0, 30), Point(30, 0))
-        dep = Deployment(50, 50, nodes, (0, 1, 2), 10.0)
+        coords = np.array([[0, 0], [30, 0], [0, 30], [30, 0]])
+        dep = Deployment(50, 50, coords, (0, 1, 2), 10.0)
         with pytest.raises(ValueError, match="nodes 1 and 3 are co-located"):
             build_graph(dep, MODEL, rng=np.random.default_rng(1))
 

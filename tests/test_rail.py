@@ -237,7 +237,7 @@ class TestPreciseLocation:
         # square of the first anchor with the smallest SD, anchor 0's
         dep = Deployment(
             width=20.0, height=20.0,
-            nodes=(Point(0, 0), Point(20, 0), Point(0, 20), Point(5, 5)),
+            coords=np.array([[0, 0], [20, 0], [0, 20], [5, 5]]),
             anchor_ids=(0, 1, 2), comm_range=10.0,
         )
         g = graph_from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
