@@ -291,14 +291,16 @@ def write_runs_csv(report: ExperimentReport, path: str) -> None:
 
 
 def write_errors_csv(report: ExperimentReport, path: str) -> None:
-    lines = ["algorithm,density,run_index,node_id,error_m"]
+    blocks = ["algorithm,density,run_index,node_id,error_m\n"]
     for rec in report.records:
+        fields = [None] * (2 * len(rec.node_ids))  # node, error, node, error, ...
+        fields[::2] = rec.node_ids
         for alg in report.config.algorithms:
             if alg in rec.errors:
-                prefix = f"{alg},{rec.density},{rec.run_index},"
-                lines.extend(f"{prefix}{node},{err:.4f}"
-                             for node, err in zip(rec.node_ids, rec.errors[alg].tolist()))
-    _atomic_write(path, "\n".join(lines) + "\n")
+                fields[1::2] = rec.errors[alg].tolist()
+                row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
+                blocks.append(row * len(rec.node_ids) % tuple(fields))
+    _atomic_write(path, "".join(blocks))
 
 
 def read_runs_csv(path: str) -> list[dict]:

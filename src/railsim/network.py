@@ -3,9 +3,13 @@ edge weights, and multi-hop queries: the shortest-path trees of a batch of
 sources from one scipy call (``dijkstra_trees``) and one minimum-hop flooding
 tree (``hop_tree_ranging``).
 
-A deployment holds its node positions as one (n, 2) coordinate array, and
-the rejection sampler checks each attempt's anchors with array passes; the
-per-node ``Point`` objects are built only when ``Deployment.nodes`` is read.
+A deployment holds its node positions as one (n, 2) coordinate array. The
+rejection sampler draws its attempts in doubling blocks and checks each
+block's anchors with array passes; the per-node ``Point`` objects are built
+only when ``Deployment.nodes`` is read. A deployment finds its own in-range
+node pairs on a grid of cells (``Deployment.links``, sorted by (i, j)) and
+places them once in a symmetric CSR layout, which both the connectivity
+check and ``build_graph`` read.
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -23,8 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
-from scipy.spatial import cKDTree
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .geometry import Point, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
@@ -74,7 +77,7 @@ class Deployment:
             and np.array_equal(self.coords, other.coords)
         )
 
-    @property
+    @cached_property
     def unknown_ids(self) -> tuple[int, ...]:
         anchors = set(self.anchor_ids)
         return tuple(i for i in range(len(self.coords)) if i not in anchors)
@@ -86,9 +89,35 @@ class Deployment:
 
     @cached_property
     def links(self) -> np.ndarray:
-        """(pairs, 2) array of the node pairs (i, j), i < j, at most
-        comm_range apart, in no particular order."""
-        return cKDTree(self.coords).query_pairs(self.comm_range, output_type="ndarray")
+        """Read-only (pairs, 2) array of the node pairs (i, j), i < j, with
+        ``dx*dx + dy*dy <= comm_range*comm_range``, sorted by (i, j)."""
+        pairs = _pairs_in_range(self.coords, self.comm_range)
+        pairs.flags.writeable = False
+        return pairs
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, cols, slots): the symmetric CSR layout of ``links``.
+
+        Row u lists u's neighbors in increasing id order, and link k = (i, j)
+        fills entry ``slots[0, k]`` of row i and ``slots[1, k]`` of row j.
+        """
+        n, (i, j) = len(self.coords), self.links.T
+        below = np.bincount(j, minlength=n)  # per node, neighbors with smaller ids
+        above = np.bincount(i, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(below + above, out=indptr[1:])
+        k = np.arange(len(i))
+        # row i holds its smaller neighbors, then its links in (i, j) order
+        upper = k + (indptr[:-1] + below - (np.cumsum(above) - above))[i]
+        # row j holds its links by increasing i: a stable sort by j, which
+        # numpy does as a radix sort on ids of up to 16 bits
+        by_j = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
+        lower = np.empty_like(k)
+        lower[by_j] = k + (indptr[:-1] - (np.cumsum(below) - below))[j[by_j]]
+        cols = np.empty(2 * len(k), dtype=np.intp)
+        cols[upper], cols[lower] = j, i
+        return indptr, cols, np.stack((upper, lower))
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,35 +162,39 @@ class NetworkGraph:
     one CSR matrix whose rows are sorted by neighbor id.
 
     ``adjacency[u]`` is row u as a sorted list of (neighbor, weight) tuples,
-    built on first use. Parallel entries keep their given order, except that
-    the adjacency constructor puts the smallest weight first.
+    built on first use. Parallel entries, which only the adjacency
+    constructor can make, come smallest weight first. ``edge_rows`` and
+    ``edge_cols`` give the tail and head node of each CSR entry.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
+        n = len(adjacency)
         tails = np.array([u for u, nbrs in enumerate(adjacency) for _ in nbrs], dtype=np.intp)
         heads = np.array([v for nbrs in adjacency for v, _ in nbrs], dtype=np.intp)
         weights = np.array([w for nbrs in adjacency for _, w in nbrs], dtype=float)
-        order = np.argsort(weights, kind="stable")  # parallel entries: smallest weight first
-        self._set_edges(len(adjacency), tails[order], heads[order], weights[order])
+        # by (tail, head); parallel entries smallest weight first
+        order = np.lexsort((weights, tails * n + heads))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+        self._set_csr(indptr, heads[order], weights[order])
 
     @classmethod
-    def from_edges(cls, n: int, tails: np.ndarray, heads: np.ndarray,
-                   weights: np.ndarray) -> "NetworkGraph":
-        """The graph with one directed entry per (tail, head, weight) triple."""
+    def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray,
+                  weights: np.ndarray) -> "NetworkGraph":
+        """The graph of a CSR layout whose rows are sorted by column."""
         g = cls.__new__(cls)
-        g._set_edges(n, tails, heads, weights)
+        g._set_csr(indptr, cols, weights)
         return g
 
-    def _set_edges(self, n, tails, heads, weights) -> None:
-        keys = tails.astype(np.int64) * n + heads
-        order = np.argsort(keys, kind="stable")
-        tails, heads = tails[order], heads[order]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+    def _set_csr(self, indptr, cols, weights) -> None:
+        n = len(indptr) - 1
         self.node_count = n
-        self.matrix = csr_matrix((weights[order], heads, indptr), shape=(n, n), dtype=float)
-        self.edge_rows = tails  # tail node of each CSR entry
+        self.matrix = csr_matrix((weights, cols, indptr), shape=(n, n), dtype=float)
+        # the tail and head node of each CSR entry, as intp: scipy keeps int32
+        # indices, which a numpy gather would convert on every call
+        self.edge_rows = np.repeat(np.arange(n), np.diff(indptr))
+        self.edge_cols = cols
         # one sorted key per CSR entry, then a sentinel no edge query reaches
-        self._keys = np.append(keys[order], n * n)
+        self._keys = np.append(self.edge_rows * n + cols, n * n)
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
@@ -185,12 +218,73 @@ class NetworkGraph:
         return float(self.matrix.data[pos]) if found else None
 
 
+def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
+    """The node pairs (i, j), i < j, with ``dx*dx + dy*dy <= r*r``, as a
+    (pairs, 2) array sorted by (i, j).
+
+    The nodes are binned into square cells a hair wider than r, so an
+    in-range pair lies in one cell or in two adjacent ones. Each node is
+    tested against the later nodes of its own cell, the cell above it and
+    the three cells of the next column. Cells are keyed from the nodes'
+    extent and looked up among the occupied cells only, so the cost follows
+    the node count, not the area.
+    """
+    n = len(coords)
+    if n == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    lo = coords.min(axis=0)
+    extent = float((coords.max(axis=0) - lo).max())
+    # the margin exceeds the rounding of ``coords - lo`` and of the division,
+    # so rounding never puts an in-range pair two cells apart
+    side = r * (1 + 2**-40) + extent * 2**-48
+    cx, cy = ((coords - lo) / side).astype(np.int64).T
+    col_len = int(cy.max()) + 3  # keys per column, padded so cy - 1 and cy + 1 stay in it
+    key = cx * col_len + cy + 1
+    order = np.argsort(key, kind="stable")  # by cell, then by id
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    end = start + count
+    pos = np.arange(n)  # position in ``order``
+    cell = np.repeat(np.arange(len(cells)), count)
+    # the later nodes of the own cell, then the cell above and the next
+    # column's cells below, level and above
+    steps = (1, col_len - 1, col_len, col_len + 1)
+    first, last = [pos + 1], [end[cell]]
+    for step in steps:
+        want = cells + step
+        k = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+        hit = cells[k] == want
+        first.append(np.where(hit, start[k], 0)[cell])
+        last.append(np.where(hit, end[k], 0)[cell])
+    first = np.concatenate(first)
+    size = np.concatenate(last) - first
+    # every candidate pair (a, b) of positions in ``order``
+    a = np.repeat(np.tile(pos, 1 + len(steps)), size)
+    b = np.repeat(first - (np.cumsum(size) - size), size)
+    b += np.arange(len(b))
+    xs, ys = coords[order, 0], coords[order, 1]
+    # dx*dx + dy*dy, in place: each temporary is as long as the candidates
+    dx = xs.take(a)
+    dx -= xs.take(b)
+    dx *= dx
+    dy = ys.take(a)
+    dy -= ys.take(b)
+    dy *= dy
+    dx += dy
+    keep = np.flatnonzero(dx <= r * r)
+    i, j = order.take(a.take(keep)), order.take(b.take(keep))
+    keys = np.minimum(i, j) * n + np.maximum(i, j)
+    keys.sort()
+    i = keys // n
+    return np.stack((i, keys - i * n), axis=1)
+
+
 def _components_ok(dep: Deployment) -> bool:
     """True when every node can reach every other (so every anchor) over
-    one-hop links."""
-    n, pairs = len(dep.coords), dep.links
-    links = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    return connected_components(links, directed=False, return_labels=False) == 1
+    one-hop links: one BFS from node 0 over the deployment's CSR layout."""
+    indptr, cols, _ = dep._csr
+    n = len(indptr) - 1
+    links = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+    return len(breadth_first_order(links, 0, return_predecessors=False)) == n
 
 
 def generate_deployment(
@@ -208,6 +302,12 @@ def generate_deployment(
     triple spans a triangle of area > ANCHOR_AREA_MIN (keeps the baseline
     linear system well-conditioned), and every node reaches every anchor
     through the connectivity graph.
+
+    Attempt t is the t-th (n, 2) uniform draw of the stream, as if drawn one
+    at a time; the attempts are drawn in blocks of 1, 2, 4, ... by one
+    ``rng.uniform`` call each, and each block's anchors are checked in one
+    pass. So a ``Generator`` passed as ``seed`` may be left past the
+    accepted attempt.
     """
     if n_anchors < 3:
         raise ValueError("at least 3 anchors required")
@@ -220,18 +320,23 @@ def generate_deployment(
     pi, pj = np.triu_indices(n_anchors, 1)  # every anchor pair
     ti, tj, tk = np.array(list(itertools.combinations(range(n_anchors), 3))).T
 
-    for _ in range(max_attempts):
-        coords = rng.uniform((0.0, 0.0), (width, height), size=(n_total, 2))
-        x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
-        if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
-            continue
+    tried, block = 0, 1
+    while tried < max_attempts:
+        block = min(block, max_attempts - tried)
+        draws = rng.uniform((0.0, 0.0), (width, height), size=(block, n_total, 2))
+        x, y = draws[:, :n_anchors, 0], draws[:, :n_anchors, 1]
+        dx, dy = x[:, pi] - x[:, pj], y[:, pi] - y[:, pj]
+        near = libm(math.hypot, dx.ravel(), dy.ravel()).reshape(dx.shape) <= comm_range
         # twice the signed area of each anchor triangle
-        cross = (x[tj] - x[ti]) * (y[tk] - y[ti]) - (x[tk] - x[ti]) * (y[tj] - y[ti])
-        if (np.abs(cross) / 2.0 <= ANCHOR_AREA_MIN).any():
-            continue
-        dep = Deployment(width, height, coords, anchor_ids, comm_range)
-        if _components_ok(dep):  # computes dep.links, which build_graph reads
-            return dep
+        cross = (x[:, tj] - x[:, ti]) * (y[:, tk] - y[:, ti]) - (x[:, tk] - x[:, ti]) * (
+            y[:, tj] - y[:, ti])
+        thin = np.abs(cross) / 2.0 <= ANCHOR_AREA_MIN
+        for t in np.flatnonzero(~(near.any(axis=1) | thin.any(axis=1))).tolist():
+            dep = Deployment(width, height, draws[t], anchor_ids, comm_range)
+            if _components_ok(dep):  # computes dep.links and dep._csr, which build_graph reads
+                return dep
+        tried += block
+        block *= 2
     raise GenerationFailed(
         f"no valid deployment in {max_attempts} attempts "
         f"(area {width}x{height}, {n_unknown} unknown, {n_anchors} anchors, R={comm_range})"
@@ -250,27 +355,23 @@ def build_graph(
     yields a fixed graph. Two co-located nodes (an in-range pair at distance
     0) have no RSSI and raise ValueError naming both ids.
     """
-    coords = dep.coords
-    n = len(coords)
-    pairs = dep.links
-    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
-    i, j = pairs[:, 0], pairs[:, 1]
-
+    i, j = dep.links.T
     if rng is not None and model.sigma > 0:
-        noise = rng.normal(0.0, model.sigma, size=len(pairs))
+        noise = rng.normal(0.0, model.sigma, size=len(i))
     else:
-        noise = np.zeros(len(pairs))
+        noise = np.zeros(len(i))
 
-    delta = coords[i] - coords[j]
-    true_d = libm(math.hypot, delta[:, 0], delta[:, 1])
+    x, y = dep.coords.T
+    true_d = libm(math.hypot, x[i] - x[j], y[i] - y[j])
     colocated = np.flatnonzero(true_d == 0)
     if colocated.size:
         k = colocated[0]
         raise ValueError(f"nodes {i[k]} and {j[k]} are co-located: zero distance has no RSSI")
     est = estimate_distance(model, rssi_at(model, true_d, noise))
-    return NetworkGraph.from_edges(
-        n, np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((est, est))
-    )
+    indptr, cols, slots = dep._csr
+    weights = np.empty(len(cols))
+    weights[slots] = est  # each link's weight in its two entries
+    return NetworkGraph._from_csr(indptr, cols, weights)
 
 
 def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
@@ -307,9 +408,11 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     more exact-tight predecessors to the one on the lexicographically
     smallest path; in increasing-distance order, so every candidate path is
     already final."""
-    m = g.matrix
-    tight = dist[g.edge_rows] + m.data == dist[m.indices]
-    n_tight = np.bincount(m.indices[tight], minlength=g.node_count)
+    m, cols = g.matrix, g.edge_cols
+    tight = dist[g.edge_rows] + m.data == dist[cols]
+    n_tight = np.bincount(cols[tight], minlength=g.node_count)
+    if n_tight.max() < 2:
+        return
     ties = np.flatnonzero(n_tight >= 2)
     ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
     if not ties.size:
@@ -318,7 +421,7 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     bounds = m.indptr.tolist()
     for v in ties[np.argsort(dist[ties], kind="stable")].tolist():
         row = slice(bounds[v], bounds[v + 1])
-        nbrs = zip(m.indices[row].tolist(), m.data[row].tolist())
+        nbrs = zip(cols[row].tolist(), m.data[row].tolist())
         tight_preds = [u for u, w in nbrs if d[u] + w == d[v]]
         pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
     pred[:] = pl
@@ -373,7 +476,8 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarr
     from the source.
     """
     n = g.node_count
-    order, pred = breadth_first_order(g.matrix, source, return_predecessors=True)
+    order, pred = (a.astype(np.intp) for a in
+                   breadth_first_order(g.matrix, source, return_predecessors=True))
     if len(order) < n:
         missing = np.setdiff1d(np.arange(n), order)
         raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {source}")

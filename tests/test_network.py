@@ -1,11 +1,18 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from railsim.geometry import Point, distance
+import railsim
+from railsim.geometry import Point, distance, libm
 from railsim.network import (
     ANCHOR_AREA_MIN,
     Deployment,
@@ -187,6 +194,55 @@ def assert_same_deployment(got, want):
     assert np.array_equal(got.coords, want.coords)
 
 
+def both_give_up(args, max_attempts, seeds=range(40)):
+    """How many seeds make both rejection loops raise GenerationFailed,
+    after checking that they fail on the same seeds and otherwise return
+    the same deployment."""
+    failed = 0
+    for seed in seeds:
+        got = attempt(generate_deployment, *args, seed, max_attempts=max_attempts)
+        want = attempt(reference_deployment, *args, seed, max_attempts=max_attempts)
+        assert (got is None) == (want is None)
+        if got is None:
+            failed += 1
+        else:
+            assert_same_deployment(got, want)
+    return failed
+
+
+def kd_links(dep):
+    """Oracle: the in-range pairs from scipy's k-d tree, sorted by (i, j)."""
+    pairs = cKDTree(dep.coords).query_pairs(dep.comm_range, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].reshape(-1, 2)
+
+
+def coo_build_graph(dep, model, rng):
+    """Oracle: ``build_graph`` as it was before the grid and the CSR layout:
+    k-d tree pairs, noise in sorted (i, j) order, and both directions of
+    every edge placed by a stable sort of the 2E (tail, head) keys. Returns
+    (CSR matrix, tail and head of each entry)."""
+    n = len(dep.coords)
+    i, j = kd_links(dep).T
+    noise = (rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0
+             else np.zeros(len(i)))
+    delta = dep.coords[i] - dep.coords[j]
+    est = estimate_distance(model, rssi_at(model, libm(math.hypot, delta[:, 0], delta[:, 1]),
+                                           noise))
+    tails, heads = np.concatenate((i, j)), np.concatenate((j, i))
+    order = np.argsort(tails * n + heads, kind="stable")
+    tails, heads = tails[order], heads[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+    weights = np.concatenate((est, est))[order]
+    return csr_matrix((weights, heads, indptr), shape=(n, n)), tails, heads
+
+
+def scipy_connected(dep):
+    """Oracle: a COO matrix of the k-d tree pairs has one component."""
+    n, (i, j) = len(dep.coords), kd_links(dep).T
+    links = csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return connected_components(links, directed=False, return_labels=False) == 1
+
+
 class TestGenerateDeployment:
     def test_table_densities(self):
         dep = generate_deployment(50, 50, 500, 3, 10, seed=1)
@@ -238,17 +294,95 @@ class TestGenerateDeployment:
     def test_gives_up_with_scalar_reference(self):
         # at 3 attempts the tight case fails for some seeds and not others;
         # both loops fail on the same ones
-        args = (40, 40, 60, 6, 10)
-        failed = 0
-        for seed in range(40):
-            got = attempt(generate_deployment, *args, seed, max_attempts=3)
-            want = attempt(reference_deployment, *args, seed, max_attempts=3)
-            assert (got is None) == (want is None)
-            if got is None:
-                failed += 1
-            else:
-                assert_same_deployment(got, want)
-        assert 0 < failed < 40
+        assert 0 < both_give_up((40, 40, 60, 6, 10), 3) < 40
+        # the attempts are drawn in blocks of 1, 2, 4, ...: max_attempts 1-9
+        # stops the draws inside and at the edges of a block. With 40
+        # unknowns and 3 anchors the connectivity check rejects most
+        # attempts, yet some seeds succeed at every max_attempts
+        for max_attempts in range(1, 10):
+            both_give_up((40, 40, 60, 6, 10), max_attempts)
+            assert 0 < both_give_up((50, 50, 40, 3, 10), max_attempts) < 40
+
+    def test_connectivity_check_matches_scipy_components(self):
+        # connected deployments, two clusters farther apart than the range,
+        # and sparse uniform ones that are connected only sometimes
+        rng = np.random.default_rng(17)
+        deps = [generate_deployment(50, 50, n, 3, 10, seed=n) for n in (100, 200, 500)]
+        for gap in (2.0, 10.5, 30.0):  # between the clusters' boxes
+            blob = rng.uniform(0, 8, size=(30, 2))
+            deps.append(Deployment(60, 60, np.vstack((blob, blob + (8 + gap, 0))), (0,), 10.0))
+        deps += [Deployment(50, 50, rng.uniform(0, 50, size=(40, 2)), (0,), 10.0)
+                 for _ in range(30)]
+        got = [_components_ok(dep) for dep in deps]
+        assert got == [scipy_connected(dep) for dep in deps]
+        assert got[:3] == [True] * 3 and got[3:6] == [True, False, False]
+        assert 0 < sum(got[6:]) < 30
+
+
+class TestLinks:
+    """``Deployment.links`` equals the k-d tree's pairs, in (i, j) order."""
+
+    @staticmethod
+    def assert_links_match(dep):
+        links = dep.links
+        assert np.array_equal(links, kd_links(dep))
+        assert (links[:, 0] < links[:, 1]).all()
+        keys = links[:, 0] * len(dep.coords) + links[:, 1]
+        assert (np.diff(keys) > 0).all()
+        assert not links.flags.writeable
+
+    @pytest.mark.parametrize("n, side", [(100, 50), (200, 50), (500, 50), (4500, 150)])
+    def test_random_deployments(self, n, side):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            self.assert_links_match(
+                Deployment(side, side, rng.uniform(0, side, size=(n, 2)), (0,), 10.0))
+
+    def test_strip(self):
+        dep = generate_deployment(200, 20, 200, 3, 10, seed=3)
+        self.assert_links_match(dep)
+
+    @pytest.mark.parametrize("r", [10.0, 0.1, 0.3, 1 / 3])
+    def test_coordinates_on_range_multiples(self, r):
+        # a lattice of pitch r: row and column neighbors lie at r, exactly
+        # or rounded either way, and the cell edges fall on nodes
+        k = np.arange(12) * r
+        lattice = np.stack(np.meshgrid(k, k + 3 * r), axis=-1).reshape(-1, 2)
+        dep = Deployment(50, 50, lattice, (0,), r)
+        self.assert_links_match(dep)
+        if r == 10.0:  # exact: every row and column neighbor is a link
+            assert len(dep.links) == 2 * 12 * 11
+
+    def test_rounding_across_a_cell_edge(self):
+        # (x - x_min) / 0.1 gives 243.99999999999997 for node 1 and 245.0
+        # for node 2, 0.1 apart: cells exactly 0.1 wide would put this
+        # in-range pair two cells apart
+        xy = np.array([[1.23456, 0.0], [25.63456, 0.0], [25.73456, 0.0]])
+        dep = Deployment(50, 50, xy, (0,), 0.1)
+        self.assert_links_match(dep)
+        assert dep.links.tolist() == [[1, 2]]
+
+    def test_colocated_nodes(self):
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0, 50, size=(150, 2))
+        xy = np.vstack((xy, xy[:40], xy[:5]))
+        dep = Deployment(50, 50, xy, (0,), 10.0)
+        self.assert_links_match(dep)
+
+    def test_sparse_over_large_area(self):
+        # 60 small clusters on a 10,000 km square: about 1e12 cells of the
+        # range would cover it, of which at most 300 are occupied
+        rng = np.random.default_rng(9)
+        centres = rng.uniform(0, 1e7, size=(60, 1, 2))
+        xy = (centres + rng.uniform(0, 15, size=(60, 5, 2))).reshape(-1, 2)
+        dep = Deployment(1e7, 1e7, xy, (0,), 10.0)
+        self.assert_links_match(dep)
+        assert len(dep.links) > 0
+
+    def test_one_node(self):
+        for xy in (np.zeros((1, 2)), np.zeros((0, 2))):
+            links = Deployment(50, 50, xy, (), 10.0).links
+            assert links.shape == (0, 2)
 
 
 class TestDeploymentCoords:
@@ -335,6 +469,18 @@ class TestBuildGraph:
                 want = estimate_distance(model, rssi_at(model, true_d, nz))
                 assert g.edge_weight(u, v) == want
                 assert g.edge_weight(v, u) == want
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_csr_equals_coo_build(self, sigma):
+        model = PathLossModel(sigma=sigma)
+        for n_unknown in (100, 500):
+            dep = generate_deployment(50, 50, n_unknown, 3, 10, seed=n_unknown + 1)
+            g = build_graph(dep, model, rng=np.random.default_rng(3))
+            want, tails, heads = coo_build_graph(dep, model, np.random.default_rng(3))
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(g.matrix, field), getattr(want, field))
+            assert np.array_equal(g.edge_rows, tails) and np.array_equal(g.edge_cols, heads)
+            assert g.edge_cols.dtype == np.intp
 
     def test_colocated_unknowns_rejected(self):
         coords = np.array([[0, 0], [30, 0], [0, 30], [5, 5], [5, 5]])
@@ -511,6 +657,25 @@ class TestMinHops:
         for _ in range(50):
             g = random_connected_graph(rng)
             assert hop_tree_ranging(g, 0)[1].tolist() == bfs_levels(g, 0)
+
+
+def test_cli_import_and_sweep_leave_out_scipy_spatial():
+    # the package finds its in-range pairs itself, so neither `rail`'s
+    # import nor a sweep loads scipy.spatial; checked in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from railsim import cli\n"
+        "assert 'scipy.spatial' not in sys.modules, 'import'\n"
+        "from railsim.experiment import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(densities=(60,), n_anchors=4, sigma=2.0,\n"
+        "                                runs_per_density=2))\n"
+        "assert 'scipy.spatial' not in sys.modules, 'sweep'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(railsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hop_tree_ranging_overestimates_weighted_shortest():
