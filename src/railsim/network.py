@@ -4,9 +4,8 @@ sources from one scipy call (``dijkstra_trees``) and one minimum-hop flooding
 tree (``hop_tree_ranging``).
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
-rejection sampler draws its attempts in doubling blocks and checks each
-block's anchors with array passes; the per-node ``Point`` objects are built
-only when ``Deployment.nodes`` is read. A deployment finds its own in-range
+rejection sampler checks each attempt's anchors with array passes; the
+per-node ``Point`` objects are built only when ``Deployment.nodes`` is read. A deployment finds its own in-range
 node pairs on a grid of cells (``Deployment.links``, sorted by (i, j)) and
 places them once in a symmetric CSR layout, which both the connectivity
 check and ``build_graph`` read.
@@ -117,7 +116,10 @@ class Deployment:
         lower[by_j] = k + (indptr[:-1] - (np.cumsum(below) - below))[j[by_j]]
         cols = np.empty(2 * len(k), dtype=np.intp)
         cols[upper], cols[lower] = j, i
-        return indptr, cols, np.stack((upper, lower))
+        slots = np.stack((upper, lower))
+        for a in (indptr, cols, slots):  # shared by every graph built from this deployment
+            a.flags.writeable = False
+        return indptr, cols, slots
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,12 +304,6 @@ def generate_deployment(
     triple spans a triangle of area > ANCHOR_AREA_MIN (keeps the baseline
     linear system well-conditioned), and every node reaches every anchor
     through the connectivity graph.
-
-    Attempt t is the t-th (n, 2) uniform draw of the stream, as if drawn one
-    at a time; the attempts are drawn in blocks of 1, 2, 4, ... by one
-    ``rng.uniform`` call each, and each block's anchors are checked in one
-    pass. So a ``Generator`` passed as ``seed`` may be left past the
-    accepted attempt.
     """
     if n_anchors < 3:
         raise ValueError("at least 3 anchors required")
@@ -320,23 +316,18 @@ def generate_deployment(
     pi, pj = np.triu_indices(n_anchors, 1)  # every anchor pair
     ti, tj, tk = np.array(list(itertools.combinations(range(n_anchors), 3))).T
 
-    tried, block = 0, 1
-    while tried < max_attempts:
-        block = min(block, max_attempts - tried)
-        draws = rng.uniform((0.0, 0.0), (width, height), size=(block, n_total, 2))
-        x, y = draws[:, :n_anchors, 0], draws[:, :n_anchors, 1]
-        dx, dy = x[:, pi] - x[:, pj], y[:, pi] - y[:, pj]
-        near = libm(math.hypot, dx.ravel(), dy.ravel()).reshape(dx.shape) <= comm_range
+    for _ in range(max_attempts):
+        coords = rng.uniform((0.0, 0.0), (width, height), size=(n_total, 2))
+        x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
+        if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
+            continue
         # twice the signed area of each anchor triangle
-        cross = (x[:, tj] - x[:, ti]) * (y[:, tk] - y[:, ti]) - (x[:, tk] - x[:, ti]) * (
-            y[:, tj] - y[:, ti])
-        thin = np.abs(cross) / 2.0 <= ANCHOR_AREA_MIN
-        for t in np.flatnonzero(~(near.any(axis=1) | thin.any(axis=1))).tolist():
-            dep = Deployment(width, height, draws[t], anchor_ids, comm_range)
-            if _components_ok(dep):  # computes dep.links and dep._csr, which build_graph reads
-                return dep
-        tried += block
-        block *= 2
+        cross = (x[tj] - x[ti]) * (y[tk] - y[ti]) - (x[tk] - x[ti]) * (y[tj] - y[ti])
+        if (np.abs(cross) / 2.0 <= ANCHOR_AREA_MIN).any():
+            continue
+        dep = Deployment(width, height, coords, anchor_ids, comm_range)
+        if _components_ok(dep):  # computes dep.links and dep._csr, which build_graph reads
+            return dep
     raise GenerationFailed(
         f"no valid deployment in {max_attempts} attempts "
         f"(area {width}x{height}, {n_unknown} unknown, {n_anchors} anchors, R={comm_range})"
@@ -411,8 +402,6 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     m, cols = g.matrix, g.edge_cols
     tight = dist[g.edge_rows] + m.data == dist[cols]
     n_tight = np.bincount(cols[tight], minlength=g.node_count)
-    if n_tight.max() < 2:
-        return
     ties = np.flatnonzero(n_tight >= 2)
     ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
     if not ties.size:
