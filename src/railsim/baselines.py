@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, first_max, first_min
+from .geometry import Point
 
 DET_TOL = 1e-9
 
@@ -33,10 +33,10 @@ def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: fl
     inverted; the flag records that situation.
     """
     reach = hops * comm_range
-    x_min = first_max(*(x - r for x, r in zip(ax, reach)))
-    x_max = first_min(*(x + r for x, r in zip(ax, reach)))
-    y_min = first_max(*(y - r for y, r in zip(ay, reach)))
-    y_max = first_min(*(y + r for y, r in zip(ay, reach)))
+    x_min = (ax[:, None] - reach).max(axis=0)
+    x_max = (ax[:, None] + reach).min(axis=0)
+    y_min = (ay[:, None] - reach).max(axis=0)
+    y_max = (ay[:, None] + reach).min(axis=0)
     inverted = (x_min > x_max) | (y_min > y_max)
     return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, inverted
 

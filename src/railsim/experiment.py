@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import first_max, first_min, libm
+from .geometry import libm
 from .network import (
     Deployment,
     GenerationFailed,
@@ -51,28 +52,37 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALL_ALGORITHMS
 
     def __post_init__(self):
-        if self.runs_per_density < 1:
-            raise ValueError("runs_per_density must be >= 1")
-        if not self.densities:
-            raise ValueError("densities must be non-empty")
-        if min(self.densities) < 1:
-            raise ValueError("densities must be >= 1")
-        if self.n_anchors < 3:
-            raise ValueError("n_anchors must be >= 3")
-        # written as `not > 0` so that NaN is rejected too
-        if not (self.width > 0 and self.height > 0 and self.comm_range > 0):
-            raise ValueError("width, height and comm_range must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
-        unknown = set(self.algorithms) - set(ALL_ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        def whole(x, low):  # an int, not a bool, >= low
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= low
+
+        def distinct(xs):
+            return len(set(xs)) == len(xs)
+
+        # isfinite rejects NaN too; an infinite sigma would hang the
+        # shortest-path tie resolution
+        rules = {
+            "n_anchors": (whole(self.n_anchors, 3), "an integer >= 3"),
+            "runs_per_density": (whole(self.runs_per_density, 1), "an integer >= 1"),
+            "base_seed": (whole(self.base_seed, 0), "an integer >= 0"),
+            "densities": (bool(self.densities) and all(whole(d, 1) for d in self.densities)
+                          and distinct(self.densities), "distinct integers >= 1"),
+            "width": (math.isfinite(self.width) and self.width > 0, "finite and > 0"),
+            "height": (math.isfinite(self.height) and self.height > 0, "finite and > 0"),
+            "comm_range": (math.isfinite(self.comm_range) and self.comm_range > 0,
+                           "finite and > 0"),
+            "sigma": (math.isfinite(self.sigma) and self.sigma >= 0, "finite and >= 0"),
+            "algorithms": (set(self.algorithms) <= set(ALL_ALGORITHMS)
+                           and distinct(self.algorithms), f"distinct names from {ALL_ALGORITHMS}"),
+        }
+        for name, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         kwargs = dict(d)
         if "densities" in kwargs:
-            kwargs["densities"] = tuple(int(x) for x in kwargs["densities"])
+            kwargs["densities"] = tuple(kwargs["densities"])
         if "algorithms" in kwargs:
             kwargs["algorithms"] = tuple(kwargs["algorithms"])
         return cls(**kwargs)
@@ -128,7 +138,7 @@ def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
     All nodes are known to live inside the region, so estimates outside it
     are trimmed; applied uniformly to every algorithm.
     """
-    return first_min(first_max(x, 0.0), width), first_min(first_max(y, 0.0), height)
+    return np.clip(x, 0.0, width), np.clip(y, 0.0, height)
 
 
 def run_seed(base_seed: int, density: int, run_index: int) -> int:

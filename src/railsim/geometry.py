@@ -1,6 +1,6 @@
 """Exact 2D primitives: points, axis-aligned boxes and directed rays, plus
-the elementwise helpers the array passes use to reproduce scalar float
-arithmetic bit for bit.
+``libm``, which maps the C library's math functions over arrays so that the
+array passes reproduce scalar float arithmetic bit for bit.
 
 Everything here is pure value arithmetic; an empty box intersection is
 represented by ``None`` rather than an exception because noisy ranging can
@@ -18,32 +18,17 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def libm(fn: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
-    """``fn``, a scalar ``math`` function, applied elementwise to equal-length
-    1-D arrays.
+def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
+    """``fn``, a scalar ``math`` function, mapped over its broadcast
+    arguments; the result has their shape (0-d for scalars).
 
     numpy's SIMD acos, log10, hypot and power can differ from the C
     library's in the last bit on some CPUs, while the scalar code calls the
     C library; mapping it keeps array and scalar results identical.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
-
-
-def first_max(first, *rest) -> np.ndarray:
-    """Elementwise builtin ``max(first, *rest)``: among equal values (0.0
-    and -0.0) the earliest argument wins, as in the scalar code."""
-    out = first
-    for x in rest:
-        out = np.where(x > out, x, out)
-    return out
-
-
-def first_min(first, *rest) -> np.ndarray:
-    """Elementwise builtin ``min(first, *rest)``; see ``first_max``."""
-    out = first
-    for x in rest:
-        out = np.where(x < out, x, out)
-    return out
+    arrays = np.broadcast_arrays(*arrays)
+    flat = (a.ravel().tolist() for a in arrays)
+    return np.fromiter(map(fn, *flat), float, arrays[0].size).reshape(arrays[0].shape)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@ error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets, and ``localize_all`` runs
-them in order: ``_boxes`` (with ``_squares`` for the empty-box fallback),
-``_per_hop_errors``, ``_angles``, ``_ray_directions`` and ``_locate``.
-``corrected_angle`` is the one scalar entry point, a one-row call of the
-angle formula. Transcendentals go through ``geometry.libm`` and every
-expression keeps the scalar operand order, so the passes give the results of
-the per-target scalar formulas bit for bit.
+them in order: ``_per_hop_errors``, ``_boxes``, ``_angles``,
+``_ray_directions`` and ``_locate``. ``corrected_angle`` is the one scalar
+entry point, a 0-d call of the angle formula. Transcendentals go through
+``geometry.libm`` and every expression keeps the scalar operand order, so
+the passes give the results of the per-target scalar formulas bit for bit.
+Max, min, clip and argmin need no such care: they return one of their
+finite operands exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, AABox, Point, Ray, first_max, first_min, libm
+from .geometry import DEFAULT_TOL, AABox, Point, Ray, libm
 from .network import Deployment, NetworkGraph, Unreachable, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
+# row i: the two members of an anchor triple other than i, in id order
+OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
+PAIRS = np.triu_indices(3, 1)  # the pairs (0, 1), (0, 2), (1, 2) as (i, j)
 
 
 class DegenerateGeometry(Exception):
@@ -117,19 +121,18 @@ class RailResults(Mapping):
         return _inside(self.box, x, y)
 
 
-def _squares(x, y, sd) -> np.ndarray:
-    """The squares of half-width sd around (x, y), elementwise, stacked as
-    (x_min, x_max, y_min, y_max)."""
-    return np.stack((x - sd, x + sd, y - sd, y + sd))
-
-
 def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the intersection of the anchor squares of half-width sd
-    around (ax, ay) (rows: anchors), as (4, m) bounds, and where it is empty.
+    around (ax, ay) (rows: anchors), as (4, m) bounds, and where it is empty;
+    an empty box falls back to the square of the first anchor with the
+    smallest sd.
     """
-    x_min, x_max, y_min, y_max = _squares(ax, ay, sd)
-    box = np.stack((first_max(*x_min), first_min(*x_max), first_max(*y_min), first_min(*y_max)))
-    return box, (box[0] > box[1]) | (box[2] > box[3])
+    squares = np.stack((ax - sd, ax + sd, ay - sd, ay + sd))
+    x_min, x_max, y_min, y_max = squares
+    box = np.stack((x_min.max(axis=0), x_max.min(axis=0), y_min.max(axis=0), y_max.min(axis=0)))
+    empty = (box[0] > box[1]) | (box[2] > box[3])
+    fallback = squares[:, np.argmin(sd, axis=0), np.arange(sd.shape[1])]
+    return np.where(empty, fallback, box), empty
 
 
 def _per_hop_errors(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray, hops: np.ndarray) -> np.ndarray:
@@ -138,22 +141,21 @@ def _per_hop_errors(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray, hops: np.nda
     clamped at 0. Anchors (ax, ay) are (3, m) in id order; the pairwise SDs
     and hop counts are (3, m) in (01, 02, 12) order.
     """
-    pairs = ((0, 1), (0, 2), (1, 2))
     hop_sum = hops[0] + hops[1] + hops[2]
     if (hop_sum == 0).any():
         raise ValueError("anchor pair with zero hop count")
-    # the true sides, as geometry.distance takes them
-    true = [libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j]) for i, j in pairs]
-    return first_max((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
+    i, j = PAIRS
+    true = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    return np.maximum((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
 
 
 def _corrected_angles(a, b, c, e, hops_a, hops_b, hops_c) -> np.ndarray:
-    """Elementwise ``corrected_angle``."""
-    ac = np.where(hops_a >= 2, first_max(a - e * hops_a, MIN_SIDE), first_max(a, MIN_SIDE))
-    bc = np.where(hops_b >= 2, first_max(b - e * hops_b, MIN_SIDE), first_max(b, MIN_SIDE))
-    cc = np.where(hops_c >= 2, first_max(c - e * hops_c, MIN_SIDE), first_max(c, 0.0))
+    """``corrected_angle`` over arrays."""
+    ac = np.maximum(np.where(hops_a >= 2, a - e * hops_a, a), MIN_SIDE)
+    bc = np.maximum(np.where(hops_b >= 2, b - e * hops_b, b), MIN_SIDE)
+    cc = np.where(hops_c >= 2, np.maximum(c - e * hops_c, MIN_SIDE), np.maximum(c, 0.0))
     cos = (ac * ac + bc * bc - cc * cc) / (2.0 * ac * bc)
-    return libm(math.acos, first_min(1.0, first_max(-1.0, cos)))
+    return libm(math.acos, np.clip(cos, -1.0, 1.0))
 
 
 def corrected_angle(
@@ -165,9 +167,7 @@ def corrected_angle(
     at MIN_SIDE; the cosine argument is clamped to [-1, 1] so violated
     triangle inequalities map to 0 or pi.
     """
-    sides = (np.array([v], dtype=float) for v in (a, b, c, e))
-    hops = (np.array([h]) for h in (hops_a, hops_b, hops_c))
-    return float(_corrected_angles(*sides, *hops)[0])
+    return float(_corrected_angles(float(a), float(b), float(c), float(e), hops_a, hops_b, hops_c))
 
 
 class _Forest(NamedTuple):
@@ -250,47 +250,38 @@ def _rotate(dx, dy, theta):
 
 
 def _angle_between(ax, ay, bx, by):
-    return libm(math.acos, first_min(1.0, first_max(-1.0, ax * bx + ay * by)))
+    return libm(math.acos, np.clip(ax * bx + ay * by, -1.0, 1.0))
 
 
-def _unit(ax, ay, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the unit vector from anchor i to anchor j."""
-    d = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+def _unit(ax, ay, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the unit vector from each anchor i to anchor ``to[i]``."""
+    d = libm(math.hypot, ax - ax[to], ay - ay[to])  # geometry.distance
     if (d == 0).any():
         raise DegenerateGeometry("coincident anchors")
-    return (ax[j] - ax[i]) / d, (ay[j] - ay[i]) / d
+    return (ax[to] - ax) / d, (ay[to] - ay) / d
 
 
-def _others(i: int) -> tuple[int, int]:
-    """The two triple members other than i, in order."""
-    return tuple(x for x in range(3) if x != i)
-
-
-def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta: dict) -> tuple[np.ndarray, np.ndarray]:
+def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta_j: np.ndarray,
+                    theta_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the unit direction of each anchor's ray toward the target:
-    anchors (ax, ay) of shape (3, m) in id order, ``theta[(i, j)]`` the
-    estimated angle at anchor i between anchor j and the target.
+    anchors (ax, ay) of shape (3, m) in id order; for anchor i with other
+    anchors j < k (``OTHERS[i]``), ``theta_j[i]`` and ``theta_k[i]`` are the
+    estimated angles at i between the target and j, and k.
 
-    Anchor i's baseline to j (the lower-id other anchor) is rotated by
-    theta[(i, j)], counterclockwise or clockwise, whichever candidate's angle
-    to the direction i -> k is closer to theta[(i, k)] (ties go
-    counterclockwise).
+    Anchor i's baseline to j is rotated by theta_j, counterclockwise or
+    clockwise, whichever candidate's angle to the direction i -> k is closer
+    to theta_k (ties go counterclockwise).
     """
-    out = []
-    for i in range(3):
-        j, k = _others(i)
-        bx, by = _unit(ax, ay, i, j)
-        kx, ky = _unit(ax, ay, i, k)
-        ccw = _rotate(bx, by, theta[(i, j)])
-        cw = _rotate(bx, by, -theta[(i, j)])
-        err_ccw = np.abs(_angle_between(*ccw, kx, ky) - theta[(i, k)])
-        err_cw = np.abs(_angle_between(*cw, kx, ky) - theta[(i, k)])
-        pick = err_ccw <= err_cw
-        dx, dy = np.where(pick, ccw[0], cw[0]), np.where(pick, ccw[1], cw[1])
-        norm = libm(math.hypot, dx, dy)  # make_ray's normalisation
-        out.append((dx / norm, dy / norm))
-    dx, dy = zip(*out)
-    return np.array(dx), np.array(dy)
+    bx, by = _unit(ax, ay, OTHERS[:, 0])
+    kx, ky = _unit(ax, ay, OTHERS[:, 1])
+    ccw = _rotate(bx, by, theta_j)
+    cw = _rotate(bx, by, -theta_j)
+    err_ccw = np.abs(_angle_between(*ccw, kx, ky) - theta_k)
+    err_cw = np.abs(_angle_between(*cw, kx, ky) - theta_k)
+    pick = err_ccw <= err_cw
+    dx, dy = np.where(pick, ccw[0], cw[0]), np.where(pick, ccw[1], cw[1])
+    norm = libm(math.hypot, dx, dy)  # make_ray's normalisation
+    return dx / norm, dy / norm
 
 
 def _inside(box: np.ndarray, x, y) -> np.ndarray:
@@ -306,39 +297,24 @@ def _locate(box: np.ndarray, rays):
     """
     tol = DEFAULT_TOL
     ox, oy, dx, dy = rays
-    n_rays, m = ox.shape
-    pairs = [(i, j) for i in range(n_rays) for j in range(i + 1, n_rays)]
-    hx, hy, hit = [], [], []
-    for i, j in pairs:
-        # geometry.ray_pair_intersection, elementwise
-        det = dx[i] * dy[j] - dy[i] * dx[j]
-        sx, sy = ox[j] - ox[i], oy[j] - oy[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (sx * dy[j] - sy * dx[j]) / det
-            t2 = (sx * dy[i] - sy * dx[i]) / det
-        ok = ~(np.abs(det) <= tol) & ~(t1 < -tol) & ~(t2 < -tol)
-        t1 = np.where(ok, t1, 0.0)
-        hx.append(ox[i] + t1 * dx[i])
-        hy.append(oy[i] + t1 * dy[i])
-        hit.append(ok)
-    shape = (len(pairs), m)
-    hx, hy = np.array(hx, dtype=float).reshape(shape), np.array(hy, dtype=float).reshape(shape)
-    hit = np.array(hit, dtype=bool).reshape(shape)
+    # geometry.ray_pair_intersection for every pair (i, j), i < j
+    i, j = np.triu_indices(len(ox), 1)
+    det = dx[i] * dy[j] - dy[i] * dx[j]
+    sx, sy = ox[j] - ox[i], oy[j] - oy[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (sx * dy[j] - sy * dx[j]) / det
+        t2 = (sx * dy[i] - sy * dx[i]) / det
+    hit = ~(np.abs(det) <= tol) & ~(t1 < -tol) & ~(t2 < -tol)
+    t1 = np.where(hit, t1, 0.0)
+    hx, hy = ox[i] + t1 * dx[i], oy[i] + t1 * dy[i]
     inside = hit & _inside(box, hx, hy)
     n_inside = inside.sum(axis=0)
 
-    # case 1: centroid of the inside points, summed in order from 0 as
-    # geometry.centroid does; case 2: the one inside point
-    sum_x, sum_y = np.zeros(m), np.zeros(m)
-    one_x, one_y = np.zeros(m), np.zeros(m)
-    for q in range(len(hit)):
-        sum_x = np.where(inside[q], sum_x + hx[q], sum_x)
-        sum_y = np.where(inside[q], sum_y + hy[q], sum_y)
-        one_x = np.where(inside[q], hx[q], one_x)
-        one_y = np.where(inside[q], hy[q], one_y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(n_inside >= 2, sum_x / n_inside, one_x)
-        y = np.where(n_inside >= 2, sum_y / n_inside, one_y)
+    # cases 1 and 2: the centroid of the inside points, summed in pair order
+    # as geometry.centroid does (one point divided by 1 is itself)
+    share = np.maximum(n_inside, 1)
+    x = np.where(inside, hx, 0.0).sum(axis=0) / share
+    y = np.where(inside, hy, 0.0).sum(axis=0) / share
     case = np.where(n_inside >= 2, MULTI, SINGLE)
 
     # case 4: no intersection at all, the box center
@@ -348,23 +324,16 @@ def _locate(box: np.ndarray, rays):
     y[none] = ((box[2] + box[3]) / 2.0)[none]
 
     # case 3: all intersections outside, the nearest one projected onto the
-    # box (the first of equally near ones)
+    # box (argmin keeps the first of equally near ones)
     out = np.flatnonzero((n_inside == 0) & ~none)
-    if out.size:
-        b = box[:, out]
-        best = np.full(out.size, math.inf)
-        near_x, near_y = np.zeros(out.size), np.zeros(out.size)
-        for q in range(len(hit)):
-            px, py = hx[q, out], hy[q, out]
-            gap = libm(math.hypot,
-                       first_max(b[0] - px, 0.0, px - b[1]),
-                       first_max(b[2] - py, 0.0, py - b[3]))
-            closer = hit[q, out] & (gap < best)
-            best = np.where(closer, gap, best)
-            near_x, near_y = np.where(closer, px, near_x), np.where(closer, py, near_y)
-        case[out] = ALL_OUTSIDE
-        x[out] = first_min(first_max(near_x, b[0]), b[1])
-        y[out] = first_min(first_max(near_y, b[2]), b[3])
+    b, px, py = box[:, out], hx[:, out], hy[:, out]
+    gap = libm(math.hypot,  # geometry.box_distance
+               np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),
+               np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))
+    near = np.argmin(np.where(hit[:, out], gap, math.inf), axis=0), np.arange(out.size)
+    case[out] = ALL_OUTSIDE
+    x[out] = np.clip(px[near], b[0], b[1])
+    y[out] = np.clip(py[near], b[2], b[3])
     return x, y, case, (hx, hy, hit)
 
 
@@ -388,29 +357,20 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     # one per-hop error per distinct triple
     triples, which = np.unique(nearest, axis=1, return_inverse=True)
     ends = anchors.ids[triples]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    e = _per_hop_errors(
-        dep.coords[ends, 0], dep.coords[ends, 1],
-        np.array([anchors.dist[triples[i], ends[j]] for i, j in pairs]),
-        np.array([anchors.hops[triples[i], ends[j]] for i, j in pairs]),
-    )[which.ravel()]
+    i, j = PAIRS
+    e = _per_hop_errors(dep.coords[ends, 0], dep.coords[ends, 1],
+                        anchors.dist[triples[i], ends[j]],
+                        anchors.hops[triples[i], ends[j]])[which.ravel()]
 
     ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
-    sd = anchors.dist[nearest, targets]
-    box, empty = _boxes(ax, ay, sd)
-    # empty box: fall back to the square of the anchor with the smallest SD
-    best = np.argmin(sd, axis=0)
-    cols = np.arange(m)
-    box = np.where(empty, _squares(ax[best, cols], ay[best, cols], sd[best, cols]), box)
+    box = _boxes(ax, ay, anchors.dist[nearest, targets])[0]
 
-    # the six (anchor i, reference anchor j) angle items of every target,
-    # stacked in key order
-    keys = [(i, j) for i in range(3) for j in _others(i)]
-    at, ref = (np.array(side) for side in zip(*keys))
+    # the six angle items of every target, at anchor i toward OTHERS[i, 0]
+    # and OTHERS[i, 1], stacked as (anchor, other, target)
+    at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
     theta = _angles(g, anchors, nearest[at].ravel(), chosen[ref].ravel(),
-                    np.tile(targets, len(keys)), np.tile(e, len(keys)))[0]
-    theta = dict(zip(keys, theta.reshape(len(keys), m)))
-    ray_dx, ray_dy = _ray_directions(ax, ay, theta)
+                    np.tile(targets, 6), np.tile(e, 6))[0].reshape(3, 2, m)
+    ray_dx, ray_dy = _ray_directions(ax, ay, theta[:, 0], theta[:, 1])
     rays = (ax, ay, ray_dx, ray_dy)
     x, y, case, hits = _locate(box, rays)
     return RailResults(targets, x, y, case, box, rays, hits)

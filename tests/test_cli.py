@@ -43,6 +43,9 @@ class TestRun:
 
     @pytest.mark.parametrize("bad", [
         {"n_anchors": 2}, {"sigma": -1}, {"comm_range": 0}, {"densities": [0]},
+        {"n_anchors": 3.5}, {"runs_per_density": 1.5}, {"base_seed": 1.5},
+        {"base_seed": -1}, {"densities": [20.7]}, {"densities": [True]},
+        {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):

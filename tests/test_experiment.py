@@ -85,6 +85,19 @@ class TestBasics:
             {"comm_range": math.nan},
             {"sigma": -1.0},
             {"densities": (100, 0)},
+            {"n_anchors": 3.5},
+            {"runs_per_density": 1.5},
+            {"base_seed": 1.5},
+            {"base_seed": -1},
+            {"densities": (20.7,)},
+            {"densities": (True,)},
+            {"width": math.inf},
+            {"height": math.nan},
+            {"comm_range": math.inf},
+            {"sigma": math.inf},
+            {"sigma": math.nan},
+            {"densities": (100, 100)},
+            {"algorithms": ("RAIL", "RAIL")},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)

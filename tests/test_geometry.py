@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,12 +14,26 @@ from railsim.geometry import (
     contains,
     distance,
     intersect_boxes,
+    libm,
     make_ray,
     project_onto_box,
     ray_pair_intersection,
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def test_libm_keeps_shape():
+    # any shape maps like the flat 1-D call, scalars broadcast and 0-d stays 0-d
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-5, 5, size=(2, 3, 4))
+    flat = np.array([math.hypot(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())])
+    assert (libm(math.hypot, x, y) == flat.reshape(3, 4)).all()
+    powers = [math.pow(10.0, v) for v in x.ravel().tolist()]
+    assert (libm(math.pow, 10.0, x) == np.reshape(powers, (3, 4))).all()
+    scalar = libm(math.log10, 7.0)
+    assert scalar.shape == () and scalar == math.log10(7.0)
+    assert libm(math.acos, np.array(0.3)).shape == ()
 
 
 def test_point_rejects_nan():

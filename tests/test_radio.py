@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,10 @@ def test_model_validation():
         PathLossModel(n_exp=-1.0)
     with pytest.raises(ValueError):
         PathLossModel(sigma=-0.1)
+    for bad in ({"sigma": math.inf}, {"sigma": math.nan}, {"rssi_d0": -math.inf},
+                {"d0": math.inf}, {"n_exp": math.nan}):
+        with pytest.raises(ValueError):
+            PathLossModel(**bad)
 
 
 def test_rssi_at_reference():

@@ -28,7 +28,6 @@ from railsim.rail import (
     _locate,
     _per_hop_errors,
     _ray_directions,
-    _squares,
     corrected_angle,
     localize_all,
 )
@@ -56,7 +55,9 @@ class TestBoundingBox:
         assert not empty[0]
 
     def test_single_anchor_square(self):
-        assert _squares(0.0, 0.0, 5.0).tolist() == [-5, 5, -5, 5]
+        box, empty = _boxes(column(0), column(0), column(5))
+        assert box[:, 0].tolist() == [-5, 5, -5, 5]
+        assert not empty[0]
 
     def test_contains_truth_when_noise_free(self):
         for seed in range(5):
@@ -163,27 +164,26 @@ class TestBuildRays:
     ax, ay = column(0, 10, 0), column(0, 0, 10)
 
     def _angles(self, th_01, th_02, rest=math.pi / 4):
-        angles = {(i, j): column(rest)[0] for i in range(3) for j in range(3) if i != j}
-        angles[(0, 1)] = column(th_01)[0]
-        angles[(0, 2)] = column(th_02)[0]
-        return angles
+        """(theta_j, theta_k): anchor 0's angles toward anchors 1 and 2 are
+        th_01 and th_02, every other angle is ``rest``."""
+        return column(th_01, rest, rest), column(th_02, rest, rest)
 
     def test_disambiguation_picks_matching_candidate(self):
-        dx, dy = _ray_directions(self.ax, self.ay, self._angles(math.pi / 4, math.pi / 4))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 4, math.pi / 4))
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
 
     def test_zero_angle_along_baseline(self):
-        dx, dy = _ray_directions(self.ax, self.ay, self._angles(0.0, math.pi / 2))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(0.0, math.pi / 2))
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((1.0, 0.0))
 
     def test_right_angle_toward_disambiguator(self):
-        dx, dy = _ray_directions(self.ax, self.ay, self._angles(math.pi / 2, 0.0))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 2, 0.0))
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((0.0, 1.0))
 
     def test_scale_invariance(self):
         a = self._angles(1.1, 0.6)
-        dx1, dy1 = _ray_directions(self.ax, self.ay, a)
-        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, a)
+        dx1, dy1 = _ray_directions(self.ax, self.ay, *a)
+        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, *a)
         for r in range(3):
             assert (dx1[r, 0], dy1[r, 0]) == pytest.approx((dx2[r, 0], dy2[r, 0]))
 
@@ -216,6 +216,24 @@ class TestPreciseLocation:
         x, y, case = locate([(self.box, [r1, r2, r3])])
         assert case[0] == SINGLE
         assert (x[0], y[0]) == pytest.approx((7, 3))
+
+    def test_single_in_box_exact(self):
+        r1 = make_ray(Point(-1.3, 2.9), 1, 0.37)
+        r2 = make_ray(Point(7.1, -1.7), -0.21, 1)
+        r3 = make_ray(Point(30, 0), 0, 1)     # misses r2, crosses r1 out of the box
+        hit = geometry.ray_pair_intersection(r1, r2)
+        x, y, case = locate([(self.box, [r1, r2, r3])])
+        assert case[0] == SINGLE
+        assert (x[0], y[0]) == (hit.x, hit.y)
+
+    def test_all_outside_tie_projects_first_pair(self):
+        # pairs (0, 1) and (0, 2) meet at (12, 3) and (12, 7), both exactly
+        # 2 m from the box; rays 1 and 2 are parallel
+        r0 = make_ray(Point(12, -1), 0, 1)
+        low, high = make_ray(Point(20, 3), -1, 0), make_ray(Point(20, 7), -1, 0)
+        x, y, case = locate([(self.box, [r0, low, high]), (self.box, [r0, high, low])])
+        assert case.tolist() == [ALL_OUTSIDE, ALL_OUTSIDE]
+        assert (x.tolist(), y.tolist()) == ([10, 10], [3, 7])
 
     def test_all_outside_projects_nearest(self):
         r1 = make_ray(Point(11, 5), 1, 0)
