@@ -37,6 +37,10 @@ from .network import (
 from .radio import PathLossModel
 
 ALL_ALGORITHMS = ("RAIL", "MinMax", "RssiDvHop")
+# the largest accepted shadowing sigma (dB). Far above any measured channel,
+# and far below the thousands of dB at which a draw overflows the path-loss
+# inverse's 10 ** exponent
+SIGMA_MAX_DB = 100.0
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class ExperimentConfig:
         def distinct(xs):
             return len(set(xs)) == len(xs)
 
-        # isfinite rejects NaN too; an infinite sigma would hang the
-        # shortest-path tie resolution
+        # isfinite and the sigma range reject NaN too; an infinite sigma
+        # would hang the shortest-path tie resolution
         rules = {
             "n_anchors": (whole(self.n_anchors, 3), "an integer >= 3"),
             "runs_per_density": (whole(self.runs_per_density, 1), "an integer >= 1"),
@@ -70,7 +74,7 @@ class ExperimentConfig:
             "height": (math.isfinite(self.height) and self.height > 0, "finite and > 0"),
             "comm_range": (math.isfinite(self.comm_range) and self.comm_range > 0,
                            "finite and > 0"),
-            "sigma": (math.isfinite(self.sigma) and self.sigma >= 0, "finite and >= 0"),
+            "sigma": (0 <= self.sigma <= SIGMA_MAX_DB, f"in [0, {SIGMA_MAX_DB:g}] dB"),
             "algorithms": (set(self.algorithms) <= set(ALL_ALGORITHMS)
                            and distinct(self.algorithms), f"distinct names from {ALL_ALGORITHMS}"),
         }

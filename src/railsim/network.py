@@ -1,7 +1,8 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
 edge weights, and multi-hop queries: the shortest-path trees of a batch of
-sources from one scipy call (``dijkstra_trees``) and one minimum-hop flooding
-tree (``hop_tree_ranging``).
+sources from one scipy call (``dijkstra_trees``), the hop counts of chosen
+nodes in such trees (``tree_hops``) and one minimum-hop flooding tree
+(``hop_tree_ranging``).
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
@@ -167,6 +168,12 @@ class NetworkGraph:
     built on first use. Parallel entries, which only the adjacency
     constructor can make, come smallest weight first. ``edge_rows`` and
     ``edge_cols`` give the tail and head node of each CSR entry.
+
+    ``_links`` (tails, heads, weights) lists the entries once for the
+    shortest-path tie count: every entry for a graph from the adjacency
+    constructor, whose rows may be asymmetric or hold parallel entries;
+    one link per in-range pair for ``build_graph``, where ``_mirrored``
+    says each link also stands for its reverse entry.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
@@ -178,13 +185,17 @@ class NetworkGraph:
         order = np.lexsort((weights, tails * n + heads))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
         self._set_csr(indptr, heads[order], weights[order])
+        self._links = (self.edge_rows, self.edge_cols, self.matrix.data)
+        self._mirrored = False
 
     @classmethod
-    def _from_csr(cls, indptr: np.ndarray, cols: np.ndarray,
-                  weights: np.ndarray) -> "NetworkGraph":
-        """The graph of a CSR layout whose rows are sorted by column."""
+    def _symmetric(cls, indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                   links: tuple[np.ndarray, np.ndarray, np.ndarray]) -> "NetworkGraph":
+        """The graph of a symmetric CSR layout whose rows are sorted by
+        column; ``links`` (i, j, weight) holds each pair's entries once."""
         g = cls.__new__(cls)
         g._set_csr(indptr, cols, weights)
+        g._links, g._mirrored = links, True
         return g
 
     def _set_csr(self, indptr, cols, weights) -> None:
@@ -218,6 +229,15 @@ class NetworkGraph:
     def edge_weight(self, u: int, v: int) -> Optional[float]:
         found, pos = self.edge_index(u, v)
         return float(self.matrix.data[pos]) if found else None
+
+    def _tight_count(self, dist: np.ndarray) -> int:
+        """How many CSR entries u -> v of weight w have dist[u] + w == dist[v]."""
+        u, v, w = self._links
+        du, dv = dist.take(u), dist.take(v)
+        count = np.count_nonzero(du + w == dv)
+        if self._mirrored:
+            count += np.count_nonzero(dv + w == du)
+        return count
 
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
@@ -317,7 +337,8 @@ def generate_deployment(
     ti, tj, tk = np.array(list(itertools.combinations(range(n_anchors), 3))).T
 
     for _ in range(max_attempts):
-        coords = rng.uniform((0.0, 0.0), (width, height), size=(n_total, 2))
+        # the bits of rng.uniform((0, 0), (width, height)), which adds 0.0
+        coords = rng.random((n_total, 2)) * (width, height)
         x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
         if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
             continue
@@ -362,7 +383,8 @@ def build_graph(
     indptr, cols, slots = dep._csr
     weights = np.empty(len(cols))
     weights[slots] = est  # each link's weight in its two entries
-    return NetworkGraph._from_csr(indptr, cols, weights)
+    # contiguous link ends: the tie count gathers with them once per tree
+    return NetworkGraph._symmetric(indptr, cols, weights, (i.copy(), j.copy(), est))
 
 
 def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
@@ -376,7 +398,8 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
 def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Hop count of every node in each row's tree given by pred (-1 off the
     tree; row r rooted at sources[r]) by pointer jumping over the flattened
-    rows: each pass doubles how far every node has looked up.
+    rows: each pass doubles how far every node has looked up. Where nearly
+    every node is read, this beats ``tree_hops``.
     """
     k, n = pred.shape
     flat = pred.ravel()
@@ -394,11 +417,44 @@ def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return hops
 
 
+def tree_hops(pred: np.ndarray, sources, rows, nodes) -> np.ndarray:
+    """Hop count of node ``nodes[i]`` in the tree of row ``rows[i]`` of
+    ``pred``, rooted at ``sources[rows[i]]`` (rows and nodes broadcast
+    together), by walking pred toward the root; -1 for a node off its tree.
+
+    Each numpy pass moves every node one hop up, so the cost follows the
+    number of nodes read times the depth of the deepest one, not the size
+    of the trees as with ``_depths``.
+    """
+    k, n = pred.shape
+    end = k * n
+    flat = pred.ravel()
+    # each entry's parent as a position in ``flat``; a root or a node off
+    # its tree points at the sentinel ``end``, which points at itself
+    up = np.append(np.where(flat >= 0, flat + np.repeat(np.arange(0, end, n), n), end), end)
+    rows, nodes = np.broadcast_arrays(rows, nodes)
+    v = up[rows * n + nodes]
+    hops = np.zeros(v.shape, dtype=np.intp)
+    while (step := v < end).any():
+        hops += step
+        v = up[v]
+    hops[(hops == 0) & (nodes != np.asarray(sources)[rows])] = -1
+    return hops
+
+
 def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     """Re-resolve, in place, the pred of every node of one tree with two or
     more exact-tight predecessors to the one on the lexicographically
     smallest path; in increasing-distance order, so every candidate path is
-    already final."""
+    already final.
+
+    Dijkstra set each reached node's distance to ``dist[pred] + w``, so every
+    reached non-root node has at least one tight entry. When every node is
+    reached and the tree has n - 1 tight entries in all, each has exactly
+    one and there is no tie; one count over the links settles that.
+    """
+    if g._tight_count(dist) == g.node_count - 1 and np.isfinite(dist).all():
+        return
     m, cols = g.matrix, g.edge_cols
     tight = dist[g.edge_rows] + m.data == dist[cols]
     n_tight = np.bincount(cols[tight], minlength=g.node_count)
@@ -416,38 +472,38 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     pred[:] = pl
 
 
-def dijkstra_trees(
-    g: NetworkGraph, sources: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def dijkstra_trees(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Shortest paths from each source, from one scipy call; returns (dist,
-    pred, hops) arrays of shape (len(sources), n), row r for sources[r].
+    pred) arrays of shape (len(sources), n), row r for sources[r].
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
     Dijkstra runs each source on its own and accumulates ``dist[u] + w``
     exactly as a textbook one does, so only nodes with two or more
     exact-tight predecessors need their pred re-resolved, one row at a time.
-    Unreachable nodes have dist inf, pred and hops -1.
+    Unreachable nodes have dist inf and pred -1. ``_depths`` gives the hop
+    counts of every node, ``tree_hops`` those of the nodes a caller reads.
     """
     sources = np.asarray(sources, dtype=np.intp).reshape(-1)
     dist, p = dijkstra(g.matrix, indices=sources, return_predecessors=True)
     pred = np.where(p < 0, -1, p).astype(np.intp)
     for d, pr in zip(dist, pred):
         _resolve_ties(g, d, pr)
-    return dist, pred, _depths(pred, sources)
+    return dist, pred
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
     """Shortest estimated distances, hop counts and paths to each target,
     read from ``dijkstra_trees``.
     """
-    dist, pred, hops = (a[0] for a in dijkstra_trees(g, [source]))
-    pred = pred.tolist()
+    dist, pred = dijkstra_trees(g, [source])
+    hops = tree_hops(pred, [source], 0, list(targets)).tolist()
+    dist, pred = dist[0], pred[0].tolist()
     out = []
-    for t in targets:
+    for t, h in zip(targets, hops):
         if math.isinf(dist[t]):
             raise Unreachable(f"node {t} unreachable from {source}")
-        out.append(RangingResult(source, t, float(dist[t]), int(hops[t]), _reconstruct(pred, t)))
+        out.append(RangingResult(source, t, float(dist[t]), h, _reconstruct(pred, t)))
     return out
 
 

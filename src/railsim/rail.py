@@ -24,7 +24,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_TOL, AABox, Point, Ray, libm
-from .network import Deployment, NetworkGraph, Unreachable, dijkstra_trees
+from .network import (Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees,
+                      tree_hops)
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 # row i: the two members of an anchor triple other than i, in id order
@@ -172,7 +173,9 @@ def corrected_angle(
 
 class _Forest(NamedTuple):
     """The shortest-path trees of some sources, stacked as (sources, n)
-    arrays; row r belongs to node ``ids[r]``."""
+    arrays; row r belongs to node ``ids[r]``. The hop counts cover every
+    node, by ``_depths``: nearly all nodes are targets, and over whole
+    trees pointer jumping beats ``tree_hops``'s walk."""
 
     ids: np.ndarray
     dist: np.ndarray
@@ -182,7 +185,8 @@ class _Forest(NamedTuple):
     @classmethod
     def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
         ids = np.array(sources, dtype=np.intp)
-        return cls(ids, *dijkstra_trees(g, ids))
+        dist, pred = dijkstra_trees(g, ids)
+        return cls(ids, dist, pred, _depths(pred, ids))
 
 
 def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -234,13 +238,13 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     c_len[direct] = g.matrix.data[pos[direct]]
     c_hops[direct] = 1
     # same-hop nodes out of range of each other: fall back to their
-    # multi-hop shortest distance
+    # multi-hop shortest distance, whose hops are counted at node_b only
     far = np.flatnonzero(apart & ~found)
     if far.size:
         sources, side = np.unique(node_a[far], return_inverse=True)
-        dist, _, hops = dijkstra_trees(g, sources)
+        dist, pred = dijkstra_trees(g, sources)
         c_len[far] = dist[side, node_b[far]]
-        c_hops[far] = hops[side, node_b[far]]
+        c_hops[far] = tree_hops(pred, sources, side, node_b[far])
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 

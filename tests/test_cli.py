@@ -46,6 +46,7 @@ class TestRun:
         {"n_anchors": 3.5}, {"runs_per_density": 1.5}, {"base_seed": 1.5},
         {"base_seed": -1}, {"densities": [20.7]}, {"densities": [True]},
         {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
+        {"sigma": 3000},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):

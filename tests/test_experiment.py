@@ -8,6 +8,7 @@ import pytest
 
 from railsim import geometry
 from railsim.experiment import (
+    SIGMA_MAX_DB,
     ExperimentConfig,
     aggregate,
     clamp_all,
@@ -96,11 +97,21 @@ class TestBasics:
             {"comm_range": math.inf},
             {"sigma": math.inf},
             {"sigma": math.nan},
+            {"sigma": 100.5},
+            {"sigma": 3000.0},
             {"densities": (100, 100)},
             {"algorithms": ("RAIL", "RAIL")},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
+
+    def test_sigma_ceiling_runs(self):
+        # sigma in the thousands of dB overflowed the path-loss inverse mid
+        # sweep; the ceiling is accepted and every run scores finite errors
+        report = run_experiment(ExperimentConfig(densities=(60,), runs_per_density=3,
+                                                 sigma=SIGMA_MAX_DB))
+        for rec in report.records:
+            assert all(np.isfinite(errs).all() for errs in rec.errors.values())
 
     def test_config_json_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"

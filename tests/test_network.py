@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 import railsim
@@ -20,11 +20,15 @@ from railsim.network import (
     NetworkGraph,
     Unreachable,
     _components_ok,
+    _depths,
+    _reconstruct,
+    _resolve_ties,
     build_graph,
     dijkstra_trees,
     generate_deployment,
     hop_tree_ranging,
     shortest_ranging,
+    tree_hops,
 )
 from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
@@ -152,6 +156,38 @@ def random_connected_graph(rng, n_max=10):
     return graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
+def all_hops(pred, sources):
+    """``tree_hops`` of every node of every row."""
+    return tree_hops(pred, sources, np.arange(len(pred))[:, None], np.arange(pred.shape[1]))
+
+
+def resolve_ties_per_row(g, dist, pred):
+    """Oracle: ``network._resolve_ties`` before its tight-count shortcut.
+    Counts the tight entries of every node over all CSR entries, then
+    re-resolves each tied node to the predecessor on the lexicographically
+    smallest path, in increasing-distance order. Returns whether the row
+    had a tie."""
+    m, cols = g.matrix, g.edge_cols
+    tight = dist[g.edge_rows] + m.data == dist[cols]
+    n_tight = np.bincount(cols[tight], minlength=g.node_count)
+    ties = np.flatnonzero(n_tight >= 2)
+    ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
+    d, pl = dist.tolist(), pred.tolist()
+    bounds = m.indptr.tolist()
+    for v in ties[np.argsort(dist[ties], kind="stable")].tolist():
+        row = slice(bounds[v], bounds[v + 1])
+        nbrs = zip(cols[row].tolist(), m.data[row].tolist())
+        tight_preds = [u for u, w in nbrs if d[u] + w == d[v]]
+        pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
+    pred[:] = pl
+    return bool(ties.size)
+
+
+def noisy_graph(seed, n_unknown=194, n_anchors=6, sigma=4.0):
+    dep = generate_deployment(50, 50, n_unknown, n_anchors, 10, seed=seed)
+    return build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
+
+
 def _triangle_area(a: Point, b: Point, c: Point) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2.0
 
@@ -267,6 +303,8 @@ class TestGenerateDeployment:
         (80, 30, 40, 5, 10, 40),
         (50, 50, 40, 6, 10, 30),
         (40, 40, 60, 6, 10, 30),
+        (120, 30, 150, 3, 10, 20),
+        (50, 37.5, 60, 4, 10, 30),
     ])
     def test_matches_scalar_reference(self, width, height, n_unknown, n_anchors,
                                       comm_range, seeds):
@@ -581,7 +619,8 @@ class TestDijkstraTrees:
         )
         for g in graphs:
             n = g.node_count
-            dist, pred, hops = dijkstra_trees(g, range(n))
+            dist, pred = dijkstra_trees(g, range(n))
+            hops = all_hops(pred, range(n))
             assert dist.shape == pred.shape == hops.shape == (n, n)
             for s in range(n):
                 want = brute_force_shortest(g, s)
@@ -593,7 +632,8 @@ class TestDijkstraTrees:
 
     def test_disconnected_rows(self):
         g = graph_from_edges(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
-        dist, pred, hops = dijkstra_trees(g, [3, 0])
+        dist, pred = dijkstra_trees(g, [3, 0])
+        hops = all_hops(pred, [3, 0])
         assert dist.tolist() == [[math.inf, math.inf, 1.0, 0.0, 1.5],
                                  [0.0, 2.0, math.inf, math.inf, math.inf]]
         assert pred.tolist() == [[-1, -1, 3, -1, 3], [-1, 0, -1, -1, -1]]
@@ -604,12 +644,123 @@ class TestDijkstraTrees:
         # the smaller first hop: row 0 re-resolves node 3, row 1 node 7
         gadget = [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
         g = graph_from_edges(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
-        dist, pred, hops = dijkstra_trees(g, [0, 4])
+        dist, pred = dijkstra_trees(g, [0, 4])
+        hops = all_hops(pred, [0, 4])
         assert pred.tolist() == [[-1, 0, 1, 2, -1, -1, -1, -1],
                                  [-1, -1, -1, -1, -1, 4, 5, 6]]
         assert hops.tolist() == [[0, 1, 2, 3, -1, -1, -1, -1],
                                  [-1, -1, -1, -1, 0, 1, 2, 3]]
         assert dist[0, 3] == dist[1, 7] == 3.0
+
+
+class TestTieShortcut:
+    """A row whose tight entries number n - 1 skips the per-node tie count;
+    every row still gets the pred of the per-row loop."""
+
+    @staticmethod
+    def check_rows(g, sources):
+        """Both tie resolutions on scipy's trees of every source; returns
+        how many rows had a tie."""
+        dist, raw = dijkstra(g.matrix, indices=sources, return_predecessors=True)
+        raw = np.where(raw < 0, -1, raw).astype(np.intp)
+        tied = 0
+        for d, p in zip(dist, raw):
+            want, got = p.copy(), p.copy()
+            tied += resolve_ties_per_row(g, d, want)
+            _resolve_ties(g, d, got)
+            assert got.tolist() == want.tolist()
+            assert g._tight_count(d) == np.count_nonzero(
+                d[g.edge_rows] + g.matrix.data == d[g.edge_cols])
+        return tied
+
+    def test_rows_with_and_without_ties_in_one_batch(self):
+        # the gadget's direct edge 0-3 ties the detour 0-1-2-3: rows 0 and 3
+        # have a tie, rows 1 and 2 none
+        g = graph_from_edges(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        assert self.check_rows(g, [0, 1, 2, 3]) == 2
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = random_connected_graph(rng, n_max=20)
+            self.check_rows(g, range(g.node_count))
+        tied = rows = 0
+        for _ in range(100):
+            g = random_lattice(rng)
+            tied += self.check_rows(g, range(g.node_count))
+            rows += g.node_count
+        assert 0 < tied < rows
+
+    def test_noisy_and_exact_deployment_graphs(self):
+        # mirrored links: one per in-range pair stands for both entries
+        for seed in range(3):
+            self.check_rows(noisy_graph(seed), range(0, 200, 7))
+        dep = generate_deployment(50, 50, 200, 3, 10, seed=2)
+        self.check_rows(build_graph(dep, MODEL), range(0, 203, 5))
+
+    def test_parallel_and_asymmetric_entries(self):
+        # equal parallel entries make two tight entries into node 1 from one
+        # node; the smaller of two unequal ones is the only tight one
+        g = NetworkGraph([[(1, 2.0), (1, 2.0), (2, 1.0)], [(0, 2.0), (2, 1.0)],
+                          [(0, 1.0), (1, 1.0)]])
+        self.check_rows(g, [0, 1, 2])
+        g = NetworkGraph([[(1, 5.0), (1, 2.0)], [(0, 2.0), (2, 1.0)], [(1, 1.0)]])
+        self.check_rows(g, [0, 1, 2])
+        # asymmetric: 0 -> 1 -> 2 -> 0 and 0 -> 3 -> 2 one way, each row
+        # without ties from sources 1, 2 and 3
+        g = NetworkGraph([[(1, 1.0), (3, 1.0)], [(2, 1.0)], [(0, 1.0)], [(2, 1.0)]])
+        assert self.check_rows(g, [1, 2, 3]) == 0
+        # the gadget plus a one-way entry 0 -> 4: a tie in every row that
+        # reaches all nodes
+        gadget = [[(1, 1.0), (3, 3.0), (4, 5.0)], [(0, 1.0), (2, 1.0)],
+                  [(1, 1.0), (3, 1.0)], [(0, 3.0), (2, 1.0)], []]
+        assert self.check_rows(NetworkGraph(gadget), range(5)) == 2
+
+    def test_disconnected_graph(self):
+        # inf + w == inf is tight between unreached nodes, and an isolated
+        # node lowers the count: from 0 the gadget's tie plus the isolated
+        # node 4 give n - 1 tight entries, so the shortcut must also see
+        # that every node is reached
+        g = graph_from_edges(5, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        assert self.check_rows(g, range(5)) == 2
+        dist, pred = dijkstra_trees(g, [0])
+        assert tree_path(pred[0], 3) == (0, 1, 2, 3)
+        g = graph_from_edges(6, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 2, 1.0)])
+        self.check_rows(g, range(6))
+
+
+class TestTreeHops:
+    """Hop counts at the nodes read equal pointer jumping over whole rows
+    and the lengths of the reconstructed paths."""
+
+    @staticmethod
+    def check(g, sources, rng, reads):
+        dist, pred = dijkstra_trees(g, sources)
+        want = _depths(pred, np.asarray(sources))
+        rows = rng.integers(len(sources), size=reads)
+        nodes = rng.integers(g.node_count, size=reads)
+        got = tree_hops(pred, sources, rows, nodes)
+        assert got.tolist() == want[rows, nodes].tolist()
+        for r, v, h in zip(rows.tolist(), nodes.tolist(), got.tolist()):
+            if np.isfinite(dist[r, v]):
+                assert h == len(_reconstruct(pred[r].tolist(), v)) - 1
+        assert np.array_equal(all_hops(pred, sources), want)
+
+    def test_random_lattices(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            g = random_lattice(rng)
+            self.check(g, range(g.node_count), rng, 30)
+
+    def test_noisy_200_node_graphs(self):
+        rng = np.random.default_rng(32)
+        for seed in range(4):
+            g = noisy_graph(seed)
+            self.check(g, rng.choice(200, size=28, replace=False), rng, 560)
+
+    def test_off_the_tree_and_at_the_root(self):
+        g = graph_from_edges(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
+        _, pred = dijkstra_trees(g, [3, 0])
+        assert tree_hops(pred, [3, 0], [0, 0, 1, 1], [3, 0, 0, 4]).tolist() == [0, -1, 0, -1]
+        assert tree_hops(pred, [3, 0], 0, np.empty(0, dtype=int)).shape == (0,)
 
 
 class TestMinHops:

@@ -293,7 +293,14 @@ def reference_localize(dep, g):
 
     def tree(s):
         if s not in trees:
-            trees[s] = [a[0].tolist() for a in dijkstra_trees(g, [s])]
+            dist, pred = (a[0].tolist() for a in dijkstra_trees(g, [s]))
+            hops = []
+            for v in range(len(pred)):  # edges walked up to the root
+                h = 0
+                while pred[v] >= 0:
+                    v, h = pred[v], h + 1
+                hops.append(h)
+            trees[s] = dist, pred, hops
         return trees[s]
 
     def corrected(a, b, c, e, ha, hb, hc):
