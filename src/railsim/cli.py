@@ -46,6 +46,9 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        log.error("--workers must be >= 1, got %d", args.workers)
+        return 1
     try:
         cfg = _load_config(args.config, args.seed)
     except (OSError, ValueError, TypeError, KeyError) as exc:

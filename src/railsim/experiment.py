@@ -59,22 +59,25 @@ class ExperimentConfig:
         def whole(x, low):  # an int, not a bool, >= low
             return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= low
 
+        def finite(x):  # a finite real number, not a bool
+            return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
         def distinct(xs):
             return len(set(xs)) == len(xs)
 
-        # isfinite and the sigma range reject NaN too; an infinite sigma
-        # would hang the shortest-path tie resolution
+        # an infinite sigma would hang the shortest-path tie resolution
         rules = {
             "n_anchors": (whole(self.n_anchors, 3), "an integer >= 3"),
             "runs_per_density": (whole(self.runs_per_density, 1), "an integer >= 1"),
             "base_seed": (whole(self.base_seed, 0), "an integer >= 0"),
             "densities": (bool(self.densities) and all(whole(d, 1) for d in self.densities)
                           and distinct(self.densities), "distinct integers >= 1"),
-            "width": (math.isfinite(self.width) and self.width > 0, "finite and > 0"),
-            "height": (math.isfinite(self.height) and self.height > 0, "finite and > 0"),
-            "comm_range": (math.isfinite(self.comm_range) and self.comm_range > 0,
-                           "finite and > 0"),
-            "sigma": (0 <= self.sigma <= SIGMA_MAX_DB, f"in [0, {SIGMA_MAX_DB:g}] dB"),
+            "width": (finite(self.width) and self.width > 0, "a finite number > 0"),
+            "height": (finite(self.height) and self.height > 0, "a finite number > 0"),
+            "comm_range": (finite(self.comm_range) and self.comm_range > 0,
+                           "a finite number > 0"),
+            "sigma": (finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
+                      f"a number in [0, {SIGMA_MAX_DB:g}] dB"),
             "algorithms": (set(self.algorithms) <= set(ALL_ALGORITHMS)
                            and distinct(self.algorithms), f"distinct names from {ALL_ALGORITHMS}"),
         }
@@ -127,7 +130,6 @@ class ExperimentReport:
     config: ExperimentConfig
     mean_error: dict[tuple[str, int], float]
     std_error: dict[tuple[str, int], float]
-    run_series: dict[tuple[str, int], list[float]]
     records: list[RunRecord] = field(repr=False, default_factory=list)
 
 
@@ -228,18 +230,14 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
 
 
 def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> ExperimentReport:
-    """Pooled per-node mean and population std per (algorithm, density),
-    plus the per-run mean series.
-    """
+    """Pooled per-node mean and population std per (algorithm, density)."""
     if not records:
         raise ValueError("no run records to aggregate")
     records = sorted(records, key=lambda r: (r.density, r.run_index))
     pooled: dict[tuple[str, int], list[np.ndarray]] = {}
-    series: dict[tuple[str, int], list[float]] = {}
     for rec in records:
         for alg, errs in rec.errors.items():
             pooled.setdefault((alg, rec.density), []).append(errs)
-            series.setdefault((alg, rec.density), []).append(rec.run_mean_error[alg])
     pooled_errs = {k: np.concatenate(v) for k, v in pooled.items()}
     mean = {k: float(np.mean(v)) for k, v in pooled_errs.items()}
     std = {k: float(np.std(v)) for k, v in pooled_errs.items()}
@@ -247,7 +245,6 @@ def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> Experiment
         config=cfg,
         mean_error=mean,
         std_error=std,
-        run_series=series,
         records=list(records),
     )
 
@@ -255,6 +252,7 @@ def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> Experiment
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Execute the full (density x run) sweep; deterministic given cfg."""
     jobs = [(d, r) for d in cfg.densities for r in range(cfg.runs_per_density)]
+    n_workers = min(n_workers, len(jobs))  # the pool starts every worker at once
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(_run_single, *zip(*[(cfg, d, r) for d, r in jobs])))

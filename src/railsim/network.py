@@ -6,10 +6,12 @@ nodes in such trees (``tree_hops``) and one minimum-hop flooding tree
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
-per-node ``Point`` objects are built only when ``Deployment.nodes`` is read. A deployment finds its own in-range
-node pairs on a grid of cells (``Deployment.links``, sorted by (i, j)) and
-places them once in a symmetric CSR layout, which both the connectivity
-check and ``build_graph`` read.
+per-node ``Point`` objects are built only when ``Deployment.nodes`` is
+read. A deployment finds its own in-range node pairs on a grid of cells
+(``Deployment.links``, sorted by (i, j)) and places them once in a
+symmetric CSR layout (``_symmetric_csr``), which both the connectivity
+check and ``build_graph`` read. Every ``NetworkGraph`` is such a set of
+links with one weight each, placed in that layout.
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -19,7 +21,6 @@ shortest distance upper-bounds the straight-line distance.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,30 +98,8 @@ class Deployment:
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, cols, slots): the symmetric CSR layout of ``links``.
-
-        Row u lists u's neighbors in increasing id order, and link k = (i, j)
-        fills entry ``slots[0, k]`` of row i and ``slots[1, k]`` of row j.
-        """
-        n, (i, j) = len(self.coords), self.links.T
-        below = np.bincount(j, minlength=n)  # per node, neighbors with smaller ids
-        above = np.bincount(i, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(below + above, out=indptr[1:])
-        k = np.arange(len(i))
-        # row i holds its smaller neighbors, then its links in (i, j) order
-        upper = k + (indptr[:-1] + below - (np.cumsum(above) - above))[i]
-        # row j holds its links by increasing i: a stable sort by j, which
-        # numpy does as a radix sort on ids of up to 16 bits
-        by_j = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
-        lower = np.empty_like(k)
-        lower[by_j] = k + (indptr[:-1] - (np.cumsum(below) - below))[j[by_j]]
-        cols = np.empty(2 * len(k), dtype=np.intp)
-        cols[upper], cols[lower] = j, i
-        slots = np.stack((upper, lower))
-        for a in (indptr, cols, slots):  # shared by every graph built from this deployment
-            a.flags.writeable = False
-        return indptr, cols, slots
+        """``_symmetric_csr`` of ``links``, shared by the connectivity check and the graph."""
+        return _symmetric_csr(len(self.coords), self.links)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,13 +120,6 @@ class Deployment:
             comm_range=float(d["comm_range"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Deployment":
-        return cls.from_json_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class RangingResult:
@@ -160,54 +132,80 @@ class RangingResult:
     path: tuple[int, ...]
 
 
+def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, cols, slots): the symmetric CSR layout of n nodes' links, a
+    (pairs, 2) array of pairs (i, j), i < j, sorted by (i, j).
+
+    Row u lists u's neighbors in increasing id order, and link k = (i, j)
+    fills entry ``slots[0, k]`` of row i and ``slots[1, k]`` of row j. The
+    arrays are read-only: a deployment's layout is shared by its graphs.
+    """
+    i, j = links.T
+    below = np.bincount(j, minlength=n)  # per node, neighbors with smaller ids
+    above = np.bincount(i, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(below + above, out=indptr[1:])
+    k = np.arange(len(i))
+    # row i holds its smaller neighbors, then its links in (i, j) order
+    upper = k + (indptr[:-1] + below - (np.cumsum(above) - above))[i]
+    # row j holds its links by increasing i: a stable sort by j, which
+    # numpy does as a radix sort on ids of up to 16 bits
+    by_j = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
+    lower = np.empty_like(k)
+    lower[by_j] = k + (indptr[:-1] - (np.cumsum(below) - below))[j[by_j]]
+    cols = np.empty(2 * len(k), dtype=np.intp)
+    cols[upper], cols[lower] = j, i
+    slots = np.stack((upper, lower))
+    for a in (indptr, cols, slots):
+        a.flags.writeable = False
+    return indptr, cols, slots
+
+
 class NetworkGraph:
-    """Symmetric one-hop adjacency with per-edge estimated distances, held as
-    one CSR matrix whose rows are sorted by neighbor id.
+    """Symmetric one-hop graph: links (i, j), i < j, sorted by (i, j), one
+    estimated distance each, and the CSR matrix placed from them (rows
+    sorted by neighbor id, both entries of a link holding its weight).
 
-    ``adjacency[u]`` is row u as a sorted list of (neighbor, weight) tuples,
-    built on first use. Parallel entries, which only the adjacency
-    constructor can make, come smallest weight first. ``edge_rows`` and
-    ``edge_cols`` give the tail and head node of each CSR entry.
-
-    ``_links`` (tails, heads, weights) lists the entries once for the
-    shortest-path tie count: every entry for a graph from the adjacency
-    constructor, whose rows may be asymmetric or hold parallel entries;
-    one link per in-range pair for ``build_graph``, where ``_mirrored``
-    says each link also stands for its reverse entry.
+    ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
+    orientation and raises ValueError on a self-loop, a repeated pair or a
+    node id outside [0, n); ``build_graph`` places its links the same way.
+    ``adjacency[u]`` is row u as (neighbor, weight) tuples, built on first
+    use; ``edge_rows`` and ``edge_cols`` give each CSR entry's tail and
+    head; ``_links`` (i, j, weights) holds each link once for the tie count.
     """
 
-    def __init__(self, adjacency: Sequence[Sequence[tuple[int, float]]]):
-        n = len(adjacency)
-        tails = np.array([u for u, nbrs in enumerate(adjacency) for _ in nbrs], dtype=np.intp)
-        heads = np.array([v for nbrs in adjacency for v, _ in nbrs], dtype=np.intp)
-        weights = np.array([w for nbrs in adjacency for _, w in nbrs], dtype=float)
-        # by (tail, head); parallel entries smallest weight first
-        order = np.lexsort((weights, tails * n + heads))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
-        self._set_csr(indptr, heads[order], weights[order])
-        self._links = (self.edge_rows, self.edge_cols, self.matrix.data)
-        self._mirrored = False
+    def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
+        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+        weights = np.array([w for _, _, w in edges], dtype=float)
+        ends.sort(axis=1)  # each link as (i, j), i <= j
+        if ends.size and (ends[:, 0].min() < 0 or ends[:, 1].max() >= n):
+            raise ValueError(f"node ids must lie in [0, {n})")
+        loops = ends[ends[:, 0] == ends[:, 1], 0]
+        if loops.size:
+            raise ValueError(f"self-loop at node {loops[0]}")
+        order = np.argsort(ends[:, 0] * n + ends[:, 1])
+        links = ends[order]
+        repeated = links[1:][(links[1:] == links[:-1]).all(axis=1)]
+        if repeated.size:
+            raise ValueError(f"repeated pair {tuple(repeated[0].tolist())}")
+        self._place(links, weights[order], _symmetric_csr(n, links))
 
-    @classmethod
-    def _symmetric(cls, indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                   links: tuple[np.ndarray, np.ndarray, np.ndarray]) -> "NetworkGraph":
-        """The graph of a symmetric CSR layout whose rows are sorted by
-        column; ``links`` (i, j, weight) holds each pair's entries once."""
-        g = cls.__new__(cls)
-        g._set_csr(indptr, cols, weights)
-        g._links, g._mirrored = links, True
-        return g
-
-    def _set_csr(self, indptr, cols, weights) -> None:
+    def _place(self, links: np.ndarray, weights: np.ndarray, csr: tuple) -> None:
+        """Hold the sorted ``links`` and their ``weights``, placed in ``csr``."""
+        indptr, cols, slots = csr
         n = len(indptr) - 1
         self.node_count = n
-        self.matrix = csr_matrix((weights, cols, indptr), shape=(n, n), dtype=float)
+        data = np.empty(len(cols))
+        data[slots] = weights  # each link's weight in its two entries
+        self.matrix = csr_matrix((data, cols, indptr), shape=(n, n), dtype=float)
         # the tail and head node of each CSR entry, as intp: scipy keeps int32
         # indices, which a numpy gather would convert on every call
         self.edge_rows = np.repeat(np.arange(n), np.diff(indptr))
         self.edge_cols = cols
         # one sorted key per CSR entry, then a sentinel no edge query reaches
         self._keys = np.append(self.edge_rows * n + cols, n * n)
+        # contiguous link ends: the tie count gathers with them once per tree
+        self._links = (*np.ascontiguousarray(links.T), weights)
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
@@ -219,8 +217,8 @@ class NetworkGraph:
         return self.adjacency[u]
 
     def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """(found, CSR position) of the first entry u -> v, per element of
-        the node arrays u and v; the position is meaningless where not found.
+        """(found, CSR position) of the entry u -> v, per element of the
+        node arrays u and v; the position is meaningless where not found.
         """
         keys = np.asarray(u, dtype=np.int64) * self.node_count + v
         pos = np.searchsorted(self._keys, keys)
@@ -229,15 +227,6 @@ class NetworkGraph:
     def edge_weight(self, u: int, v: int) -> Optional[float]:
         found, pos = self.edge_index(u, v)
         return float(self.matrix.data[pos]) if found else None
-
-    def _tight_count(self, dist: np.ndarray) -> int:
-        """How many CSR entries u -> v of weight w have dist[u] + w == dist[v]."""
-        u, v, w = self._links
-        du, dv = dist.take(u), dist.take(v)
-        count = np.count_nonzero(du + w == dv)
-        if self._mirrored:
-            count += np.count_nonzero(dv + w == du)
-        return count
 
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
@@ -380,11 +369,9 @@ def build_graph(
         k = colocated[0]
         raise ValueError(f"nodes {i[k]} and {j[k]} are co-located: zero distance has no RSSI")
     est = estimate_distance(model, rssi_at(model, true_d, noise))
-    indptr, cols, slots = dep._csr
-    weights = np.empty(len(cols))
-    weights[slots] = est  # each link's weight in its two entries
-    # contiguous link ends: the tie count gathers with them once per tree
-    return NetworkGraph._symmetric(indptr, cols, weights, (i.copy(), j.copy(), est))
+    g = NetworkGraph.__new__(NetworkGraph)  # the links are already sorted and unique
+    g._place(dep.links, est, dep._csr)
+    return g
 
 
 def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
@@ -448,26 +435,30 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     smallest path; in increasing-distance order, so every candidate path is
     already final.
 
-    Dijkstra set each reached node's distance to ``dist[pred] + w``, so every
-    reached non-root node has at least one tight entry. When every node is
-    reached and the tree has n - 1 tight entries in all, each has exactly
-    one and there is no tie; one count over the links settles that.
+    A link (i, j) of weight w is tight into j where ``dist[i] + w ==
+    dist[j]`` and into i where ``dist[j] + w == dist[i]``; both masks are
+    taken once per tree. Dijkstra set each reached node's distance to
+    ``dist[pred] + w``, so every reached non-root node has at least one
+    tight entry. When every node is reached and the tree has n - 1 tight
+    entries in all, each has exactly one and there is no tie.
     """
-    if g._tight_count(dist) == g.node_count - 1 and np.isfinite(dist).all():
+    n, (i, j, w) = g.node_count, g._links
+    di, dj = dist.take(i), dist.take(j)
+    into_j, into_i = di + w == dj, dj + w == di
+    if np.count_nonzero(into_j) + np.count_nonzero(into_i) == n - 1 and np.isfinite(dist).all():
         return
-    m, cols = g.matrix, g.edge_cols
-    tight = dist[g.edge_rows] + m.data == dist[cols]
-    n_tight = np.bincount(cols[tight], minlength=g.node_count)
+    n_tight = np.bincount(j[into_j], minlength=n) + np.bincount(i[into_i], minlength=n)
     ties = np.flatnonzero(n_tight >= 2)
     ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
     if not ties.size:
         return
+    m, cols = g.matrix, g.edge_cols
     d, pl = dist.tolist(), pred.tolist()
     bounds = m.indptr.tolist()
     for v in ties[np.argsort(dist[ties], kind="stable")].tolist():
-        row = slice(bounds[v], bounds[v + 1])
+        row = slice(bounds[v], bounds[v + 1])  # v's links: its tight ones are its tight preds
         nbrs = zip(cols[row].tolist(), m.data[row].tolist())
-        tight_preds = [u for u, w in nbrs if d[u] + w == d[v]]
+        tight_preds = [u for u, uw in nbrs if d[u] + uw == d[v]]
         pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
     pred[:] = pl
 

@@ -46,7 +46,8 @@ class TestRun:
         {"n_anchors": 3.5}, {"runs_per_density": 1.5}, {"base_seed": 1.5},
         {"base_seed": -1}, {"densities": [20.7]}, {"densities": [True]},
         {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
-        {"sigma": 3000},
+        {"sigma": 3000}, {"sigma": True}, {"width": True, "height": True},
+        {"comm_range": True},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
@@ -55,6 +56,13 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
         assert "cannot load config" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_1_exit_1(self, cfg_path, workers, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 1
+        assert "--workers must be >= 1" in caplog.text
         assert not out.exists()
 
     def test_seed_override_deterministic(self, cfg_path, tmp_path):

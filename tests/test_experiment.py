@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from railsim import geometry
+from railsim import experiment, geometry
 from railsim.experiment import (
     SIGMA_MAX_DB,
     ExperimentConfig,
@@ -99,6 +99,10 @@ class TestBasics:
             {"sigma": math.nan},
             {"sigma": 100.5},
             {"sigma": 3000.0},
+            {"sigma": True},
+            {"width": True, "height": True},
+            {"comm_range": True},
+            {"sigma": "4"},
             {"densities": (100, 100)},
             {"algorithms": ("RAIL", "RAIL")},
         ):
@@ -143,8 +147,12 @@ class TestAggregate:
         assert again.std_error == small_report.std_error
 
     def test_run_series_length(self, small_report):
-        for key, series in small_report.run_series.items():
-            assert len(series) == SMALL.runs_per_density
+        # one run mean per algorithm and run, equal to the mean of its errors
+        assert len(small_report.records) == len(SMALL.densities) * SMALL.runs_per_density
+        for rec in small_report.records:
+            assert rec.run_mean_error.keys() == rec.errors.keys() == set(SMALL.algorithms)
+            for alg, errs in rec.errors.items():
+                assert rec.run_mean_error[alg] == float(np.mean(errs))
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -161,6 +169,32 @@ class TestDeterminism:
         r2 = run_experiment(SMALL, n_workers=2)
         assert r2.mean_error == small_report.mean_error
         assert r2.std_error == small_report.std_error
+
+    def test_pool_bounded_by_job_count(self, monkeypatch):
+        # the pool starts all its workers at the first submit, so it gets no
+        # more than there are runs, and a single run stays serial
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        two_runs = ExperimentConfig(densities=(60,), runs_per_density=2)
+        assert len(run_experiment(two_runs, n_workers=500).records) == 2
+        assert len(run_experiment(SMALL, n_workers=2).records) == 6
+        one_run = ExperimentConfig(densities=(60,), runs_per_density=1)
+        assert len(run_experiment(one_run, n_workers=8).records) == 1
+        assert sizes == [2, 2]
 
     def test_algorithm_order_irrelevant(self, small_report):
         cfg = ExperimentConfig(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -33,14 +34,6 @@ from railsim.network import (
 from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
 MODEL = PathLossModel()
-
-
-def graph_from_edges(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return NetworkGraph(adj)
 
 
 def brute_force_shortest(g, source):
@@ -133,7 +126,7 @@ def random_lattice(rng):
                 edges.append((int(ids[r, c]), int(ids[r, c + 1]), float(rng.integers(1, 3))))
             if r + 1 < rows:
                 edges.append((int(ids[r, c]), int(ids[r + 1, c]), float(rng.integers(1, 3))))
-    return graph_from_edges(rows * cols, edges)
+    return NetworkGraph(rows * cols, edges)
 
 
 def random_connected_graph(rng, n_max=10):
@@ -147,13 +140,13 @@ def random_connected_graph(rng, n_max=10):
             d = float(np.hypot(*(pts[i] - pts[j])))
             if d <= radius:
                 edges.append((i, j, d))
-        g = graph_from_edges(n, edges)
+        g = NetworkGraph(n, edges)
         try:
             hop_tree_ranging(g, 0)
             return g
         except Unreachable:
             continue
-    return graph_from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    return NetworkGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def all_hops(pred, sources):
@@ -293,7 +286,7 @@ class TestGenerateDeployment:
 
     def test_json_round_trip(self):
         dep = generate_deployment(50, 50, 20, 3, 15, seed=5)
-        assert Deployment.from_json(dep.to_json()) == dep
+        assert Deployment.from_json_dict(json.loads(json.dumps(dep.to_json_dict()))) == dep
 
     # (width, height, n_unknown, n_anchors, comm_range, seeds); the last is
     # tight: most attempts put two of 6 anchors within range on 40 x 40 m
@@ -535,44 +528,78 @@ class TestBuildGraph:
 
 
 class TestNetworkGraph:
-    def test_parallel_entries_sorted_by_weight(self):
-        # rows are sorted by (neighbor, weight) whatever the given order, so
-        # edge lookups and floods read the smallest of parallel weights
-        g = NetworkGraph([[(2, 3.0), (1, 7.0), (1, 4.0)], [(0, 4.0)], [(0, 3.0)]])
-        assert g.adjacency[0] == [(1, 4.0), (1, 7.0), (2, 3.0)]
-        assert g.edge_weight(0, 1) == 4.0
-        acc, hops = hop_tree_ranging(g, 0)
-        assert acc.tolist() == [0.0, 4.0, 3.0] and hops.tolist() == [0, 1, 1]
+    """The constructor and ``build_graph`` hold the same links and place
+    them the same way."""
+
+    @staticmethod
+    def assert_same_graph(got, want):
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.matrix, field), getattr(want.matrix, field))
+        for a, b in zip(got._links, want._links):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        sources = range(0, want.node_count, 3)
+        for a, b in zip(dijkstra_trees(got, sources), dijkstra_trees(want, sources)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rebuilt_from_links_equals_build_graph(self, seed):
+        # exact weights, then noisy ones; the constructor gets the links
+        # shuffled and half of them reversed
+        dep = generate_deployment(50, 50, 200, 3, 10, seed=seed)
+        rng = np.random.default_rng(seed)
+        for g in (build_graph(dep, MODEL), noisy_graph(seed)):
+            i, j, w = g._links
+            edges = list(zip(i.tolist(), j.tolist(), w.tolist()))
+            rng.shuffle(edges)
+            edges = [(v, u, w) if k % 2 else (u, v, w) for k, (u, v, w) in enumerate(edges)]
+            self.assert_same_graph(NetworkGraph(g.node_count, edges), g)
+
+    @pytest.mark.parametrize("edges, match", [
+        ([(0, 1, 1.0), (2, 2, 1.0)], "self-loop at node 2"),
+        ([(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)], r"repeated pair \(0, 1\)"),
+        ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 5.0)], r"repeated pair \(1, 2\)"),
+        ([(0, 3, 1.0)], r"node ids must lie in \[0, 3\)"),
+        ([(-1, 2, 1.0)], r"node ids must lie in \[0, 3\)"),
+    ])
+    def test_invalid_edges_rejected(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            NetworkGraph(3, edges)
+
+    def test_no_edges(self):
+        g = NetworkGraph(2, [])
+        assert g.adjacency == [[], []] and g.edge_weight(0, 1) is None
+        dist, pred = dijkstra_trees(g, [0])
+        assert dist.tolist() == [[0.0, math.inf]] and pred.tolist() == [[-1, -1]]
 
 
 class TestShortestRanging:
     def test_single_path(self):
-        g = graph_from_edges(3, [(0, 1, 4.0), (1, 2, 3.0)])
+        g = NetworkGraph(3, [(0, 1, 4.0), (1, 2, 3.0)])
         (res,) = shortest_ranging(g, 0, [2])
         assert res.shortest_distance == pytest.approx(7.0)
         assert res.hop_count == 2
         assert res.path == (0, 1, 2)
 
     def test_direct_edge_beats_detour(self):
-        g = graph_from_edges(3, [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 9.0)])
+        g = NetworkGraph(3, [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 9.0)])
         (res,) = shortest_ranging(g, 0, [2])
         assert res.shortest_distance == pytest.approx(9.0)
         assert res.hop_count == 1
         assert res.path == (0, 2)
 
     def test_unreachable(self):
-        g = graph_from_edges(3, [(0, 1, 1.0)])
+        g = NetworkGraph(3, [(0, 1, 1.0)])
         with pytest.raises(Unreachable):
             shortest_ranging(g, 0, [2])
 
     def test_tie_break_prefers_smaller_ids(self):
         # two equal-length 2-hop routes 0-1-3 and 0-2-3
-        g = graph_from_edges(4, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
+        g = NetworkGraph(4, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
         (res,) = shortest_ranging(g, 0, [3])
         assert res.path == (0, 1, 3)
         # a direct edge ties a 3-hop detour whose first hop has the smaller id;
         # the tie-breaker compares whole paths, not just the predecessors'
-        g = graph_from_edges(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         (res,) = shortest_ranging(g, 0, [3])
         assert res.path == (0, 1, 2, 3)
 
@@ -631,7 +658,7 @@ class TestDijkstraTrees:
                     assert hops[s, t] == len(path) - 1
 
     def test_disconnected_rows(self):
-        g = graph_from_edges(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
+        g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
         dist, pred = dijkstra_trees(g, [3, 0])
         hops = all_hops(pred, [3, 0])
         assert dist.tolist() == [[math.inf, math.inf, 1.0, 0.0, 1.5],
@@ -643,7 +670,7 @@ class TestDijkstraTrees:
         # two copies of a gadget where a direct edge ties a 3-hop detour with
         # the smaller first hop: row 0 re-resolves node 3, row 1 node 7
         gadget = [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
-        g = graph_from_edges(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
+        g = NetworkGraph(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
         dist, pred = dijkstra_trees(g, [0, 4])
         hops = all_hops(pred, [0, 4])
         assert pred.tolist() == [[-1, 0, 1, 2, -1, -1, -1, -1],
@@ -669,14 +696,12 @@ class TestTieShortcut:
             tied += resolve_ties_per_row(g, d, want)
             _resolve_ties(g, d, got)
             assert got.tolist() == want.tolist()
-            assert g._tight_count(d) == np.count_nonzero(
-                d[g.edge_rows] + g.matrix.data == d[g.edge_cols])
         return tied
 
     def test_rows_with_and_without_ties_in_one_batch(self):
         # the gadget's direct edge 0-3 ties the detour 0-1-2-3: rows 0 and 3
         # have a tie, rows 1 and 2 none
-        g = graph_from_edges(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph(4, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         assert self.check_rows(g, [0, 1, 2, 3]) == 2
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -690,40 +715,22 @@ class TestTieShortcut:
         assert 0 < tied < rows
 
     def test_noisy_and_exact_deployment_graphs(self):
-        # mirrored links: one per in-range pair stands for both entries
+        # one link per in-range pair stands for both of its entries
         for seed in range(3):
             self.check_rows(noisy_graph(seed), range(0, 200, 7))
         dep = generate_deployment(50, 50, 200, 3, 10, seed=2)
         self.check_rows(build_graph(dep, MODEL), range(0, 203, 5))
-
-    def test_parallel_and_asymmetric_entries(self):
-        # equal parallel entries make two tight entries into node 1 from one
-        # node; the smaller of two unequal ones is the only tight one
-        g = NetworkGraph([[(1, 2.0), (1, 2.0), (2, 1.0)], [(0, 2.0), (2, 1.0)],
-                          [(0, 1.0), (1, 1.0)]])
-        self.check_rows(g, [0, 1, 2])
-        g = NetworkGraph([[(1, 5.0), (1, 2.0)], [(0, 2.0), (2, 1.0)], [(1, 1.0)]])
-        self.check_rows(g, [0, 1, 2])
-        # asymmetric: 0 -> 1 -> 2 -> 0 and 0 -> 3 -> 2 one way, each row
-        # without ties from sources 1, 2 and 3
-        g = NetworkGraph([[(1, 1.0), (3, 1.0)], [(2, 1.0)], [(0, 1.0)], [(2, 1.0)]])
-        assert self.check_rows(g, [1, 2, 3]) == 0
-        # the gadget plus a one-way entry 0 -> 4: a tie in every row that
-        # reaches all nodes
-        gadget = [[(1, 1.0), (3, 3.0), (4, 5.0)], [(0, 1.0), (2, 1.0)],
-                  [(1, 1.0), (3, 1.0)], [(0, 3.0), (2, 1.0)], []]
-        assert self.check_rows(NetworkGraph(gadget), range(5)) == 2
 
     def test_disconnected_graph(self):
         # inf + w == inf is tight between unreached nodes, and an isolated
         # node lowers the count: from 0 the gadget's tie plus the isolated
         # node 4 give n - 1 tight entries, so the shortcut must also see
         # that every node is reached
-        g = graph_from_edges(5, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph(5, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         assert self.check_rows(g, range(5)) == 2
         dist, pred = dijkstra_trees(g, [0])
         assert tree_path(pred[0], 3) == (0, 1, 2, 3)
-        g = graph_from_edges(6, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 2, 1.0)])
+        g = NetworkGraph(6, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 2, 1.0)])
         self.check_rows(g, range(6))
 
 
@@ -757,7 +764,7 @@ class TestTreeHops:
             self.check(g, rng.choice(200, size=28, replace=False), rng, 560)
 
     def test_off_the_tree_and_at_the_root(self):
-        g = graph_from_edges(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
+        g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
         _, pred = dijkstra_trees(g, [3, 0])
         assert tree_hops(pred, [3, 0], [0, 0, 1, 1], [3, 0, 0, 4]).tolist() == [0, -1, 0, -1]
         assert tree_hops(pred, [3, 0], 0, np.empty(0, dtype=int)).shape == (0,)
@@ -767,15 +774,15 @@ class TestMinHops:
     """The hop counts of the flooding tree are the BFS minimum hops."""
 
     def test_path_graph(self):
-        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = NetworkGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert hop_tree_ranging(g, 0)[1].tolist() == [0, 1, 2]
 
     def test_direct_neighbor(self):
-        g = graph_from_edges(2, [(0, 1, 3.0)])
+        g = NetworkGraph(2, [(0, 1, 3.0)])
         assert hop_tree_ranging(g, 0)[1][1] == 1
 
     def test_unreachable(self):
-        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(Unreachable, match=r"\[2, 3\]"):
             hop_tree_ranging(g, 0)
 

@@ -35,14 +35,6 @@ from railsim.rail import (
 MODEL = PathLossModel()
 
 
-def graph_from_edges(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return NetworkGraph(adj)
-
-
 def column(*values):
     """One (len(values), 1) float column."""
     return np.array(values, dtype=float).reshape(-1, 1)
@@ -125,13 +117,13 @@ def angle(g, e, at, ref, target):
 
 class TestEstimateAngle:
     def test_right_triangle_single_hop(self):
-        g = graph_from_edges(3, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
+        g = NetworkGraph(3, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
         theta, k = angle(g, 0.0, at=0, ref=1, target=2)
         assert theta == pytest.approx(math.pi / 2, abs=1e-9)
         assert k == 1
 
     def test_collinear_single_hop(self):
-        g = graph_from_edges(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 5.0)])
+        g = NetworkGraph(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 5.0)])
         theta, _ = angle(g, 0.0, at=0, ref=1, target=2)
         assert theta == pytest.approx(math.pi, abs=1e-9)
 
@@ -142,7 +134,7 @@ class TestEstimateAngle:
             (0, 4, 6.0), (4, 2, 6.0),   # path 0 -> target 2
             (1, 5, 6.0), (5, 2, 6.0),   # connection between hop-2 nodes
         ]
-        g = graph_from_edges(6, edges)
+        g = NetworkGraph(6, edges)
         theta, k = angle(g, 1.0, at=0, ref=1, target=2)
         assert theta == pytest.approx(math.pi / 3, abs=1e-9)
         assert k == 2
@@ -258,7 +250,7 @@ class TestPreciseLocation:
             coords=np.array([[0, 0], [20, 0], [0, 20], [5, 5]]),
             anchor_ids=(0, 1, 2), comm_range=10.0,
         )
-        g = graph_from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         results = localize_all(dep, g)
         est, diag = results[3]
         assert diag.box == AABox(-1, 1, -1, 1)
