@@ -10,9 +10,9 @@ Run:  python3 demos/01_single_network.py
 import pathlib
 
 from railsim import PathLossModel
-from railsim.geometry import distance
+from railsim.experiment import localization_errors
 from railsim.network import build_graph, generate_deployment
-from railsim.rail import localize_all
+from railsim.rail import CASES, localize_all
 from railsim.svgplot import scene_svg
 
 dep = generate_deployment(
@@ -24,28 +24,31 @@ for a in dep.anchor_ids:
     print(f"  anchor {a}: ({p.x:.2f}, {p.y:.2f})")
 
 graph = build_graph(dep, PathLossModel())  # sigma=0: noise-free RSSI
-results = localize_all(dep, graph)
+results = localize_all(dep, graph)  # one column per target, in results.targets order
+truth_x, truth_y = dep.coords[results.targets].T
+errors = localization_errors(truth_x, truth_y, results.x, results.y)
 
-target = dep.unknown_ids[0]
-estimate, diag = results[target]
-truth = dep.nodes[target]
+i = 0  # the first target's column
+target = int(results.targets[i])
+x_min, x_max, y_min, y_max = results.box[:, i].tolist()
+rays = list(zip(*(a[:, i].tolist() for a in results.rays)))  # (x, y, dx, dy) each
+hit_x, hit_y, hit = (a[:, i].tolist() for a in results.hits)
+intersections = [(hx, hy) for hx, hy, ok in zip(hit_x, hit_y, hit) if ok]
+estimate = (results.x[i].item(), results.y[i].item())
 
-print(f"\ntarget node {target}, true position ({truth.x:.2f}, {truth.y:.2f})")
-print(f"  bounding box: x [{diag.box.x_min:.2f}, {diag.box.x_max:.2f}], "
-      f"y [{diag.box.y_min:.2f}, {diag.box.y_max:.2f}]")
-print(f"  ray intersections found: {len(diag.intersections)}")
-print(f"  case fired: {diag.case_fired.value}")
-print(f"  estimate ({estimate.x:.2f}, {estimate.y:.2f}), "
-      f"error {distance(truth, estimate):.2f} m")
+print(f"\ntarget node {target}, true position ({truth_x[i]:.2f}, {truth_y[i]:.2f})")
+print(f"  bounding box: x [{x_min:.2f}, {x_max:.2f}], y [{y_min:.2f}, {y_max:.2f}]")
+print(f"  ray intersections found: {len(intersections)}")
+print(f"  case fired: {CASES[results.case[i]]}")
+print(f"  estimate ({estimate[0]:.2f}, {estimate[1]:.2f}), error {errors[i]:.2f} m")
 
-errs = [distance(dep.nodes[t], results[t][0]) for t in dep.unknown_ids]
-print(f"\nmean error over all {len(errs)} unknowns: {sum(errs) / len(errs):.3f} m")
+print(f"\nmean error over all {len(errors)} unknowns: {errors.mean():.3f} m")
 
 out = pathlib.Path(__file__).with_name("demo_scene.svg")
 out.write_text(
     scene_svg(
-        dep.width, dep.height, dep.nodes, dep.anchor_ids,
-        target, diag.box, diag.rays, diag.intersections, estimate,
+        dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids, target,
+        (x_min, x_max, y_min, y_max), rays, intersections, estimate,
     )
 )
 print(f"scene rendered to {out}")

@@ -13,6 +13,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import rail, svgplot
 from .experiment import (
     ExperimentConfig,
@@ -54,12 +56,12 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         log.error("cannot load config: %s", exc)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     try:
         report = run_experiment(cfg, n_workers=args.workers)
     except GenerationFailed as exc:
         log.error("deployment generation failed: %s", exc)
         return 2
+    os.makedirs(args.out, exist_ok=True)
     write_report_csv(report, os.path.join(args.out, "report.csv"))
     write_runs_csv(report, os.path.join(args.out, "runs.csv"))
     write_errors_csv(report, os.path.join(args.out, "errors.csv"))
@@ -84,39 +86,47 @@ def cmd_demo(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         log.error("cannot load config: %s", exc)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     try:
         # run 0 of the first density, exactly as `rail run` scores it
         dep, g = scenario(cfg, cfg.densities[0], 0)
     except GenerationFailed as exc:
         log.error("deployment generation failed: %s", exc)
         return 2
-    results = rail.localize_all(dep, g)
+    res = rail.localize_all(dep, g)
 
-    target = args.target if args.target is not None else dep.unknown_ids[0]
-    if target not in results:
+    targets = res.targets.tolist()  # ascending node ids
+    target = args.target if args.target is not None else targets[0]
+    if target not in targets:
         log.error("node %s is not an unknown node of this scenario", target)
         return 1
-    est, diag = results[target]
+
+    # one pass over the targets' columns as plain floats; a ray is
+    # (x, y, dx, dy), a ray-pair hit (x, y) where it is found
+    rows = zip(targets, res.x.tolist(), res.y.tolist(), res.case.tolist(), res.box.T.tolist(),
+               np.array(res.rays).T.tolist(), *(a.T.tolist() for a in res.hits))
+    estimates, diagnostics = {}, {}
+    for t, x, y, case, box, rays, hit_x, hit_y, hit in rows:
+        hits = [[hx, hy] for hx, hy, ok in zip(hit_x, hit_y, hit) if ok]
+        estimates[str(t)] = [x, y]
+        diagnostics[str(t)] = {
+            "case_fired": rail.CASES[case],
+            "box": box,
+            "rays": [{"origin": r[:2], "direction": r[2:]} for r in rays],
+            "intersections": hits,
+        }
+        if t == target:
+            drawn = box, rays, hits, (x, y)
 
     scene = {
         "deployment": dep.to_json_dict(),
         "target": target,
-        "estimates": {str(t): [p.x, p.y] for t, (p, _) in sorted(results.items())},
-        "diagnostics": {str(t): d.to_json_dict() for t, (_, d) in sorted(results.items())},
+        "estimates": estimates,
+        "diagnostics": diagnostics,
     }
+    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "scene.json"), json.dumps(scene, indent=2) + "\n")
-    svg = svgplot.scene_svg(
-        dep.width,
-        dep.height,
-        dep.nodes,
-        dep.anchor_ids,
-        target,
-        diag.box,
-        diag.rays,
-        diag.intersections,
-        est,
-    )
+    svg = svgplot.scene_svg(dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids,
+                            target, *drawn)
     _atomic_write(os.path.join(args.out, "scene.svg"), svg)
     log.info("wrote scene.json and scene.svg to %s", args.out)
     return 0

@@ -41,6 +41,14 @@ ALL_ALGORITHMS = ("RAIL", "MinMax", "RssiDvHop")
 # and far below the thousands of dB at which a draw overflows the path-loss
 # inverse's 10 ** exponent
 SIGMA_MAX_DB = 100.0
+# the most anchors a run may place. The deployment sampler tests all
+# C(n_anchors, 3) anchor triangles on every attempt: 19,600 at 50 anchors,
+# about 13 ms per attempt, against 1.3e9 at 2000
+N_ANCHORS_MAX = 50
+# the most unknown nodes one run may place (one densities entry). The
+# in-range pairs grow with the square of the node count: at 5000 nodes one
+# deployment attempt on 50 x 50 m takes about 0.3 s and 250 MB
+N_NODES_MAX = 5000
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,14 @@ class ExperimentConfig:
 
         # an infinite sigma would hang the shortest-path tie resolution
         rules = {
-            "n_anchors": (whole(self.n_anchors, 3), "an integer >= 3"),
+            "n_anchors": (whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
+                          f"an integer in [3, {N_ANCHORS_MAX}]"),
             "runs_per_density": (whole(self.runs_per_density, 1), "an integer >= 1"),
             "base_seed": (whole(self.base_seed, 0), "an integer >= 0"),
-            "densities": (bool(self.densities) and all(whole(d, 1) for d in self.densities)
-                          and distinct(self.densities), "distinct integers >= 1"),
+            "densities": (bool(self.densities)
+                          and all(whole(d, 1) and d <= N_NODES_MAX for d in self.densities)
+                          and distinct(self.densities),
+                          f"distinct integers in [1, {N_NODES_MAX}]"),
             "width": (finite(self.width) and self.width > 0, "a finite number > 0"),
             "height": (finite(self.height) and self.height > 0, "a finite number > 0"),
             "comm_range": (finite(self.comm_range) and self.comm_range > 0,

@@ -85,7 +85,7 @@ class Deployment:
 
     @cached_property
     def nodes(self) -> tuple[Point, ...]:
-        """The node positions as Points, for the demo and the scene render."""
+        """The node positions as Points, for demo 01 and the acceptance gate."""
         return tuple(Point(x, y) for x, y in self.coords.tolist())
 
     @cached_property

@@ -4,7 +4,9 @@ ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets, and ``localize_all`` runs
 them in order: ``_per_hop_errors``, ``_boxes``, ``_angles``,
-``_ray_directions`` and ``_locate``. ``corrected_angle`` is the one scalar
+``_ray_directions`` and ``_locate``, and returns ``RailResults``: the
+estimates, case codes, boxes, rays and ray-pair hits as arrays, with no
+per-target objects. ``corrected_angle`` is the one scalar
 entry point, a 0-d call of the angle formula. Transcendentals go through
 ``geometry.libm`` and every expression keeps the scalar operand order, so
 the passes give the results of the per-target scalar formulas bit for bit.
@@ -15,15 +17,11 @@ finite operands exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, AABox, Point, Ray, libm
+from .geometry import DEFAULT_TOL, libm
 from .network import (Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees,
                       tree_hops)
 
@@ -37,85 +35,31 @@ class DegenerateGeometry(Exception):
     """Angle estimation has no usable triangle sample."""
 
 
-class LocationCase(Enum):
-    MULTI_INTERSECTION = "MultiIntersection"
-    SINGLE_INTERSECTION = "SingleIntersection"
-    ALL_OUTSIDE = "AllOutside"
-    NO_INTERSECTION = "NoIntersection"
-
-
-CASES = tuple(LocationCase)  # a case code is an index into CASES
+# the case names, in ``scene.json``'s spelling; a case code indexes CASES
+CASES = ("MultiIntersection", "SingleIntersection", "AllOutside", "NoIntersection")
 MULTI, SINGLE, ALL_OUTSIDE, NO_INTERSECTION = range(4)
 
 
-@dataclass
-class RailDiagnostics:
-    case_fired: LocationCase
-    box: AABox
-    rays: tuple[Ray, Ray, Ray]
-    intersections: list[Point]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case_fired": self.case_fired.value,
-            "box": [self.box.x_min, self.box.x_max, self.box.y_min, self.box.y_max],
-            "rays": [
-                {"origin": [r.origin.x, r.origin.y], "direction": [r.dx, r.dy]}
-                for r in self.rays
-            ],
-            "intersections": [[p.x, p.y] for p in self.intersections],
-        }
-
-
-class RailResults(Mapping):
+class RailResults(NamedTuple):
     """The estimates and diagnostics of a set of targets, as arrays.
 
     Per target i: estimate ``(x[i], y[i])``, ``case[i]`` (an index into
     ``CASES``), the box ``box[:, i]`` (x_min, x_max, y_min, y_max; the
     empty-box fallback where the squares did not meet), rays ``r`` from
-    ``(ray_x[r, i], ray_y[r, i])`` along ``(ray_dx[r, i], ray_dy[r, i])``,
-    and the forward intersection of each ray pair ``q`` (pairs in (0, 1),
-    (0, 2), (1, 2) order) at ``(hit_x[q, i], hit_y[q, i])`` where
-    ``hit[q, i]``. As a mapping, ``results[t]`` is target t's
-    ``(Point, RailDiagnostics)``.
+    ``(ray_x[r, i], ray_y[r, i])`` along ``(ray_dx[r, i], ray_dy[r, i])``
+    with ``rays = (ray_x, ray_y, ray_dx, ray_dy)``, and the forward
+    intersection of each ray pair ``q`` (pairs in (0, 1), (0, 2), (1, 2)
+    order) at ``(hit_x[q, i], hit_y[q, i])`` where ``hit[q, i]``, with
+    ``hits = (hit_x, hit_y, hit)``.
     """
 
-    def __init__(self, targets, x, y, case, box, rays, hits):
-        self.targets = np.asarray(targets)
-        self.x, self.y, self.case, self.box = x, y, case, box
-        self.ray_x, self.ray_y, self.ray_dx, self.ray_dy = rays
-        self.hit_x, self.hit_y, self.hit = hits
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {t: i for i, t in enumerate(self.targets.tolist())}
-
-    def __getitem__(self, target: int) -> tuple[Point, RailDiagnostics]:
-        return self.row(self._index[target])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def row(self, i: int) -> tuple[Point, RailDiagnostics]:
-        """The i-th target's estimate and diagnostics as objects."""
-        rays = tuple(
-            Ray(Point(float(ox[i]), float(oy[i])), float(dx[i]), float(dy[i]))
-            for ox, oy, dx, dy in zip(self.ray_x, self.ray_y, self.ray_dx, self.ray_dy)
-        )
-        hits = [
-            Point(float(px[i]), float(py[i]))
-            for px, py, ok in zip(self.hit_x, self.hit_y, self.hit) if ok[i]
-        ]
-        diag = RailDiagnostics(
-            case_fired=CASES[self.case[i]],
-            box=AABox(*(float(v) for v in self.box[:, i])),
-            rays=rays,
-            intersections=hits,
-        )
-        return Point(float(self.x[i]), float(self.y[i])), diag
+    targets: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    case: np.ndarray
+    box: np.ndarray
+    rays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    hits: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def box_contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per target, whether its box holds the point (x[i], y[i])."""

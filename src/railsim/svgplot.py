@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import AABox, Point, Ray
-
 _SERIES_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd"]
 
 
@@ -91,16 +89,21 @@ def line_chart(
 def scene_svg(
     width_m: float,
     height_m: float,
-    nodes: Sequence[Point],
+    coords: Sequence[Sequence[float]],
     anchor_ids: Sequence[int],
     target_id: int,
-    box: AABox,
-    rays: Sequence[Ray],
-    intersections: Sequence[Point],
-    estimate: Point,
+    box: Sequence[float],
+    rays: Sequence[Sequence[float]],
+    intersections: Sequence[Sequence[float]],
+    estimate: Sequence[float],
     size: int = 600,
 ) -> str:
-    """Draw one deployment with the selected target's box, rays and estimate."""
+    """Draw one deployment with the selected target's box, rays and estimate.
+
+    Every position is plain floats: ``coords`` rows and ``intersections``
+    and ``estimate`` are (x, y), ``box`` is (x_min, x_max, y_min, y_max)
+    and each ray is (x, y, dx, dy) from its origin along a unit direction.
+    """
     margin = 30
     scale = (size - 2 * margin) / max(width_m, height_m)
 
@@ -119,42 +122,43 @@ def scene_svg(
         f'fill="none" stroke="#888"/>',
     ]
     anchors = set(anchor_ids)
-    for i, p in enumerate(nodes):
+    for i, (x, y) in enumerate(coords):
         if i in anchors:
             continue
         color = "#2ca02c" if i == target_id else "#bbbbbb"
         r = 4 if i == target_id else 2
         out.append(
-            f'<circle class="node" cx="{_f(sx(p.x))}" cy="{_f(sy(p.y))}" '
+            f'<circle class="node" cx="{_f(sx(x))}" cy="{_f(sy(y))}" '
             f'r="{r}" fill="{color}"/>'
         )
     for i in anchor_ids:
-        p = nodes[i]
+        x, y = coords[i]
         out.append(
-            f'<rect class="anchor" x="{_f(sx(p.x) - 5)}" y="{_f(sy(p.y) - 5)}" '
+            f'<rect class="anchor" x="{_f(sx(x) - 5)}" y="{_f(sy(y) - 5)}" '
             f'width="10" height="10" fill="#1f77b4"/>'
         )
+    x_min, x_max, y_min, y_max = box
     out.append(
-        f'<rect class="bbox" x="{_f(sx(box.x_min))}" y="{_f(sy(box.y_max))}" '
-        f'width="{_f((box.x_max - box.x_min) * scale)}" '
-        f'height="{_f((box.y_max - box.y_min) * scale)}" '
+        f'<rect class="bbox" x="{_f(sx(x_min))}" y="{_f(sy(y_max))}" '
+        f'width="{_f((x_max - x_min) * scale)}" '
+        f'height="{_f((y_max - y_min) * scale)}" '
         f'fill="none" stroke="#d62728" stroke-width="1.5"/>'
     )
     ray_len = max(width_m, height_m) * 1.5
-    for r in rays:
-        x2 = r.origin.x + r.dx * ray_len
-        y2 = r.origin.y + r.dy * ray_len
+    for x, y, dx, dy in rays:
         out.append(
-            f'<line class="ray" x1="{_f(sx(r.origin.x))}" y1="{_f(sy(r.origin.y))}" '
-            f'x2="{_f(sx(x2))}" y2="{_f(sy(y2))}" stroke="#1f77b4" stroke-width="1.2"/>'
+            f'<line class="ray" x1="{_f(sx(x))}" y1="{_f(sy(y))}" '
+            f'x2="{_f(sx(x + dx * ray_len))}" y2="{_f(sy(y + dy * ray_len))}" '
+            f'stroke="#1f77b4" stroke-width="1.2"/>'
         )
-    for p in intersections:
+    for x, y in intersections:
         out.append(
-            f'<circle class="intersection" cx="{_f(sx(p.x))}" cy="{_f(sy(p.y))}" '
+            f'<circle class="intersection" cx="{_f(sx(x))}" cy="{_f(sy(y))}" '
             f'r="4" fill="none" stroke="black" stroke-width="1.2"/>'
         )
+    x, y = estimate
     out.append(
-        f'<circle class="estimate" cx="{_f(sx(estimate.x))}" cy="{_f(sy(estimate.y))}" '
+        f'<circle class="estimate" cx="{_f(sx(x))}" cy="{_f(sy(y))}" '
         f'r="5" fill="#2ca02c" stroke="black"/>'
     )
     out.append("</svg>")

@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import json
+import pathlib
 
 import pytest
 
 from railsim.cli import main
 from railsim.experiment import ExperimentConfig, scenario
 from railsim.network import Deployment
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_CFG = {
     "densities": [60],
@@ -47,7 +51,7 @@ class TestRun:
         {"base_seed": -1}, {"densities": [20.7]}, {"densities": [True]},
         {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
         {"sigma": 3000}, {"sigma": True}, {"width": True, "height": True},
-        {"comm_range": True},
+        {"comm_range": True}, {"n_anchors": 2000}, {"densities": [10**9]},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
@@ -56,6 +60,21 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
         assert "cannot load config" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
+    ])
+    def test_infeasible_deployment_exit_2(self, command, tmp_path, caplog):
+        # four anchors pairwise farther apart than the 10 m range do not
+        # fit on 8 x 8 m; the failed command leaves no --out directory
+        p = tmp_path / "tight.json"
+        p.write_text(json.dumps(
+            {**SMALL_CFG, "width": 8, "height": 8, "n_anchors": 4, "densities": [20]}))
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 2
+        assert "deployment generation failed" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -106,6 +125,22 @@ class TestDemo:
         ) == 0
         scene = json.loads((out / "scene.json").read_text())
         assert scene["target"] == 10
+
+    @pytest.mark.parametrize("config, target, scene_json, scene_svg", [
+        ("table2.json", "17",
+         "59a8f17817a2029c65600684b8482c7986e58324848a2575a117d6c5c46794cc",
+         "2802083b3b61d86b025e191fea0cf280bfb2fb8fb2d5af8ef3801cb83a386247"),
+        ("noisy6.json", None,
+         "67d60cf90703b6afb2901c4af31157a8c8feeac40e20abc63d1adca2b1a126d1",
+         "a33cde9eaf02134b36e700da71cbb1607ce51e07401ef3b1aa57e67ca85660b3"),
+    ], ids=["table2-target17", "noisy6"])
+    def test_pinned_scene_bytes(self, config, target, scene_json, scene_svg, tmp_path):
+        # one sigma-0 and one noisy 6-anchor scene, byte for byte
+        out = tmp_path / "demo"
+        argv = ["demo", "--config", str(CONFIGS / config), "--out", str(out)]
+        assert main(argv + (["--target", target] if target else [])) == 0
+        for name, digest in (("scene.json", scene_json), ("scene.svg", scene_svg)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_anchor_target_rejected(self, cfg_path, tmp_path):
         out = tmp_path / "demo"

@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from railsim import experiment, geometry
 from railsim.experiment import (
+    N_ANCHORS_MAX,
+    N_NODES_MAX,
     SIGMA_MAX_DB,
     ExperimentConfig,
     aggregate,
@@ -105,9 +108,22 @@ class TestBasics:
             {"sigma": "4"},
             {"densities": (100, 100)},
             {"algorithms": ("RAIL", "RAIL")},
+            {"n_anchors": N_ANCHORS_MAX + 1},
+            {"n_anchors": 2000},
+            {"densities": (100, N_NODES_MAX + 1)},
+            {"densities": (10**9,)},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
+
+    def test_ceilings_accepted(self):
+        # the ceilings themselves load (test_config_validation rejects one
+        # past them), and every config in the repo lies within them
+        ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
+        configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+        for path in configs.glob("*.json"):
+            cfg = ExperimentConfig.from_json_file(path)
+            assert cfg.n_anchors <= N_ANCHORS_MAX and max(cfg.densities) <= N_NODES_MAX
 
     def test_sigma_ceiling_runs(self):
         # sigma in the thousands of dB overflowed the path-loss inverse mid

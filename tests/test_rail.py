@@ -21,7 +21,6 @@ from railsim.rail import (
     MULTI,
     NO_INTERSECTION,
     SINGLE,
-    LocationCase,
     _angles,
     _Forest,
     _boxes,
@@ -252,9 +251,9 @@ class TestPreciseLocation:
         )
         g = NetworkGraph(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         results = localize_all(dep, g)
-        est, diag = results[3]
-        assert diag.box == AABox(-1, 1, -1, 1)
-        assert contains(diag.box, est)
+        assert results.targets.tolist() == [3]
+        assert results.box[:, 0].tolist() == [-1, 1, -1, 1]
+        assert contains(AABox(-1, 1, -1, 1), Point(results.x[0], results.y[0]))
 
     def test_estimate_in_box_for_cases_1_3_4(self):
         rng = np.random.default_rng(42)
@@ -280,7 +279,7 @@ class TestPreciseLocation:
 def reference_localize(dep, g):
     """Oracle: RAIL one target at a time with Python floats, ``math`` and the
     scalar geometry primitives, as the pipeline ran before it became array
-    passes. Returns {target: (estimate, case value, box, intersections)}."""
+    passes. Returns {target: (estimate, case code, box, intersections)}."""
     trees = {}
 
     def tree(s):
@@ -357,14 +356,14 @@ def reference_localize(dep, g):
                if (p := geometry.ray_pair_intersection(rays[i], rays[j])) is not None]
         inside = [p for p in pts if contains(box, p)]
         if len(inside) >= 2:
-            case, est = LocationCase.MULTI_INTERSECTION, geometry.centroid(inside)
+            case, est = MULTI, geometry.centroid(inside)
         elif inside:
-            case, est = LocationCase.SINGLE_INTERSECTION, inside[0]
+            case, est = SINGLE, inside[0]
         elif pts:
             near = min(pts, key=lambda p: geometry.box_distance(box, p))
-            case, est = LocationCase.ALL_OUTSIDE, geometry.project_onto_box(box, near)
+            case, est = ALL_OUTSIDE, geometry.project_onto_box(box, near)
         else:
-            case, est = LocationCase.NO_INTERSECTION, geometry.box_center(box)
+            case, est = NO_INTERSECTION, geometry.box_center(box)
         out[t] = (est, case, box, pts)
     return out
 
@@ -393,10 +392,14 @@ class TestLocalizeAll:
     def test_matches_scalar_reference(self, width, height, n, anchors, sigma, seed):
         results, dep, g = localized(width, height, n, anchors, sigma, seed)
         want = reference_localize(dep, g)
-        assert list(results) == list(want)
-        for i, t in enumerate(results):
-            est, diag = results[t]
-            assert (est, diag.case_fired, diag.box, diag.intersections) == want[t]
+        assert results.targets.tolist() == list(want)
+        hit_x, hit_y, hit = results.hits
+        for i, t in enumerate(results.targets.tolist()):
+            est, case, box, pts = want[t]
+            assert results.case[i] == case
+            assert results.box[:, i].tolist() == [box.x_min, box.x_max, box.y_min, box.y_max]
+            assert [(hit_x[q, i], hit_y[q, i]) for q in range(3) if hit[q, i]] == [
+                (p.x, p.y) for p in pts]
             assert (results.x[i], results.y[i]) == (est.x, est.y)
 
     def test_reference_deployments_fire_every_case(self):
@@ -405,13 +408,13 @@ class TestLocalizeAll:
         fired, empty_boxes = set(), 0
         for params in REFERENCE_DEPLOYMENTS:
             results, dep, g = localized(*params)
-            fired.update(results[t][1].case_fired for t in results)
+            fired.update(results.case.tolist())
             anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
             sd = dijkstra_trees(g, anchors)[0][:, targets]
             nearest = np.argsort(sd, axis=0, kind="stable")[:3]
             ax, ay = (dep.coords[anchors, i][nearest] for i in (0, 1))
             empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
-        assert fired == set(LocationCase)
+        assert fired == {MULTI, SINGLE, ALL_OUTSIDE, NO_INTERSECTION}
         assert empty_boxes > 0
 
     def test_at_most_two_shortest_path_calls(self, monkeypatch):
@@ -435,9 +438,12 @@ class TestLocalizeAll:
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
         g = build_graph(dep, MODEL)
-        r1 = localize_all(dep, g)
-        r2 = localize_all(dep, g)
-        assert {t: p for t, (p, _) in r1.items()} == {t: p for t, (p, _) in r2.items()}
+        r1, r2 = (localize_all(dep, g) for _ in range(2))
+
+        def columns(r):
+            return [r.targets, r.x, r.y, r.case, r.box, *r.rays, *r.hits]
+
+        assert all(np.array_equal(u, v) for u, v in zip(columns(r1), columns(r2)))
 
     def test_near_anchor_targets_accurate(self):
         # noise-free: targets within one hop of some anchor average well
@@ -446,28 +452,43 @@ class TestLocalizeAll:
         g = build_graph(dep, MODEL)
         results = localize_all(dep, g)
         near = [
-            t for t in dep.unknown_ids
+            i for i, t in enumerate(results.targets.tolist())
             if any(g.edge_weight(a, t) is not None for a in dep.anchor_ids)
         ]
-        errs = [distance(dep.nodes[t], results[t][0]) for t in near]
+        errs = [distance(dep.nodes[results.targets[i]], Point(results.x[i], results.y[i]))
+                for i in near]
         assert float(np.mean(errs)) < 3.0
 
     def test_diagnostics_consistent(self):
         dep = generate_deployment(50, 50, 100, 3, 10, seed=8)
         g = build_graph(dep, MODEL)
-        for t, (est, diag) in localize_all(dep, g).items():
-            in_box = [p for p in diag.intersections if contains(diag.box, p)]
-            if diag.case_fired == LocationCase.MULTI_INTERSECTION:
+        results = localize_all(dep, g)
+        hit_x, hit_y, hit = results.hits
+        for i, case in enumerate(results.case.tolist()):
+            box = AABox(*results.box[:, i].tolist())
+            pts = [Point(hit_x[q, i], hit_y[q, i]) for q in range(3) if hit[q, i]]
+            in_box = [p for p in pts if contains(box, p)]
+            if case == MULTI:
                 assert len(in_box) >= 2
-            elif diag.case_fired == LocationCase.SINGLE_INTERSECTION:
+            elif case == SINGLE:
                 assert len(in_box) == 1
-            elif diag.case_fired == LocationCase.ALL_OUTSIDE:
-                assert diag.intersections and not in_box
+            elif case == ALL_OUTSIDE:
+                assert pts and not in_box
             else:
-                assert not diag.intersections
+                assert case == NO_INTERSECTION
+                assert not pts
 
     def test_four_anchors_uses_nearest_three(self):
         dep = generate_deployment(50, 50, 120, 4, 10, seed=14)
         g = build_graph(dep, MODEL)
         results = localize_all(dep, g)
-        assert set(results) == set(dep.unknown_ids)
+        targets = list(dep.unknown_ids)
+        assert results.targets.tolist() == targets
+        # each target's rays start at its three nearest anchors by SD, in id order
+        sd = dijkstra_trees(g, list(dep.anchor_ids))[0][:, targets]
+        nearest = np.sort(np.argsort(sd, axis=0, kind="stable")[:3], axis=0)
+        chosen = np.array(dep.anchor_ids)[nearest]
+        ray_x, ray_y = results.rays[:2]
+        assert (ray_x == dep.coords[chosen, 0]).all()
+        assert (ray_y == dep.coords[chosen, 1]).all()
+        assert len(set(map(tuple, nearest.T.tolist()))) > 1  # some targets differ
