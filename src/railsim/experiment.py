@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import libm
+from .geometry import hypot
 from .network import (
     Deployment,
     GenerationFailed,
@@ -37,6 +37,8 @@ from .network import (
 from .radio import PathLossModel
 
 ALL_ALGORITHMS = ("RAIL", "MinMax", "RssiDvHop")
+# the dtype of one algorithm's estimates: an (x, y) record per target
+ESTIMATE = np.dtype([("x", float), ("y", float)])
 # the largest accepted shadowing sigma (dB). Far above any measured channel,
 # and far below the thousands of dB at which a draw overflows the path-loss
 # inverse's 10 ** exponent
@@ -45,10 +47,15 @@ SIGMA_MAX_DB = 100.0
 # C(n_anchors, 3) anchor triangles on every attempt: 19,600 at 50 anchors,
 # about 13 ms per attempt, against 1.3e9 at 2000
 N_ANCHORS_MAX = 50
-# the most unknown nodes one run may place (one densities entry). The
-# in-range pairs grow with the square of the node count: at 5000 nodes one
-# deployment attempt on 50 x 50 m takes about 0.3 s and 250 MB
+# the most unknown nodes one run may place (one densities entry)
 N_NODES_MAX = 5000
+# the most in-range node pairs a deployment attempt may expect (see
+# ``ExperimentConfig.expected_pairs``). Every attempt holds all of its pairs,
+# so its memory follows this count: the 1.6 M pairs of 5000 nodes and 50
+# anchors on 50 x 50 m with R = 10 take about 0.3 s and 250 MB per attempt,
+# while a range beyond the area's diagonal puts all 12.5 M pairs of 5000
+# nodes in range
+N_PAIRS_MAX = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,20 @@ class ExperimentConfig:
         for name, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not self.expected_pairs <= N_PAIRS_MAX:  # also rejects an overflow to NaN
+            raise ValueError(
+                f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "
+                f"range, got {self.expected_pairs:.3g}: lower densities or comm_range, "
+                f"or widen the area")
+
+    @property
+    def expected_pairs(self) -> float:
+        """The expected in-range node pairs of a deployment at the largest
+        density, n**2 * min(pi R**2, W H) / (2 W H) for n nodes, anchors
+        included; ignoring the area's edges makes it an overestimate."""
+        n = max(self.densities) + self.n_anchors
+        area = self.width * self.height
+        return n * n * min(math.pi * self.comm_range * self.comm_range, area) / (2 * area)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -146,7 +167,7 @@ class ExperimentReport:
 
 def localization_errors(true_x, true_y, x, y) -> np.ndarray:
     """Euclidean distances between true and estimated coordinates, elementwise."""
-    return libm(math.hypot, true_x - x, true_y - y)  # geometry.distance
+    return hypot(true_x - x, true_y - y)  # geometry.distance
 
 
 def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
@@ -221,12 +242,17 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
             anchor_x, anchor_y, chosen, np.take_along_axis(acc, chosen, axis=0)
         )[:2]
 
+    # every algorithm clamped and scored in one stacked pass, row r for the
+    # r-th algorithm found
     estimates: dict[str, np.recarray] = {}
     errors: dict[str, np.ndarray] = {}
-    for alg, (x, y) in found.items():
-        x, y = clamp_all(x, y, cfg.width, cfg.height)
-        estimates[alg] = np.rec.fromarrays((x, y), names="x,y")
-        errors[alg] = localization_errors(truth_x, truth_y, x, y)
+    if found:
+        x, y = clamp_all(*np.stack(list(found.values()), axis=1), cfg.width, cfg.height)
+        err = localization_errors(truth_x, truth_y, x, y)
+        for r, alg in enumerate(found):
+            rec = estimates[alg] = np.recarray(len(targets), ESTIMATE)
+            rec.x, rec.y = x[r], y[r]
+            errors[alg] = err[r]
 
     return RunRecord(
         density=density,

@@ -1,6 +1,8 @@
 """Exact 2D primitives: points, axis-aligned boxes and directed rays, plus
-``libm``, which maps the C library's math functions over arrays so that the
-array passes reproduce scalar float arithmetic bit for bit.
+the two array maps that keep the array passes bit-identical to scalar
+float arithmetic: ``hypot``, an exact numpy port of CPython's two-argument
+``math.hypot``, and ``libm``, which maps any C library function over
+arrays one element at a time.
 
 Everything here is pure value arithmetic; an empty box intersection is
 represented by ``None`` rather than an exception because noisy ranging can
@@ -17,6 +19,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+_VELTKAMP = 2.0**27 + 1.0  # splits a double into two 26-bit halves
+_TINY = np.finfo(float).tiny  # the smallest normal double
+_HUGE = 2.0**1023  # below it no hypot overflows
+_BLOCK = 4096  # elements per block of ``hypot``
+
 
 def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
     """``fn``, a scalar ``math`` function, mapped over its broadcast
@@ -24,11 +31,112 @@ def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
 
     numpy's SIMD acos, log10, hypot and power can differ from the C
     library's in the last bit on some CPUs, while the scalar code calls the
-    C library; mapping it keeps array and scalar results identical.
+    C library; mapping it keeps array and scalar results identical. The
+    passes map ``acos``, ``log10`` and ``pow`` with it, and ``hypot`` on
+    arrays of anchor pairs or triples; ``hypot`` below does the long ones.
     """
     arrays = np.broadcast_arrays(*arrays)
     flat = (a.ravel().tolist() for a in arrays)
     return np.fromiter(map(fn, *flat), float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: (hi, lo) with hi + lo == x exactly, hi of 26 bits."""
+    t = x * _VELTKAMP
+    hi = t - x
+    np.subtract(t, hi, out=hi)  # t - (t - x)
+    return hi, np.subtract(x, hi, out=t)
+
+
+def _add(csum: np.ndarray, frac: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """csum + x, with its round-off ``(csum - (csum + x)) + x`` added to
+    frac; csum's buffer is spent."""
+    new = csum + x
+    csum -= new
+    csum += x
+    frac += csum
+    return new
+
+
+def hypot(dx, dy) -> np.ndarray:
+    """``math.hypot(dx, dy)`` elementwise, bit for bit, over two arrays of
+    one shape; the result has that shape.
+
+    numpy's own ``hypot`` differs from the C library's in the last bit on
+    some CPUs. This is ``_norm`` over blocks of ``_BLOCK`` elements, whose
+    temporaries stay small enough to be reused from one block and call to
+    the next; whole 16,000-link arrays page-faulted fresh memory for each
+    temporary and ran about twice as slow per element. Each numpy call
+    costs about a microsecond whatever its length, so below about 600
+    elements ``libm(math.hypot, ...)`` is faster.
+    """
+    shape = np.shape(dx)
+    dx, dy = np.ravel(dx), np.ravel(dy)
+    h = np.empty(dx.size)
+    for i in range(0, dx.size, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        h[block] = _norm(np.abs((dx[block], dy[block]), dtype=float))
+    return h.reshape(shape)
+
+
+def _norm(xy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of the columns of the (2, k) array of magnitudes xy,
+    which it overwrites.
+
+    A port of CPython's ``vector_norm`` for two coordinates, where each
+    step is one IEEE operation: both magnitudes are scaled by the power of
+    two that brings the larger into [0.5, 1), split in two halves, and their
+    squares summed into ``csum`` with three round-off accumulators; then a
+    square root and one differential correction against the same sum, and
+    the scale is undone. Zeros, subnormals, infinities and NaNs, where C
+    takes other branches, and magnitudes above 2**1023, whose result may
+    overflow, are handed to ``math.hypot`` itself.
+    """
+    big = np.maximum(xy[0], xy[1])
+    odd = big.size and not (big.min() >= _TINY and big.max() <= _HUGE)
+    if odd:
+        special = ~((big >= _TINY) & (big <= _HUGE))
+        fallback = libm(math.hypot, *xy[:, special])
+        xy[:, special] = big[special] = 1.0
+    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    xy *= scale  # exact
+    hi, lo = _split(xy)
+    sq = hi * hi
+    hi *= 2.0
+    hi *= lo  # 2.0 * hi * lo
+    lo *= lo
+    csum = np.ones_like(big)
+    frac1, frac2, frac3 = np.zeros((3, big.size))
+    for k in range(2):  # x, then y: hi * hi, 2.0 * hi * lo and lo * lo
+        csum = _add(csum, frac1, sq[k])
+        csum = _add(csum, frac2, hi[k])
+        frac3 += lo[k]
+    h = frac1 + frac2
+    h += frac3
+    h += csum - 1.0
+    np.sqrt(h, out=h)
+    # subtract h * h exactly and correct h by the residual
+    hi, lo = _split(h)
+    x = np.negative(hi)
+    x *= hi
+    csum = _add(csum, frac1, x)
+    np.multiply(hi, -2.0, out=x)
+    x *= lo
+    csum = _add(csum, frac2, x)
+    np.negative(lo, out=x)
+    x *= lo
+    csum = _add(csum, frac3, x)
+    frac1 += frac2
+    frac1 += frac3
+    csum -= 1.0
+    csum += frac1
+    np.multiply(h, 2.0, out=x)
+    csum /= x
+    h += csum
+    h /= scale
+    if odd:
+        h[special] = fallback
+    return h
 
 
 @dataclass(frozen=True)

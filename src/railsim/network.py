@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .geometry import Point, libm
+from .geometry import Point, hypot, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -363,7 +363,7 @@ def build_graph(
         noise = np.zeros(len(i))
 
     x, y = dep.coords.T
-    true_d = libm(math.hypot, x[i] - x[j], y[i] - y[j])
+    true_d = hypot(x[i] - x[j], y[i] - y[j])
     colocated = np.flatnonzero(true_d == 0)
     if colocated.size:
         k = colocated[0]

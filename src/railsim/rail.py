@@ -7,11 +7,18 @@ them in order: ``_per_hop_errors``, ``_boxes``, ``_angles``,
 ``_ray_directions`` and ``_locate``, and returns ``RailResults``: the
 estimates, case codes, boxes, rays and ray-pair hits as arrays, with no
 per-target objects. ``corrected_angle`` is the one scalar
-entry point, a 0-d call of the angle formula. Transcendentals go through
-``geometry.libm`` and every expression keeps the scalar operand order, so
-the passes give the results of the per-target scalar formulas bit for bit.
-Max, min, clip and argmin need no such care: they return one of their
-finite operands exactly.
+entry point, a 0-d call of the angle formula. Every expression keeps the
+scalar operand order and every transcendental gives the C library's bits,
+so the passes give the results of the per-target scalar formulas bit for
+bit: ``acos`` and the ``hypot`` of anchor pairs go through
+``geometry.libm``, the per-target ``hypot`` through ``geometry.hypot``, its
+exact port, and ``cos`` and ``sin`` are numpy's, which call the C library
+for float64 (tier-1 tests pin both). Max, min, clip and argmin need no such
+care: they return one of their finite operands exactly.
+
+Work that depends only on a target's anchor triple, its per-hop error and
+its baseline directions, is done once per distinct triple and gathered per
+target.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, libm
+from .geometry import DEFAULT_TOL, hypot, libm
 from .network import (Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees,
                       tree_hops)
 
@@ -159,8 +166,9 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     connection between their hop-K nodes, form the triangle the angle is
     read from; each side is shortened by the per-hop error ``e`` before
     applying the law of cosines. K shrinks when either path is shorter than
-    3 hops. The connections that need a multi-hop path take one
-    ``dijkstra_trees`` call over their distinct sources.
+    3 hops. The connections that need a multi-hop path read their source's
+    row of ``forest`` where the source is one of its roots, and the rest
+    take one ``dijkstra_trees`` call over their distinct sources.
     """
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
@@ -185,6 +193,14 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     # multi-hop shortest distance, whose hops are counted at node_b only
     far = np.flatnonzero(apart & ~found)
     if far.size:
+        row_of = np.full(g.node_count, -1)
+        row_of[forest.ids] = np.arange(len(forest.ids))
+        row = row_of[node_a[far]]
+        root = row >= 0
+        own, far = far[root], far[~root]
+        c_len[own] = forest.dist[row[root], node_b[own]]
+        c_hops[own] = forest.hops[row[root], node_b[own]]
+    if far.size:
         sources, side = np.unique(node_a[far], return_inverse=True)
         dist, pred = dijkstra_trees(g, sources)
         c_len[far] = dist[side, node_b[far]]
@@ -192,17 +208,12 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
-def _rotate(dx, dy, theta):
-    ct, st = libm(math.cos, theta), libm(math.sin, theta)
-    return dx * ct - dy * st, dx * st + dy * ct
-
-
 def _angle_between(ax, ay, bx, by):
     return libm(math.acos, np.clip(ax * bx + ay * by, -1.0, 1.0))
 
 
 def _unit(ax, ay, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the unit vector from each anchor i to anchor ``to[i]``."""
+    """Per column, the unit vector from each anchor i to anchor ``to[..., i]``."""
     d = libm(math.hypot, ax - ax[to], ay - ay[to])  # geometry.distance
     if (d == 0).any():
         raise DegenerateGeometry("coincident anchors")
@@ -210,25 +221,29 @@ def _unit(ax, ay, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta_j: np.ndarray,
-                    theta_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    theta_k: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the unit direction of each anchor's ray toward the target:
-    anchors (ax, ay) of shape (3, m) in id order; for anchor i with other
-    anchors j < k (``OTHERS[i]``), ``theta_j[i]`` and ``theta_k[i]`` are the
-    estimated angles at i between the target and j, and k.
+    anchors (ax, ay) of shape (3, T) in id order, one column per anchor
+    triple, and column ``which[i]`` the triple of column i of the angles;
+    for anchor i with other anchors j < k (``OTHERS[i]``), ``theta_j[i]``
+    and ``theta_k[i]`` are the estimated angles at i between the target and
+    j, and k.
 
     Anchor i's baseline to j is rotated by theta_j, counterclockwise or
     clockwise, whichever candidate's angle to the direction i -> k is closer
     to theta_k (ties go counterclockwise).
     """
-    bx, by = _unit(ax, ay, OTHERS[:, 0])
-    kx, ky = _unit(ax, ay, OTHERS[:, 1])
-    ccw = _rotate(bx, by, theta_j)
-    cw = _rotate(bx, by, -theta_j)
-    err_ccw = np.abs(_angle_between(*ccw, kx, ky) - theta_k)
-    err_cw = np.abs(_angle_between(*cw, kx, ky) - theta_k)
-    pick = err_ccw <= err_cw
-    dx, dy = np.where(pick, ccw[0], cw[0]), np.where(pick, ccw[1], cw[1])
-    norm = libm(math.hypot, dx, dy)  # make_ray's normalisation
+    ux, uy = (u[..., which] for u in _unit(ax, ay, OTHERS.T))  # toward j, toward k
+    bx, by = ux[0], uy[0]
+    ct, st = np.cos(theta_j), np.sin(theta_j)
+    # the counterclockwise and the clockwise candidate, by cos(-t) = cos t
+    # and sin(-t) = -sin t
+    st = np.stack((st, -st))
+    dx, dy = bx * ct - by * st, bx * st + by * ct
+    err = np.abs(_angle_between(dx, dy, ux[1], uy[1]) - theta_k)
+    pick = err[0] <= err[1]
+    dx, dy = np.where(pick, dx[0], dx[1]), np.where(pick, dy[0], dy[1])
+    norm = hypot(dx, dy)  # make_ray's normalisation
     return dx / norm, dy / norm
 
 
@@ -275,9 +290,8 @@ def _locate(box: np.ndarray, rays):
     # box (argmin keeps the first of equally near ones)
     out = np.flatnonzero((n_inside == 0) & ~none)
     b, px, py = box[:, out], hx[:, out], hy[:, out]
-    gap = libm(math.hypot,  # geometry.box_distance
-               np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),
-               np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))
+    gap = hypot(np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),  # geometry.box_distance
+                np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))
     near = np.argmin(np.where(hit[:, out], gap, math.inf), axis=0), np.arange(out.size)
     case[out] = ALL_OUTSIDE
     x[out] = np.clip(px[near], b[0], b[1])
@@ -292,7 +306,8 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     When more than three anchors exist, each target uses its three nearest
     anchors by estimated shortest distance. One ``dijkstra_trees`` call gives
     the anchors' trees and one ``_angles`` call reads all six angles of
-    every target, so a run makes at most two shortest-path calls.
+    every target, so a run makes at most two shortest-path calls, and the
+    second has no anchor among its sources.
     """
     anchors = _Forest.of(g, dep.anchor_ids)
     targets = np.array(dep.unknown_ids, dtype=np.intp)
@@ -302,13 +317,16 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     nearest = np.argsort(anchors.dist[:, targets], axis=0, kind="stable")[:3]
     nearest = np.take_along_axis(nearest, np.argsort(anchors.ids[nearest], axis=0), axis=0)
     chosen = anchors.ids[nearest]  # (3, m) anchor ids
-    # one per-hop error per distinct triple
-    triples, which = np.unique(nearest, axis=1, return_inverse=True)
+    # the distinct triples, in (n0, n1, n2) order, and each target's one
+    n = len(anchors.ids)
+    _, first, which = np.unique((nearest[0] * n + nearest[1]) * n + nearest[2],
+                                return_index=True, return_inverse=True)
+    triples = nearest[:, first]
     ends = anchors.ids[triples]
+    tx, ty = dep.coords[ends, 0], dep.coords[ends, 1]
     i, j = PAIRS
-    e = _per_hop_errors(dep.coords[ends, 0], dep.coords[ends, 1],
-                        anchors.dist[triples[i], ends[j]],
-                        anchors.hops[triples[i], ends[j]])[which.ravel()]
+    e = _per_hop_errors(tx, ty, anchors.dist[triples[i], ends[j]],
+                        anchors.hops[triples[i], ends[j]])[which]
 
     ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
     box = _boxes(ax, ay, anchors.dist[nearest, targets])[0]
@@ -318,7 +336,7 @@ def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
     theta = _angles(g, anchors, nearest[at].ravel(), chosen[ref].ravel(),
                     np.tile(targets, 6), np.tile(e, 6))[0].reshape(3, 2, m)
-    ray_dx, ray_dy = _ray_directions(ax, ay, theta[:, 0], theta[:, 1])
+    ray_dx, ray_dy = _ray_directions(tx, ty, theta[:, 0], theta[:, 1], which)
     rays = (ax, ay, ray_dx, ray_dy)
     x, y, case, hits = _locate(box, rays)
     return RailResults(targets, x, y, case, box, rays, hits)

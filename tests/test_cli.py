@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from railsim import experiment
 from railsim.cli import main
 from railsim.experiment import ExperimentConfig, scenario
 from railsim.network import Deployment
@@ -52,6 +53,7 @@ class TestRun:
         {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
         {"sigma": 3000}, {"sigma": True}, {"width": True, "height": True},
         {"comm_range": True}, {"n_anchors": 2000}, {"densities": [10**9]},
+        {"densities": [5000], "comm_range": 80},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
@@ -60,6 +62,23 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
         assert "cannot load config" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]])
+    def test_pairs_bound_exit_1_before_any_deployment(self, command, tmp_path, caplog,
+                                                      monkeypatch):
+        # 5000 nodes with R past the area's diagonal expect all 12.5 M pairs
+        # in range; the config is refused at load, before any sampling
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was sampled")
+
+        monkeypatch.setattr(experiment, "generate_deployment", no_deployment)
+        p = tmp_path / "dense.json"
+        p.write_text(json.dumps({**SMALL_CFG, "densities": [5000], "comm_range": 80}))
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text and "node pairs" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

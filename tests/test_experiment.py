@@ -11,6 +11,7 @@ from railsim import experiment, geometry
 from railsim.experiment import (
     N_ANCHORS_MAX,
     N_NODES_MAX,
+    N_PAIRS_MAX,
     SIGMA_MAX_DB,
     ExperimentConfig,
     aggregate,
@@ -112,6 +113,11 @@ class TestBasics:
             {"n_anchors": 2000},
             {"densities": (100, N_NODES_MAX + 1)},
             {"densities": (10**9,)},
+            # all 12.5 M pairs of 5000 nodes in range: R at or past the diagonal
+            {"densities": (N_NODES_MAX,), "comm_range": math.hypot(50, 50)},
+            {"densities": (100, N_NODES_MAX), "comm_range": 1000.0},
+            {"densities": (N_NODES_MAX,), "width": 30.0, "height": 30.0},
+            {"width": 1e300, "height": 1e300, "comm_range": 1e300},  # NaN expectation
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
@@ -119,11 +125,24 @@ class TestBasics:
     def test_ceilings_accepted(self):
         # the ceilings themselves load (test_config_validation rejects one
         # past them), and every config in the repo lies within them
-        ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
+        ceiling = ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
+        assert 1.5e6 < ceiling.expected_pairs <= N_PAIRS_MAX  # 5000 + 50 nodes, R = 10
+        assert 1.5e6 < ExperimentConfig(densities=(N_NODES_MAX,)).expected_pairs <= N_PAIRS_MAX
         configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
         for path in configs.glob("*.json"):
             cfg = ExperimentConfig.from_json_file(path)
             assert cfg.n_anchors <= N_ANCHORS_MAX and max(cfg.densities) <= N_NODES_MAX
+            assert cfg.expected_pairs <= N_PAIRS_MAX
+
+    def test_expected_pairs(self):
+        # n^2 min(pi R^2, W H) / (2 W H) for the largest density plus the anchors
+        cfg = ExperimentConfig(width=40.0, height=25.0, densities=(90, 197), comm_range=5.0)
+        assert cfg.expected_pairs == pytest.approx(200**2 * math.pi * 25 / 2000)
+        # a range past the diagonal puts every pair in range
+        assert ExperimentConfig(densities=(97,), comm_range=71.0).expected_pairs == \
+            pytest.approx(100**2 / 2)
+        with pytest.raises(ValueError, match="node pairs"):
+            ExperimentConfig(densities=(N_NODES_MAX,), comm_range=71.0)
 
     def test_sigma_ceiling_runs(self):
         # sigma in the thousands of dB overflowed the path-loss inverse mid

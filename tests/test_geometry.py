@@ -1,9 +1,11 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from railsim.experiment import ExperimentConfig, scenario
 from railsim.geometry import (
     AABox,
     Point,
@@ -13,6 +15,7 @@ from railsim.geometry import (
     centroid,
     contains,
     distance,
+    hypot,
     intersect_boxes,
     libm,
     make_ray,
@@ -20,7 +23,15 @@ from railsim.geometry import (
     ray_pair_intersection,
 )
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+DRAWS = 1_000_000
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 arrays, down to the sign of zero and the NaN payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_libm_keeps_shape():
@@ -34,6 +45,57 @@ def test_libm_keeps_shape():
     scalar = libm(math.log10, 7.0)
     assert scalar.shape == () and scalar == math.log10(7.0)
     assert libm(math.acos, np.array(0.3)).shape == ()
+
+
+class TestExactMaps:
+    """The array maps the passes rely on for bit-identical results, pinned
+    strictly on this interpreter and CPU: ``geometry.hypot`` reproduces
+    CPython's ``math.hypot``, whose algorithm a release could change, and
+    numpy's float64 cos and sin call the C library as ``math`` does."""
+
+    def test_hypot_matches_math_hypot(self):
+        rng = np.random.default_rng(20261018)
+        dx, dy = 10.0 ** rng.uniform(-3, 6, (2, DRAWS)) * rng.choice((-1.0, 1.0), (2, DRAWS))
+        dy[:1000] = dx[:1000]  # equal magnitudes, same and mixed signs
+        dy[1000:2000] = -dx[1000:2000]
+        dx[2000:3000] = 0.0  # one-zero pairs
+        dy[3000:4000] = -0.0
+        dx[4000:4100] = dy[4000:4100] = 0.0  # zeros
+        assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
+
+    def test_hypot_special_values(self):
+        tiny = np.finfo(float).tiny
+        dx = np.array([0.0, -0.0, 5e-324, tiny / 3, tiny, math.inf, -math.inf, math.nan,
+                       math.nan, 1e308, 1.7e308, 2.0**1023, 3.0])
+        dy = np.array([-0.0, 0.0, 0.0, tiny / 7, tiny, math.nan, 1.0, math.inf, 2.0,
+                       1e308, 1.7e308, -(2.0**1023), -4.0])
+        want = [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
+        assert same_bits(hypot(dx, dy), want)
+
+    def test_hypot_keeps_shape(self):
+        # any shape, across block boundaries, and 0-d
+        x, y = np.random.default_rng(4).uniform(-9, 9, (2, 3, 5000))
+        assert same_bits(hypot(x, y), libm(math.hypot, x, y))
+        assert same_bits(hypot(3.0, 4.0), np.array(5.0))
+        assert hypot(np.empty(0), np.empty(0)).shape == (0,)
+
+    def test_hypot_on_every_link_of_a_500_node_scenario(self):
+        cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
+        dep, _ = scenario(cfg, 500, 0)
+        i, j = dep.links.T
+        dx, dy = dep.coords[i].T - dep.coords[j].T
+        assert len(i) > 10_000
+        assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
+
+    def test_numpy_cos_sin_match_math(self):
+        rng = np.random.default_rng(20261019)
+        theta = np.concatenate(([0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, DRAWS)))
+        cos, sin = libm(math.cos, theta), libm(math.sin, theta)
+        assert same_bits(np.cos(theta), cos)
+        assert same_bits(np.sin(theta), sin)
+        # the clockwise rotation by -theta reuses them
+        assert same_bits(libm(math.cos, -theta), cos)
+        assert same_bits(libm(math.sin, -theta), -sin)
 
 
 def test_point_rejects_nan():

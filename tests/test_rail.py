@@ -1,13 +1,15 @@
 import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
-from railsim import geometry, network
-from railsim.geometry import AABox, Point, contains, distance, make_ray
+from railsim import geometry, network, radio, rail
+from railsim.experiment import ExperimentConfig, _run_single, scenario
+from railsim.geometry import AABox, Point, contains, distance, libm, make_ray
 from railsim.network import (
     Deployment,
     NetworkGraph,
@@ -32,6 +34,7 @@ from railsim.rail import (
 )
 
 MODEL = PathLossModel()
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def column(*values):
@@ -138,6 +141,23 @@ class TestEstimateAngle:
         assert theta == pytest.approx(math.pi / 3, abs=1e-9)
         assert k == 2
 
+    def test_anchor_c_side_read_from_forest(self, monkeypatch):
+        # the hop-2 node toward ref 1 is node 1 itself, two hops from the
+        # hop-2 node 2 toward the target: with 1 a root of the forest, the
+        # c side reads 1's row and runs no shortest-path call of its own
+        edges = [(0, 3, 6.0), (3, 1, 6.0), (0, 4, 6.0), (4, 2, 6.0), (1, 5, 6.0), (5, 2, 6.0)]
+        g = NetworkGraph(6, edges)
+        items = np.array([0]), np.array([1]), np.array([2]), np.array([1.0])
+        alone = _angles(g, _Forest.of(g, [0]), *items)
+        forest = _Forest.of(g, [0, 1])
+        calls = []
+        monkeypatch.setattr(rail, "dijkstra_trees",
+                            lambda g, sources: calls.append(sources) or dijkstra_trees(g, sources))
+        both = _angles(g, forest, *items)
+        assert calls == []
+        assert alone[0].tolist() == both[0].tolist() and alone[1].tolist() == both[1].tolist()
+        assert both[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
+
     def test_output_in_range_on_random_networks(self):
         for seed in (1, 4):
             dep = generate_deployment(50, 50, 100, 3, 10, seed=seed)
@@ -150,6 +170,9 @@ class TestEstimateAngle:
             assert ((1 <= k) & (k <= 3)).all()
 
 
+ONE = np.zeros(1, dtype=np.intp)  # one target, of anchor triple 0
+
+
 class TestBuildRays:
     # anchors (0, 0), (10, 0), (0, 10) in id order
     ax, ay = column(0, 10, 0), column(0, 0, 10)
@@ -160,21 +183,21 @@ class TestBuildRays:
         return column(th_01, rest, rest), column(th_02, rest, rest)
 
     def test_disambiguation_picks_matching_candidate(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 4, math.pi / 4))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 4, math.pi / 4), ONE)
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
 
     def test_zero_angle_along_baseline(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(0.0, math.pi / 2))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(0.0, math.pi / 2), ONE)
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((1.0, 0.0))
 
     def test_right_angle_toward_disambiguator(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 2, 0.0))
+        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 2, 0.0), ONE)
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((0.0, 1.0))
 
     def test_scale_invariance(self):
         a = self._angles(1.1, 0.6)
-        dx1, dy1 = _ray_directions(self.ax, self.ay, *a)
-        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, *a)
+        dx1, dy1 = _ray_directions(self.ax, self.ay, *a, ONE)
+        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, *a, ONE)
         for r in range(3):
             assert (dx1[r, 0], dy1[r, 0]) == pytest.approx((dx2[r, 0], dy2[r, 0]))
 
@@ -380,6 +403,16 @@ REFERENCE_DEPLOYMENTS = [
 ]
 
 
+# runs of the checked-in sweeps: every table2 density, and noisy6
+SWEEP_RUNS = [("table2.json", 100, 0), ("table2.json", 200, 1), ("table2.json", 500, 0),
+              ("noisy6.json", 200, 0), ("noisy6.json", 200, 1)]
+
+
+@functools.cache
+def sweep_scenario(config, density, run):
+    return scenario(ExperimentConfig.from_json_file(CONFIGS / config), density, run)
+
+
 @functools.cache
 def localized(width, height, n, anchors, sigma, seed):
     dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
@@ -434,6 +467,60 @@ class TestLocalizeAll:
             localize_all(dep, g)
             assert 1 <= len(calls) <= 2
             assert calls[0].tolist() == list(dep.anchor_ids)
+
+    @pytest.mark.parametrize("config, density, run", SWEEP_RUNS)
+    def test_c_side_has_no_anchor_source(self, config, density, run, monkeypatch):
+        # the anchor trees are one call; the c side reads an anchor source's
+        # row from them, so its one call has no anchor among its sources
+        dep, g = sweep_scenario(config, density, run)
+        calls = []
+        monkeypatch.setattr(rail, "dijkstra_trees",
+                            lambda g, sources: calls.append(sources) or dijkstra_trees(g, sources))
+        localize_all(dep, g)
+        assert 1 <= len(calls) <= 2
+        assert list(calls[0]) == list(dep.anchor_ids)
+        if len(calls) == 2:
+            assert len(calls[1]) and not set(calls[1].tolist()) & set(dep.anchor_ids)
+
+    @pytest.mark.parametrize("config, density, run", SWEEP_RUNS)
+    def test_six_angles_cos_sin_exact(self, config, density, run, monkeypatch):
+        # the rays rotate by numpy's cos and sin of the six angle arrays,
+        # which must give the C library's bits, also for the clockwise -theta
+        dep, g = sweep_scenario(config, density, run)
+        seen = []
+
+        def spy(ax, ay, theta_j, theta_k, which):
+            seen.extend((theta_j, theta_k))
+            return _ray_directions(ax, ay, theta_j, theta_k, which)
+
+        monkeypatch.setattr(rail, "_ray_directions", spy)
+        localize_all(dep, g)
+        theta = np.concatenate(seen).ravel()
+        assert theta.size == 6 * len(dep.unknown_ids)
+        cos, sin = libm(math.cos, theta), libm(math.sin, theta)
+        assert np.cos(theta).tolist() == cos.tolist()
+        assert np.sin(theta).tolist() == sin.tolist()
+        assert libm(math.cos, -theta).tolist() == cos.tolist()
+        assert libm(math.sin, -theta).tolist() == (-sin).tolist()
+
+    @pytest.mark.parametrize("config, density, run", SWEEP_RUNS)
+    def test_libm_maps_only_anchor_sized_hypot(self, config, density, run, monkeypatch):
+        # the per-element C library map is for acos, log10 and pow, and for
+        # hypot over anchor pairs and triples only; cos and sin are numpy's
+        cfg = ExperimentConfig.from_json_file(CONFIGS / config)
+        calls = []
+
+        def spy(fn, *arrays):
+            out = libm(fn, *arrays)
+            calls.append((fn, out.size))
+            return out
+
+        for module in (network, radio, rail):
+            monkeypatch.setattr(module, "libm", spy)
+        _run_single(cfg, density, run)
+        assert {fn for fn, _ in calls} <= {math.acos, math.log10, math.pow, math.hypot}
+        assert max(size for fn, size in calls if fn is math.hypot) <= 6 * math.comb(
+            cfg.n_anchors, 3)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
