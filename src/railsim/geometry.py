@@ -1,8 +1,8 @@
 """Exact 2D primitives: points, axis-aligned boxes and directed rays, plus
 the two array maps that keep the array passes bit-identical to scalar
-float arithmetic: ``hypot``, an exact numpy port of CPython's two-argument
-``math.hypot``, and ``libm``, which maps any C library function over
-arrays one element at a time.
+float arithmetic: ``libm``, which maps any C library function over arrays
+one element at a time, and ``hypot``, the elementwise ``math.hypot`` that
+long arrays take through an exact numpy port of CPython's algorithm.
 
 Everything here is pure value arithmetic; an empty box intersection is
 represented by ``None`` rather than an exception because noisy ranging can
@@ -22,7 +22,13 @@ DEFAULT_TOL = 1e-9
 _VELTKAMP = 2.0**27 + 1.0  # splits a double into two 26-bit halves
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _HUGE = 2.0**1023  # below it no hypot overflows
-_BLOCK = 4096  # elements per block of ``hypot``
+_BLOCK = 4096  # elements per block of the port
+# arrays at least this long take the port, shorter ones ``libm``. A port
+# call costs about 27 us whatever its length; in a loop of calls the two
+# tie near 540 elements (2-vCPU Xeon), but inside whole runs the port still
+# lost at the 550-600 elements of 100-node graphs and of 200-node rays and
+# scores, and won from the 2,000-link graphs of 200 nodes on
+_PORT_MIN = 1024
 
 
 def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
@@ -31,9 +37,7 @@ def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
 
     numpy's SIMD acos, log10, hypot and power can differ from the C
     library's in the last bit on some CPUs, while the scalar code calls the
-    C library; mapping it keeps array and scalar results identical. The
-    passes map ``acos``, ``log10`` and ``pow`` with it, and ``hypot`` on
-    arrays of anchor pairs or triples; ``hypot`` below does the long ones.
+    C library; mapping it keeps array and scalar results identical.
     """
     arrays = np.broadcast_arrays(*arrays)
     flat = (a.ravel().tolist() for a in arrays)
@@ -63,13 +67,14 @@ def hypot(dx, dy) -> np.ndarray:
     one shape; the result has that shape.
 
     numpy's own ``hypot`` differs from the C library's in the last bit on
-    some CPUs. This is ``_norm`` over blocks of ``_BLOCK`` elements, whose
-    temporaries stay small enough to be reused from one block and call to
-    the next; whole 16,000-link arrays page-faulted fresh memory for each
-    temporary and ran about twice as slow per element. Each numpy call
-    costs about a microsecond whatever its length, so below about 600
-    elements ``libm(math.hypot, ...)`` is faster.
+    some CPUs. Below ``_PORT_MIN`` elements this is ``libm(math.hypot,
+    ...)``; from there on ``_norm`` over blocks of ``_BLOCK`` elements,
+    whose temporaries stay small enough to be reused from one block and
+    call to the next (whole 16,000-link arrays page-faulted fresh memory
+    for each temporary and ran about twice as slow per element).
     """
+    if np.size(dx) < _PORT_MIN:
+        return libm(math.hypot, dx, dy)
     shape = np.shape(dx)
     dx, dy = np.ravel(dx), np.ravel(dy)
     h = np.empty(dx.size)

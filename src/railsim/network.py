@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .geometry import Point, hypot, libm
+from .geometry import Point, hypot
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -329,7 +329,7 @@ def generate_deployment(
         # the bits of rng.uniform((0, 0), (width, height)), which adds 0.0
         coords = rng.random((n_total, 2)) * (width, height)
         x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
-        if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
+        if (hypot(x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
             continue
         # twice the signed area of each anchor triangle
         cross = (x[tj] - x[ti]) * (y[tk] - y[ti]) - (x[tk] - x[ti]) * (y[tj] - y[ti])

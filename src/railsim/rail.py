@@ -7,14 +7,11 @@ them in order: ``_per_hop_errors``, ``_boxes``, ``_angles``,
 ``_ray_directions`` and ``_locate``, and returns ``RailResults``: the
 estimates, case codes, boxes, rays and ray-pair hits as arrays, with no
 per-target objects. ``corrected_angle`` is the one scalar
-entry point, a 0-d call of the angle formula. Every expression keeps the
-scalar operand order and every transcendental gives the C library's bits,
-so the passes give the results of the per-target scalar formulas bit for
-bit: ``acos`` and the ``hypot`` of anchor pairs go through
-``geometry.libm``, the per-target ``hypot`` through ``geometry.hypot``, its
-exact port, and ``cos`` and ``sin`` are numpy's, which call the C library
-for float64 (tier-1 tests pin both). Max, min, clip and argmin need no such
-care: they return one of their finite operands exactly.
+entry point, a 0-d call of the angle formula. Transcendentals go through
+``geometry.libm``, distances through ``geometry.hypot``, and every
+expression keeps the scalar operand order, so the passes give the results
+of the per-target scalar formulas bit for bit. Max, min, clip and argmin
+need no such care: they return one of their finite operands exactly.
 
 Work that depends only on a target's anchor triple, its per-hop error and
 its baseline directions, is done once per distinct triple and gathered per
@@ -97,7 +94,7 @@ def _per_hop_errors(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray, hops: np.nda
     if (hop_sum == 0).any():
         raise ValueError("anchor pair with zero hop count")
     i, j = PAIRS
-    true = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    true = hypot(ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
     return np.maximum((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
 
 
@@ -214,7 +211,7 @@ def _angle_between(ax, ay, bx, by):
 
 def _unit(ax, ay, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the unit vector from each anchor i to anchor ``to[..., i]``."""
-    d = libm(math.hypot, ax - ax[to], ay - ay[to])  # geometry.distance
+    d = hypot(ax - ax[to], ay - ay[to])  # geometry.distance
     if (d == 0).any():
         raise DegenerateGeometry("coincident anchors")
     return (ax[to] - ax) / d, (ay[to] - ay) / d
@@ -235,9 +232,9 @@ def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta_j: np.ndarray,
     """
     ux, uy = (u[..., which] for u in _unit(ax, ay, OTHERS.T))  # toward j, toward k
     bx, by = ux[0], uy[0]
-    ct, st = np.cos(theta_j), np.sin(theta_j)
+    ct, st = libm(math.cos, theta_j), libm(math.sin, theta_j)
     # the counterclockwise and the clockwise candidate, by cos(-t) = cos t
-    # and sin(-t) = -sin t
+    # and sin(-t) = -sin t, which the C library's cos and sin keep exactly
     st = np.stack((st, -st))
     dx, dy = bx * ct - by * st, bx * st + by * ct
     err = np.abs(_angle_between(dx, dy, ux[1], uy[1]) - theta_k)

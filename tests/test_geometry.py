@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from railsim import geometry
 from railsim.experiment import ExperimentConfig, scenario
 from railsim.geometry import (
     AABox,
@@ -47,11 +48,10 @@ def test_libm_keeps_shape():
     assert libm(math.acos, np.array(0.3)).shape == ()
 
 
-class TestExactMaps:
-    """The array maps the passes rely on for bit-identical results, pinned
-    strictly on this interpreter and CPU: ``geometry.hypot`` reproduces
-    CPython's ``math.hypot``, whose algorithm a release could change, and
-    numpy's float64 cos and sin call the C library as ``math`` does."""
+class TestHypot:
+    """``geometry.hypot`` reproduces CPython's ``math.hypot`` bit for bit,
+    pinned strictly on this interpreter: the port that long arrays take
+    follows CPython's algorithm, which a release could change."""
 
     def test_hypot_matches_math_hypot(self):
         rng = np.random.default_rng(20261018)
@@ -71,6 +71,9 @@ class TestExactMaps:
                        1e308, 1.7e308, -(2.0**1023), -4.0])
         want = [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
         assert same_bits(hypot(dx, dy), want)
+        # the same values within an array long enough for the port
+        reps = -(-geometry._PORT_MIN // dx.size)
+        assert same_bits(hypot(np.tile(dx, reps), np.tile(dy, reps)), want * reps)
 
     def test_hypot_keeps_shape(self):
         # any shape, across block boundaries, and 0-d
@@ -78,6 +81,10 @@ class TestExactMaps:
         assert same_bits(hypot(x, y), libm(math.hypot, x, y))
         assert same_bits(hypot(3.0, 4.0), np.array(5.0))
         assert hypot(np.empty(0), np.empty(0)).shape == (0,)
+        # either side of the size at which hypot turns to the port
+        for n in (geometry._PORT_MIN - 1, geometry._PORT_MIN):
+            dx, dy = x[0, :n], y[0, :n]
+            assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
 
     def test_hypot_on_every_link_of_a_500_node_scenario(self):
         cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
@@ -87,15 +94,14 @@ class TestExactMaps:
         assert len(i) > 10_000
         assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
 
-    def test_numpy_cos_sin_match_math(self):
-        rng = np.random.default_rng(20261019)
-        theta = np.concatenate(([0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, DRAWS)))
-        cos, sin = libm(math.cos, theta), libm(math.sin, theta)
-        assert same_bits(np.cos(theta), cos)
-        assert same_bits(np.sin(theta), sin)
-        # the clockwise rotation by -theta reuses them
-        assert same_bits(libm(math.cos, -theta), cos)
-        assert same_bits(libm(math.sin, -theta), -sin)
+
+def test_libm_cos_even_sin_odd():
+    # the clockwise ray candidate reuses cos and sin of theta for -theta
+    theta = np.random.default_rng(20261019).uniform(0.0, math.pi, DRAWS)
+    theta[:3] = 0.0, math.pi / 2, math.pi
+    cos, sin = libm(math.cos, theta), libm(math.sin, theta)
+    assert libm(math.cos, -theta).tolist() == cos.tolist()
+    assert libm(math.sin, -theta).tolist() == (-sin).tolist()
 
 
 def test_point_rejects_nan():

@@ -483,30 +483,9 @@ class TestLocalizeAll:
             assert len(calls[1]) and not set(calls[1].tolist()) & set(dep.anchor_ids)
 
     @pytest.mark.parametrize("config, density, run", SWEEP_RUNS)
-    def test_six_angles_cos_sin_exact(self, config, density, run, monkeypatch):
-        # the rays rotate by numpy's cos and sin of the six angle arrays,
-        # which must give the C library's bits, also for the clockwise -theta
-        dep, g = sweep_scenario(config, density, run)
-        seen = []
-
-        def spy(ax, ay, theta_j, theta_k, which):
-            seen.extend((theta_j, theta_k))
-            return _ray_directions(ax, ay, theta_j, theta_k, which)
-
-        monkeypatch.setattr(rail, "_ray_directions", spy)
-        localize_all(dep, g)
-        theta = np.concatenate(seen).ravel()
-        assert theta.size == 6 * len(dep.unknown_ids)
-        cos, sin = libm(math.cos, theta), libm(math.sin, theta)
-        assert np.cos(theta).tolist() == cos.tolist()
-        assert np.sin(theta).tolist() == sin.tolist()
-        assert libm(math.cos, -theta).tolist() == cos.tolist()
-        assert libm(math.sin, -theta).tolist() == (-sin).tolist()
-
-    @pytest.mark.parametrize("config, density, run", SWEEP_RUNS)
-    def test_libm_maps_only_anchor_sized_hypot(self, config, density, run, monkeypatch):
-        # the per-element C library map is for acos, log10 and pow, and for
-        # hypot over anchor pairs and triples only; cos and sin are numpy's
+    def test_libm_maps_cos_and_sin_once(self, config, density, run, monkeypatch):
+        # one cos and one sin map per run, of the rays' theta_j: the
+        # clockwise candidate reuses them for -theta_j
         cfg = ExperimentConfig.from_json_file(CONFIGS / config)
         calls = []
 
@@ -515,12 +494,14 @@ class TestLocalizeAll:
             calls.append((fn, out.size))
             return out
 
-        for module in (network, radio, rail):
+        for module in (geometry, radio, rail):
             monkeypatch.setattr(module, "libm", spy)
         _run_single(cfg, density, run)
-        assert {fn for fn, _ in calls} <= {math.acos, math.log10, math.pow, math.hypot}
-        assert max(size for fn, size in calls if fn is math.hypot) <= 6 * math.comb(
-            cfg.n_anchors, 3)
+        m = 3 * density
+        assert {fn for fn, _ in calls} == {math.acos, math.log10, math.pow, math.hypot,
+                                           math.cos, math.sin}
+        assert [size for fn, size in calls if fn is math.cos] == [m]
+        assert [size for fn, size in calls if fn is math.sin] == [m]
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
