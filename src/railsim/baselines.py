@@ -26,17 +26,19 @@ class BaselineEstimate:
 def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: float):
     """Min-Max for many targets: the center of the intersection of the
     per-anchor squares of half-width hops * comm_range. Anchor coordinates
-    are (k,), hop counts (k, m). Returns the estimates (x, y) and the
-    inverted flags, each (m,).
+    are (k,) and hop counts (k, m), or (k, B) and (k, B, m) for B runs of
+    m targets each. Returns the estimates (x, y) and the inverted flags,
+    each (m,) or (B, m).
 
     The (max-of-mins, min-of-maxes) rectangle is centered even when it is
     inverted; the flag records that situation.
     """
     reach = hops * comm_range
-    x_min = (ax[:, None] - reach).max(axis=0)
-    x_max = (ax[:, None] + reach).min(axis=0)
-    y_min = (ay[:, None] - reach).max(axis=0)
-    y_max = (ay[:, None] + reach).min(axis=0)
+    ax, ay = ax[..., None], ay[..., None]
+    x_min = (ax - reach).max(axis=0)
+    x_max = (ax + reach).min(axis=0)
+    y_min = (ay - reach).max(axis=0)
+    y_max = (ay + reach).min(axis=0)
     inverted = (x_min > x_max) | (y_min > y_max)
     return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, inverted
 

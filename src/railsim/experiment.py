@@ -4,6 +4,9 @@ Euclidean error metric, and mean/std aggregation with CSV export.
 Per-run seeds derive from (base_seed, density, run_index), so runs can
 execute serially or in parallel with bit-identical results; all three
 algorithms share one deployment and graph per run for paired comparison.
+The unit of work is a chunk of runs of one density (``chunks``): each run
+draws its own scenario, and the algorithms and the scoring run once over
+the targets of all of them, so their fixed cost is paid once per chunk.
 
 A run's record holds arrays, not per-node objects: each algorithm's
 estimates are one record array with fields ``x`` and ``y`` and its errors
@@ -29,10 +32,11 @@ from .geometry import hypot
 from .network import (
     Deployment,
     GenerationFailed,
+    GraphChunk,
     NetworkGraph,
     build_graph,
     generate_deployment,
-    hop_tree_ranging,
+    hop_floods,
 )
 from .radio import PathLossModel
 
@@ -56,6 +60,11 @@ N_NODES_MAX = 5000
 # while a range beyond the area's diagonal puts all 12.5 M pairs of 5000
 # nodes in range
 N_PAIRS_MAX = 2_000_000
+# the most nodes (anchors included) one chunk of same-density runs holds:
+# a chunk's array passes run once over all its runs' targets, so each run
+# adds its arrays to the chunk's memory while the passes' fixed cost is paid
+# once; 8 runs of 206 nodes, 3 of 503, one at 4503
+CHUNK_NODES = 1700
 
 
 @dataclass(frozen=True)
@@ -209,61 +218,93 @@ def scenario(
 
 
 def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecord:
-    seed = run_seed(cfg.base_seed, density, run_index)
-    dep, g = scenario(cfg, density, run_index)
-    targets = list(dep.unknown_ids)
-    truth_x, truth_y = dep.coords[targets, 0], dep.coords[targets, 1]
+    """The record of one run: the chunk of one."""
+    return _run_chunk(cfg, density, (run_index,))[0]
+
+
+def _scenes(cfg: ExperimentConfig, density: int, runs: Sequence[int]):
+    """The scenarios of some runs of one density, stacked: their (runs, n,
+    2) coordinates, their anchor and target ids (the same in every run) and
+    the GraphChunk of their graphs. Each deployment is dropped once its
+    graph is built, and each graph once the chunk holds its links."""
+    coords, graphs = [], []
+    for r in runs:
+        dep, g = scenario(cfg, density, r)
+        coords.append(dep.coords)
+        graphs.append(g)
+    return np.stack(coords), np.array(dep.anchor_ids), list(dep.unknown_ids), GraphChunk(graphs)
+
+
+def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list[RunRecord]:
+    """The records of some runs of one density, in ``runs`` order.
+
+    Each run draws its own scenario; then every algorithm and the scoring
+    run once over the targets of all runs (``localize_chunk``'s column
+    order), and the records are split back per run.
+    """
+    coords, anchors, targets, g = _scenes(cfg, density, runs)
+    n_runs, n = coords.shape[:2]
+    m, n_anchors = len(targets), len(anchors)
+    truth_x, truth_y = coords[:, targets].reshape(-1, 2).T
 
     found: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    rail_contained = 0
+    rail_contained = np.zeros(n_runs, dtype=int)
 
     if "RAIL" in cfg.algorithms:
-        results = rail.localize_all(dep, g)
+        results = rail.localize_chunk(coords, anchors, g)
         found["RAIL"] = (results.x, results.y)
-        rail_contained = int(results.box_contains(truth_x, truth_y).sum())
+        rail_contained = results.box_contains(truth_x, truth_y).reshape(n_runs, m).sum(axis=1)
 
     if "MinMax" in cfg.algorithms or "RssiDvHop" in cfg.algorithms:
         # Both baselines flood beacons by hop count: one BFS tree per anchor
         # gives Min-Max its minimum hop counts and DV-hop its accumulated
         # RSSI distance along the hop-minimal path (not the distance-optimal
-        # one RAIL uses).
-        floods = [hop_tree_ranging(g, a) for a in dep.anchor_ids]
-        acc = np.stack([f[0] for f in floods])[:, targets]
-        hops = np.stack([f[1] for f in floods])[:, targets]
-        anchor_x, anchor_y = dep.coords[list(dep.anchor_ids)].T
+        # one RAIL uses). Arrays are (anchor, run, target).
+        sources = (np.arange(0, n_runs * n, n)[:, None] + anchors).ravel()
+        acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
+                     for a in hop_floods(g, sources))
+        anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     if "MinMax" in cfg.algorithms:
-        found["MinMax"] = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)[:2]
+        x, y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
+        found["MinMax"] = (x.ravel(), y.ravel())
 
     if "RssiDvHop" in cfg.algorithms:
-        # the three anchors with the shortest accumulated distance, nearest first
+        # the three anchors with the shortest accumulated distance, nearest
+        # first, as indices into the runs' anchors in (run, anchor) order
+        acc = acc.reshape(n_anchors, -1)
         chosen = np.argsort(acc, axis=0, kind="stable")[:3]
         found["RssiDvHop"] = baselines.rssi_dv_hop_all(
-            anchor_x, anchor_y, chosen, np.take_along_axis(acc, chosen, axis=0)
+            anchor_x.T.ravel(), anchor_y.T.ravel(),
+            chosen + np.repeat(np.arange(0, n_runs * n_anchors, n_anchors), m),
+            np.take_along_axis(acc, chosen, axis=0),
         )[:2]
 
     # every algorithm clamped and scored in one stacked pass, row r for the
     # r-th algorithm found
-    estimates: dict[str, np.recarray] = {}
-    errors: dict[str, np.ndarray] = {}
     if found:
         x, y = clamp_all(*np.stack(list(found.values()), axis=1), cfg.width, cfg.height)
         err = localization_errors(truth_x, truth_y, x, y)
+    records = []
+    for b, run_index in enumerate(runs):
+        cols = slice(b * m, (b + 1) * m)
+        estimates: dict[str, np.recarray] = {}
+        errors: dict[str, np.ndarray] = {}
         for r, alg in enumerate(found):
-            rec = estimates[alg] = np.recarray(len(targets), ESTIMATE)
-            rec.x, rec.y = x[r], y[r]
-            errors[alg] = err[r]
-
-    return RunRecord(
-        density=density,
-        run_index=run_index,
-        seed=seed,
-        node_ids=targets,
-        estimates=estimates,
-        errors=errors,
-        run_mean_error={alg: float(np.mean(errs)) for alg, errs in errors.items()},
-        rail_box_contains=rail_contained,
-    )
+            rec = estimates[alg] = np.recarray(m, ESTIMATE)
+            rec.x, rec.y = x[r, cols], y[r, cols]
+            errors[alg] = err[r, cols]
+        records.append(RunRecord(
+            density=density,
+            run_index=run_index,
+            seed=run_seed(cfg.base_seed, density, run_index),
+            node_ids=list(targets),
+            estimates=estimates,
+            errors=errors,
+            run_mean_error={alg: float(np.mean(errs)) for alg, errs in errors.items()},
+            rail_box_contains=int(rail_contained[b]),
+        ))
+    return records
 
 
 def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> ExperimentReport:
@@ -286,15 +327,31 @@ def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> Experiment
     )
 
 
+def chunks(cfg: ExperimentConfig, n_workers: int = 1) -> list[tuple[int, range]]:
+    """The sweep's chunks as (density, runs), largest density first: each
+    density's runs in consecutive ranges of near-equal length, as few as
+    keep a chunk within ``CHUNK_NODES`` nodes, but at least ``n_workers``
+    (and at most one per run)."""
+    out = []
+    runs = cfg.runs_per_density
+    for d in sorted(cfg.densities, reverse=True):
+        per_chunk = max(1, CHUNK_NODES // (d + cfg.n_anchors))
+        count = min(runs, max(n_workers, -(-runs // per_chunk)))
+        bounds = [k * runs // count for k in range(count + 1)]
+        out += [(d, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Execute the full (density x run) sweep; deterministic given cfg."""
-    jobs = [(d, r) for d in cfg.densities for r in range(cfg.runs_per_density)]
+    jobs = chunks(cfg, n_workers)
     n_workers = min(n_workers, len(jobs))  # the pool starts every worker at once
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_run_single, *zip(*[(cfg, d, r) for d, r in jobs])))
+            done = pool.map(_run_chunk, *zip(*[(cfg, d, runs) for d, runs in jobs]))
+            records = [rec for chunk in done for rec in chunk]
     else:
-        records = [_run_single(cfg, d, r) for d, r in jobs]
+        records = [rec for d, runs in jobs for rec in _run_chunk(cfg, d, runs)]
     return aggregate(records, cfg)
 
 

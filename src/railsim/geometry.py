@@ -11,6 +11,7 @@ legitimately produce one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -39,9 +40,14 @@ def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
     library's in the last bit on some CPUs, while the scalar code calls the
     C library; mapping it keeps array and scalar results identical.
     """
-    arrays = np.broadcast_arrays(*arrays)
-    flat = (a.ravel().tolist() for a in arrays)
-    return np.fromiter(map(fn, *flat), float, arrays[0].size).reshape(arrays[0].shape)
+    arrays = [np.asarray(a) for a in arrays]
+    shapes = {a.shape for a in arrays if a.ndim}
+    shape = np.broadcast_shapes(*shapes) if len(shapes) > 1 else max(shapes, default=())
+    # a 0-d argument is repeated, not broadcast into a list of its own
+    flat = (itertools.repeat(a.item()) if a.ndim == 0
+            else (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist()
+            for a in arrays)
+    return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

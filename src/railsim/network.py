@@ -1,8 +1,7 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
 edge weights, and multi-hop queries: the shortest-path trees of a batch of
-sources from one scipy call (``dijkstra_trees``), the hop counts of chosen
-nodes in such trees (``tree_hops``) and one minimum-hop flooding tree
-(``hop_tree_ranging``).
+sources (``dijkstra_trees``), the hop counts of chosen nodes in such trees
+(``tree_hops``) and the minimum-hop flooding trees (``hop_floods``).
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
@@ -13,6 +12,11 @@ symmetric CSR layout (``_symmetric_csr``), which both the connectivity
 check and ``build_graph`` read. Every ``NetworkGraph`` is such a set of
 links with one weight each, placed in that layout.
 
+The multi-hop queries take a ``GraphChunk``: several graphs of one size
+side by side, the unit a sweep scores at once, with a single graph as the
+chunk of one. scipy's Dijkstra and BFS run on each graph's own matrix; the
+passes around them run once over the trees and links of all graphs.
+
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
 shortest distance upper-bounds the straight-line distance.
@@ -20,6 +24,7 @@ shortest distance upper-bounds the straight-line distance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,9 +174,11 @@ class NetworkGraph:
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
     orientation and raises ValueError on a self-loop, a repeated pair or a
     node id outside [0, n); ``build_graph`` places its links the same way.
-    ``adjacency[u]`` is row u as (neighbor, weight) tuples, built on first
-    use; ``edge_rows`` and ``edge_cols`` give each CSR entry's tail and
-    head; ``_links`` (i, j, weights) holds each link once for the tie count.
+    ``links`` and ``weights`` hold each link once. ``adjacency[u]`` is row u
+    as (neighbor, weight) tuples, and ``edge_rows`` and ``edge_cols`` give
+    each CSR entry's tail and head, all built on first use: the shortest
+    paths and the floods read the matrix, and every other pass reads the
+    links through a ``GraphChunk``.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
@@ -195,17 +202,10 @@ class NetworkGraph:
         indptr, cols, slots = csr
         n = len(indptr) - 1
         self.node_count = n
+        self.links, self.weights = links, weights
         data = np.empty(len(cols))
         data[slots] = weights  # each link's weight in its two entries
         self.matrix = csr_matrix((data, cols, indptr), shape=(n, n), dtype=float)
-        # the tail and head node of each CSR entry, as intp: scipy keeps int32
-        # indices, which a numpy gather would convert on every call
-        self.edge_rows = np.repeat(np.arange(n), np.diff(indptr))
-        self.edge_cols = cols
-        # one sorted key per CSR entry, then a sentinel no edge query reaches
-        self._keys = np.append(self.edge_rows * n + cols, n * n)
-        # contiguous link ends: the tie count gathers with them once per tree
-        self._links = (*np.ascontiguousarray(links.T), weights)
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
@@ -213,20 +213,82 @@ class NetworkGraph:
         bounds = self.matrix.indptr.tolist()
         return [pairs[bounds[u]:bounds[u + 1]] for u in range(self.node_count)]
 
+    @cached_property
+    def edge_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.node_count), np.diff(self.matrix.indptr))
+
+    @cached_property
+    def edge_cols(self) -> np.ndarray:
+        return self.matrix.indices.astype(np.intp)
+
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, weights): the link ends as contiguous arrays."""
+        return (*np.ascontiguousarray(self.links.T), self.weights)
+
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]
 
-    def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """(found, CSR position) of the entry u -> v, per element of the
-        node arrays u and v; the position is meaningless where not found.
-        """
-        keys = np.asarray(u, dtype=np.int64) * self.node_count + v
-        pos = np.searchsorted(self._keys, keys)
-        return self._keys[pos] == keys, pos
+    @cached_property
+    def _chunk(self) -> "GraphChunk":
+        return GraphChunk((self,))
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
-        found, pos = self.edge_index(u, v)
-        return float(self.matrix.data[pos]) if found else None
+        found, pos = self._chunk.edge_index(u, v)
+        return float(self.weights[pos]) if found else None
+
+
+class GraphChunk:
+    """B graphs of n nodes each, read as one block-diagonal graph: node v of
+    graph b is node ``b * n + v``, a *global* id, while shortest-path and
+    flooding rows stay block-local, (rows, n) arrays whose columns are
+    node ids of the row's own graph. A single graph is the chunk of one,
+    whose global ids are its node ids.
+
+    scipy's Dijkstra and BFS run on each graph's own ``matrices[b]``, and
+    the tie check on each tree over its graph's links (``links_of``). The
+    passes over all graphs read the stacked links: ``weights`` in (block,
+    i, j) order and one sorted key per link for ``edge_index``.
+    """
+
+    def __init__(self, graphs: Sequence[NetworkGraph]):
+        n = graphs[0].node_count
+        if any(g.node_count != n for g in graphs):
+            raise ValueError("the graphs of a chunk must have one node count")
+        self.node_count, self.blocks = n, len(graphs)
+        self.matrices = tuple(g.matrix for g in graphs)
+        sizes = [len(g.weights) for g in graphs]
+        self._start = np.cumsum([0] + sizes).tolist()
+        # contiguous rows of link ends: the tie check gathers with them
+        self._ends = np.empty((2, self._start[-1]), dtype=np.intp)
+        np.concatenate([g.links.T for g in graphs], axis=1, out=self._ends)
+        self.weights = np.concatenate([g.weights for g in graphs])
+        # one sorted key per link, of its global ends, then a sentinel no
+        # edge query reaches
+        size = self.blocks * n
+        self._keys = np.concatenate([(g.links[:, 0] + b * n) * size + g.links[:, 1] + b * n
+                                     for b, g in enumerate(graphs)] + [[size * size]])
+
+    @staticmethod
+    def of(g) -> "GraphChunk":
+        """``g`` itself if it is a chunk, else the chunk of the one graph ``g``."""
+        return g if isinstance(g, GraphChunk) else g._chunk
+
+    def links_of(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, weights) of the links of graph ``block``, i < j, as
+        contiguous block-local arrays sorted by (i, j)."""
+        lo, hi = self._start[block], self._start[block + 1]
+        return self._ends[0, lo:hi], self._ends[1, lo:hi], self.weights[lo:hi]
+
+    def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """(found, link position) of the link between the global ids u and
+        v, per element of the node arrays; the position is meaningless where
+        not found, and the link's weight is ``weights[pos]``.
+        """
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        keys = np.minimum(u, v) * (self.blocks * self.node_count) + np.maximum(u, v)
+        pos = np.searchsorted(self._keys, keys)
+        return self._keys[pos] == keys, pos
 
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
@@ -298,6 +360,19 @@ def _components_ok(dep: Deployment) -> bool:
     return len(breadth_first_order(links, 0, return_predecessors=False)) == n
 
 
+@functools.lru_cache(maxsize=8)
+def _anchor_index(n_anchors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every anchor pair (i, j), i < j, as a (2, pairs) array, and every
+    anchor triple (i, j, k), i < j < k, as a (3, triples) array, both
+    read-only and built once per anchor count (13 ms at 50 anchors) for
+    the recent counts: a sweep places one."""
+    pairs = np.array(np.triu_indices(n_anchors, 1))
+    triples = np.array(list(itertools.combinations(range(n_anchors), 3))).T
+    for a in (pairs, triples):
+        a.flags.writeable = False
+    return pairs, triples
+
+
 def generate_deployment(
     width: float,
     height: float,
@@ -322,8 +397,7 @@ def generate_deployment(
     rng = np.random.default_rng(seed)
     n_total = n_anchors + n_unknown
     anchor_ids = tuple(range(n_anchors))
-    pi, pj = np.triu_indices(n_anchors, 1)  # every anchor pair
-    ti, tj, tk = np.array(list(itertools.combinations(range(n_anchors), 3))).T
+    (pi, pj), (ti, tj, tk) = _anchor_index(n_anchors)
 
     for _ in range(max_attempts):
         # the bits of rng.uniform((0, 0), (width, height)), which adds 0.0
@@ -409,31 +483,28 @@ def tree_hops(pred: np.ndarray, sources, rows, nodes) -> np.ndarray:
     ``pred``, rooted at ``sources[rows[i]]`` (rows and nodes broadcast
     together), by walking pred toward the root; -1 for a node off its tree.
 
-    Each numpy pass moves every node one hop up, so the cost follows the
-    number of nodes read times the depth of the deepest one, not the size
-    of the trees as with ``_depths``.
+    Each numpy pass moves every node read one hop up, so the cost follows
+    the number of nodes read times the depth of the deepest one, not the
+    size of the trees as with ``_depths``.
     """
-    k, n = pred.shape
-    end = k * n
     flat = pred.ravel()
-    # each entry's parent as a position in ``flat``; a root or a node off
-    # its tree points at the sentinel ``end``, which points at itself
-    up = np.append(np.where(flat >= 0, flat + np.repeat(np.arange(0, end, n), n), end), end)
     rows, nodes = np.broadcast_arrays(rows, nodes)
-    v = up[rows * n + nodes]
+    base = rows * pred.shape[1]
+    v = flat[base + nodes]  # each node's parent, -1 at a root or off the tree
     hops = np.zeros(v.shape, dtype=np.intp)
-    while (step := v < end).any():
+    while (step := v >= 0).any():
         hops += step
-        v = up[v]
+        v = np.where(step, flat[base + v], -1)
     hops[(hops == 0) & (nodes != np.asarray(sources)[rows])] = -1
     return hops
 
 
-def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
-    """Re-resolve, in place, the pred of every node of one tree with two or
-    more exact-tight predecessors to the one on the lexicographically
-    smallest path; in increasing-distance order, so every candidate path is
-    already final.
+def _resolve_ties(g, dist: np.ndarray, pred: np.ndarray, block: int = 0) -> None:
+    """Re-resolve, in place, the pred of every node of one tree of graph
+    ``block`` of g (a NetworkGraph or a GraphChunk) with two or more
+    exact-tight predecessors to the one on the lexicographically smallest
+    path; in increasing-distance order, so every candidate path is already
+    final.
 
     A link (i, j) of weight w is tight into j where ``dist[i] + w ==
     dist[j]`` and into i where ``dist[j] + w == dist[i]``; both masks are
@@ -442,7 +513,8 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     tight entry. When every node is reached and the tree has n - 1 tight
     entries in all, each has exactly one and there is no tie.
     """
-    n, (i, j, w) = g.node_count, g._links
+    g = GraphChunk.of(g)
+    n, (i, j, w) = g.node_count, g.links_of(block)
     di, dj = dist.take(i), dist.take(j)
     into_j, into_i = di + w == dj, dj + w == di
     if np.count_nonzero(into_j) + np.count_nonzero(into_i) == n - 1 and np.isfinite(dist).all():
@@ -452,34 +524,52 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray) -> None:
     ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
     if not ties.size:
         return
-    m, cols = g.matrix, g.edge_cols
+    m = g.matrices[block]
     d, pl = dist.tolist(), pred.tolist()
     bounds = m.indptr.tolist()
     for v in ties[np.argsort(dist[ties], kind="stable")].tolist():
         row = slice(bounds[v], bounds[v + 1])  # v's links: its tight ones are its tight preds
-        nbrs = zip(cols[row].tolist(), m.data[row].tolist())
+        nbrs = zip(m.indices[row].tolist(), m.data[row].tolist())
         tight_preds = [u for u, uw in nbrs if d[u] + uw == d[v]]
         pl[v] = min(tight_preds, key=lambda u: _reconstruct(pl, u) + (v,))
     pred[:] = pl
 
 
-def dijkstra_trees(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest paths from each source, from one scipy call; returns (dist,
-    pred) arrays of shape (len(sources), n), row r for sources[r].
+def _by_block(g: GraphChunk, sources) -> tuple[np.ndarray, np.ndarray]:
+    """(block, block-local id) of each global source id."""
+    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+    blocks = sources // g.node_count
+    return blocks, sources - blocks * g.node_count
+
+
+def dijkstra_trees(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest paths from each source, from one scipy call per graph; g is
+    a NetworkGraph or a GraphChunk, and ``sources`` global ids in block
+    order. Returns block-local (dist, pred) arrays of shape (len(sources),
+    n), row r for sources[r].
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
     Dijkstra runs each source on its own and accumulates ``dist[u] + w``
     exactly as a textbook one does, so only nodes with two or more
-    exact-tight predecessors need their pred re-resolved, one row at a time.
-    Unreachable nodes have dist inf and pred -1. ``_depths`` gives the hop
-    counts of every node, ``tree_hops`` those of the nodes a caller reads.
+    exact-tight predecessors need their pred re-resolved, one row at a
+    time: per row, two 1-D gathers over the links beat any 2-D gather over
+    many rows. Unreachable nodes have dist inf and pred -1. ``_depths``
+    gives the hop counts of every node, ``tree_hops`` those of the nodes a
+    caller reads.
     """
-    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
-    dist, p = dijkstra(g.matrix, indices=sources, return_predecessors=True)
-    pred = np.where(p < 0, -1, p).astype(np.intp)
-    for d, pr in zip(dist, pred):
-        _resolve_ties(g, d, pr)
+    g = GraphChunk.of(g)
+    blocks, local = _by_block(g, sources)
+    if (np.diff(blocks) < 0).any():
+        raise ValueError("sources must come in block order")
+    bounds = np.searchsorted(blocks, np.arange(g.blocks + 1)).tolist()
+    trees = [dijkstra(g.matrices[b], indices=local[lo:hi], return_predecessors=True)
+             for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+    dist, pred = trees[0] if len(trees) == 1 else map(np.concatenate, zip(*trees))
+    pred = pred.astype(np.intp)
+    pred[pred < 0] = -1
+    for d, pr, b in zip(dist, pred, blocks.tolist()):
+        _resolve_ties(g, d, pr, b)
     return dist, pred
 
 
@@ -499,7 +589,16 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
 
 
 def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated edge estimates along the BFS (minimum-hop) flooding tree.
+    """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
+    of one source: row 0 of ``hop_floods``."""
+    dist, hops = hop_floods(g, [source])
+    return dist[0], hops[0]
+
+
+def hop_floods(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
+    of each source; g is a NetworkGraph or a GraphChunk, and ``sources``
+    global ids.
 
     Models hop-count-propagation protocols: each node keeps the first beacon
     it hears (deterministically, from its smallest-id discovered neighbor)
@@ -507,33 +606,34 @@ def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarr
     ``dijkstra_trees`` the path is hop-minimal, not distance-minimal, so
     the accumulated distance overestimates more strongly.
 
-    Returns (accumulated distance, hop count) arrays; the hop counts are
-    the BFS minimum hops. Raises Unreachable if the graph is disconnected
-    from the source.
+    Returns block-local (accumulated distance, hop count) arrays of shape
+    (len(sources), n), row r for sources[r]; the hop counts are the BFS
+    minimum hops. Raises Unreachable if a graph is disconnected from its
+    source.
     """
+    g = GraphChunk.of(g)
     n = g.node_count
-    order, pred = (a.astype(np.intp) for a in
-                   breadth_first_order(g.matrix, source, return_predecessors=True))
-    if len(order) < n:
-        missing = np.setdiff1d(np.arange(n), order)
-        raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {source}")
+    blocks, local = _by_block(g, sources)
+    pred = np.empty((len(local), n), dtype=np.intp)
     # scipy scans each row in CSR (neighbor-id) order and keeps the first
-    # discoverer, as a FIFO flood does. So each hop level is a contiguous run
-    # of ``order`` whose parents form the previous run, and the distances
-    # accumulate one level per numpy pass, indexed by position in ``order``.
-    child = order[1:]
-    step = g.matrix.data[g.edge_index(pred[child], child)[1]]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    parent_rank = rank[pred[child]]  # non-decreasing
-    bounds = [0, 1]  # level h holds ranks bounds[h]:bounds[h + 1]
-    while bounds[-1] < n:
-        bounds.append(1 + int(np.searchsorted(parent_rank, bounds[-1])))
-    acc = np.zeros(n)
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        acc[lo:hi] = acc[parent_rank[lo - 1:hi - 1]] + step[lo - 1:hi - 1]
-    dist = np.empty(n)
-    hops = np.empty(n, dtype=np.intp)
-    dist[order] = acc
-    hops[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    return dist, hops
+    # discoverer, as a FIFO flood does
+    for r, (b, s) in enumerate(zip(blocks.tolist(), local.tolist())):
+        order, pred[r] = breadth_first_order(g.matrices[b], s, return_predecessors=True)
+        if len(order) < n:
+            missing = np.setdiff1d(np.arange(n), order)
+            raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {s}")
+    pred[pred < 0] = -1
+    hops = _depths(pred, local)
+    # every tree's nodes by hop level, the roots first (a stable sort of
+    # small ints is a radix sort); the distances accumulate one level per
+    # numpy pass, each node's from its parent's
+    child = np.argsort(hops.ravel().astype(np.min_scalar_type(n)), kind="stable")[len(local):]
+    row, v = np.divmod(child, n)
+    u = pred.ravel()[child]
+    parent = u + row * n
+    step = g.weights[g.edge_index(u + blocks[row] * n, v + blocks[row] * n)[1]]
+    levels = np.cumsum(np.bincount(hops.ravel())[1:])
+    dist = np.zeros(pred.size)
+    for lo, hi in zip(itertools.chain((0,), levels), levels):
+        dist[child[lo:hi]] = dist[parent[lo:hi]] + step[lo:hi]
+    return dist.reshape(pred.shape), hops

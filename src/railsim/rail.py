@@ -2,11 +2,12 @@
 error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
 
-Every stage is an array pass over all targets, and ``localize_all`` runs
-them in order: ``_per_hop_errors``, ``_boxes``, ``_angles``,
-``_ray_directions`` and ``_locate``, and returns ``RailResults``: the
-estimates, case codes, boxes, rays and ray-pair hits as arrays, with no
-per-target objects. ``corrected_angle`` is the one scalar
+Every stage is an array pass over all targets of a chunk of same-size
+runs, and ``localize_chunk`` runs them in order: ``_per_hop_errors``,
+``_boxes``, ``_angles``, ``_ray_directions`` and ``_locate``, and returns
+``RailResults``: the estimates, case codes, boxes, rays and ray-pair hits
+as arrays, with no per-target objects. ``localize_all`` is the chunk of
+one run. ``corrected_angle`` is the one scalar
 entry point, a 0-d call of the angle formula. Transcendentals go through
 ``geometry.libm``, distances through ``geometry.hypot``, and every
 expression keeps the scalar operand order, so the passes give the results
@@ -14,8 +15,8 @@ of the per-target scalar formulas bit for bit. Max, min, clip and argmin
 need no such care: they return one of their finite operands exactly.
 
 Work that depends only on a target's anchor triple, its per-hop error and
-its baseline directions, is done once per distinct triple and gathered per
-target.
+its baseline directions, is done once per distinct (run, triple) and
+gathered per target.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_TOL, hypot, libm
-from .network import (Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees,
-                      tree_hops)
+from .network import (Deployment, GraphChunk, NetworkGraph, Unreachable, _depths,
+                      dijkstra_trees, tree_hops)
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 # row i: the two members of an anchor triple other than i, in id order
@@ -120,10 +121,11 @@ def corrected_angle(
 
 
 class _Forest(NamedTuple):
-    """The shortest-path trees of some sources, stacked as (sources, n)
-    arrays; row r belongs to node ``ids[r]``. The hop counts cover every
-    node, by ``_depths``: nearly all nodes are targets, and over whole
-    trees pointer jumping beats ``tree_hops``'s walk."""
+    """The shortest-path trees of some sources of a graph or a chunk,
+    stacked as block-local (sources, n) arrays; row r belongs to the
+    global id ``ids[r]``. The hop counts cover every node, by ``_depths``:
+    nearly all nodes are targets, and over whole trees pointer jumping
+    beats ``tree_hops``'s walk."""
 
     ids: np.ndarray
     dist: np.ndarray
@@ -131,10 +133,10 @@ class _Forest(NamedTuple):
     hops: np.ndarray
 
     @classmethod
-    def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
+    def of(cls, g, sources: Sequence[int]) -> "_Forest":
         ids = np.array(sources, dtype=np.intp)
         dist, pred = dijkstra_trees(g, ids)
-        return cls(ids, dist, pred, _depths(pred, ids))
+        return cls(ids, dist, pred, _depths(pred, ids % dist.shape[1]))
 
 
 def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -152,26 +154,27 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
     return v
 
 
-def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
+def _angles(g, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
             target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the estimated angle at the anchor of tree ``rows`` of
-    ``forest`` between the directions to ``ref`` and to ``target``, and the
-    prefix length K.
+    ``forest`` between the directions to ``ref`` and to ``target`` (nodes
+    of the tree's own graph of ``g``, a NetworkGraph or a GraphChunk), and
+    the prefix length K.
 
     The two path-prefix segments formed by the first K <= 3 hops of the
     shortest paths toward ``ref`` and toward ``target``, together with the
     connection between their hop-K nodes, form the triangle the angle is
     read from; each side is shortened by the per-hop error ``e`` before
     applying the law of cosines. K shrinks when either path is shorter than
-    3 hops. The connections that need a multi-hop path read their source's
-    row of ``forest`` where the source is one of its roots, and the rest
-    take one ``dijkstra_trees`` call over their distinct sources.
+    3 hops.
     """
+    g = GraphChunk.of(g)
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
         if missing.any():
             i = int(np.argmax(missing))
-            raise Unreachable(f"node {v[i]} unreachable from {forest.ids[rows[i]]}")
+            raise Unreachable(f"node {v[i]} unreachable from "
+                              f"{forest.ids[rows[i]] % g.node_count}")
     k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
@@ -179,30 +182,50 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     node_a = _ancestors(forest, rows, ref, k)
     node_b = _ancestors(forest, rows, target, k)
     a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
-    c_len = np.zeros(len(rows))
-    c_hops = np.zeros(len(rows), dtype=np.intp)
-    apart = node_a != node_b
-    found, pos = g.edge_index(node_a, node_b)
+    base = forest.ids[rows] // g.node_count * g.node_count  # the tree's graph, as global ids
+    c_len, c_hops = _connections(g, forest, node_a + base, node_b + base)
+    return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
+
+
+def _connections(g: GraphChunk, forest: _Forest, u: np.ndarray,
+                 v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the length and hop count of the connection from the
+    global id u to the global id v of one graph of g: 0 and 0 hops where
+    u == v, a direct link's weight and 1 hop, or else their multi-hop
+    shortest distance, whose hops are counted at v only. A multi-hop
+    connection reads u's row of ``forest`` where u is one of its roots, and
+    the rest take one ``dijkstra_trees`` call per graph over their distinct
+    sources; one graph's trees at a time, since those of all graphs at once
+    would be a chunk's largest arrays.
+    """
+    n = g.node_count
+    c_len = np.zeros(len(u))
+    c_hops = np.zeros(len(u), dtype=np.intp)
+    apart = u != v
+    found, pos = g.edge_index(u, v)
     direct = apart & found
-    c_len[direct] = g.matrix.data[pos[direct]]
+    c_len[direct] = g.weights[pos[direct]]
     c_hops[direct] = 1
-    # same-hop nodes out of range of each other: fall back to their
-    # multi-hop shortest distance, whose hops are counted at node_b only
+    # same-hop nodes out of range of each other
     far = np.flatnonzero(apart & ~found)
     if far.size:
-        row_of = np.full(g.node_count, -1)
+        row_of = np.full(g.blocks * n, -1)
         row_of[forest.ids] = np.arange(len(forest.ids))
-        row = row_of[node_a[far]]
+        row = row_of[u[far]]
         root = row >= 0
         own, far = far[root], far[~root]
-        c_len[own] = forest.dist[row[root], node_b[own]]
-        c_hops[own] = forest.hops[row[root], node_b[own]]
-    if far.size:
-        sources, side = np.unique(node_a[far], return_inverse=True)
-        dist, pred = dijkstra_trees(g, sources)
-        c_len[far] = dist[side, node_b[far]]
-        c_hops[far] = tree_hops(pred, sources, side, node_b[far])
-    return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
+        c_len[own] = forest.dist[row[root], v[own] % n]
+        c_hops[own] = forest.hops[row[root], v[own] % n]
+    sources, side = np.unique(u[far], return_inverse=True)
+    bounds = np.searchsorted(sources, np.arange(0, (g.blocks + 1) * n, n)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            mine = (side >= lo) & (side < hi)
+            row, item = side[mine] - lo, far[mine]
+            dist, pred = dijkstra_trees(g, sources[lo:hi])
+            c_len[item] = dist[row, v[item] % n]
+            c_hops[item] = tree_hops(pred, sources[lo:hi] % n, row, v[item] % n)
+    return c_len, c_hops
 
 
 def _angle_between(ax, ay, bx, by):
@@ -297,43 +320,60 @@ def _locate(box: np.ndarray, rays):
 
 
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
-    """Run the full pipeline for every unknown node, as array passes over
-    all targets.
+    """Run the full pipeline for every unknown node of one run: the chunk
+    of one run."""
+    return localize_chunk(dep.coords[None], dep.anchor_ids, GraphChunk.of(g))
+
+
+def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: GraphChunk) -> RailResults:
+    """Run the full pipeline for every unknown node of B runs of n nodes,
+    as array passes over all their targets: ``coords`` (B, n, 2) holds the
+    runs' positions, ``anchor_ids`` their anchors (the same ids in every
+    run) and ``g`` their graphs. Column ``b * m + t`` of the result is
+    target t of run b, for the m unknowns of a run in id order.
 
     When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance. One ``dijkstra_trees`` call gives
-    the anchors' trees and one ``_angles`` call reads all six angles of
-    every target, so a run makes at most two shortest-path calls, and the
-    second has no anchor among its sources.
+    anchors by estimated shortest distance. One ``dijkstra_trees`` call
+    gives the anchors' trees of every run and one ``_angles`` call reads
+    all six angles of every target, so each run's graph sees at most two
+    scipy Dijkstra calls, and the second has no anchor among its sources.
     """
-    anchors = _Forest.of(g, dep.anchor_ids)
-    targets = np.array(dep.unknown_ids, dtype=np.intp)
+    runs, n = coords.shape[:2]
+    anchor_ids = np.array(anchor_ids, dtype=np.intp)
+    n_anchors = len(anchor_ids)
+    targets = np.setdiff1d(np.arange(n), anchor_ids)
     m = len(targets)
+    run = np.repeat(np.arange(runs), m)  # per column
+    cols = np.tile(targets, runs)
+    # forest row b * n_anchors + a: anchor a of run b
+    anchors = _Forest.of(g, (np.arange(0, runs * n, n)[:, None] + anchor_ids).ravel())
+    sd = anchors.dist.reshape(runs, n_anchors, n)[:, :, targets]
 
     # the three nearest anchors by SD (ties: anchor_ids order), in id order
-    nearest = np.argsort(anchors.dist[:, targets], axis=0, kind="stable")[:3]
-    nearest = np.take_along_axis(nearest, np.argsort(anchors.ids[nearest], axis=0), axis=0)
-    chosen = anchors.ids[nearest]  # (3, m) anchor ids
-    # the distinct triples, in (n0, n1, n2) order, and each target's one
-    n = len(anchors.ids)
-    _, first, which = np.unique((nearest[0] * n + nearest[1]) * n + nearest[2],
+    nearest = np.argsort(sd.transpose(1, 0, 2).reshape(n_anchors, -1), axis=0,
+                         kind="stable")[:3]
+    nearest = np.take_along_axis(nearest, np.argsort(anchor_ids[nearest], axis=0), axis=0)
+    chosen = anchor_ids[nearest]  # (3, B m) anchor ids
+    rows = run * n_anchors + nearest  # their forest rows
+    # the distinct (run, triple) pairs, in (run, n0, n1, n2) order, and each
+    # target's one
+    _, first, which = np.unique(rows[0] * n_anchors ** 2 + nearest[1] * n_anchors + nearest[2],
                                 return_index=True, return_inverse=True)
-    triples = nearest[:, first]
-    ends = anchors.ids[triples]
-    tx, ty = dep.coords[ends, 0], dep.coords[ends, 1]
+    triples, ends = rows[:, first], chosen[:, first]
+    tx, ty = coords[run[first], ends, 0], coords[run[first], ends, 1]
     i, j = PAIRS
     e = _per_hop_errors(tx, ty, anchors.dist[triples[i], ends[j]],
                         anchors.hops[triples[i], ends[j]])[which]
 
-    ax, ay = dep.coords[chosen, 0], dep.coords[chosen, 1]
-    box = _boxes(ax, ay, anchors.dist[nearest, targets])[0]
+    ax, ay = coords[run, chosen, 0], coords[run, chosen, 1]
+    box = _boxes(ax, ay, anchors.dist[rows, cols])[0]
 
     # the six angle items of every target, at anchor i toward OTHERS[i, 0]
     # and OTHERS[i, 1], stacked as (anchor, other, target)
     at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
-    theta = _angles(g, anchors, nearest[at].ravel(), chosen[ref].ravel(),
-                    np.tile(targets, 6), np.tile(e, 6))[0].reshape(3, 2, m)
+    theta = _angles(g, anchors, rows[at].ravel(), chosen[ref].ravel(),
+                    np.tile(cols, 6), np.tile(e, 6))[0].reshape(3, 2, runs * m)
     ray_dx, ray_dy = _ray_directions(tx, ty, theta[:, 0], theta[:, 1], which)
     rays = (ax, ay, ray_dx, ray_dy)
     x, y, case, hits = _locate(box, rays)
-    return RailResults(targets, x, y, case, box, rays, hits)
+    return RailResults(cols, x, y, case, box, rays, hits)

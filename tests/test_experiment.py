@@ -6,15 +6,21 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim import experiment, geometry
 from railsim.experiment import (
+    CHUNK_NODES,
     N_ANCHORS_MAX,
     N_NODES_MAX,
     N_PAIRS_MAX,
     SIGMA_MAX_DB,
     ExperimentConfig,
+    _run_chunk,
+    _run_single,
     aggregate,
+    chunks,
     clamp_all,
     localization_errors,
     read_runs_csv,
@@ -27,6 +33,7 @@ from railsim.experiment import (
 )
 from railsim.geometry import distance
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
 
 # the reduced sweeps whose outputs TestCsv pins
@@ -247,6 +254,79 @@ class TestDeterminism:
         )
         r2 = run_experiment(cfg)
         assert r2.mean_error != small_report.mean_error
+
+
+class TestChunks:
+    """A sweep scores its runs in chunks of one density: contiguous runs,
+    within CHUNK_NODES nodes, at least one per worker, largest density
+    first; how they are cut never changes a record."""
+
+    @pytest.mark.parametrize("densities, runs, workers", [
+        ((100, 200, 500), 8, 1), ((100, 200, 500), 8, 2), ((200,), 40, 1),
+        ((60, 150), 5, 3), ((4500,), 1, 2), ((60,), 2, 500),
+    ])
+    def test_cover_each_run_once(self, densities, runs, workers):
+        cfg = ExperimentConfig(densities=densities, runs_per_density=runs, comm_range=5.0)
+        got = chunks(cfg, workers)
+        assert [d for d, _ in got] == sorted((d for d, _ in got), reverse=True)
+        for d in densities:
+            mine = [r for dd, r in got if dd == d]
+            assert [i for r in mine for i in r] == list(range(runs))
+            assert len(mine) >= min(workers, runs)
+            sizes = [len(r) for r in mine]
+            assert max(sizes) - min(sizes) <= 1
+            # the fewest chunks of at most CHUNK_NODES nodes, or one per worker
+            fewest = -(-runs // max(1, CHUNK_NODES // (d + cfg.n_anchors)))
+            assert len(mine) == min(runs, max(workers, fewest))
+
+    def test_paper_sweep_chunks(self):
+        cfg = ExperimentConfig.from_json_file(CONFIGS / "noisy6.json")
+        assert [len(r) for _, r in chunks(cfg)] == [8] * 5
+        cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
+        assert [len(r) for d, r in chunks(cfg) if d == 500] == [2] + [3] * 16
+
+
+@st.composite
+def small_configs(draw):
+    """Small sweeps of 3-6 anchors on non-square areas, sigma in [0, 100]
+    dB, whose range gives the sparsest density about ten neighbors."""
+    width = draw(st.floats(40.0, 90.0))
+    height = draw(st.floats(30.0, 60.0))
+    densities = draw(st.lists(st.integers(30, 90), min_size=1, max_size=2, unique=True))
+    degree = draw(st.floats(9.0, 14.0))
+    return ExperimentConfig(
+        width=width, height=height, densities=tuple(densities),
+        n_anchors=draw(st.integers(3, 6)),
+        comm_range=math.sqrt(degree * width * height / (math.pi * min(densities))),
+        sigma=draw(st.floats(0.0, 100.0)), runs_per_density=draw(st.integers(1, 4)),
+        base_seed=draw(st.integers(0, 2**16)))
+
+
+def same_record(a, b) -> bool:
+    """Every RunRecord field equal, the arrays bit for bit."""
+    def arrays(rec):
+        return [(alg, rec.estimates[alg].tobytes(), rec.errors[alg].tobytes())
+                for alg in rec.estimates]
+
+    return ((a.density, a.run_index, a.seed, a.node_ids, a.rail_box_contains)
+            == (b.density, b.run_index, b.seed, b.node_ids, b.rail_box_contains)
+            and [(k, v.hex()) for k, v in a.run_mean_error.items()]
+            == [(k, v.hex()) for k, v in b.run_mean_error.items()]
+            and list(a.errors) == list(b.errors) and arrays(a) == arrays(b))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(small_configs())
+def test_chunking_never_changes_a_record(cfg):
+    # one chunk per density, chunks of one run, and the pool's chunks
+    runs = range(cfg.runs_per_density)
+    single = [_run_single(cfg, d, r) for d in cfg.densities for r in runs]
+    key = {(rec.density, rec.run_index): rec for rec in single}
+    whole = [rec for d in cfg.densities for rec in _run_chunk(cfg, d, runs)]
+    pooled = run_experiment(cfg, n_workers=2).records
+    for rec in whole + pooled:
+        assert same_record(rec, key[rec.density, rec.run_index])
+    assert len(whole) == len(pooled) == len(single)
 
 
 class TestCsv:

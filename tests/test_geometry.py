@@ -48,6 +48,21 @@ def test_libm_keeps_shape():
     assert libm(math.acos, np.array(0.3)).shape == ()
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_libm_scalars_match_broadcast_map(shape):
+    # a 0-d argument is repeated instead of broadcast into a list; any mix
+    # of scalars and arrays gives the map over the broadcast arguments, and
+    # a call of scalars only stays 0-d
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.1, 4.0, shape)
+    row = rng.uniform(0.1, 2.0, shape[-1:])  # broadcasts along the last axis
+    for args in ((10.0, x), (x, 0.5), (np.array(2.0), x), (x, row), (row, x), (1.5, 2.0)):
+        flat = (a.ravel().tolist() for a in np.broadcast_arrays(*map(np.asarray, args)))
+        want = np.reshape([math.pow(a, b) for a, b in zip(*flat)],
+                          np.broadcast_shapes(*map(np.shape, args)))
+        assert same_bits(libm(math.pow, *args), want)
+
+
 class TestHypot:
     """``geometry.hypot`` reproduces CPython's ``math.hypot`` bit for bit,
     pinned strictly on this interpreter: the port that long arrays take

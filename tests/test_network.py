@@ -18,8 +18,10 @@ from railsim.network import (
     ANCHOR_AREA_MIN,
     Deployment,
     GenerationFailed,
+    GraphChunk,
     NetworkGraph,
     Unreachable,
+    _anchor_index,
     _components_ok,
     _depths,
     _reconstruct,
@@ -27,6 +29,7 @@ from railsim.network import (
     build_graph,
     dijkstra_trees,
     generate_deployment,
+    hop_floods,
     hop_tree_ranging,
     shortest_ranging,
     tree_hops,
@@ -267,6 +270,14 @@ class TestGenerateDeployment:
         assert distance(a, b) > 10 and distance(a, c) > 10 and distance(b, c) > 10
         area = abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) / 2
         assert area > 25.0
+
+    def test_anchor_index_built_once_read_only(self):
+        for n in (3, 4, 7):
+            pairs, triples = _anchor_index(n)
+            assert _anchor_index(n)[1] is triples  # once per anchor count
+            assert pairs.T.tolist() == [list(p) for p in itertools.combinations(range(n), 2)]
+            assert triples.T.tolist() == [list(t) for t in itertools.combinations(range(n), 3)]
+            assert not pairs.flags.writeable and not triples.flags.writeable
 
     def test_infeasible_anchor_spacing(self):
         # anchors cannot be pairwise > 80 m apart inside a 50x50 area
@@ -570,6 +581,51 @@ class TestNetworkGraph:
         assert g.adjacency == [[], []] and g.edge_weight(0, 1) is None
         dist, pred = dijkstra_trees(g, [0])
         assert dist.tolist() == [[0.0, math.inf]] and pred.tolist() == [[-1, -1]]
+
+
+class TestGraphChunk:
+    """A chunk of same-size graphs answers every query as each graph does
+    on its own: node v of graph b is global id b * n + v."""
+
+    @staticmethod
+    def graphs():
+        exact = build_graph(generate_deployment(50, 50, 60, 6, 10, seed=7), MODEL)
+        return [noisy_graph(seed, n_unknown=60) for seed in range(3)] + [exact]
+
+    def test_trees_and_floods_match_each_graph(self):
+        gs = self.graphs()
+        chunk = GraphChunk(gs)
+        n = chunk.node_count
+        sources = np.sort(np.random.default_rng(5).choice(len(gs) * n, 24, replace=False))
+        dist, pred = dijkstra_trees(chunk, sources)
+        acc, hops = hop_floods(chunk, sources)
+        assert dist.shape == pred.shape == acc.shape == hops.shape == (len(sources), n)
+        for r, (b, v) in enumerate(zip(*np.divmod(sources, n))):
+            want_dist, want_pred = dijkstra_trees(gs[b], [v])
+            assert dist[r].tobytes() == want_dist[0].tobytes()
+            assert pred[r].tolist() == want_pred[0].tolist()
+            want_acc, want_hops = hop_tree_ranging(gs[b], v)
+            assert acc[r].tobytes() == want_acc.tobytes()
+            assert hops[r].tolist() == want_hops.tolist()
+
+    def test_edge_index_finds_each_graphs_links(self):
+        gs = self.graphs()
+        chunk = GraphChunk(gs)
+        n = chunk.node_count
+        for b, g in enumerate(gs):
+            i, j, w = g._links
+            found, pos = chunk.edge_index(j + b * n, i + b * n)
+            assert found.all() and chunk.weights[pos].tobytes() == w.tobytes()
+            assert [a.tolist() for a in chunk.links_of(b)] == [a.tolist() for a in g._links]
+        # no link joins two graphs or a node to itself
+        assert not chunk.edge_index([0, 0, 2 * n - 1], [n, 0, 3 * n - 1])[0].any()
+
+    def test_rejects_mixed_sizes_and_unordered_sources(self):
+        g = noisy_graph(0, n_unknown=60)
+        with pytest.raises(ValueError, match="one node count"):
+            GraphChunk([g, noisy_graph(0, n_unknown=61)])
+        with pytest.raises(ValueError, match="block order"):
+            dijkstra_trees(GraphChunk([g, g]), [g.node_count, 0])
 
 
 class TestShortestRanging:
