@@ -260,9 +260,8 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
         # gives Min-Max its minimum hop counts and DV-hop its accumulated
         # RSSI distance along the hop-minimal path (not the distance-optimal
         # one RAIL uses). Arrays are (anchor, run, target).
-        sources = (np.arange(0, n_runs * n, n)[:, None] + anchors).ravel()
         acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
-                     for a in hop_floods(g, sources))
+                     for a in hop_floods(g, g.global_ids(anchors)))
         anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     if "MinMax" in cfg.algorithms:

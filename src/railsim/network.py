@@ -274,6 +274,12 @@ class GraphChunk:
         """``g`` itself if it is a chunk, else the chunk of the one graph ``g``."""
         return g if isinstance(g, GraphChunk) else g._chunk
 
+    def global_ids(self, nodes) -> np.ndarray:
+        """The block-local ids ``nodes`` of every graph as global ids, graph
+        by graph: row-major (graph, node)."""
+        return (np.arange(0, self.blocks * self.node_count, self.node_count)[:, None]
+                + nodes).ravel()
+
     def links_of(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, weights) of the links of graph ``block``, i < j, as
         contiguous block-local arrays sorted by (i, j)."""

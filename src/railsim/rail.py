@@ -346,7 +346,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: GraphChunk)
     run = np.repeat(np.arange(runs), m)  # per column
     cols = np.tile(targets, runs)
     # forest row b * n_anchors + a: anchor a of run b
-    anchors = _Forest.of(g, (np.arange(0, runs * n, n)[:, None] + anchor_ids).ravel())
+    anchors = _Forest.of(g, g.global_ids(anchor_ids))
     sd = anchors.dist.reshape(runs, n_anchors, n)[:, :, targets]
 
     # the three nearest anchors by SD (ties: anchor_ids order), in id order
