@@ -135,7 +135,7 @@ def cmd_demo(args) -> int:
 def cmd_plot(args) -> int:
     try:
         rows = read_runs_csv(args.runs)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: a short row
         log.error("cannot read runs csv: %s", exc)
         return 1
     if not rows:

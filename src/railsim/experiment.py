@@ -5,8 +5,9 @@ Per-run seeds derive from (base_seed, density, run_index), so runs can
 execute serially or in parallel with bit-identical results; all three
 algorithms share one deployment and graph per run for paired comparison.
 The unit of work is a chunk of runs of one density (``chunks``): each run
-draws its own scenario, and the algorithms and the scoring run once over
-the targets of all of them, so their fixed cost is paid once per chunk.
+draws its own scenario, the runs' graphs are stacked as the blocks of one
+``NetworkGraph``, and the algorithms and the scoring run once over the
+targets of all of them, so their fixed cost is paid once per chunk.
 
 A run's record holds arrays, not per-node objects: each algorithm's
 estimates are one record array with fields ``x`` and ``y`` and its errors
@@ -32,7 +33,6 @@ from .geometry import hypot
 from .network import (
     Deployment,
     GenerationFailed,
-    GraphChunk,
     NetworkGraph,
     build_graph,
     generate_deployment,
@@ -105,8 +105,9 @@ class ExperimentConfig:
                            "a finite number > 0"),
             "sigma": (finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
                       f"a number in [0, {SIGMA_MAX_DB:g}] dB"),
-            "algorithms": (set(self.algorithms) <= set(ALL_ALGORITHMS)
-                           and distinct(self.algorithms), f"distinct names from {ALL_ALGORITHMS}"),
+            "algorithms": (bool(self.algorithms) and set(self.algorithms) <= set(ALL_ALGORITHMS)
+                           and distinct(self.algorithms),
+                           f"one or more distinct names from {ALL_ALGORITHMS}"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
@@ -225,14 +226,16 @@ def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecor
 def _scenes(cfg: ExperimentConfig, density: int, runs: Sequence[int]):
     """The scenarios of some runs of one density, stacked: their (runs, n,
     2) coordinates, their anchor and target ids (the same in every run) and
-    the GraphChunk of their graphs. Each deployment is dropped once its
-    graph is built, and each graph once the chunk holds its links."""
+    their graphs as the blocks of one (``NetworkGraph.stack``). Each
+    deployment is dropped once its graph is built, and each graph once the
+    stack holds its links."""
     coords, graphs = [], []
     for r in runs:
         dep, g = scenario(cfg, density, r)
         coords.append(dep.coords)
         graphs.append(g)
-    return np.stack(coords), np.array(dep.anchor_ids), list(dep.unknown_ids), GraphChunk(graphs)
+    return (np.stack(coords), np.array(dep.anchor_ids), list(dep.unknown_ids),
+            NetworkGraph.stack(graphs))
 
 
 def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list[RunRecord]:
@@ -409,10 +412,15 @@ def write_errors_csv(report: ExperimentReport, path: str) -> None:
 
 
 def read_runs_csv(path: str) -> list[dict]:
+    """The rows of a runs.csv; ValueError on a run_mean_error_m that is not
+    a finite number, which no chart can place."""
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     for row in rows:
         row["density"] = int(row["density"])
         row["run_index"] = int(row["run_index"])
         row["run_mean_error_m"] = float(row["run_mean_error_m"])
+        if not math.isfinite(row["run_mean_error_m"]):
+            raise ValueError(f"run_mean_error_m must be finite, got {row['run_mean_error_m']} "
+                             f"(density {row['density']}, run {row['run_index']})")
     return rows

@@ -9,13 +9,13 @@ per-node ``Point`` objects are built only when ``Deployment.nodes`` is
 read. A deployment finds its own in-range node pairs on a grid of cells
 (``Deployment.links``, sorted by (i, j)) and places them once in a
 symmetric CSR layout (``_symmetric_csr``), which both the connectivity
-check and ``build_graph`` read. Every ``NetworkGraph`` is such a set of
-links with one weight each, placed in that layout.
+check and ``build_graph`` read.
 
-The multi-hop queries take a ``GraphChunk``: several graphs of one size
-side by side, the unit a sweep scores at once, with a single graph as the
-chunk of one. scipy's Dijkstra and BFS run on each graph's own matrix; the
-passes around them run once over the trees and links of all graphs.
+A ``NetworkGraph`` is B >= 1 such graphs of one size side by side: a
+scenario's graph is one block, and ``NetworkGraph.stack`` joins the graphs
+of a chunk of runs, the unit a sweep scores at once. scipy's Dijkstra and
+BFS run on each block's own matrix; the passes around them run once over
+the trees and links of all blocks.
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -167,18 +167,25 @@ def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 class NetworkGraph:
-    """Symmetric one-hop graph: links (i, j), i < j, sorted by (i, j), one
-    estimated distance each, and the CSR matrix placed from them (rows
-    sorted by neighbor id, both entries of a link holding its weight).
+    """B >= 1 symmetric one-hop graphs of n nodes each, side by side: node v
+    of block b is the *global* id ``b * n + v``. A scenario's graph is one
+    block, whose global ids are its node ids; ``stack`` joins the graphs of
+    a chunk of runs. Shortest-path and flooding rows stay block-local (rows,
+    n) arrays whose columns are node ids of the row's own block.
+
+    A block is a set of links (i, j), i < j, sorted by (i, j), one estimated
+    distance each, placed in the CSR matrix ``matrices[b]`` (rows sorted by
+    neighbor id, both entries of a link holding its weight) for scipy.
+    ``links`` and ``weights`` hold every block's links once, block-local, in
+    (block, i, j) order; ``links_of`` gives one block's, and ``edge_index``
+    finds links by their global ends. ``adjacency[u]`` lists the (neighbor,
+    weight) pairs of global id u, built on first use.
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
-    orientation and raises ValueError on a self-loop, a repeated pair or a
-    node id outside [0, n); ``build_graph`` places its links the same way.
-    ``links`` and ``weights`` hold each link once. ``adjacency[u]`` is row u
-    as (neighbor, weight) tuples, and ``edge_rows`` and ``edge_cols`` give
-    each CSR entry's tail and head, all built on first use: the shortest
-    paths and the floods read the matrix, and every other pass reads the
-    links through a ``GraphChunk``.
+    orientation and raises ValueError on a self-loop, a repeated pair, a
+    node id outside [0, n) or a weight that is not finite and > 0 (which
+    could hang the tie resolution or drop its link); ``build_graph`` places
+    its links the same way.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
@@ -190,101 +197,76 @@ class NetworkGraph:
         loops = ends[ends[:, 0] == ends[:, 1], 0]
         if loops.size:
             raise ValueError(f"self-loop at node {loops[0]}")
+        bad = weights[~(np.isfinite(weights) & (weights > 0))]
+        if bad.size:
+            raise ValueError(f"edge weights must be finite and > 0, got {bad[0]}")
         order = np.argsort(ends[:, 0] * n + ends[:, 1])
         links = ends[order]
         repeated = links[1:][(links[1:] == links[:-1]).all(axis=1)]
         if repeated.size:
             raise ValueError(f"repeated pair {tuple(repeated[0].tolist())}")
-        self._place(links, weights[order], _symmetric_csr(n, links))
+        weights = weights[order]
+        self._hold(n, links, weights, [_placed(weights, _symmetric_csr(n, links))])
 
-    def _place(self, links: np.ndarray, weights: np.ndarray, csr: tuple) -> None:
-        """Hold the sorted ``links`` and their ``weights``, placed in ``csr``."""
-        indptr, cols, slots = csr
-        n = len(indptr) - 1
-        self.node_count = n
-        self.links, self.weights = links, weights
-        data = np.empty(len(cols))
-        data[slots] = weights  # each link's weight in its two entries
-        self.matrix = csr_matrix((data, cols, indptr), shape=(n, n), dtype=float)
+    def _hold(self, n: int, links: np.ndarray, weights: np.ndarray, matrices) -> None:
+        """Hold the blocks' CSR ``matrices`` and their links, as they are."""
+        self.node_count, self.blocks = n, len(matrices)
+        self.links, self.weights, self.matrices = links, weights, tuple(matrices)
+
+    @classmethod
+    def stack(cls, graphs: Sequence["NetworkGraph"]) -> "NetworkGraph":
+        """The blocks of ``graphs``, in order, as one graph. It shares their
+        matrices and copies their links into ``links.T``'s contiguous rows:
+        the tie check gathers with them, and strided ends make RAIL about
+        14% slower at 4500 nodes."""
+        n = graphs[0].node_count
+        if any(g.node_count != n for g in graphs):
+            raise ValueError("the stacked graphs must have one node count")
+        ends = np.empty((2, sum(len(g.weights) for g in graphs)), dtype=np.intp)
+        np.concatenate([g.links.T for g in graphs], axis=1, out=ends)
+        out = cls.__new__(cls)
+        out._hold(n, ends.T, np.concatenate([g.weights for g in graphs]),
+                  [m for g in graphs for m in g.matrices])
+        return out
+
+    @cached_property
+    def _start(self) -> list[int]:
+        """Where each block's links start in ``links``, then the link count."""
+        return np.cumsum([0] + [m.nnz // 2 for m in self.matrices]).tolist()
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """One sorted key per link, of its global ends, built block by
+        block, then a sentinel no edge query reaches."""
+        n, size, start = self.node_count, self.blocks * self.node_count, self._start
+        i, j = self.links.T
+        keys = [(i[lo:hi] + b * n) * size + j[lo:hi] + b * n
+                for b, (lo, hi) in enumerate(zip(start, start[1:]))]
+        return np.concatenate(keys + [[size * size]])
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        pairs = list(zip(self.matrix.indices.tolist(), self.matrix.data.tolist()))
-        bounds = self.matrix.indptr.tolist()
-        return [pairs[bounds[u]:bounds[u + 1]] for u in range(self.node_count)]
-
-    @cached_property
-    def edge_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.node_count), np.diff(self.matrix.indptr))
-
-    @cached_property
-    def edge_cols(self) -> np.ndarray:
-        return self.matrix.indices.astype(np.intp)
-
-    @cached_property
-    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, weights): the link ends as contiguous arrays."""
-        return (*np.ascontiguousarray(self.links.T), self.weights)
+        rows = []
+        for b, m in enumerate(self.matrices):
+            pairs = list(zip((m.indices + b * self.node_count).tolist(), m.data.tolist()))
+            bounds = m.indptr.tolist()
+            rows += [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return rows
 
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]
 
-    @cached_property
-    def _chunk(self) -> "GraphChunk":
-        return GraphChunk((self,))
-
-    def edge_weight(self, u: int, v: int) -> Optional[float]:
-        found, pos = self._chunk.edge_index(u, v)
-        return float(self.weights[pos]) if found else None
-
-
-class GraphChunk:
-    """B graphs of n nodes each, read as one block-diagonal graph: node v of
-    graph b is node ``b * n + v``, a *global* id, while shortest-path and
-    flooding rows stay block-local, (rows, n) arrays whose columns are
-    node ids of the row's own graph. A single graph is the chunk of one,
-    whose global ids are its node ids.
-
-    scipy's Dijkstra and BFS run on each graph's own ``matrices[b]``, and
-    the tie check on each tree over its graph's links (``links_of``). The
-    passes over all graphs read the stacked links: ``weights`` in (block,
-    i, j) order and one sorted key per link for ``edge_index``.
-    """
-
-    def __init__(self, graphs: Sequence[NetworkGraph]):
-        n = graphs[0].node_count
-        if any(g.node_count != n for g in graphs):
-            raise ValueError("the graphs of a chunk must have one node count")
-        self.node_count, self.blocks = n, len(graphs)
-        self.matrices = tuple(g.matrix for g in graphs)
-        sizes = [len(g.weights) for g in graphs]
-        self._start = np.cumsum([0] + sizes).tolist()
-        # contiguous rows of link ends: the tie check gathers with them
-        self._ends = np.empty((2, self._start[-1]), dtype=np.intp)
-        np.concatenate([g.links.T for g in graphs], axis=1, out=self._ends)
-        self.weights = np.concatenate([g.weights for g in graphs])
-        # one sorted key per link, of its global ends, then a sentinel no
-        # edge query reaches
-        size = self.blocks * n
-        self._keys = np.concatenate([(g.links[:, 0] + b * n) * size + g.links[:, 1] + b * n
-                                     for b, g in enumerate(graphs)] + [[size * size]])
-
-    @staticmethod
-    def of(g) -> "GraphChunk":
-        """``g`` itself if it is a chunk, else the chunk of the one graph ``g``."""
-        return g if isinstance(g, GraphChunk) else g._chunk
-
     def global_ids(self, nodes) -> np.ndarray:
-        """The block-local ids ``nodes`` of every graph as global ids, graph
-        by graph: row-major (graph, node)."""
+        """The block-local ids ``nodes`` of every block as global ids, block
+        by block: row-major (block, node)."""
         return (np.arange(0, self.blocks * self.node_count, self.node_count)[:, None]
                 + nodes).ravel()
 
     def links_of(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, weights) of the links of graph ``block``, i < j, as
-        contiguous block-local arrays sorted by (i, j)."""
+        """(i, j, weights) of the links of ``block``, i < j, as block-local
+        arrays sorted by (i, j); in a stack, contiguous ones."""
         lo, hi = self._start[block], self._start[block + 1]
-        return self._ends[0, lo:hi], self._ends[1, lo:hi], self.weights[lo:hi]
+        return self.links[lo:hi, 0], self.links[lo:hi, 1], self.weights[lo:hi]
 
     def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
         """(found, link position) of the link between the global ids u and
@@ -295,6 +277,20 @@ class GraphChunk:
         keys = np.minimum(u, v) * (self.blocks * self.node_count) + np.maximum(u, v)
         pos = np.searchsorted(self._keys, keys)
         return self._keys[pos] == keys, pos
+
+    def edge_weight(self, u: int, v: int) -> Optional[float]:
+        found, pos = self.edge_index(u, v)
+        return float(self.weights[pos]) if found else None
+
+
+def _placed(weights: np.ndarray, csr: tuple) -> csr_matrix:
+    """The CSR matrix of the layout ``csr`` (see ``_symmetric_csr``) with
+    each link's weight in both its entries."""
+    indptr, cols, slots = csr
+    n = len(indptr) - 1
+    data = np.empty(len(cols))
+    data[slots] = weights
+    return csr_matrix((data, cols, indptr), shape=(n, n), dtype=float)
 
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
@@ -450,7 +446,7 @@ def build_graph(
         raise ValueError(f"nodes {i[k]} and {j[k]} are co-located: zero distance has no RSSI")
     est = estimate_distance(model, rssi_at(model, true_d, noise))
     g = NetworkGraph.__new__(NetworkGraph)  # the links are already sorted and unique
-    g._place(dep.links, est, dep._csr)
+    g._hold(len(dep.coords), dep.links, est, [_placed(est, dep._csr)])
     return g
 
 
@@ -505,12 +501,11 @@ def tree_hops(pred: np.ndarray, sources, rows, nodes) -> np.ndarray:
     return hops
 
 
-def _resolve_ties(g, dist: np.ndarray, pred: np.ndarray, block: int = 0) -> None:
-    """Re-resolve, in place, the pred of every node of one tree of graph
-    ``block`` of g (a NetworkGraph or a GraphChunk) with two or more
-    exact-tight predecessors to the one on the lexicographically smallest
-    path; in increasing-distance order, so every candidate path is already
-    final.
+def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray, block: int = 0) -> None:
+    """Re-resolve, in place, the pred of every node of one tree of block
+    ``block`` of g with two or more exact-tight predecessors to the one on
+    the lexicographically smallest path; in increasing-distance order, so
+    every candidate path is already final.
 
     A link (i, j) of weight w is tight into j where ``dist[i] + w ==
     dist[j]`` and into i where ``dist[j] + w == dist[i]``; both masks are
@@ -519,7 +514,6 @@ def _resolve_ties(g, dist: np.ndarray, pred: np.ndarray, block: int = 0) -> None
     tight entry. When every node is reached and the tree has n - 1 tight
     entries in all, each has exactly one and there is no tie.
     """
-    g = GraphChunk.of(g)
     n, (i, j, w) = g.node_count, g.links_of(block)
     di, dj = dist.take(i), dist.take(j)
     into_j, into_i = di + w == dj, dj + w == di
@@ -541,18 +535,17 @@ def _resolve_ties(g, dist: np.ndarray, pred: np.ndarray, block: int = 0) -> None
     pred[:] = pl
 
 
-def _by_block(g: GraphChunk, sources) -> tuple[np.ndarray, np.ndarray]:
+def _by_block(g: NetworkGraph, sources) -> tuple[np.ndarray, np.ndarray]:
     """(block, block-local id) of each global source id."""
     sources = np.asarray(sources, dtype=np.intp).reshape(-1)
     blocks = sources // g.node_count
     return blocks, sources - blocks * g.node_count
 
 
-def dijkstra_trees(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest paths from each source, from one scipy call per graph; g is
-    a NetworkGraph or a GraphChunk, and ``sources`` global ids in block
-    order. Returns block-local (dist, pred) arrays of shape (len(sources),
-    n), row r for sources[r].
+def dijkstra_trees(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest paths from each source, given as global ids in block order,
+    from one scipy call per block. Returns block-local (dist, pred) arrays
+    of shape (len(sources), n), row r for sources[r].
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
@@ -564,7 +557,6 @@ def dijkstra_trees(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     gives the hop counts of every node, ``tree_hops`` those of the nodes a
     caller reads.
     """
-    g = GraphChunk.of(g)
     blocks, local = _by_block(g, sources)
     if (np.diff(blocks) < 0).any():
         raise ValueError("sources must come in block order")
@@ -594,17 +586,9 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
     return out
 
 
-def hop_tree_ranging(g: NetworkGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
+def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
-    of one source: row 0 of ``hop_floods``."""
-    dist, hops = hop_floods(g, [source])
-    return dist[0], hops[0]
-
-
-def hop_floods(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
-    of each source; g is a NetworkGraph or a GraphChunk, and ``sources``
-    global ids.
+    of each source, given as global ids.
 
     Models hop-count-propagation protocols: each node keeps the first beacon
     it hears (deterministically, from its smallest-id discovered neighbor)
@@ -614,10 +598,9 @@ def hop_floods(g, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns block-local (accumulated distance, hop count) arrays of shape
     (len(sources), n), row r for sources[r]; the hop counts are the BFS
-    minimum hops. Raises Unreachable if a graph is disconnected from its
+    minimum hops. Raises Unreachable if a block is disconnected from its
     source.
     """
-    g = GraphChunk.of(g)
     n = g.node_count
     blocks, local = _by_block(g, sources)
     pred = np.empty((len(local), n), dtype=np.intp)

@@ -3,12 +3,13 @@ error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets of a chunk of same-size
-runs, and ``localize_chunk`` runs them in order: ``_per_hop_errors``,
-``_boxes``, ``_angles``, ``_ray_directions`` and ``_locate``, and returns
+runs, whose graphs are the blocks of one ``NetworkGraph``, and
+``localize_chunk`` runs them in order: ``_per_hop_errors``, ``_boxes``,
+``_angles``, ``_ray_directions`` and ``_locate``, and returns
 ``RailResults``: the estimates, case codes, boxes, rays and ray-pair hits
 as arrays, with no per-target objects. ``localize_all`` is the chunk of
-one run. ``corrected_angle`` is the one scalar
-entry point, a 0-d call of the angle formula. Transcendentals go through
+one run. ``corrected_angle`` is the one scalar entry point, a 0-d call of
+the angle formula. Transcendentals go through
 ``geometry.libm``, distances through ``geometry.hypot``, and every
 expression keeps the scalar operand order, so the passes give the results
 of the per-target scalar formulas bit for bit. Max, min, clip and argmin
@@ -27,8 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_TOL, hypot, libm
-from .network import (Deployment, GraphChunk, NetworkGraph, Unreachable, _depths,
-                      dijkstra_trees, tree_hops)
+from .network import Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees, tree_hops
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 # row i: the two members of an anchor triple other than i, in id order
@@ -121,8 +121,8 @@ def corrected_angle(
 
 
 class _Forest(NamedTuple):
-    """The shortest-path trees of some sources of a graph or a chunk,
-    stacked as block-local (sources, n) arrays; row r belongs to the
+    """The shortest-path trees of some sources of a graph, stacked as
+    block-local (sources, n) arrays; row r belongs to the
     global id ``ids[r]``. The hop counts cover every node, by ``_depths``:
     nearly all nodes are targets, and over whole trees pointer jumping
     beats ``tree_hops``'s walk."""
@@ -133,7 +133,7 @@ class _Forest(NamedTuple):
     hops: np.ndarray
 
     @classmethod
-    def of(cls, g, sources: Sequence[int]) -> "_Forest":
+    def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
         ids = np.array(sources, dtype=np.intp)
         dist, pred = dijkstra_trees(g, ids)
         return cls(ids, dist, pred, _depths(pred, ids % dist.shape[1]))
@@ -154,12 +154,11 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
     return v
 
 
-def _angles(g, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
+def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
             target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the estimated angle at the anchor of tree ``rows`` of
     ``forest`` between the directions to ``ref`` and to ``target`` (nodes
-    of the tree's own graph of ``g``, a NetworkGraph or a GraphChunk), and
-    the prefix length K.
+    of the tree's own block of ``g``), and the prefix length K.
 
     The two path-prefix segments formed by the first K <= 3 hops of the
     shortest paths toward ``ref`` and toward ``target``, together with the
@@ -168,7 +167,6 @@ def _angles(g, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     applying the law of cosines. K shrinks when either path is shorter than
     3 hops.
     """
-    g = GraphChunk.of(g)
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
         if missing.any():
@@ -182,20 +180,20 @@ def _angles(g, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     node_a = _ancestors(forest, rows, ref, k)
     node_b = _ancestors(forest, rows, target, k)
     a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
-    base = forest.ids[rows] // g.node_count * g.node_count  # the tree's graph, as global ids
+    base = forest.ids[rows] // g.node_count * g.node_count  # the tree's block, as global ids
     c_len, c_hops = _connections(g, forest, node_a + base, node_b + base)
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
-def _connections(g: GraphChunk, forest: _Forest, u: np.ndarray,
+def _connections(g: NetworkGraph, forest: _Forest, u: np.ndarray,
                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the length and hop count of the connection from the
-    global id u to the global id v of one graph of g: 0 and 0 hops where
+    global id u to the global id v of one block of g: 0 and 0 hops where
     u == v, a direct link's weight and 1 hop, or else their multi-hop
     shortest distance, whose hops are counted at v only. A multi-hop
     connection reads u's row of ``forest`` where u is one of its roots, and
-    the rest take one ``dijkstra_trees`` call per graph over their distinct
-    sources; one graph's trees at a time, since those of all graphs at once
+    the rest take one ``dijkstra_trees`` call per block over their distinct
+    sources; one block's trees at a time, since those of all blocks at once
     would be a chunk's largest arrays.
     """
     n = g.node_count
@@ -320,22 +318,23 @@ def _locate(box: np.ndarray, rays):
 
 
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
-    """Run the full pipeline for every unknown node of one run: the chunk
-    of one run."""
-    return localize_chunk(dep.coords[None], dep.anchor_ids, GraphChunk.of(g))
+    """Run the full pipeline for every unknown node of one run, whose graph
+    ``g`` is one block: the chunk of one run, as a sweep scores it."""
+    return localize_chunk(dep.coords[None], dep.anchor_ids, NetworkGraph.stack([g]))
 
 
-def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: GraphChunk) -> RailResults:
+def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGraph) -> RailResults:
     """Run the full pipeline for every unknown node of B runs of n nodes,
     as array passes over all their targets: ``coords`` (B, n, 2) holds the
     runs' positions, ``anchor_ids`` their anchors (the same ids in every
-    run) and ``g`` their graphs. Column ``b * m + t`` of the result is
-    target t of run b, for the m unknowns of a run in id order.
+    run) and ``g`` their graphs, block b for run b. Column ``b * m + t`` of
+    the result is target t of run b, for the m unknowns of a run in id
+    order.
 
     When more than three anchors exist, each target uses its three nearest
     anchors by estimated shortest distance. One ``dijkstra_trees`` call
     gives the anchors' trees of every run and one ``_angles`` call reads
-    all six angles of every target, so each run's graph sees at most two
+    all six angles of every target, so each run's block sees at most two
     scipy Dijkstra calls, and the second has no anchor among its sources.
     """
     runs, n = coords.shape[:2]

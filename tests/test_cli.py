@@ -53,7 +53,7 @@ class TestRun:
         {"densities": [60, 60]}, {"algorithms": ["RAIL", "MinMax", "RAIL"]},
         {"sigma": 3000}, {"sigma": True}, {"width": True, "height": True},
         {"comm_range": True}, {"n_anchors": 2000}, {"densities": [10**9]},
-        {"densities": [5000], "comm_range": 80},
+        {"densities": [5000], "comm_range": 80}, {"algorithms": []},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
@@ -190,6 +190,25 @@ class TestPlot:
         p = tmp_path / "runs.csv"
         p.write_text("algorithm,density,run_index,seed,run_mean_error_m\n")
         assert main(["plot", "--runs", str(p), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("row, why", [
+        ("MinMax,60,0,123,nan", "must be finite"),
+        ("MinMax,60,0,123,inf", "must be finite"),
+        ("MinMax,60,0,123,-inf", "must be finite"),
+        ("MinMax,60", "NoneType"),  # a short row
+    ])
+    def test_bad_row_exit_1(self, row, why, tmp_path, caplog):
+        # a chart cannot place a non-finite or missing mean error; no SVG
+        # is written
+        p = tmp_path / "runs.csv"
+        p.write_text(
+            "algorithm,density,run_index,seed,run_mean_error_m\n"
+            f"RAIL,60,0,123,4.5000\n{row}\n"
+        )
+        charts = tmp_path / "charts"
+        assert main(["plot", "--runs", str(p), "--out", str(charts)]) == 1
+        assert "cannot read runs csv" in caplog.text and why in caplog.text
+        assert not charts.exists()
 
     def test_single_run_markers_only(self, tmp_path):
         p = tmp_path / "runs.csv"

@@ -89,6 +89,8 @@ class TestBasics:
             ExperimentConfig(densities=())
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("Nope",))
+        with pytest.raises(ValueError, match="one or more"):
+            ExperimentConfig(algorithms=())
         for bad in (
             {"n_anchors": 2},
             {"width": 0.0},

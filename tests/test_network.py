@@ -18,7 +18,6 @@ from railsim.network import (
     ANCHOR_AREA_MIN,
     Deployment,
     GenerationFailed,
-    GraphChunk,
     NetworkGraph,
     Unreachable,
     _anchor_index,
@@ -30,7 +29,6 @@ from railsim.network import (
     dijkstra_trees,
     generate_deployment,
     hop_floods,
-    hop_tree_ranging,
     shortest_ranging,
     tree_hops,
 )
@@ -145,11 +143,18 @@ def random_connected_graph(rng, n_max=10):
                 edges.append((i, j, d))
         g = NetworkGraph(n, edges)
         try:
-            hop_tree_ranging(g, 0)
+            flood(g, 0)
             return g
         except Unreachable:
             continue
     return NetworkGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def flood(g, source):
+    """Row 0 of ``hop_floods``: the (accumulated distance, hop count) of
+    every node in the flooding tree of one source."""
+    dist, hops = hop_floods(g, [source])
+    return dist[0], hops[0]
 
 
 def all_hops(pred, sources):
@@ -163,8 +168,10 @@ def resolve_ties_per_row(g, dist, pred):
     re-resolves each tied node to the predecessor on the lexicographically
     smallest path, in increasing-distance order. Returns whether the row
     had a tie."""
-    m, cols = g.matrix, g.edge_cols
-    tight = dist[g.edge_rows] + m.data == dist[cols]
+    m = g.matrices[0]
+    cols = m.indices.astype(np.intp)
+    rows = np.repeat(np.arange(g.node_count), np.diff(m.indptr))
+    tight = dist[rows] + m.data == dist[cols]
     n_tight = np.bincount(cols[tight], minlength=g.node_count)
     ties = np.flatnonzero(n_tight >= 2)
     ties = ties[np.isfinite(dist[ties])]  # inf + w == inf is no tie
@@ -293,7 +300,7 @@ class TestGenerateDeployment:
         dep = generate_deployment(50, 50, 100, 3, 10, seed=3)
         g = build_graph(dep, MODEL)
         for a in dep.anchor_ids:
-            hop_tree_ranging(g, a)  # raises if any node unreachable
+            flood(g, a)  # raises if any node unreachable
 
     def test_json_round_trip(self):
         dep = generate_deployment(50, 50, 20, 3, 15, seed=5)
@@ -509,10 +516,16 @@ class TestBuildGraph:
             dep = generate_deployment(50, 50, n_unknown, 3, 10, seed=n_unknown + 1)
             g = build_graph(dep, model, rng=np.random.default_rng(3))
             want, tails, heads = coo_build_graph(dep, model, np.random.default_rng(3))
+            m = g.matrices[0]
             for field in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(g.matrix, field), getattr(want, field))
-            assert np.array_equal(g.edge_rows, tails) and np.array_equal(g.edge_cols, heads)
-            assert g.edge_cols.dtype == np.intp
+                assert np.array_equal(getattr(m, field), getattr(want, field))
+            assert np.array_equal(np.repeat(np.arange(g.node_count), np.diff(m.indptr)), tails)
+            # every link once, as (i, j), i < j, sorted by (i, j): the
+            # entries of row i that lie above the diagonal
+            i, j, w = g.links_of(0)
+            above = heads > tails
+            assert np.array_equal(i, tails[above]) and np.array_equal(j, heads[above])
+            assert w.tobytes() == want.data[above].tobytes()
             # the layout is shared by every graph built from the deployment
             assert not any(a.flags.writeable for a in dep._csr)
 
@@ -527,6 +540,16 @@ class TestBuildGraph:
         dep = Deployment(50, 50, coords, (0, 1, 2), 10.0)
         with pytest.raises(ValueError, match="nodes 1 and 3 are co-located"):
             build_graph(dep, MODEL, rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_adjacency_counts_each_link_twice(self, sigma):
+        # per-layer tracing counts a graph's links from its adjacency
+        dep = generate_deployment(50, 50, 200, 3, 10, seed=6)
+        g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(6))
+        assert g.blocks == 1 and len(g.adjacency) == g.node_count
+        assert sum(map(len, g.adjacency)) // 2 == len(g.weights) == len(dep.links) > 0
+        # a scenario's graph shares the deployment's links
+        assert g.links is dep.links
 
     def test_noise_changes_weights_deterministically(self):
         dep = generate_deployment(50, 50, 30, 3, 12, seed=2)
@@ -545,8 +568,9 @@ class TestNetworkGraph:
     @staticmethod
     def assert_same_graph(got, want):
         for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got.matrix, field), getattr(want.matrix, field))
-        for a, b in zip(got._links, want._links):
+            assert np.array_equal(getattr(got.matrices[0], field),
+                                  getattr(want.matrices[0], field))
+        for a, b in zip(got.links_of(0), want.links_of(0)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         sources = range(0, want.node_count, 3)
         for a, b in zip(dijkstra_trees(got, sources), dijkstra_trees(want, sources)):
@@ -559,7 +583,7 @@ class TestNetworkGraph:
         dep = generate_deployment(50, 50, 200, 3, 10, seed=seed)
         rng = np.random.default_rng(seed)
         for g in (build_graph(dep, MODEL), noisy_graph(seed)):
-            i, j, w = g._links
+            i, j, w = g.links_of(0)
             edges = list(zip(i.tolist(), j.tolist(), w.tolist()))
             rng.shuffle(edges)
             edges = [(v, u, w) if k % 2 else (u, v, w) for k, (u, v, w) in enumerate(edges)]
@@ -571,6 +595,13 @@ class TestNetworkGraph:
         ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 5.0)], r"repeated pair \(1, 2\)"),
         ([(0, 3, 1.0)], r"node ids must lie in \[0, 3\)"),
         ([(-1, 2, 1.0)], r"node ids must lie in \[0, 3\)"),
+        # a zero or negative weight could hang the tie resolution (a
+        # triangle of zero weights did), and a NaN or inf one would drop
+        # its link
+        ([(0, 1, 1.0), (1, 2, math.nan)], "finite and > 0, got nan"),
+        ([(0, 1, math.inf), (1, 2, 1.0)], "finite and > 0, got inf"),
+        ([(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)], "finite and > 0, got 0.0"),
+        ([(0, 1, 1.0), (2, 1, -1.0)], "finite and > 0, got -1.0"),
     ])
     def test_invalid_edges_rejected(self, edges, match):
         with pytest.raises(ValueError, match=match):
@@ -583,9 +614,9 @@ class TestNetworkGraph:
         assert dist.tolist() == [[0.0, math.inf]] and pred.tolist() == [[-1, -1]]
 
 
-class TestGraphChunk:
-    """A chunk of same-size graphs answers every query as each graph does
-    on its own: node v of graph b is global id b * n + v."""
+class TestStack:
+    """A stack of same-size graphs answers every query as each graph does
+    on its own: node v of block b is global id b * n + v."""
 
     @staticmethod
     def graphs():
@@ -594,38 +625,53 @@ class TestGraphChunk:
 
     def test_trees_and_floods_match_each_graph(self):
         gs = self.graphs()
-        chunk = GraphChunk(gs)
-        n = chunk.node_count
+        stack = NetworkGraph.stack(gs)
+        n = stack.node_count
+        assert stack.blocks == len(gs) and len(stack.adjacency) == len(gs) * n
         sources = np.sort(np.random.default_rng(5).choice(len(gs) * n, 24, replace=False))
-        dist, pred = dijkstra_trees(chunk, sources)
-        acc, hops = hop_floods(chunk, sources)
+        dist, pred = dijkstra_trees(stack, sources)
+        acc, hops = hop_floods(stack, sources)
         assert dist.shape == pred.shape == acc.shape == hops.shape == (len(sources), n)
         for r, (b, v) in enumerate(zip(*np.divmod(sources, n))):
             want_dist, want_pred = dijkstra_trees(gs[b], [v])
             assert dist[r].tobytes() == want_dist[0].tobytes()
             assert pred[r].tolist() == want_pred[0].tolist()
-            want_acc, want_hops = hop_tree_ranging(gs[b], v)
+            want_acc, want_hops = flood(gs[b], v)
             assert acc[r].tobytes() == want_acc.tobytes()
             assert hops[r].tolist() == want_hops.tolist()
 
     def test_edge_index_finds_each_graphs_links(self):
         gs = self.graphs()
-        chunk = GraphChunk(gs)
-        n = chunk.node_count
+        stack = NetworkGraph.stack(gs)
+        n = stack.node_count
         for b, g in enumerate(gs):
-            i, j, w = g._links
-            found, pos = chunk.edge_index(j + b * n, i + b * n)
-            assert found.all() and chunk.weights[pos].tobytes() == w.tobytes()
-            assert [a.tolist() for a in chunk.links_of(b)] == [a.tolist() for a in g._links]
-        # no link joins two graphs or a node to itself
-        assert not chunk.edge_index([0, 0, 2 * n - 1], [n, 0, 3 * n - 1])[0].any()
+            i, j, w = g.links_of(0)
+            found, pos = stack.edge_index(j + b * n, i + b * n)
+            assert found.all() and stack.weights[pos].tobytes() == w.tobytes()
+            assert [a.tolist() for a in stack.links_of(b)] == [a.tolist() for a in (i, j, w)]
+            u = int(i[0])
+            assert stack.edge_weight(u + b * n, int(j[0]) + b * n) == g.edge_weight(u, j[0])
+            assert stack.neighbors(u + b * n) == [(v + b * n, x) for v, x in g.neighbors(u)]
+        # no link joins two blocks or a node to itself
+        assert not stack.edge_index([0, 0, 2 * n - 1], [n, 0, 3 * n - 1])[0].any()
 
     def test_rejects_mixed_sizes_and_unordered_sources(self):
         g = noisy_graph(0, n_unknown=60)
         with pytest.raises(ValueError, match="one node count"):
-            GraphChunk([g, noisy_graph(0, n_unknown=61)])
+            NetworkGraph.stack([g, noisy_graph(0, n_unknown=61)])
         with pytest.raises(ValueError, match="block order"):
-            dijkstra_trees(GraphChunk([g, g]), [g.node_count, 0])
+            dijkstra_trees(NetworkGraph.stack([g, g]), [g.node_count, 0])
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_link_ends_contiguous(self, count):
+        # the tie check gathers with the link ends of every graph a sweep
+        # scores, a stack of one included; strided ends slow it down
+        stack = NetworkGraph.stack(self.graphs()[:count])
+        for b in range(count):
+            for a in stack.links_of(b):
+                assert a.flags.c_contiguous
+        # a stack's ends are its links, not a second copy
+        assert np.shares_memory(stack.links_of(0)[0], stack.links)
 
 
 class TestShortestRanging:
@@ -744,7 +790,7 @@ class TestTieShortcut:
     def check_rows(g, sources):
         """Both tie resolutions on scipy's trees of every source; returns
         how many rows had a tie."""
-        dist, raw = dijkstra(g.matrix, indices=sources, return_predecessors=True)
+        dist, raw = dijkstra(g.matrices[0], indices=sources, return_predecessors=True)
         raw = np.where(raw < 0, -1, raw).astype(np.intp)
         tied = 0
         for d, p in zip(dist, raw):
@@ -831,16 +877,16 @@ class TestMinHops:
 
     def test_path_graph(self):
         g = NetworkGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert hop_tree_ranging(g, 0)[1].tolist() == [0, 1, 2]
+        assert flood(g, 0)[1].tolist() == [0, 1, 2]
 
     def test_direct_neighbor(self):
         g = NetworkGraph(2, [(0, 1, 3.0)])
-        assert hop_tree_ranging(g, 0)[1][1] == 1
+        assert flood(g, 0)[1][1] == 1
 
     def test_unreachable(self):
         g = NetworkGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(Unreachable, match=r"\[2, 3\]"):
-            hop_tree_ranging(g, 0)
+            flood(g, 0)
 
     def test_matches_deque_flood(self):
         rng = np.random.default_rng(99)
@@ -850,19 +896,19 @@ class TestMinHops:
         )
         for g in graphs:
             for source in {0, g.node_count - 1}:
-                dist, hops = hop_tree_ranging(g, source)
+                dist, hops = flood(g, source)
                 assert (dist.tolist(), hops.tolist()) == deque_flood(g, source)
         dep = generate_deployment(50, 50, 300, 3, 10, seed=4)
         g = build_graph(dep, PathLossModel(sigma=4.0), rng=np.random.default_rng(4))
         for a in dep.anchor_ids:
-            dist, hops = hop_tree_ranging(g, a)
+            dist, hops = flood(g, a)
             assert (dist.tolist(), hops.tolist()) == deque_flood(g, a)
 
     def test_matches_exhaustive_bfs(self):
         rng = np.random.default_rng(321)
         for _ in range(50):
             g = random_connected_graph(rng)
-            assert hop_tree_ranging(g, 0)[1].tolist() == bfs_levels(g, 0)
+            assert flood(g, 0)[1].tolist() == bfs_levels(g, 0)
 
 
 def test_cli_import_and_sweep_leave_out_scipy_spatial():
@@ -884,11 +930,11 @@ def test_cli_import_and_sweep_leave_out_scipy_spatial():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_hop_tree_ranging_overestimates_weighted_shortest():
+def test_hop_floods_overestimate_weighted_shortest():
     dep = generate_deployment(50, 50, 120, 3, 10, seed=13)
     g = build_graph(dep, MODEL)
     for a in dep.anchor_ids:
-        acc, hops = hop_tree_ranging(g, a)
+        acc, hops = flood(g, a)
         weighted = shortest_ranging(g, a, list(range(len(dep.nodes))))
         bfs = bfs_levels(g, a)
         for r in weighted:
