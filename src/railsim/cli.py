@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, inspect one seeded scenario,
 and turn runs.csv into per-density error charts.
 
-Exit codes: 0 success, 1 bad input (config/CSV), 2 infeasible deployment.
+Exit codes: 0 success, 1 bad input (config, CSV, --out), 2 infeasible deployment.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     return cfg
 
 
+def _cannot_write(exc: OSError) -> int:
+    log.error("cannot write output: %s", exc)
+    return 1
+
+
 def cmd_run(args) -> int:
     if args.workers < 1:
         log.error("--workers must be >= 1, got %d", args.workers)
@@ -61,10 +66,13 @@ def cmd_run(args) -> int:
     except GenerationFailed as exc:
         log.error("deployment generation failed: %s", exc)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    write_report_csv(report, os.path.join(args.out, "report.csv"))
-    write_runs_csv(report, os.path.join(args.out, "runs.csv"))
-    write_errors_csv(report, os.path.join(args.out, "errors.csv"))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        write_report_csv(report, os.path.join(args.out, "report.csv"))
+        write_runs_csv(report, os.path.join(args.out, "runs.csv"))
+        write_errors_csv(report, os.path.join(args.out, "errors.csv"))
+    except OSError as exc:
+        return _cannot_write(exc)
 
     print(f"{'':>12}" + "".join(f"{alg:>14}" for alg in cfg.algorithms))
     for d in cfg.densities:
@@ -123,11 +131,14 @@ def cmd_demo(args) -> int:
         "estimates": estimates,
         "diagnostics": diagnostics,
     }
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "scene.json"), json.dumps(scene, indent=2) + "\n")
     svg = svgplot.scene_svg(dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids,
                             target, *drawn)
-    _atomic_write(os.path.join(args.out, "scene.svg"), svg)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        _atomic_write(os.path.join(args.out, "scene.json"), json.dumps(scene, indent=2) + "\n")
+        _atomic_write(os.path.join(args.out, "scene.svg"), svg)
+    except OSError as exc:
+        return _cannot_write(exc)
     log.info("wrote scene.json and scene.svg to %s", args.out)
     return 0
 
@@ -141,8 +152,8 @@ def cmd_plot(args) -> int:
     if not rows:
         log.error("runs csv %s contains no data rows", args.runs)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     densities = sorted({r["density"] for r in rows})
+    charts = {}
     for d in densities:
         series: dict[str, list[tuple[float, float]]] = {}
         for r in rows:
@@ -150,19 +161,18 @@ def cmd_plot(args) -> int:
                 series.setdefault(r["algorithm"], []).append(
                     (float(r["run_index"]), r["run_mean_error_m"])
                 )
-        svg = line_chart_for_density(series, d)
-        _atomic_write(os.path.join(args.out, f"errors_{d}.svg"), svg)
+        charts[f"errors_{d}.svg"] = svgplot.line_chart(
+            {name: sorted(pts) for name, pts in series.items()},
+            title=f"Per-run mean localization error, {d} unknown nodes",
+            x_label="run index", y_label="mean error (m)")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, svg in charts.items():
+            _atomic_write(os.path.join(args.out, name), svg)
+    except OSError as exc:
+        return _cannot_write(exc)
     log.info("wrote %d chart(s) to %s", len(densities), args.out)
     return 0
-
-
-def line_chart_for_density(series, density: int) -> str:
-    return svgplot.line_chart(
-        {name: sorted(pts) for name, pts in series.items()},
-        title=f"Per-run mean localization error, {density} unknown nodes",
-        x_label="run index",
-        y_label="mean error (m)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any work
+        log.error("cannot write output: %s is not a directory", args.out)
+        return 1
     return args.func(args)
 
 

@@ -7,7 +7,8 @@ algorithms share one deployment and graph per run for paired comparison.
 The unit of work is a chunk of runs of one density (``chunks``): each run
 draws its own scenario, the runs' graphs are stacked as the blocks of one
 ``NetworkGraph``, and the algorithms and the scoring run once over the
-targets of all of them, so their fixed cost is paid once per chunk.
+targets of all of them, so their fixed cost is paid once per chunk; each
+block keeps its run's node ids.
 
 A run's record holds arrays, not per-node objects: each algorithm's
 estimates are one record array with fields ``x`` and ``y`` and its errors
@@ -264,7 +265,7 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
         # RSSI distance along the hop-minimal path (not the distance-optimal
         # one RAIL uses). Arrays are (anchor, run, target).
         acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
-                     for a in hop_floods(g, g.global_ids(anchors)))
+                     for a in hop_floods(g, anchors))
         anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     if "MinMax" in cfg.algorithms:
@@ -357,12 +358,12 @@ def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentRepor
     return aggregate(records, cfg)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *parts: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
+            f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -408,12 +409,12 @@ def write_errors_csv(report: ExperimentReport, path: str) -> None:
                 fields[1::2] = rec.errors[alg].tolist()
                 row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
                 blocks.append(row * len(rec.node_ids) % tuple(fields))
-    _atomic_write(path, "".join(blocks))
+    _atomic_write(path, *blocks)  # joined, they would be a second copy of the file
 
 
 def read_runs_csv(path: str) -> list[dict]:
-    """The rows of a runs.csv; ValueError on a run_mean_error_m that is not
-    a finite number, which no chart can place."""
+    """The rows of a runs.csv; ValueError on an algorithm outside ``ALL_ALGORITHMS``
+    or a non-finite run_mean_error_m, which no chart can label or place."""
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     for row in rows:
@@ -422,5 +423,8 @@ def read_runs_csv(path: str) -> list[dict]:
         row["run_mean_error_m"] = float(row["run_mean_error_m"])
         if not math.isfinite(row["run_mean_error_m"]):
             raise ValueError(f"run_mean_error_m must be finite, got {row['run_mean_error_m']} "
+                             f"(density {row['density']}, run {row['run_index']})")
+        if row["algorithm"] not in ALL_ALGORITHMS:
+            raise ValueError(f"unknown algorithm {row['algorithm']!r} "
                              f"(density {row['density']}, run {row['run_index']})")
     return rows

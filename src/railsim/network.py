@@ -7,15 +7,15 @@ A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
 per-node ``Point`` objects are built only when ``Deployment.nodes`` is
 read. A deployment finds its own in-range node pairs on a grid of cells
-(``Deployment.links``, sorted by (i, j)) and places them once in a
-symmetric CSR layout (``_symmetric_csr``), which both the connectivity
-check and ``build_graph`` read.
+(``Deployment.links``, rows i and j, sorted by (i, j)) and places them
+once in a symmetric CSR layout (``_symmetric_csr``), which both the
+connectivity check and ``build_graph`` read.
 
 A ``NetworkGraph`` is B >= 1 such graphs of one size side by side: a
 scenario's graph is one block, and ``NetworkGraph.stack`` joins the graphs
-of a chunk of runs, the unit a sweep scores at once. scipy's Dijkstra and
-BFS run on each block's own matrix; the passes around them run once over
-the trees and links of all blocks.
+of a chunk of runs, the unit a sweep scores at once. A query names nodes
+by their ids within a block. scipy's Dijkstra and BFS run on each block's
+own matrix; the passes around them run once over all blocks.
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -95,8 +95,9 @@ class Deployment:
 
     @cached_property
     def links(self) -> np.ndarray:
-        """Read-only (pairs, 2) array of the node pairs (i, j), i < j, with
-        ``dx*dx + dy*dy <= comm_range*comm_range``, sorted by (i, j)."""
+        """Read-only (2, pairs) array, rows i and j, of the node pairs
+        i < j with ``dx*dx + dy*dy <= comm_range*comm_range``, sorted by
+        (i, j)."""
         pairs = _pairs_in_range(self.coords, self.comm_range)
         pairs.flags.writeable = False
         return pairs
@@ -139,13 +140,13 @@ class RangingResult:
 
 def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, cols, slots): the symmetric CSR layout of n nodes' links, a
-    (pairs, 2) array of pairs (i, j), i < j, sorted by (i, j).
+    (2, pairs) array of rows i and j, i < j, sorted by (i, j).
 
     Row u lists u's neighbors in increasing id order, and link k = (i, j)
     fills entry ``slots[0, k]`` of row i and ``slots[1, k]`` of row j. The
     arrays are read-only: a deployment's layout is shared by its graphs.
     """
-    i, j = links.T
+    i, j = links
     below = np.bincount(j, minlength=n)  # per node, neighbors with smaller ids
     above = np.bincount(i, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -167,19 +168,19 @@ def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 class NetworkGraph:
-    """B >= 1 symmetric one-hop graphs of n nodes each, side by side: node v
-    of block b is the *global* id ``b * n + v``. A scenario's graph is one
-    block, whose global ids are its node ids; ``stack`` joins the graphs of
-    a chunk of runs. Shortest-path and flooding rows stay block-local (rows,
-    n) arrays whose columns are node ids of the row's own block.
+    """B >= 1 symmetric one-hop graphs of n nodes each, side by side. A
+    scenario's graph is one block; ``stack`` joins the graphs of a chunk of
+    runs. Queries name a node by its id v in [0, n) and, where it matters,
+    its block b.
 
     A block is a set of links (i, j), i < j, sorted by (i, j), one estimated
     distance each, placed in the CSR matrix ``matrices[b]`` (rows sorted by
     neighbor id, both entries of a link holding its weight) for scipy.
-    ``links`` and ``weights`` hold every block's links once, block-local, in
-    (block, i, j) order; ``links_of`` gives one block's, and ``edge_index``
-    finds links by their global ends. ``adjacency[u]`` lists the (neighbor,
-    weight) pairs of global id u, built on first use.
+    ``links``, a read-only (2, pairs) array of rows i and j, and ``weights``
+    hold every block's links once, in (block, i, j) order; ``links_of``
+    gives one block's, and ``edge_index`` finds links by their block and
+    ends. ``adjacency[b * n + v]`` lists the (b * n + neighbor, weight)
+    pairs of node v of block b, built on first use.
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
     orientation and raises ValueError on a self-loop, a repeated pair, a
@@ -189,43 +190,41 @@ class NetworkGraph:
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
-        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2).T
+        i, j = ends.min(axis=0), ends.max(axis=0)  # each link as (i, j), i <= j
         weights = np.array([w for _, _, w in edges], dtype=float)
-        ends.sort(axis=1)  # each link as (i, j), i <= j
-        if ends.size and (ends[:, 0].min() < 0 or ends[:, 1].max() >= n):
+        if i.size and (i.min() < 0 or j.max() >= n):
             raise ValueError(f"node ids must lie in [0, {n})")
-        loops = ends[ends[:, 0] == ends[:, 1], 0]
+        loops = i[i == j]
         if loops.size:
             raise ValueError(f"self-loop at node {loops[0]}")
         bad = weights[~(np.isfinite(weights) & (weights > 0))]
         if bad.size:
             raise ValueError(f"edge weights must be finite and > 0, got {bad[0]}")
-        order = np.argsort(ends[:, 0] * n + ends[:, 1])
-        links = ends[order]
-        repeated = links[1:][(links[1:] == links[:-1]).all(axis=1)]
+        order = np.argsort(i * n + j)
+        links = np.stack((i[order], j[order]))
+        repeated = np.flatnonzero((links[:, 1:] == links[:, :-1]).all(axis=0))
         if repeated.size:
-            raise ValueError(f"repeated pair {tuple(repeated[0].tolist())}")
+            raise ValueError(f"repeated pair {tuple(links[:, repeated[0]].tolist())}")
         weights = weights[order]
         self._hold(n, links, weights, [_placed(weights, _symmetric_csr(n, links))])
 
     def _hold(self, n: int, links: np.ndarray, weights: np.ndarray, matrices) -> None:
-        """Hold the blocks' CSR ``matrices`` and their links, as they are."""
+        """Hold the blocks' CSR ``matrices`` and their links, made read-only."""
+        links.flags.writeable = False
         self.node_count, self.blocks = n, len(matrices)
         self.links, self.weights, self.matrices = links, weights, tuple(matrices)
 
     @classmethod
     def stack(cls, graphs: Sequence["NetworkGraph"]) -> "NetworkGraph":
-        """The blocks of ``graphs``, in order, as one graph. It shares their
-        matrices and copies their links into ``links.T``'s contiguous rows:
-        the tie check gathers with them, and strided ends make RAIL about
-        14% slower at 4500 nodes."""
+        """The blocks of ``graphs``, in order, as one graph that shares
+        their matrices."""
         n = graphs[0].node_count
         if any(g.node_count != n for g in graphs):
             raise ValueError("the stacked graphs must have one node count")
-        ends = np.empty((2, sum(len(g.weights) for g in graphs)), dtype=np.intp)
-        np.concatenate([g.links.T for g in graphs], axis=1, out=ends)
         out = cls.__new__(cls)
-        out._hold(n, ends.T, np.concatenate([g.weights for g in graphs]),
+        out._hold(n, np.concatenate([g.links for g in graphs], axis=1),
+                  np.concatenate([g.weights for g in graphs]),
                   [m for g in graphs for m in g.matrices])
         return out
 
@@ -236,13 +235,13 @@ class NetworkGraph:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """One sorted key per link, of its global ends, built block by
-        block, then a sentinel no edge query reaches."""
-        n, size, start = self.node_count, self.blocks * self.node_count, self._start
-        i, j = self.links.T
-        keys = [(i[lo:hi] + b * n) * size + j[lo:hi] + b * n
+        """One sorted key ``(b * n + i) * n + j`` per link (i, j) of block
+        b, then a sentinel no edge query reaches."""
+        n, start = self.node_count, self._start
+        i, j = self.links
+        keys = [(i[lo:hi] + b * n) * n + j[lo:hi]
                 for b, (lo, hi) in enumerate(zip(start, start[1:]))]
-        return np.concatenate(keys + [[size * size]])
+        return np.concatenate(keys + [[self.blocks * n * n]])
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
@@ -256,30 +255,26 @@ class NetworkGraph:
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]
 
-    def global_ids(self, nodes) -> np.ndarray:
-        """The block-local ids ``nodes`` of every block as global ids, block
-        by block: row-major (block, node)."""
-        return (np.arange(0, self.blocks * self.node_count, self.node_count)[:, None]
-                + nodes).ravel()
-
     def links_of(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, weights) of the links of ``block``, i < j, as block-local
-        arrays sorted by (i, j); in a stack, contiguous ones."""
+        """(i, j, weights) of the links of ``block``, i < j, sorted by (i, j)."""
         lo, hi = self._start[block], self._start[block + 1]
-        return self.links[lo:hi, 0], self.links[lo:hi, 1], self.weights[lo:hi]
+        return self.links[0, lo:hi], self.links[1, lo:hi], self.weights[lo:hi]
 
-    def edge_index(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """(found, link position) of the link between the global ids u and
-        v, per element of the node arrays; the position is meaningless where
-        not found, and the link's weight is ``weights[pos]``.
+    def edge_index(self, block, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """(found, link position) of the link between nodes u and v of
+        ``block``, per element of the broadcast arrays; the position is
+        meaningless where not found, and the link's weight is
+        ``weights[pos]``.
         """
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        keys = np.minimum(u, v) * (self.blocks * self.node_count) + np.maximum(u, v)
+        keys = (np.asarray(block, dtype=np.int64) * self.node_count
+                + np.minimum(u, v)) * self.node_count + np.maximum(u, v)
         pos = np.searchsorted(self._keys, keys)
         return self._keys[pos] == keys, pos
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
-        found, pos = self.edge_index(u, v)
+        """The weight of the link between nodes u and v of block 0, or None."""
+        found, pos = self.edge_index(0, u, v)
         return float(self.weights[pos]) if found else None
 
 
@@ -295,7 +290,7 @@ def _placed(weights: np.ndarray, csr: tuple) -> csr_matrix:
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
     """The node pairs (i, j), i < j, with ``dx*dx + dy*dy <= r*r``, as a
-    (pairs, 2) array sorted by (i, j).
+    (2, pairs) array of rows i and j, sorted by (i, j).
 
     The nodes are binned into square cells a hair wider than r, so an
     in-range pair lies in one cell or in two adjacent ones. Each node is
@@ -306,7 +301,7 @@ def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
     """
     n = len(coords)
     if n == 0:
-        return np.empty((0, 2), dtype=np.intp)
+        return np.empty((2, 0), dtype=np.intp)
     lo = coords.min(axis=0)
     extent = float((coords.max(axis=0) - lo).max())
     # the margin exceeds the rounding of ``coords - lo`` and of the division,
@@ -350,7 +345,7 @@ def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
     keys = np.minimum(i, j) * n + np.maximum(i, j)
     keys.sort()
     i = keys // n
-    return np.stack((i, keys - i * n), axis=1)
+    return np.stack((i, keys - i * n))
 
 
 def _components_ok(dep: Deployment) -> bool:
@@ -432,7 +427,7 @@ def build_graph(
     yields a fixed graph. Two co-located nodes (an in-range pair at distance
     0) have no RSSI and raise ValueError naming both ids.
     """
-    i, j = dep.links.T
+    i, j = dep.links
     if rng is not None and model.sigma > 0:
         noise = rng.normal(0.0, model.sigma, size=len(i))
     else:
@@ -535,17 +530,11 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray, block: in
     pred[:] = pl
 
 
-def _by_block(g: NetworkGraph, sources) -> tuple[np.ndarray, np.ndarray]:
-    """(block, block-local id) of each global source id."""
-    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
-    blocks = sources // g.node_count
-    return blocks, sources - blocks * g.node_count
-
-
-def dijkstra_trees(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest paths from each source, given as global ids in block order,
-    from one scipy call per block. Returns block-local (dist, pred) arrays
-    of shape (len(sources), n), row r for sources[r].
+def dijkstra_trees(g: NetworkGraph, sources: Sequence[int],
+                   block: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest paths from each source node of ``block`` (a lone graph's
+    only block by default), from one scipy call. Returns (dist, pred)
+    arrays of shape (len(sources), n), row r for sources[r].
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
@@ -557,17 +546,12 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray,
     gives the hop counts of every node, ``tree_hops`` those of the nodes a
     caller reads.
     """
-    blocks, local = _by_block(g, sources)
-    if (np.diff(blocks) < 0).any():
-        raise ValueError("sources must come in block order")
-    bounds = np.searchsorted(blocks, np.arange(g.blocks + 1)).tolist()
-    trees = [dijkstra(g.matrices[b], indices=local[lo:hi], return_predecessors=True)
-             for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
-    dist, pred = trees[0] if len(trees) == 1 else map(np.concatenate, zip(*trees))
+    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
+    dist, pred = dijkstra(g.matrices[block], indices=sources, return_predecessors=True)
     pred = pred.astype(np.intp)
     pred[pred < 0] = -1
-    for d, pr, b in zip(dist, pred, blocks.tolist()):
-        _resolve_ties(g, d, pr, b)
+    for d, pr in zip(dist, pred):
+        _resolve_ties(g, d, pr, block)
     return dist, pred
 
 
@@ -588,7 +572,7 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
 
 def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
-    of each source, given as global ids.
+    of each source node, in every block.
 
     Models hop-count-propagation protocols: each node keeps the first beacon
     it hears (deterministically, from its smallest-id discovered neighbor)
@@ -596,31 +580,31 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.
     ``dijkstra_trees`` the path is hop-minimal, not distance-minimal, so
     the accumulated distance overestimates more strongly.
 
-    Returns block-local (accumulated distance, hop count) arrays of shape
-    (len(sources), n), row r for sources[r]; the hop counts are the BFS
-    minimum hops. Raises Unreachable if a block is disconnected from its
-    source.
+    Returns (accumulated distance, hop count) arrays of shape
+    (blocks * len(sources), n), row ``b * len(sources) + r`` for sources[r]
+    in block b; the hop counts are the BFS minimum hops. Raises Unreachable
+    if a block is disconnected from a source.
     """
-    n = g.node_count
-    blocks, local = _by_block(g, sources)
-    pred = np.empty((len(local), n), dtype=np.intp)
+    n, k = g.node_count, len(sources)
+    pred = np.empty((g.blocks * k, n), dtype=np.intp)
     # scipy scans each row in CSR (neighbor-id) order and keeps the first
     # discoverer, as a FIFO flood does
-    for r, (b, s) in enumerate(zip(blocks.tolist(), local.tolist())):
-        order, pred[r] = breadth_first_order(g.matrices[b], s, return_predecessors=True)
-        if len(order) < n:
-            missing = np.setdiff1d(np.arange(n), order)
-            raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {s}")
+    for b, m in enumerate(g.matrices):
+        for r, s in enumerate(sources):
+            order, pred[b * k + r] = breadth_first_order(m, s, return_predecessors=True)
+            if len(order) < n:
+                missing = np.setdiff1d(np.arange(n), order)
+                raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {s}")
     pred[pred < 0] = -1
-    hops = _depths(pred, local)
+    hops = _depths(pred, np.tile(sources, g.blocks))
     # every tree's nodes by hop level, the roots first (a stable sort of
     # small ints is a radix sort); the distances accumulate one level per
     # numpy pass, each node's from its parent's
-    child = np.argsort(hops.ravel().astype(np.min_scalar_type(n)), kind="stable")[len(local):]
+    child = np.argsort(hops.ravel().astype(np.min_scalar_type(n)), kind="stable")[len(pred):]
     row, v = np.divmod(child, n)
     u = pred.ravel()[child]
     parent = u + row * n
-    step = g.weights[g.edge_index(u + blocks[row] * n, v + blocks[row] * n)[1]]
+    step = g.weights[g.edge_index(row // k, u, v)[1]]
     levels = np.cumsum(np.bincount(hops.ravel())[1:])
     dist = np.zeros(pred.size)
     for lo, hi in zip(itertools.chain((0,), levels), levels):

@@ -3,14 +3,14 @@ error, RSSI-inferred angles with hop correction, orientation disambiguation,
 ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets of a chunk of same-size
-runs, whose graphs are the blocks of one ``NetworkGraph``, and
-``localize_chunk`` runs them in order: ``_per_hop_errors``, ``_boxes``,
-``_angles``, ``_ray_directions`` and ``_locate``, and returns
-``RailResults``: the estimates, case codes, boxes, rays and ray-pair hits
-as arrays, with no per-target objects. ``localize_all`` is the chunk of
-one run. ``corrected_angle`` is the one scalar entry point, a 0-d call of
-the angle formula. Transcendentals go through
-``geometry.libm``, distances through ``geometry.hypot``, and every
+runs, whose graphs are the blocks of one ``NetworkGraph``; a node keeps
+its id in its run's graph. ``localize_chunk`` runs the stages in order:
+``_per_hop_errors``, ``_boxes``, ``_angles``, ``_ray_directions`` and
+``_locate``, and returns ``RailResults``: the estimates, case codes,
+boxes, rays and ray-pair hits as arrays, with no per-target objects.
+``localize_all`` is the chunk of one run. ``corrected_angle`` is the one
+scalar entry point, a 0-d call of the angle formula. Transcendentals go
+through ``geometry.libm``, distances through ``geometry.hypot``, and every
 expression keeps the scalar operand order, so the passes give the results
 of the per-target scalar formulas bit for bit. Max, min, clip and argmin
 need no such care: they return one of their finite operands exactly.
@@ -121,22 +121,23 @@ def corrected_angle(
 
 
 class _Forest(NamedTuple):
-    """The shortest-path trees of some sources of a graph, stacked as
-    block-local (sources, n) arrays; row r belongs to the
-    global id ``ids[r]``. The hop counts cover every node, by ``_depths``:
-    nearly all nodes are targets, and over whole trees pointer jumping
-    beats ``tree_hops``'s walk."""
+    """The shortest-path trees of the same source nodes in every block of a
+    graph, stacked as (blocks * k, n) arrays for k sources: row ``b * k +
+    a`` is the tree of ``sources[a]`` in block b. The hop counts cover every
+    node, by ``_depths``: nearly all nodes are targets, and over whole trees
+    pointer jumping beats ``tree_hops``'s walk."""
 
-    ids: np.ndarray
+    sources: np.ndarray
     dist: np.ndarray
     pred: np.ndarray
     hops: np.ndarray
 
     @classmethod
     def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
-        ids = np.array(sources, dtype=np.intp)
-        dist, pred = dijkstra_trees(g, ids)
-        return cls(ids, dist, pred, _depths(pred, ids % dist.shape[1]))
+        sources = np.array(sources, dtype=np.intp)
+        dist, pred = map(np.concatenate,
+                         zip(*(dijkstra_trees(g, sources, b) for b in range(g.blocks))))
+        return cls(sources, dist, pred, _depths(pred, np.tile(sources, g.blocks)))
 
 
 def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -156,9 +157,9 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
 
 def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
             target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the estimated angle at the anchor of tree ``rows`` of
+    """Per item, the estimated angle at the source of tree ``rows`` of
     ``forest`` between the directions to ``ref`` and to ``target`` (nodes
-    of the tree's own block of ``g``), and the prefix length K.
+    of the tree's block of ``g``), and the prefix length K.
 
     The two path-prefix segments formed by the first K <= 3 hops of the
     shortest paths toward ``ref`` and toward ``target``, together with the
@@ -167,12 +168,12 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     applying the law of cosines. K shrinks when either path is shorter than
     3 hops.
     """
+    k_src = len(forest.sources)
     for v in (ref, target):
         missing = np.isinf(forest.dist[rows, v])
         if missing.any():
             i = int(np.argmax(missing))
-            raise Unreachable(f"node {v[i]} unreachable from "
-                              f"{forest.ids[rows[i]] % g.node_count}")
+            raise Unreachable(f"node {v[i]} unreachable from {forest.sources[rows[i] % k_src]}")
     k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
@@ -180,49 +181,45 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     node_a = _ancestors(forest, rows, ref, k)
     node_b = _ancestors(forest, rows, target, k)
     a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
-    base = forest.ids[rows] // g.node_count * g.node_count  # the tree's block, as global ids
-    c_len, c_hops = _connections(g, forest, node_a + base, node_b + base)
+    c_len, c_hops = _connections(g, forest, rows // k_src, node_a, node_b)
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
-def _connections(g: NetworkGraph, forest: _Forest, u: np.ndarray,
+def _connections(g: NetworkGraph, forest: _Forest, block: np.ndarray, u: np.ndarray,
                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the length and hop count of the connection from the
-    global id u to the global id v of one block of g: 0 and 0 hops where
-    u == v, a direct link's weight and 1 hop, or else their multi-hop
-    shortest distance, whose hops are counted at v only. A multi-hop
-    connection reads u's row of ``forest`` where u is one of its roots, and
-    the rest take one ``dijkstra_trees`` call per block over their distinct
-    sources; one block's trees at a time, since those of all blocks at once
-    would be a chunk's largest arrays.
+    """Per item, the length and hop count of the connection from node u to
+    node v of block ``block`` of g: 0 and 0 hops where u == v, a direct
+    link's weight and 1 hop, or else their multi-hop shortest distance,
+    whose hops are counted at v only. A multi-hop connection reads u's row
+    of ``forest`` where u is one of its sources, and the rest take one
+    ``dijkstra_trees`` call per block over their distinct sources; one
+    block's trees at a time, since those of all blocks at once would be a
+    chunk's largest arrays.
     """
-    n = g.node_count
+    k = len(forest.sources)
     c_len = np.zeros(len(u))
     c_hops = np.zeros(len(u), dtype=np.intp)
     apart = u != v
-    found, pos = g.edge_index(u, v)
+    found, pos = g.edge_index(block, u, v)
     direct = apart & found
     c_len[direct] = g.weights[pos[direct]]
     c_hops[direct] = 1
     # same-hop nodes out of range of each other
     far = np.flatnonzero(apart & ~found)
-    if far.size:
-        row_of = np.full(g.blocks * n, -1)
-        row_of[forest.ids] = np.arange(len(forest.ids))
-        row = row_of[u[far]]
-        root = row >= 0
-        own, far = far[root], far[~root]
-        c_len[own] = forest.dist[row[root], v[own] % n]
-        c_hops[own] = forest.hops[row[root], v[own] % n]
-    sources, side = np.unique(u[far], return_inverse=True)
-    bounds = np.searchsorted(sources, np.arange(0, (g.blocks + 1) * n, n)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            mine = (side >= lo) & (side < hi)
-            row, item = side[mine] - lo, far[mine]
-            dist, pred = dijkstra_trees(g, sources[lo:hi])
-            c_len[item] = dist[row, v[item] % n]
-            c_hops[item] = tree_hops(pred, sources[lo:hi] % n, row, v[item] % n)
+    slot = np.full(g.node_count, -1)  # each forest source's index in ``sources``
+    slot[forest.sources] = np.arange(k)
+    a = slot[u[far]]
+    root = a >= 0
+    own, far = far[root], far[~root]
+    row = block[own] * k + a[root]
+    c_len[own] = forest.dist[row, v[own]]
+    c_hops[own] = forest.hops[row, v[own]]
+    for b in np.unique(block[far]).tolist():
+        item = far[block[far] == b]
+        sources, row = np.unique(u[item], return_inverse=True)
+        dist, pred = dijkstra_trees(g, sources, b)
+        c_len[item] = dist[row, v[item]]
+        c_hops[item] = tree_hops(pred, sources, row, v[item])
     return c_len, c_hops
 
 
@@ -320,7 +317,7 @@ def _locate(box: np.ndarray, rays):
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     """Run the full pipeline for every unknown node of one run, whose graph
     ``g`` is one block: the chunk of one run, as a sweep scores it."""
-    return localize_chunk(dep.coords[None], dep.anchor_ids, NetworkGraph.stack([g]))
+    return localize_chunk(dep.coords[None], dep.anchor_ids, g)
 
 
 def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGraph) -> RailResults:
@@ -332,10 +329,10 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     order.
 
     When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance. One ``dijkstra_trees`` call
-    gives the anchors' trees of every run and one ``_angles`` call reads
-    all six angles of every target, so each run's block sees at most two
-    scipy Dijkstra calls, and the second has no anchor among its sources.
+    anchors by estimated shortest distance. One ``dijkstra_trees`` call per
+    run gives its anchors' trees and one ``_angles`` call reads all six
+    angles of every target, so each run's block sees at most two scipy
+    Dijkstra calls, and the second has no anchor among its sources.
     """
     runs, n = coords.shape[:2]
     anchor_ids = np.array(anchor_ids, dtype=np.intp)
@@ -345,7 +342,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     run = np.repeat(np.arange(runs), m)  # per column
     cols = np.tile(targets, runs)
     # forest row b * n_anchors + a: anchor a of run b
-    anchors = _Forest.of(g, g.global_ids(anchor_ids))
+    anchors = _Forest.of(g, anchor_ids)
     sd = anchors.dist.reshape(runs, n_anchors, n)[:, :, targets]
 
     # the three nearest anchors by SD (ties: anchor_ids order), in id order

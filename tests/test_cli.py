@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from railsim import experiment
+from railsim import cli, experiment
 from railsim.cli import main
 from railsim.experiment import ExperimentConfig, scenario
 from railsim.network import Deployment
@@ -196,6 +196,8 @@ class TestPlot:
         ("MinMax,60,0,123,inf", "must be finite"),
         ("MinMax,60,0,123,-inf", "must be finite"),
         ("MinMax,60", "NoneType"),  # a short row
+        # a series name is printed into the SVG as its label
+        ("R<&AIL,60,0,123,4.5000", "unknown algorithm 'R<&AIL'"),
     ])
     def test_bad_row_exit_1(self, row, why, tmp_path, caplog):
         # a chart cannot place a non-finite or missing mean error; no SVG
@@ -221,3 +223,53 @@ class TestPlot:
         svg = (charts / "errors_60.svg").read_text()
         assert svg.count('class="marker"') == 1
         assert svg.count('class="series"') == 0  # no polyline for one point
+
+
+RUNS_CSV = "algorithm,density,run_index,seed,run_mean_error_m\nRAIL,60,0,123,4.5000\n"
+
+
+def out_argv(command, cfg_path, runs_path, out):
+    if command == "plot":
+        return ["plot", "--runs", runs_path, "--out", str(out)]
+    return [command, "--config", cfg_path, "--out", str(out)]
+
+
+class TestOut:
+    """--out must name a directory or nothing yet: a command refuses an
+    existing file before any work, and an OSError while writing is exit 1."""
+
+    @pytest.fixture()
+    def runs_path(self, tmp_path):
+        p = tmp_path / "runs.csv"
+        p.write_text(RUNS_CSV)
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["run", "demo", "plot"])
+    def test_existing_file_exit_1_before_any_work(self, command, cfg_path, runs_path,
+                                                  tmp_path, caplog, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        for name in ("_load_config", "read_runs_csv", "run_experiment", "scenario"):
+            monkeypatch.setattr(cli, name, no_work)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep me\n")
+        assert main(out_argv(command, cfg_path, runs_path, afile)) == 1
+        assert f"cannot write output: {afile} is not a directory" in caplog.text
+        assert afile.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("command", ["run", "demo", "plot"])
+    def test_unwritable_out_exit_1(self, command, cfg_path, runs_path, tmp_path, caplog):
+        # a directory below a regular file cannot be made
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep me\n")
+        assert main(out_argv(command, cfg_path, runs_path, afile / "sub")) == 1
+        assert "cannot write output" in caplog.text
+        assert afile.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("command", ["run", "demo", "plot"])
+    def test_existing_directory_written(self, command, cfg_path, runs_path, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(out_argv(command, cfg_path, runs_path, out)) == 0
+        assert any(out.iterdir())

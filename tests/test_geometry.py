@@ -104,7 +104,7 @@ class TestHypot:
     def test_hypot_on_every_link_of_a_500_node_scenario(self):
         cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
         dep, _ = scenario(cfg, 500, 0)
-        i, j = dep.links.T
+        i, j = dep.links
         dx, dy = dep.coords[i].T - dep.coords[j].T
         assert len(i) > 10_000
         assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))

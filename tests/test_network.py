@@ -234,9 +234,10 @@ def assert_same_deployment(got, want):
 
 
 def kd_links(dep):
-    """Oracle: the in-range pairs from scipy's k-d tree, sorted by (i, j)."""
+    """Oracle: the in-range pairs from scipy's k-d tree, as rows i and j
+    sorted by (i, j)."""
     pairs = cKDTree(dep.coords).query_pairs(dep.comm_range, output_type="ndarray")
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].reshape(-1, 2).T
 
 
 def coo_build_graph(dep, model, rng):
@@ -245,7 +246,7 @@ def coo_build_graph(dep, model, rng):
     every edge placed by a stable sort of the 2E (tail, head) keys. Returns
     (CSR matrix, tail and head of each entry)."""
     n = len(dep.coords)
-    i, j = kd_links(dep).T
+    i, j = kd_links(dep)
     noise = (rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0
              else np.zeros(len(i)))
     delta = dep.coords[i] - dep.coords[j]
@@ -261,7 +262,7 @@ def coo_build_graph(dep, model, rng):
 
 def scipy_connected(dep):
     """Oracle: a COO matrix of the k-d tree pairs has one component."""
-    n, (i, j) = len(dep.coords), kd_links(dep).T
+    n, (i, j) = len(dep.coords), kd_links(dep)
     links = csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
     return connected_components(links, directed=False, return_labels=False) == 1
 
@@ -365,10 +366,10 @@ class TestLinks:
     def assert_links_match(dep):
         links = dep.links
         assert np.array_equal(links, kd_links(dep))
-        assert (links[:, 0] < links[:, 1]).all()
-        keys = links[:, 0] * len(dep.coords) + links[:, 1]
-        assert (np.diff(keys) > 0).all()
-        assert not links.flags.writeable
+        i, j = links
+        assert (i < j).all()
+        assert (np.diff(i * len(dep.coords) + j) > 0).all()
+        assert not links.flags.writeable and links.flags.c_contiguous
 
     @pytest.mark.parametrize("n, side", [(100, 50), (200, 50), (500, 50), (4500, 150)])
     def test_random_deployments(self, n, side):
@@ -390,7 +391,7 @@ class TestLinks:
         dep = Deployment(50, 50, lattice, (0,), r)
         self.assert_links_match(dep)
         if r == 10.0:  # exact: every row and column neighbor is a link
-            assert len(dep.links) == 2 * 12 * 11
+            assert dep.links.shape == (2, 2 * 12 * 11)
 
     def test_rounding_across_a_cell_edge(self):
         # (x - x_min) / 0.1 gives 243.99999999999997 for node 1 and 245.0
@@ -399,7 +400,7 @@ class TestLinks:
         xy = np.array([[1.23456, 0.0], [25.63456, 0.0], [25.73456, 0.0]])
         dep = Deployment(50, 50, xy, (0,), 0.1)
         self.assert_links_match(dep)
-        assert dep.links.tolist() == [[1, 2]]
+        assert dep.links.tolist() == [[1], [2]]
 
     def test_colocated_nodes(self):
         rng = np.random.default_rng(5)
@@ -416,12 +417,12 @@ class TestLinks:
         xy = (centres + rng.uniform(0, 15, size=(60, 5, 2))).reshape(-1, 2)
         dep = Deployment(1e7, 1e7, xy, (0,), 10.0)
         self.assert_links_match(dep)
-        assert len(dep.links) > 0
+        assert dep.links.size > 0
 
     def test_one_node(self):
         for xy in (np.zeros((1, 2)), np.zeros((0, 2))):
             links = Deployment(50, 50, xy, (), 10.0).links
-            assert links.shape == (0, 2)
+            assert links.shape == (2, 0)
 
 
 class TestDeploymentCoords:
@@ -547,7 +548,7 @@ class TestBuildGraph:
         dep = generate_deployment(50, 50, 200, 3, 10, seed=6)
         g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(6))
         assert g.blocks == 1 and len(g.adjacency) == g.node_count
-        assert sum(map(len, g.adjacency)) // 2 == len(g.weights) == len(dep.links) > 0
+        assert sum(map(len, g.adjacency)) // 2 == len(g.weights) == dep.links.shape[1] > 0
         # a scenario's graph shares the deployment's links
         assert g.links is dep.links
 
@@ -615,8 +616,8 @@ class TestNetworkGraph:
 
 
 class TestStack:
-    """A stack of same-size graphs answers every query as each graph does
-    on its own: node v of block b is global id b * n + v."""
+    """A stack of same-size graphs answers every query about node v of
+    block b as graph b does about its node v on its own."""
 
     @staticmethod
     def graphs():
@@ -628,50 +629,69 @@ class TestStack:
         stack = NetworkGraph.stack(gs)
         n = stack.node_count
         assert stack.blocks == len(gs) and len(stack.adjacency) == len(gs) * n
-        sources = np.sort(np.random.default_rng(5).choice(len(gs) * n, 24, replace=False))
-        dist, pred = dijkstra_trees(stack, sources)
+        sources = np.random.default_rng(5).choice(n, 6, replace=False)  # not sorted
+        k = len(sources)
         acc, hops = hop_floods(stack, sources)
-        assert dist.shape == pred.shape == acc.shape == hops.shape == (len(sources), n)
-        for r, (b, v) in enumerate(zip(*np.divmod(sources, n))):
-            want_dist, want_pred = dijkstra_trees(gs[b], [v])
-            assert dist[r].tobytes() == want_dist[0].tobytes()
-            assert pred[r].tolist() == want_pred[0].tolist()
-            want_acc, want_hops = flood(gs[b], v)
-            assert acc[r].tobytes() == want_acc.tobytes()
-            assert hops[r].tolist() == want_hops.tolist()
+        assert acc.shape == hops.shape == (len(gs) * k, n)
+        for b, g in enumerate(gs):
+            dist, pred = dijkstra_trees(stack, sources, b)
+            assert dist.shape == pred.shape == (k, n)
+            for r, v in enumerate(sources.tolist()):
+                want_dist, want_pred = dijkstra_trees(g, [v])
+                assert dist[r].tobytes() == want_dist[0].tobytes()
+                assert pred[r].tolist() == want_pred[0].tolist()
+                want_acc, want_hops = flood(g, v)
+                assert acc[b * k + r].tobytes() == want_acc.tobytes()
+                assert hops[b * k + r].tolist() == want_hops.tolist()
 
     def test_edge_index_finds_each_graphs_links(self):
         gs = self.graphs()
         stack = NetworkGraph.stack(gs)
         n = stack.node_count
+        nodes = np.arange(n)
         for b, g in enumerate(gs):
             i, j, w = g.links_of(0)
-            found, pos = stack.edge_index(j + b * n, i + b * n)
+            found, pos = stack.edge_index(b, j, i)
             assert found.all() and stack.weights[pos].tobytes() == w.tobytes()
             assert [a.tolist() for a in stack.links_of(b)] == [a.tolist() for a in (i, j, w)]
             u = int(i[0])
-            assert stack.edge_weight(u + b * n, int(j[0]) + b * n) == g.edge_weight(u, j[0])
             assert stack.neighbors(u + b * n) == [(v + b * n, x) for v, x in g.neighbors(u)]
-        # no link joins two blocks or a node to itself
-        assert not stack.edge_index([0, 0, 2 * n - 1], [n, 0, 3 * n - 1])[0].any()
+            # no link joins a node to itself
+            assert not stack.edge_index(b, nodes, nodes)[0].any()
+            # another block holds only its own graph's links
+            other = (b + 1) % len(gs)
+            theirs = set(zip(*(a.tolist() for a in gs[other].links_of(0)[:2])))
+            want = [pair in theirs for pair in zip(i.tolist(), j.tolist())]
+            assert stack.edge_index(other, i, j)[0].tolist() == want and not all(want)
+        # edge_weight reads block 0
+        i, j, _ = gs[0].links_of(0)
+        assert stack.edge_weight(int(i[0]), int(j[0])) == gs[0].edge_weight(int(j[0]), int(i[0]))
+        # the last pair of the last block stays below the keys' sentinel
+        assert not stack.edge_index(len(gs) - 1, n - 1, n - 1)[0]
 
-    def test_rejects_mixed_sizes_and_unordered_sources(self):
+    def test_rejects_mixed_sizes(self):
         g = noisy_graph(0, n_unknown=60)
         with pytest.raises(ValueError, match="one node count"):
             NetworkGraph.stack([g, noisy_graph(0, n_unknown=61)])
-        with pytest.raises(ValueError, match="block order"):
-            dijkstra_trees(NetworkGraph.stack([g, g]), [g.node_count, 0])
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_link_ends_contiguous(self, count):
-        # the tie check gathers with the link ends of every graph a sweep
-        # scores, a stack of one included; strided ends slow it down
-        stack = NetworkGraph.stack(self.graphs()[:count])
-        for b in range(count):
-            for a in stack.links_of(b):
-                assert a.flags.c_contiguous
-        # a stack's ends are its links, not a second copy
-        assert np.shares_memory(stack.links_of(0)[0], stack.links)
+        # the tie check gathers with the link ends of every graph a sweep or
+        # a caller scores: one from build_graph, one from (u, v, weight)
+        # triples and a stack
+        gs = self.graphs()[:count]
+        i, j, w = gs[0].links_of(0)
+        rebuilt = NetworkGraph(gs[0].node_count, list(zip(j.tolist(), i.tolist(), w.tolist())))
+        stack = NetworkGraph.stack(gs)
+        for g in gs + [rebuilt, stack]:
+            assert g.links.shape == (2, len(g.weights))
+            assert g.links.flags.c_contiguous and not g.links.flags.writeable
+            for b in range(g.blocks):
+                for a in g.links_of(b):
+                    assert a.flags.c_contiguous
+                # a block's ends are its graph's links, not a second copy
+                assert np.shares_memory(g.links_of(b)[0], g.links)
+        assert np.array_equal(rebuilt.links, gs[0].links)
 
 
 class TestShortestRanging:

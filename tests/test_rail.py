@@ -13,6 +13,7 @@ from railsim.geometry import AABox, Point, contains, distance, libm, make_ray
 from railsim.network import (
     Deployment,
     NetworkGraph,
+    Unreachable,
     build_graph,
     dijkstra_trees,
     generate_deployment,
@@ -151,12 +152,24 @@ class TestEstimateAngle:
         alone = _angles(g, _Forest.of(g, [0]), *items)
         forest = _Forest.of(g, [0, 1])
         calls = []
-        monkeypatch.setattr(rail, "dijkstra_trees",
-                            lambda g, sources: calls.append(sources) or dijkstra_trees(g, sources))
+        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=0:
+                            calls.append(sources) or dijkstra_trees(g, sources, block))
         both = _angles(g, forest, *items)
         assert calls == []
         assert alone[0].tolist() == both[0].tolist() and alone[1].tolist() == both[1].tolist()
         assert both[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
+
+    def test_unreachable_names_the_trees_source(self):
+        # forest row 2 is source 0's tree in block 1, where node 3 is cut off
+        whole = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0), (2, 3, 4.0)])
+        cut = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
+        g = NetworkGraph.stack([whole, cut])
+        forest = _Forest.of(g, [0, 2])
+        one = np.array([1])
+        theta, _ = _angles(g, forest, np.array([0]), one, np.array([3]), np.zeros(1))
+        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-9)  # K = 1: the 3-4-5 triangle
+        with pytest.raises(Unreachable, match="node 3 unreachable from 0"):
+            _angles(g, forest, np.array([2]), one, np.array([3]), np.zeros(1))
 
     def test_output_in_range_on_random_networks(self):
         for seed in (1, 4):
@@ -474,8 +487,8 @@ class TestLocalizeAll:
         # row from them, so its one call has no anchor among its sources
         dep, g = sweep_scenario(config, density, run)
         calls = []
-        monkeypatch.setattr(rail, "dijkstra_trees",
-                            lambda g, sources: calls.append(sources) or dijkstra_trees(g, sources))
+        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=0:
+                            calls.append(sources) or dijkstra_trees(g, sources, block))
         localize_all(dep, g)
         assert 1 <= len(calls) <= 2
         assert list(calls[0]) == list(dep.anchor_ids)
