@@ -5,14 +5,12 @@ angle inference + ray-intersection decision rules) alongside Min-Max and
 RSSI-based DV-hop baselines, plus a seeded Monte Carlo experiment harness.
 """
 
-from .geometry import AABox, Point, Ray
+from .geometry import Point
 from .network import Deployment, NetworkGraph, RangingResult
 from .radio import PathLossModel
 
 __all__ = [
-    "AABox",
     "Point",
-    "Ray",
     "Deployment",
     "NetworkGraph",
     "RangingResult",

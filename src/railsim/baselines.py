@@ -78,7 +78,7 @@ def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
 
     The three circle equations are linearized by subtracting the third;
     the resulting 2x2 system is the exact least-squares solution. Collinear
-    anchors fall back to the anchor centroid.
+    anchors fall back to the mean of the anchor positions.
     """
     if len(anchors) != 3:
         raise ValueError("exactly three anchors required")

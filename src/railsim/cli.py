@@ -150,7 +150,7 @@ def cmd_plot(args) -> int:
         log.error("cannot read runs csv: %s", exc)
         return 1
     if not rows:
-        log.error("runs csv %s contains no data rows", args.runs)
+        log.error("runs csv %s has no data rows", args.runs)
         return 1
     densities = sorted({r["density"] for r in rows})
     charts = {}

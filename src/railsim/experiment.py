@@ -191,7 +191,9 @@ def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
 
 
 def run_seed(base_seed: int, density: int, run_index: int) -> int:
-    """Stable per-run seed derived from the base seed and run identity."""
+    """Stable per-run seed derived from the base seed and run identity, the
+    ``seed`` column of runs.csv. It identifies the run but does not seed it:
+    ``scenario(cfg, density, run_index)`` rebuilds the run."""
     ss = np.random.SeedSequence([base_seed, density, run_index])
     return int(ss.generate_state(1)[0])
 
@@ -362,7 +364,10 @@ def _atomic_write(path: str, *parts: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it open()'s mode
+        os.umask(umask)
         with os.fdopen(fd, "w", newline="") as f:
+            os.fchmod(fd, 0o666 & ~umask)
             f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:

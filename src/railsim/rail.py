@@ -12,8 +12,9 @@ boxes, rays and ray-pair hits as arrays, with no per-target objects.
 scalar entry point, a 0-d call of the angle formula. Transcendentals go
 through ``geometry.libm``, distances through ``geometry.hypot``, and every
 expression keeps the scalar operand order, so the passes give the results
-of the per-target scalar formulas bit for bit. Max, min, clip and argmin
-need no such care: they return one of their finite operands exactly.
+of the per-target scalar formulas in ``tests/oracle.py`` bit for bit. Max,
+min, clip and argmin need no such care: they return one of their finite
+operands exactly.
 
 Work that depends only on a target's anchor triple, its per-hop error and
 its baseline directions, is done once per distinct (run, triple) and
@@ -258,7 +259,7 @@ def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta_j: np.ndarray,
     err = np.abs(_angle_between(dx, dy, ux[1], uy[1]) - theta_k)
     pick = err[0] <= err[1]
     dx, dy = np.where(pick, dx[0], dx[1]), np.where(pick, dy[0], dy[1])
-    norm = hypot(dx, dy)  # make_ray's normalisation
+    norm = hypot(dx, dy)  # the normalisation of oracle.make_ray
     return dx / norm, dy / norm
 
 
@@ -275,7 +276,7 @@ def _locate(box: np.ndarray, rays):
     """
     tol = DEFAULT_TOL
     ox, oy, dx, dy = rays
-    # geometry.ray_pair_intersection for every pair (i, j), i < j
+    # oracle.ray_pair_intersection for every pair (i, j), i < j
     i, j = np.triu_indices(len(ox), 1)
     det = dx[i] * dy[j] - dy[i] * dx[j]
     sx, sy = ox[j] - ox[i], oy[j] - oy[i]
@@ -288,8 +289,8 @@ def _locate(box: np.ndarray, rays):
     inside = hit & _inside(box, hx, hy)
     n_inside = inside.sum(axis=0)
 
-    # cases 1 and 2: the centroid of the inside points, summed in pair order
-    # as geometry.centroid does (one point divided by 1 is itself)
+    # cases 1 and 2: the mean of the inside points, summed in pair order
+    # as oracle.centroid does (one point divided by 1 is itself)
     share = np.maximum(n_inside, 1)
     x = np.where(inside, hx, 0.0).sum(axis=0) / share
     y = np.where(inside, hy, 0.0).sum(axis=0) / share
@@ -305,7 +306,7 @@ def _locate(box: np.ndarray, rays):
     # box (argmin keeps the first of equally near ones)
     out = np.flatnonzero((n_inside == 0) & ~none)
     b, px, py = box[:, out], hx[:, out], hy[:, out]
-    gap = hypot(np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),  # geometry.box_distance
+    gap = hypot(np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),  # oracle.box_distance
                 np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))
     near = np.argmin(np.where(hit[:, out], gap, math.inf), axis=0), np.arange(out.size)
     case[out] = ALL_OUTSIDE

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -273,3 +275,15 @@ class TestOut:
         out.mkdir()
         assert main(out_argv(command, cfg_path, runs_path, out)) == 0
         assert any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "demo", "plot"])
+    def test_files_follow_the_umask(self, command, cfg_path, runs_path, tmp_path):
+        # every file gets the mode open() would give it, not mkstemp's 0600
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(out_argv(command, cfg_path, runs_path, out)) == 0
+        finally:
+            os.umask(old)
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in out.iterdir()}
+        assert modes and set(modes.values()) == {0o644}, modes

@@ -5,24 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from railsim import geometry
-from railsim.experiment import ExperimentConfig, scenario
-from railsim.geometry import (
+from oracle import (
     AABox,
-    Point,
     Ray,
     box_center,
     box_distance,
     centroid,
     contains,
-    distance,
-    hypot,
     intersect_boxes,
-    libm,
     make_ray,
     project_onto_box,
     ray_pair_intersection,
 )
+from railsim import geometry
+from railsim.experiment import ExperimentConfig, scenario
+from railsim.geometry import Point, distance, hypot, libm
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -4,16 +4,21 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
+from oracle import AABox, contains, make_ray, ray_pair_intersection, reference_localize
 from railsim import geometry, network, radio, rail
 from railsim.experiment import ExperimentConfig, _run_single, scenario
-from railsim.geometry import AABox, Point, contains, distance, libm, make_ray
+from railsim.geometry import Point, distance, libm
 from railsim.network import (
     Deployment,
+    GenerationFailed,
     NetworkGraph,
     Unreachable,
+    _reconstruct,
     build_graph,
     dijkstra_trees,
     generate_deployment,
@@ -248,7 +253,7 @@ class TestPreciseLocation:
         r1 = make_ray(Point(-1.3, 2.9), 1, 0.37)
         r2 = make_ray(Point(7.1, -1.7), -0.21, 1)
         r3 = make_ray(Point(30, 0), 0, 1)     # misses r2, crosses r1 out of the box
-        hit = geometry.ray_pair_intersection(r1, r2)
+        hit = ray_pair_intersection(r1, r2)
         x, y, case = locate([(self.box, [r1, r2, r3])])
         assert case[0] == SINGLE
         assert (x[0], y[0]) == (hit.x, hit.y)
@@ -312,100 +317,8 @@ class TestPreciseLocation:
                 assert contains(box, Point(px, py), tol=1e-6)
 
 
-def reference_localize(dep, g):
-    """Oracle: RAIL one target at a time with Python floats, ``math`` and the
-    scalar geometry primitives, as the pipeline ran before it became array
-    passes. Returns {target: (estimate, case code, box, intersections)}."""
-    trees = {}
-
-    def tree(s):
-        if s not in trees:
-            dist, pred = (a[0].tolist() for a in dijkstra_trees(g, [s]))
-            hops = []
-            for v in range(len(pred)):  # edges walked up to the root
-                h = 0
-                while pred[v] >= 0:
-                    v, h = pred[v], h + 1
-                hops.append(h)
-            trees[s] = dist, pred, hops
-        return trees[s]
-
-    def corrected(a, b, c, e, ha, hb, hc):
-        ac = max(a - e * ha, 0.01) if ha >= 2 else max(a, 0.01)
-        bc = max(b - e * hb, 0.01) if hb >= 2 else max(b, 0.01)
-        cc = max(c - e * hc, 0.01) if hc >= 2 else max(c, 0.0)
-        cos = (ac * ac + bc * bc - cc * cc) / (2.0 * ac * bc)
-        return math.acos(min(1.0, max(-1.0, cos)))
-
-    def angle(e, at, ref, t):
-        dist, pred, hops = tree(at)
-        k = min(3, hops[ref], hops[t])
-        ends = []
-        for v in (ref, t):
-            for _ in range(hops[v] - k):
-                v = pred[v]
-            ends.append(v)
-        na, nb = ends
-        if na == nb:
-            c, ch = 0.0, 0
-        elif g.edge_weight(na, nb) is not None:
-            c, ch = g.edge_weight(na, nb), 1
-        else:
-            c, ch = tree(na)[0][nb], tree(na)[2][nb]
-        return corrected(dist[na], dist[nb], c, e, k, k, ch)
-
-    def unit(p, q):
-        d = distance(p, q)
-        return (q.x - p.x) / d, (q.y - p.y) / d
-
-    def rotate(x, y, th):
-        return x * math.cos(th) - y * math.sin(th), x * math.sin(th) + y * math.cos(th)
-
-    def between(x, y, u, v):
-        return math.acos(min(1.0, max(-1.0, x * u + y * v)))
-
-    out = {}
-    for t in dep.unknown_ids:
-        ids = sorted(sorted(dep.anchor_ids, key=lambda a: tree(a)[0][t])[:3])
-        pos = [dep.nodes[a] for a in ids]
-        sds = [tree(a)[0][t] for a in ids]
-        pairs = ((0, 1), (0, 2), (1, 2))
-        sd_sum = sum(tree(ids[u])[0][ids[v]] for u, v in pairs)
-        hop_sum = sum(tree(ids[u])[2][ids[v]] for u, v in pairs)
-        td_sum = sum(distance(pos[u], pos[v]) for u, v in pairs)
-        e = max((sd_sum - td_sum) / hop_sum, 0.0)
-        box = geometry.intersect_boxes(
-            [AABox(p.x - d, p.x + d, p.y - d, p.y + d) for p, d in zip(pos, sds)])
-        if box is None:
-            b = min(range(3), key=lambda i: sds[i])
-            box = AABox(pos[b].x - sds[b], pos[b].x + sds[b], pos[b].y - sds[b], pos[b].y + sds[b])
-        rays = []
-        for i in range(3):
-            j, k = (x for x in range(3) if x != i)
-            th_j, th_k = angle(e, ids[i], ids[j], t), angle(e, ids[i], ids[k], t)
-            bx, by = unit(pos[i], pos[j])
-            kx, ky = unit(pos[i], pos[k])
-            ccw, cw = rotate(bx, by, th_j), rotate(bx, by, -th_j)
-            pick = abs(between(*ccw, kx, ky) - th_k) <= abs(between(*cw, kx, ky) - th_k)
-            rays.append(make_ray(pos[i], *(ccw if pick else cw)))
-        pts = [p for i, j in pairs
-               if (p := geometry.ray_pair_intersection(rays[i], rays[j])) is not None]
-        inside = [p for p in pts if contains(box, p)]
-        if len(inside) >= 2:
-            case, est = MULTI, geometry.centroid(inside)
-        elif inside:
-            case, est = SINGLE, inside[0]
-        elif pts:
-            near = min(pts, key=lambda p: geometry.box_distance(box, p))
-            case, est = ALL_OUTSIDE, geometry.project_onto_box(box, near)
-        else:
-            case, est = NO_INTERSECTION, geometry.box_center(box)
-        out[t] = (est, case, box, pts)
-    return out
-
-
 # (width, height, nodes, anchors, sigma, seed) of the deployments that
-# localize_all is checked on against reference_localize
+# localize_all is always checked on against reference_localize
 REFERENCE_DEPLOYMENTS = [
     (50, 50, 120, 3, 0.0, 1),
     (50, 50, 300, 3, 4.0, 2),
@@ -413,6 +326,13 @@ REFERENCE_DEPLOYMENTS = [
     (60, 60, 200, 6, 4.0, 4),
     (200, 20, 200, 3, 0.0, 5),
     (120, 40, 250, 5, 3.0, 6),
+]
+
+# (pitch, comm_range, anchor cells) of the exact-tie lattices
+TIE_LATTICES = [
+    (5.0, 10.0, ((0, 0), (9, 0), (0, 9))),
+    (4.0, 8.0, ((0, 0), (12, 3), (3, 12))),
+    (5.0, 7.5, ((1, 1), (9, 2), (2, 9))),
 ]
 
 
@@ -426,17 +346,58 @@ def sweep_scenario(config, density, run):
     return scenario(ExperimentConfig.from_json_file(CONFIGS / config), density, run)
 
 
-@functools.cache
-def localized(width, height, n, anchors, sigma, seed):
+def seeded(width, height, n, anchors, sigma, seed):
+    """The deployment (R = 10 m) and RSSI graph of one parameter set, both
+    drawn from ``seed``."""
     dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
-    g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
-    return localize_all(dep, g), dep, g
+    return dep, build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
+
+
+def lattice(pitch, comm_range, anchor_cells):
+    """Node 13 * row + column at (column, row) * pitch on a 13 x 13 lattice in
+    a 60 x 60 m area, anchors at ``anchor_cells`` and sigma 0: link weights
+    repeat, so shortest paths tie exactly and ``network._resolve_ties``
+    picks the hop-K nodes of RAIL's angle triangles."""
+    row, column = np.divmod(np.arange(13 * 13), 13)
+    anchors = tuple(sorted(13 * r + c for c, r in anchor_cells))
+    dep = Deployment(60.0, 60.0, np.stack((column, row), axis=1) * pitch, anchors, comm_range)
+    return dep, build_graph(dep, MODEL)
+
+
+@st.composite
+def seeded_scenes(draw):
+    """``seeded`` with 3-6 anchors and 20-150 unknowns on 15-50 m2 per node
+    (a mean degree of about 6 to 20), sides up to 5:1 either way, sigma in
+    [0, 6] dB and any seed."""
+    anchors = draw(st.integers(3, 6))
+    n = draw(st.integers(20, 150))
+    area = (n + anchors) * draw(st.floats(15.0, 50.0))
+    width = math.sqrt(area * draw(st.floats(0.2, 5.0)))
+    sigma, seed = draw(st.floats(0.0, 6.0)), draw(st.integers(min_value=0))
+    return functools.partial(seeded, width, area / width, n, anchors, sigma, seed)
+
+
+def examples(values):
+    """``@example(v)`` for each v of values."""
+    def add(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+    return add
 
 
 class TestLocalizeAll:
-    @pytest.mark.parametrize("width, height, n, anchors, sigma, seed", REFERENCE_DEPLOYMENTS)
-    def test_matches_scalar_reference(self, width, height, n, anchors, sigma, seed):
-        results, dep, g = localized(width, height, n, anchors, sigma, seed)
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seeded_scenes())
+    @examples([functools.partial(seeded, *p) for p in REFERENCE_DEPLOYMENTS]
+              + [functools.partial(lattice, *p) for p in TIE_LATTICES])
+    def test_matches_scalar_reference(self, scene):
+        # ``scene`` builds a (deployment, graph) pair
+        try:
+            dep, g = scene()
+        except GenerationFailed:
+            reject()
+        results = localize_all(dep, g)
         want = reference_localize(dep, g)
         assert results.targets.tolist() == list(want)
         hit_x, hit_y, hit = results.hits
@@ -453,8 +414,8 @@ class TestLocalizeAll:
         # the empty-box fallback
         fired, empty_boxes = set(), 0
         for params in REFERENCE_DEPLOYMENTS:
-            results, dep, g = localized(*params)
-            fired.update(results.case.tolist())
+            dep, g = seeded(*params)
+            fired.update(localize_all(dep, g).case.tolist())
             anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
             sd = dijkstra_trees(g, anchors)[0][:, targets]
             nearest = np.argsort(sd, axis=0, kind="stable")[:3]
@@ -462,6 +423,16 @@ class TestLocalizeAll:
             empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
         assert fired == {MULTI, SINGLE, ALL_OUTSIDE, NO_INTERSECTION}
         assert empty_boxes > 0
+
+    @pytest.mark.parametrize("params", TIE_LATTICES)
+    def test_tie_lattices_run_the_tie_rule(self, params, monkeypatch):
+        # the lattices the reference comparison always runs send shortest
+        # paths through the lexicographic tie rule
+        calls = []
+        monkeypatch.setattr(network, "_reconstruct", lambda pred, v:
+                            calls.append(v) or _reconstruct(pred, v))
+        localize_all(*lattice(*params))
+        assert calls
 
     def test_at_most_two_shortest_path_calls(self, monkeypatch):
         # the anchor trees and every far c side each take one batched scipy
