@@ -130,6 +130,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):  # dict() would also take a list of pairs
+            raise TypeError(f"a config must be a JSON object, got {type(d).__name__}")
         kwargs = dict(d)
         if "densities" in kwargs:
             kwargs["densities"] = tuple(kwargs["densities"])

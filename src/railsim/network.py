@@ -424,14 +424,14 @@ def build_graph(
 
     Each edge gets a single RSSI measurement (shared by both directions);
     noise draws are consumed in sorted (i, j) edge order so a fixed rng seed
-    yields a fixed graph. Two co-located nodes (an in-range pair at distance
-    0) have no RSSI and raise ValueError naming both ids.
+    yields a fixed graph. A model with sigma > 0 needs ``rng`` to draw from,
+    and raises ValueError without it. Two co-located nodes (an in-range pair
+    at distance 0) have no RSSI and raise ValueError naming both ids.
     """
     i, j = dep.links
-    if rng is not None and model.sigma > 0:
-        noise = rng.normal(0.0, model.sigma, size=len(i))
-    else:
-        noise = np.zeros(len(i))
+    if model.sigma > 0 and rng is None:
+        raise ValueError(f"sigma {model.sigma} dB needs an rng to draw the noise from")
+    noise = rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0 else np.zeros(len(i))
 
     x, y = dep.coords.T
     true_d = hypot(x[i] - x[j], y[i] - y[j])
@@ -439,7 +439,7 @@ def build_graph(
     if colocated.size:
         k = colocated[0]
         raise ValueError(f"nodes {i[k]} and {j[k]} are co-located: zero distance has no RSSI")
-    est = estimate_distance(model, rssi_at(model, true_d, noise))
+    est = estimate_distance(rssi_at(true_d, noise))
     g = NetworkGraph.__new__(NetworkGraph)  # the links are already sorted and unique
     g._hold(len(dep.coords), dep.links, est, [_placed(est, dep._csr)])
     return g

@@ -8,6 +8,8 @@ from __future__ import annotations
 from typing import Sequence
 
 _SERIES_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd"]
+CHART_SIZE = (640, 400)  # px, a line chart's (width, height)
+SCENE_SIZE = 600  # px, the side of a square scene drawing
 
 
 def _f(x: float) -> str:
@@ -19,12 +21,11 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 400,
 ) -> str:
     """Self-contained SVG line chart: one polyline + markers per series."""
     if not series or all(not pts for pts in series.values()):
         raise ValueError("no data to plot")
+    width, height = CHART_SIZE
     margin = 55
     pw, ph = width - 2 * margin, height - 2 * margin
     xs = [x for pts in series.values() for x, _ in pts]
@@ -96,7 +97,6 @@ def scene_svg(
     rays: Sequence[Sequence[float]],
     intersections: Sequence[Sequence[float]],
     estimate: Sequence[float],
-    size: int = 600,
 ) -> str:
     """Draw one deployment with the selected target's box, rays and estimate.
 
@@ -105,6 +105,7 @@ def scene_svg(
     and each ray is (x, y, dx, dy) from its origin along a unit direction.
     """
     margin = 30
+    size = SCENE_SIZE
     scale = (size - 2 * margin) / max(width_m, height_m)
 
     def sx(x):

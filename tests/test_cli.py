@@ -66,6 +66,23 @@ class TestRun:
         assert "cannot load config" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "[]", json.dumps(list(SMALL_CFG.items())), '"densities"', "60", "null",
+    ], ids=["list", "pairs", "string", "number", "null"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
+    ], ids=["run-w1", "run-w2", "demo"])
+    def test_non_object_config_exit_1(self, text, command, tmp_path, caplog):
+        # dict() reads `[]` as the default config and a list of key/value
+        # pairs as the config it spells: neither is a config file
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text and "JSON object" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]])
     def test_pairs_bound_exit_1_before_any_deployment(self, command, tmp_path, caplog,
                                                       monkeypatch):

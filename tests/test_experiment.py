@@ -6,11 +6,12 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from railsim import experiment, geometry
+from railsim import experiment, geometry, rail
 from railsim.experiment import (
+    ALL_ALGORITHMS,
     CHUNK_NODES,
     N_ANCHORS_MAX,
     N_NODES_MAX,
@@ -32,6 +33,7 @@ from railsim.experiment import (
     write_runs_csv,
 )
 from railsim.geometry import distance
+from railsim.network import GenerationFailed
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
@@ -329,6 +331,39 @@ def test_chunking_never_changes_a_record(cfg):
     for rec in whole + pooled:
         assert same_record(rec, key[rec.density, rec.run_index])
     assert len(whole) == len(pooled) == len(single)
+
+
+@st.composite
+def run_configs(draw):
+    """One-run configs of 3-6 anchors and 10-120 unknowns at a mean degree
+    of about 6 to 20, sides up to 5:1 either way, sigma in [0, 100] dB and
+    any seed."""
+    anchors, n = draw(st.integers(3, 6)), draw(st.integers(10, 120))
+    comm_range = draw(st.floats(5.0, 20.0))
+    area = (n + anchors) * math.pi * comm_range**2 / draw(st.floats(6.0, 20.0))
+    width = math.sqrt(area * draw(st.floats(0.2, 5.0)))
+    return ExperimentConfig(
+        width=width, height=area / width, densities=(n,), n_anchors=anchors,
+        comm_range=comm_range, sigma=draw(st.floats(0.0, 100.0)), runs_per_density=1,
+        base_seed=draw(st.integers(min_value=0)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(run_configs())
+def test_a_run_gives_finite_in_area_estimates(cfg):
+    # a loaded config's run either fails to place its deployment or scores
+    # every target of every algorithm inside the area (a NaN is in no area)
+    (n,) = cfg.densities
+    try:
+        rec = _run_single(cfg, n, 0)
+    except GenerationFailed:
+        reject()
+    assert list(rec.estimates) == list(ALL_ALGORITHMS)
+    for est in rec.estimates.values():
+        assert ((0 <= est.x) & (est.x <= cfg.width)).all()
+        assert ((0 <= est.y) & (est.y <= cfg.height)).all()
+    case = rail.localize_all(*scenario(cfg, n, 0)).case
+    assert ((0 <= case) & (case < len(rail.CASES))).all()
 
 
 class TestCsv:

@@ -250,8 +250,7 @@ def coo_build_graph(dep, model, rng):
     noise = (rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0
              else np.zeros(len(i)))
     delta = dep.coords[i] - dep.coords[j]
-    est = estimate_distance(model, rssi_at(model, libm(math.hypot, delta[:, 0], delta[:, 1]),
-                                           noise))
+    est = estimate_distance(rssi_at(libm(math.hypot, delta[:, 0], delta[:, 1]), noise))
     tails, heads = np.concatenate((i, j)), np.concatenate((j, i))
     order = np.argsort(tails * n + heads, kind="stable")
     tails, heads = tails[order], heads[order]
@@ -506,7 +505,7 @@ class TestBuildGraph:
                      if sigma > 0 else np.zeros(len(edges)))
             for (u, v), nz in zip(edges, noise.tolist()):
                 true_d = distance(dep.nodes[u], dep.nodes[v])
-                want = estimate_distance(model, rssi_at(model, true_d, nz))
+                want = estimate_distance(rssi_at(true_d, nz))
                 assert g.edge_weight(u, v) == want
                 assert g.edge_weight(v, u) == want
 
@@ -551,6 +550,12 @@ class TestBuildGraph:
         assert sum(map(len, g.adjacency)) // 2 == len(g.weights) == dep.links.shape[1] > 0
         # a scenario's graph shares the deployment's links
         assert g.links is dep.links
+
+    def test_noise_needs_an_rng(self):
+        # a noisy model without a generator is refused, not built noise-free
+        dep = generate_deployment(50, 50, 30, 3, 12, seed=2)
+        with pytest.raises(ValueError, match="needs an rng"):
+            build_graph(dep, PathLossModel(sigma=4.0))
 
     def test_noise_changes_weights_deterministically(self):
         dep = generate_deployment(50, 50, 30, 3, 12, seed=2)
