@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,8 +56,9 @@ class Deployment:
     """Ground truth of one simulated world: node i sits at ``coords[i]``.
 
     ``coords`` is stored as a read-only (n, 2) float array (a copy of what
-    the caller passed). Anchors occupy the first ``len(anchor_ids)`` node
-    slots by construction, but consumers should rely on ``anchor_ids`` only.
+    the caller passed). ``anchor_ids`` must be distinct node ids in [0, n).
+    Anchors occupy the first ``len(anchor_ids)`` node slots by construction,
+    but consumers should rely on ``anchor_ids`` only.
     """
 
     width: float
@@ -71,6 +73,10 @@ class Deployment:
             raise ValueError(f"coords must have shape (n, 2), not {xy.shape}")
         if not np.isfinite(xy).all():
             raise ValueError("non-finite node position")
+        ids, n = tuple(self.anchor_ids), len(xy)
+        if len(set(ids)) < len(ids) or not all(
+                isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < n for i in ids):
+            raise ValueError(f"anchor ids must be distinct integers in [0, {n}), not {ids}")
         xy.flags.writeable = False
         object.__setattr__(self, "coords", xy)
 
@@ -122,7 +128,7 @@ class Deployment:
             width=float(d["width"]),
             height=float(d["height"]),
             coords=d["nodes"],
-            anchor_ids=tuple(int(i) for i in d["anchor_ids"]),
+            anchor_ids=tuple(d["anchor_ids"]),
             comm_range=float(d["comm_range"]),
         )
 

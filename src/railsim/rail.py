@@ -15,10 +15,6 @@ expression keeps the scalar operand order, so the passes give the results
 of the per-target scalar formulas in ``tests/oracle.py`` bit for bit. Max,
 min, clip and argmin need no such care: they return one of their finite
 operands exactly.
-
-Work that depends only on a target's anchor triple, its per-hop error and
-its baseline directions, is done once per distinct (run, triple) and
-gathered per target.
 """
 
 from __future__ import annotations
@@ -86,17 +82,15 @@ def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, 
     return np.where(empty, fallback, box), empty
 
 
-def _per_hop_errors(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray, hops: np.ndarray) -> np.ndarray:
+def _per_hop_errors(true: np.ndarray, sd: np.ndarray, hops: np.ndarray) -> np.ndarray:
     """Per column, the system per-hop error of an anchor triple: the average
     per-hop excess of the pairwise shortest distances over the true ones,
-    clamped at 0. Anchors (ax, ay) are (3, m) in id order; the pairwise SDs
-    and hop counts are (3, m) in (01, 02, 12) order.
+    clamped at 0. The true distances, SDs and hop counts of the anchor
+    pairs are (3, m) in (01, 02, 12) order.
     """
     hop_sum = hops[0] + hops[1] + hops[2]
     if (hop_sum == 0).any():
         raise ValueError("anchor pair with zero hop count")
-    i, j = PAIRS
-    true = hypot(ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
     return np.maximum((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
 
 
@@ -170,11 +164,6 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     3 hops.
     """
     k_src = len(forest.sources)
-    for v in (ref, target):
-        missing = np.isinf(forest.dist[rows, v])
-        if missing.any():
-            i = int(np.argmax(missing))
-            raise Unreachable(f"node {v[i]} unreachable from {forest.sources[rows[i] % k_src]}")
     k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
@@ -224,39 +213,28 @@ def _connections(g: NetworkGraph, forest: _Forest, block: np.ndarray, u: np.ndar
     return c_len, c_hops
 
 
-def _angle_between(ax, ay, bx, by):
-    return libm(math.acos, np.clip(ax * bx + ay * by, -1.0, 1.0))
-
-
-def _unit(ax, ay, to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the unit vector from each anchor i to anchor ``to[..., i]``."""
-    d = hypot(ax - ax[to], ay - ay[to])  # geometry.distance
-    if (d == 0).any():
-        raise DegenerateGeometry("coincident anchors")
-    return (ax[to] - ax) / d, (ay[to] - ay) / d
-
-
-def _ray_directions(ax: np.ndarray, ay: np.ndarray, theta_j: np.ndarray,
-                    theta_k: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ray_directions(ax: np.ndarray, ay: np.ndarray, dist: np.ndarray, theta_j: np.ndarray,
+                    theta_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the unit direction of each anchor's ray toward the target:
-    anchors (ax, ay) of shape (3, T) in id order, one column per anchor
-    triple, and column ``which[i]`` the triple of column i of the angles;
-    for anchor i with other anchors j < k (``OTHERS[i]``), ``theta_j[i]``
-    and ``theta_k[i]`` are the estimated angles at i between the target and
-    j, and k.
+    anchors (ax, ay) of shape (3, m) in id order, and ``dist`` (3, m) their
+    distances in (01, 02, 12) order; for anchor i with other anchors j < k
+    (``OTHERS[i]``), ``theta_j[i]`` and ``theta_k[i]`` are the estimated
+    angles at i between the target and j, and k.
 
     Anchor i's baseline to j is rotated by theta_j, counterclockwise or
     clockwise, whichever candidate's angle to the direction i -> k is closer
     to theta_k (ties go counterclockwise).
     """
-    ux, uy = (u[..., which] for u in _unit(ax, ay, OTHERS.T))  # toward j, toward k
+    # the unit vectors toward j and toward k: pair (a, b), a < b, is row a + b - 1
+    d = dist[OTHERS.T + np.arange(3) - 1]
+    ux, uy = (ax[OTHERS.T] - ax) / d, (ay[OTHERS.T] - ay) / d
     bx, by = ux[0], uy[0]
     ct, st = libm(math.cos, theta_j), libm(math.sin, theta_j)
     # the counterclockwise and the clockwise candidate, by cos(-t) = cos t
     # and sin(-t) = -sin t, which the C library's cos and sin keep exactly
     st = np.stack((st, -st))
     dx, dy = bx * ct - by * st, bx * st + by * ct
-    err = np.abs(_angle_between(dx, dy, ux[1], uy[1]) - theta_k)
+    err = np.abs(libm(math.acos, np.clip(dx * ux[1] + dy * uy[1], -1.0, 1.0)) - theta_k)
     pick = err[0] <= err[1]
     dx, dy = np.where(pick, dx[0], dx[1]), np.where(pick, dy[0], dy[1])
     norm = hypot(dx, dy)  # the normalisation of oracle.make_ray
@@ -334,10 +312,17 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     run gives its anchors' trees and one ``_angles`` call reads all six
     angles of every target, so each run's block sees at most two scipy
     Dijkstra calls, and the second has no anchor among its sources.
+
+    Raises ``ValueError`` for fewer than 3 distinct anchors, ``Unreachable``
+    where a chosen anchor cannot reach a partner anchor or its target, and
+    ``DegenerateGeometry`` where two chosen anchors coincide.
     """
     runs, n = coords.shape[:2]
     anchor_ids = np.array(anchor_ids, dtype=np.intp)
     n_anchors = len(anchor_ids)
+    distinct = len(set(anchor_ids.tolist()))
+    if distinct < 3:
+        raise ValueError(f"RAIL needs 3 distinct anchors, got {distinct}")
     targets = np.setdiff1d(np.arange(n), anchor_ids)
     m = len(targets)
     run = np.repeat(np.arange(runs), m)  # per column
@@ -352,25 +337,27 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     nearest = np.take_along_axis(nearest, np.argsort(anchor_ids[nearest], axis=0), axis=0)
     chosen = anchor_ids[nearest]  # (3, B m) anchor ids
     rows = run * n_anchors + nearest  # their forest rows
-    # the distinct (run, triple) pairs, in (run, n0, n1, n2) order, and each
-    # target's one
-    _, first, which = np.unique(rows[0] * n_anchors ** 2 + nearest[1] * n_anchors + nearest[2],
-                                return_index=True, return_inverse=True)
-    triples, ends = rows[:, first], chosen[:, first]
-    tx, ty = coords[run[first], ends, 0], coords[run[first], ends, 1]
-    i, j = PAIRS
-    e = _per_hop_errors(tx, ty, anchors.dist[triples[i], ends[j]],
-                        anchors.hops[triples[i], ends[j]])[which]
+    i, j = PAIRS  # an anchor pair's SD is read from the tree of its lower id
+    pair_sd, target_sd = anchors.dist[rows[i], chosen[j]], anchors.dist[rows, cols]
+    ends = np.broadcast_to(cols, rows.shape)
+    for a, b, d in ((chosen[i], chosen[j], pair_sd), (chosen, ends, target_sd)):
+        if np.isinf(d).any():
+            k = np.isinf(d).argmax()
+            raise Unreachable(f"node {b.flat[k]} unreachable from {a.flat[k]}")
 
     ax, ay = coords[run, chosen, 0], coords[run, chosen, 1]
-    box = _boxes(ax, ay, anchors.dist[rows, cols])[0]
+    dist = hypot(ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    if (dist == 0).any():
+        raise DegenerateGeometry("coincident anchors")
+    e = _per_hop_errors(dist, pair_sd, anchors.hops[rows[i], chosen[j]])
+    box = _boxes(ax, ay, target_sd)[0]
 
     # the six angle items of every target, at anchor i toward OTHERS[i, 0]
     # and OTHERS[i, 1], stacked as (anchor, other, target)
     at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
     theta = _angles(g, anchors, rows[at].ravel(), chosen[ref].ravel(),
                     np.tile(cols, 6), np.tile(e, 6))[0].reshape(3, 2, runs * m)
-    ray_dx, ray_dy = _ray_directions(tx, ty, theta[:, 0], theta[:, 1], which)
+    ray_dx, ray_dy = _ray_directions(ax, ay, dist, theta[:, 0], theta[:, 1])
     rays = (ax, ay, ray_dx, ray_dy)
     x, y, case, hits = _locate(box, rays)
     return RailResults(cols, x, y, case, box, rays, hits)

@@ -452,6 +452,12 @@ class TestCsv:
             NOISY6_SMALL,
             "5de454e0bfe300adbf293ac838048a4e91a8b99f5c577ff337d3c9968d7065e7",
             id="sigma4-6anchors"),
+        # a non-square area with 4 anchors: targets of one run use different
+        # anchor triples
+        pytest.param(
+            {"width": 80.0, "height": 30.0, "n_anchors": 4, "sigma": 2.0},
+            "c75bb3bf0d947d60043e0bbe2872e8ca1e10f51d193f4b96bd917174fcd7bb49",
+            id="sigma2-4anchors-80x30"),
     ])
     def test_pinned_estimates(self, overrides, digest):
         report = run_experiment(ExperimentConfig(**{**PIN_BASE, **overrides}))

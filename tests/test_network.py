@@ -462,6 +462,17 @@ class TestDeploymentCoords:
         with pytest.raises(ValueError):
             Deployment(50, 50, coords, (0,), 10.0)
 
+    @pytest.mark.parametrize("anchor_ids", [(0, 1, -1), (0, 1, 4), (0, 0, 1), (0, 1, 1.5)])
+    def test_bad_anchor_ids_rejected(self, anchor_ids):
+        # on 4 nodes: negative, out of range, repeated and non-integer ids
+        xy = [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [15.0, 5.0]]
+        with pytest.raises(ValueError, match=r"distinct integers in \[0, 4\)"):
+            Deployment(50, 50, xy, anchor_ids, 10.0)
+        d = {"width": 50, "height": 50, "nodes": xy, "anchor_ids": list(anchor_ids),
+             "comm_range": 10.0}
+        with pytest.raises(ValueError, match=r"distinct integers in \[0, 4\)"):
+            Deployment.from_json_dict(d)
+
 
 class TestBuildGraph:
     def test_exact_round_trip_edge(self):

@@ -37,6 +37,7 @@ from railsim.rail import (
     _ray_directions,
     corrected_angle,
     localize_all,
+    localize_chunk,
 )
 
 MODEL = PathLossModel()
@@ -77,22 +78,22 @@ class TestBoundingBox:
 
 class TestPerHopError:
     # anchors (0, 0), (6, 0), (0, 8): true sides 6, 8 and 10 m
-    ax, ay = column(0, 6, 0), column(0, 0, 8)
+    true = column(6, 8, 10)
     hops = np.array([[2], [2], [2]])
 
     def test_zero_when_paths_straight(self):
-        assert _per_hop_errors(self.ax, self.ay, column(6, 8, 10), self.hops)[0] == 0.0
+        assert _per_hop_errors(self.true, column(6, 8, 10), self.hops)[0] == 0.0
 
     def test_hand_value(self):
-        e = _per_hop_errors(self.ax, self.ay, column(8, 10, 12), self.hops)
+        e = _per_hop_errors(self.true, column(8, 10, 12), self.hops)
         assert e[0] == pytest.approx(1.0)
 
     def test_clamped_at_zero(self):
-        assert _per_hop_errors(self.ax, self.ay, column(5, 7, 9), self.hops)[0] == 0.0
+        assert _per_hop_errors(self.true, column(5, 7, 9), self.hops)[0] == 0.0
 
     def test_zero_hop_sum_rejected(self):
         with pytest.raises(ValueError):
-            _per_hop_errors(self.ax, self.ay, column(6, 8, 10), np.zeros((3, 1), dtype=int))
+            _per_hop_errors(self.true, column(6, 8, 10), np.zeros((3, 1), dtype=int))
 
 
 class TestCorrectedAngle:
@@ -164,18 +165,6 @@ class TestEstimateAngle:
         assert alone[0].tolist() == both[0].tolist() and alone[1].tolist() == both[1].tolist()
         assert both[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
 
-    def test_unreachable_names_the_trees_source(self):
-        # forest row 2 is source 0's tree in block 1, where node 3 is cut off
-        whole = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0), (2, 3, 4.0)])
-        cut = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
-        g = NetworkGraph.stack([whole, cut])
-        forest = _Forest.of(g, [0, 2])
-        one = np.array([1])
-        theta, _ = _angles(g, forest, np.array([0]), one, np.array([3]), np.zeros(1))
-        assert theta[0] == pytest.approx(math.pi / 2, abs=1e-9)  # K = 1: the 3-4-5 triangle
-        with pytest.raises(Unreachable, match="node 3 unreachable from 0"):
-            _angles(g, forest, np.array([2]), one, np.array([3]), np.zeros(1))
-
     def test_output_in_range_on_random_networks(self):
         for seed in (1, 4):
             dep = generate_deployment(50, 50, 100, 3, 10, seed=seed)
@@ -188,12 +177,11 @@ class TestEstimateAngle:
             assert ((1 <= k) & (k <= 3)).all()
 
 
-ONE = np.zeros(1, dtype=np.intp)  # one target, of anchor triple 0
-
-
 class TestBuildRays:
-    # anchors (0, 0), (10, 0), (0, 10) in id order
+    # anchors (0, 0), (10, 0), (0, 10) in id order, and their distances in
+    # (01, 02, 12) order
     ax, ay = column(0, 10, 0), column(0, 0, 10)
+    dist = column(10, 10, math.hypot(10, 10))
 
     def _angles(self, th_01, th_02, rest=math.pi / 4):
         """(theta_j, theta_k): anchor 0's angles toward anchors 1 and 2 are
@@ -201,21 +189,22 @@ class TestBuildRays:
         return column(th_01, rest, rest), column(th_02, rest, rest)
 
     def test_disambiguation_picks_matching_candidate(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 4, math.pi / 4), ONE)
+        a = self._angles(math.pi / 4, math.pi / 4)
+        dx, dy = _ray_directions(self.ax, self.ay, self.dist, *a)
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2))
 
     def test_zero_angle_along_baseline(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(0.0, math.pi / 2), ONE)
+        dx, dy = _ray_directions(self.ax, self.ay, self.dist, *self._angles(0.0, math.pi / 2))
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((1.0, 0.0))
 
     def test_right_angle_toward_disambiguator(self):
-        dx, dy = _ray_directions(self.ax, self.ay, *self._angles(math.pi / 2, 0.0), ONE)
+        dx, dy = _ray_directions(self.ax, self.ay, self.dist, *self._angles(math.pi / 2, 0.0))
         assert (dx[0, 0], dy[0, 0]) == pytest.approx((0.0, 1.0))
 
     def test_scale_invariance(self):
         a = self._angles(1.1, 0.6)
-        dx1, dy1 = _ray_directions(self.ax, self.ay, *a, ONE)
-        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, *a, ONE)
+        dx1, dy1 = _ray_directions(self.ax, self.ay, self.dist, *a)
+        dx2, dy2 = _ray_directions(self.ax * 3, self.ay * 3, self.dist * 3, *a)
         for r in range(3):
             assert (dx1[r, 0], dy1[r, 0]) == pytest.approx((dx2[r, 0], dy2[r, 0]))
 
@@ -495,6 +484,29 @@ class TestLocalizeAll:
                                            math.cos, math.sin}
         assert [size for fn, size in calls if fn is math.cos] == [m]
         assert [size for fn, size in calls if fn is math.sin] == [m]
+
+    def test_unreachable_names_the_trees_source(self):
+        # block 1 is block 0 with node 3 cut off: its column names anchor 0,
+        # the first whose tree misses the target
+        whole = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0), (2, 3, 4.0)])
+        cut = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
+        coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+        assert localize_chunk(coords[None], (0, 1, 2), whole).targets.tolist() == [3]
+        with pytest.raises(Unreachable, match="node 3 unreachable from 0"):
+            localize_chunk(np.stack((coords, coords)), (0, 1, 2), NetworkGraph.stack([whole, cut]))
+
+    def test_unreachable_partner_anchor(self):
+        # anchor 0 has no link: node 3 reaches anchors 1 and 2 only
+        dep = Deployment(30.0, 30.0, [(0, 0), (30, 0), (30, 30), (20, 10)], (0, 1, 2), 25.0)
+        g = NetworkGraph(4, [(1, 3, 14.0), (2, 3, 22.0)])
+        with pytest.raises(Unreachable, match="node 1 unreachable from 0"):
+            localize_all(dep, g)
+
+    @pytest.mark.parametrize("anchor_ids, distinct", [((0, 1), 2), ((0, 1, 1), 2), ((2,), 1)])
+    def test_fewer_than_three_anchors_rejected(self, anchor_ids, distinct):
+        dep, g = seeded(50, 50, 60, 3, 0.0, 1)
+        with pytest.raises(ValueError, match=f"3 distinct anchors, got {distinct}"):
+            localize_chunk(dep.coords[None], anchor_ids, g)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
