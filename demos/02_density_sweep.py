@@ -7,7 +7,7 @@ Runs a reduced Monte Carlo sweep (10 runs per density instead of 50; about
 Run:  python3 demos/02_density_sweep.py
 """
 
-from railsim.experiment import ExperimentConfig, run_experiment
+from railsim.experiment import ALL_ALGORITHMS, ExperimentConfig, run_experiment
 
 cfg = ExperimentConfig(runs_per_density=10)
 print(f"arena {cfg.width:g} x {cfg.height:g} m, {cfg.n_anchors} anchors, "
@@ -16,12 +16,12 @@ print(f"arena {cfg.width:g} x {cfg.height:g} m, {cfg.n_anchors} anchors, "
 
 report = run_experiment(cfg)
 
-header = f"{'density':>8}" + "".join(f"{alg:>16}" for alg in cfg.algorithms)
+header = f"{'density':>8}" + "".join(f"{alg:>16}" for alg in ALL_ALGORITHMS)
 print(header)
 for d in cfg.densities:
     cells = "".join(
         f"{report.mean_error[(alg, d)]:>9.3f} ±{report.std_error[(alg, d)]:>5.2f}"
-        for alg in cfg.algorithms
+        for alg in ALL_ALGORITHMS
     )
     print(f"{d:>8}{cells}")
 

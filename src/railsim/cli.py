@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rail, svgplot
 from .experiment import (
+    ALL_ALGORITHMS,
     ExperimentConfig,
     _atomic_write,
     read_runs_csv,
@@ -74,14 +75,14 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _cannot_write(exc)
 
-    print(f"{'':>12}" + "".join(f"{alg:>14}" for alg in cfg.algorithms))
+    print(f"{'':>12}" + "".join(f"{alg:>14}" for alg in ALL_ALGORITHMS))
     for d in cfg.densities:
         row = f"{d:>8} mean"
-        for alg in cfg.algorithms:
+        for alg in ALL_ALGORITHMS:
             row += f"{report.mean_error[(alg, d)]:>14.4f}"
         print(row)
         row = f"{'':>9}std"
-        for alg in cfg.algorithms:
+        for alg in ALL_ALGORITHMS:
             row += f"{report.std_error[(alg, d)]:>14.4f}"
         print(row)
     log.info("wrote report.csv, runs.csv, errors.csv to %s", args.out)

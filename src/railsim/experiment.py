@@ -2,8 +2,9 @@
 Euclidean error metric, and mean/std aggregation with CSV export.
 
 Per-run seeds derive from (base_seed, density, run_index), so runs can
-execute serially or in parallel with bit-identical results; all three
-algorithms share one deployment and graph per run for paired comparison.
+execute serially or in parallel with bit-identical results; every run
+scores all three algorithms (``ALL_ALGORITHMS``, in that order) on one
+deployment and graph for paired comparison.
 The unit of work is a chunk of runs of one density (``chunks``): each run
 draws its own scenario, the runs' graphs are stacked as the blocks of one
 ``NetworkGraph``, and the algorithms and the scoring run once over the
@@ -78,7 +79,6 @@ class ExperimentConfig:
     sigma: float = 0.0
     runs_per_density: int = 50
     base_seed: int = 1
-    algorithms: tuple[str, ...] = ALL_ALGORITHMS
 
     def __post_init__(self):
         def whole(x, low):  # an int, not a bool, >= low
@@ -106,9 +106,6 @@ class ExperimentConfig:
                            "a finite number > 0"),
             "sigma": (finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
                       f"a number in [0, {SIGMA_MAX_DB:g}] dB"),
-            "algorithms": (bool(self.algorithms) and set(self.algorithms) <= set(ALL_ALGORITHMS)
-                           and distinct(self.algorithms),
-                           f"one or more distinct names from {ALL_ALGORITHMS}"),
         }
         for name, (ok, rule) in rules.items():
             if not ok:
@@ -135,8 +132,11 @@ class ExperimentConfig:
         kwargs = dict(d)
         if "densities" in kwargs:
             kwargs["densities"] = tuple(kwargs["densities"])
-        if "algorithms" in kwargs:
-            kwargs["algorithms"] = tuple(kwargs["algorithms"])
+        # a sweep scores every algorithm; the key may only say so
+        algorithms = kwargs.pop("algorithms", list(ALL_ALGORITHMS))
+        if algorithms != list(ALL_ALGORITHMS):
+            raise ValueError(f"algorithms must be {list(ALL_ALGORITHMS)} or absent, "
+                             f"got {algorithms!r}")
         return cls(**kwargs)
 
     @classmethod
@@ -154,7 +154,6 @@ class ExperimentConfig:
             "sigma": self.sigma,
             "runs_per_density": self.runs_per_density,
             "base_seed": self.base_seed,
-            "algorithms": list(self.algorithms),
         }
 
 
@@ -167,7 +166,7 @@ class RunRecord:
     estimates: dict[str, np.recarray]  # per algorithm, fields x and y per node
     errors: dict[str, np.ndarray]  # per algorithm, float64 per node
     run_mean_error: dict[str, float]
-    rail_box_contains: int = 0  # targets whose box held the true position
+    rail_box_contains: int  # targets whose box held the true position
 
 
 @dataclass
@@ -255,49 +254,40 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     m, n_anchors = len(targets), len(anchors)
     truth_x, truth_y = coords[:, targets].reshape(-1, 2).T
 
-    found: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    rail_contained = np.zeros(n_runs, dtype=int)
+    results = rail.localize_chunk(coords, anchors, g)
+    rail_contained = results.box_contains(truth_x, truth_y).reshape(n_runs, m).sum(axis=1)
 
-    if "RAIL" in cfg.algorithms:
-        results = rail.localize_chunk(coords, anchors, g)
-        found["RAIL"] = (results.x, results.y)
-        rail_contained = results.box_contains(truth_x, truth_y).reshape(n_runs, m).sum(axis=1)
+    # Both baselines flood beacons by hop count: one BFS tree per anchor
+    # gives Min-Max its minimum hop counts and DV-hop its accumulated RSSI
+    # distance along the hop-minimal path (not the distance-optimal one RAIL
+    # uses). Arrays are (anchor, run, target).
+    acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
+                 for a in hop_floods(g, anchors))
+    anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
-    if "MinMax" in cfg.algorithms or "RssiDvHop" in cfg.algorithms:
-        # Both baselines flood beacons by hop count: one BFS tree per anchor
-        # gives Min-Max its minimum hop counts and DV-hop its accumulated
-        # RSSI distance along the hop-minimal path (not the distance-optimal
-        # one RAIL uses). Arrays are (anchor, run, target).
-        acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
-                     for a in hop_floods(g, anchors))
-        anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
+    mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
 
-    if "MinMax" in cfg.algorithms:
-        x, y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
-        found["MinMax"] = (x.ravel(), y.ravel())
+    # the three anchors with the shortest accumulated distance, nearest
+    # first, as indices into the runs' anchors in (run, anchor) order
+    acc = acc.reshape(n_anchors, -1)
+    chosen = np.argsort(acc, axis=0, kind="stable")[:3]
+    dv_x, dv_y = baselines.rssi_dv_hop_all(
+        anchor_x.T.ravel(), anchor_y.T.ravel(),
+        chosen + np.repeat(np.arange(0, n_runs * n_anchors, n_anchors), m),
+        np.take_along_axis(acc, chosen, axis=0),
+    )[:2]
 
-    if "RssiDvHop" in cfg.algorithms:
-        # the three anchors with the shortest accumulated distance, nearest
-        # first, as indices into the runs' anchors in (run, anchor) order
-        acc = acc.reshape(n_anchors, -1)
-        chosen = np.argsort(acc, axis=0, kind="stable")[:3]
-        found["RssiDvHop"] = baselines.rssi_dv_hop_all(
-            anchor_x.T.ravel(), anchor_y.T.ravel(),
-            chosen + np.repeat(np.arange(0, n_runs * n_anchors, n_anchors), m),
-            np.take_along_axis(acc, chosen, axis=0),
-        )[:2]
-
-    # every algorithm clamped and scored in one stacked pass, row r for the
-    # r-th algorithm found
-    if found:
-        x, y = clamp_all(*np.stack(list(found.values()), axis=1), cfg.width, cfg.height)
-        err = localization_errors(truth_x, truth_y, x, y)
+    # every algorithm clamped and scored in one stacked pass, row r for
+    # ALL_ALGORITHMS[r]
+    x, y = clamp_all(*np.stack([(results.x, results.y), (mm_x.ravel(), mm_y.ravel()),
+                                (dv_x, dv_y)], axis=1), cfg.width, cfg.height)
+    err = localization_errors(truth_x, truth_y, x, y)
     records = []
     for b, run_index in enumerate(runs):
         cols = slice(b * m, (b + 1) * m)
         estimates: dict[str, np.recarray] = {}
         errors: dict[str, np.ndarray] = {}
-        for r, alg in enumerate(found):
+        for r, alg in enumerate(ALL_ALGORITHMS):
             rec = estimates[alg] = np.recarray(m, ESTIMATE)
             rec.x, rec.y = x[r, cols], y[r, cols]
             errors[alg] = err[r, cols]
@@ -384,25 +374,19 @@ def _fmt(x: float) -> str:
 
 def write_report_csv(report: ExperimentReport, path: str) -> None:
     lines = ["algorithm,density,mean_error_m,std_error_m"]
-    for alg in report.config.algorithms:
+    for alg in ALL_ALGORITHMS:
         for d in report.config.densities:
-            key = (alg, d)
-            if key in report.mean_error:
-                lines.append(
-                    f"{alg},{d},{_fmt(report.mean_error[key])},{_fmt(report.std_error[key])}"
-                )
+            lines.append(f"{alg},{d},{_fmt(report.mean_error[(alg, d)])},"
+                         f"{_fmt(report.std_error[(alg, d)])}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_runs_csv(report: ExperimentReport, path: str) -> None:
     lines = ["algorithm,density,run_index,seed,run_mean_error_m"]
     for rec in report.records:
-        for alg in report.config.algorithms:
-            if alg in rec.run_mean_error:
-                lines.append(
-                    f"{alg},{rec.density},{rec.run_index},{rec.seed},"
-                    f"{_fmt(rec.run_mean_error[alg])}"
-                )
+        for alg in ALL_ALGORITHMS:
+            lines.append(f"{alg},{rec.density},{rec.run_index},{rec.seed},"
+                         f"{_fmt(rec.run_mean_error[alg])}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -411,11 +395,10 @@ def write_errors_csv(report: ExperimentReport, path: str) -> None:
     for rec in report.records:
         fields = [None] * (2 * len(rec.node_ids))  # node, error, node, error, ...
         fields[::2] = rec.node_ids
-        for alg in report.config.algorithms:
-            if alg in rec.errors:
-                fields[1::2] = rec.errors[alg].tolist()
-                row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
-                blocks.append(row * len(rec.node_ids) % tuple(fields))
+        for alg in ALL_ALGORITHMS:
+            fields[1::2] = rec.errors[alg].tolist()
+            row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
+            blocks.append(row * len(rec.node_ids) % tuple(fields))
     _atomic_write(path, *blocks)  # joined, they would be a second copy of the file
 
 

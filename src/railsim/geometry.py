@@ -27,8 +27,10 @@ _BLOCK = 4096  # elements per block of the port
 # arrays at least this long take the port, shorter ones ``libm``. A port
 # call costs about 27 us whatever its length; in a loop of calls the two
 # tie near 540 elements (2-vCPU Xeon), but inside whole runs the port still
-# lost at the 550-600 elements of 100-node graphs and of 200-node rays and
-# scores, and won from the 2,000-link graphs of 200 nodes on
+# lost at the 550-600 links of 100-node graphs and won from the 2,000-link
+# graphs of 200 nodes on. In a chunked sweep the per-target calls hold
+# 1,200 elements or more and take the port; 100-node graphs, the sampler's
+# anchor pairs and most case-3 box gaps of a sigma-0 sweep stay on libm
 _PORT_MIN = 1024
 
 

@@ -581,10 +581,12 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.
     of each source node, in every block.
 
     Models hop-count-propagation protocols: each node keeps the first beacon
-    it hears (deterministically, from its smallest-id discovered neighbor)
-    and accumulates per-hop RSSI distances along that tree path. Unlike
-    ``dijkstra_trees`` the path is hop-minimal, not distance-minimal, so
-    the accumulated distance overestimates more strongly.
+    it hears, from whichever of its neighbors one hop closer to the source a
+    FIFO flood dequeues first (each dequeued node scans its neighbors in id
+    order), which need not be the smallest-id one, and accumulates per-hop
+    RSSI distances along that tree path. Unlike ``dijkstra_trees`` the path
+    is hop-minimal, not distance-minimal, so the accumulated distance
+    overestimates more strongly.
 
     Returns (accumulated distance, hop count) arrays of shape
     (blocks * len(sources), n), row ``b * len(sources) + r`` for sources[r]

@@ -313,16 +313,19 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     angles of every target, so each run's block sees at most two scipy
     Dijkstra calls, and the second has no anchor among its sources.
 
-    Raises ``ValueError`` for fewer than 3 distinct anchors, ``Unreachable``
-    where a chosen anchor cannot reach a partner anchor or its target, and
-    ``DegenerateGeometry`` where two chosen anchors coincide.
+    Raises ``ValueError`` for fewer than 3 distinct anchors or a repeated
+    anchor id, ``Unreachable`` where a chosen anchor cannot reach a partner
+    anchor or its target, and ``DegenerateGeometry`` where two chosen
+    anchors coincide.
     """
     runs, n = coords.shape[:2]
     anchor_ids = np.array(anchor_ids, dtype=np.intp)
     n_anchors = len(anchor_ids)
-    distinct = len(set(anchor_ids.tolist()))
-    if distinct < 3:
-        raise ValueError(f"RAIL needs 3 distinct anchors, got {distinct}")
+    ids, counts = np.unique(anchor_ids, return_counts=True)
+    if len(ids) < 3:
+        raise ValueError(f"RAIL needs 3 distinct anchors, got {len(ids)}")
+    if (counts > 1).any():
+        raise ValueError(f"anchor id {ids[counts > 1][0]} is given more than once")
     targets = np.setdiff1d(np.arange(n), anchor_ids)
     m = len(targets)
     run = np.repeat(np.arange(runs), m)  # per column

@@ -56,6 +56,7 @@ class TestRun:
         {"sigma": 3000}, {"sigma": True}, {"width": True, "height": True},
         {"comm_range": True}, {"n_anchors": 2000}, {"densities": [10**9]},
         {"densities": [5000], "comm_range": 80}, {"algorithms": []},
+        {"algorithms": ["RAIL"]}, {"algorithms": ["RssiDvHop", "MinMax", "RAIL"]},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):

@@ -89,10 +89,6 @@ class TestBasics:
             ExperimentConfig(runs_per_density=0)
         with pytest.raises(ValueError):
             ExperimentConfig(densities=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(algorithms=("Nope",))
-        with pytest.raises(ValueError, match="one or more"):
-            ExperimentConfig(algorithms=())
         for bad in (
             {"n_anchors": 2},
             {"width": 0.0},
@@ -119,7 +115,6 @@ class TestBasics:
             {"comm_range": True},
             {"sigma": "4"},
             {"densities": (100, 100)},
-            {"algorithms": ("RAIL", "RAIL")},
             {"n_anchors": N_ANCHORS_MAX + 1},
             {"n_anchors": 2000},
             {"densities": (100, N_NODES_MAX + 1)},
@@ -132,6 +127,13 @@ class TestBasics:
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
+        # every sweep scores all three algorithms: a config may name them,
+        # in ALL_ALGORITHMS order, and nothing else
+        for algorithms in ([], ["Nope"], ["RAIL"], ["RAIL", "RAIL"],
+                           ["RAIL", "MinMax", "RssiDvHop", "RAIL"],
+                           ["RssiDvHop", "MinMax", "RAIL"], "RAIL", None):
+            with pytest.raises(ValueError, match="algorithms must be"):
+                ExperimentConfig.from_json_dict({"algorithms": algorithms})
 
     def test_ceilings_accepted(self):
         # the ceilings themselves load (test_config_validation rejects one
@@ -167,6 +169,9 @@ class TestBasics:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(SMALL.to_json_dict()))
         assert ExperimentConfig.from_json_file(p) == SMALL
+        # the one accepted algorithms key changes nothing
+        named = {**SMALL.to_json_dict(), "algorithms": ["RAIL", "MinMax", "RssiDvHop"]}
+        assert ExperimentConfig.from_json_dict(named) == SMALL
 
     def test_run_seed_distinct(self):
         seeds = {run_seed(1, d, r) for d in (100, 200) for r in range(10)}
@@ -196,7 +201,7 @@ class TestAggregate:
         # one run mean per algorithm and run, equal to the mean of its errors
         assert len(small_report.records) == len(SMALL.densities) * SMALL.runs_per_density
         for rec in small_report.records:
-            assert rec.run_mean_error.keys() == rec.errors.keys() == set(SMALL.algorithms)
+            assert rec.run_mean_error.keys() == rec.errors.keys() == set(ALL_ALGORITHMS)
             for alg, errs in rec.errors.items():
                 assert rec.run_mean_error[alg] == float(np.mean(errs))
 
@@ -241,15 +246,6 @@ class TestDeterminism:
         one_run = ExperimentConfig(densities=(60,), runs_per_density=1)
         assert len(run_experiment(one_run, n_workers=8).records) == 1
         assert sizes == [2, 2]
-
-    def test_algorithm_order_irrelevant(self, small_report):
-        cfg = ExperimentConfig(
-            densities=SMALL.densities, runs_per_density=SMALL.runs_per_density,
-            base_seed=SMALL.base_seed,
-            algorithms=tuple(reversed(SMALL.algorithms)),
-        )
-        r2 = run_experiment(cfg)
-        assert r2.mean_error == small_report.mean_error
 
     def test_seed_changes_results(self, small_report):
         cfg = ExperimentConfig(
@@ -371,7 +367,7 @@ class TestCsv:
         p = tmp_path / "report.csv"
         write_report_csv(small_report, str(p))
         rows = list(csv.DictReader(p.open()))
-        assert len(rows) == len(SMALL.algorithms) * len(SMALL.densities)
+        assert len(rows) == len(ALL_ALGORITHMS) * len(SMALL.densities)
         assert set(rows[0]) == {
             "algorithm", "density", "mean_error_m", "std_error_m",
         }
@@ -384,10 +380,10 @@ class TestCsv:
         write_runs_csv(small_report, str(p))
         rows = read_runs_csv(str(p))
         assert len(rows) == (
-            len(SMALL.algorithms) * len(SMALL.densities) * SMALL.runs_per_density
+            len(ALL_ALGORITHMS) * len(SMALL.densities) * SMALL.runs_per_density
         )
         rec = small_report.records[0]
-        algo = SMALL.algorithms[0]
+        algo = ALL_ALGORITHMS[0]
         first = next(
             r for r in rows
             if r["density"] == rec.density
@@ -405,7 +401,7 @@ class TestCsv:
         rows = list(csv.DictReader(p.open()))
         want = sum(
             len(r.errors[a]) for r in small_report.records
-            for a in SMALL.algorithms
+            for a in ALL_ALGORITHMS
         )
         assert len(rows) == want
         assert all(math.isfinite(float(r["error_m"])) for r in rows)
@@ -498,7 +494,7 @@ class TestRecords:
 
     def test_records_hold_arrays(self, small_report):
         for rec in small_report.records:
-            for alg in SMALL.algorithms:
+            for alg in ALL_ALGORITHMS:
                 est, err = rec.estimates[alg], rec.errors[alg]
                 assert est.dtype.names == ("x", "y")
                 assert est.shape == err.shape == (len(rec.node_ids),)

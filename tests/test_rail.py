@@ -502,10 +502,17 @@ class TestLocalizeAll:
         with pytest.raises(Unreachable, match="node 1 unreachable from 0"):
             localize_all(dep, g)
 
-    @pytest.mark.parametrize("anchor_ids, distinct", [((0, 1), 2), ((0, 1, 1), 2), ((2,), 1)])
-    def test_fewer_than_three_anchors_rejected(self, anchor_ids, distinct):
+    @pytest.mark.parametrize("anchor_ids, match", [
+        pytest.param((0, 1), "3 distinct anchors, got 2", id="anchor_ids0-2"),
+        pytest.param((0, 1, 1), "3 distinct anchors, got 2", id="anchor_ids1-2"),
+        pytest.param((2,), "3 distinct anchors, got 1", id="anchor_ids2-1"),
+        # 3 distinct ids, one of them twice: an input fault, not a geometry one
+        pytest.param((0, 1, 2, 2), "anchor id 2 is given more than once", id="repeat-last"),
+        pytest.param((0, 0, 1, 2), "anchor id 0 is given more than once", id="repeat-first"),
+    ])
+    def test_fewer_than_three_anchors_rejected(self, anchor_ids, match):
         dep, g = seeded(50, 50, 60, 3, 0.0, 1)
-        with pytest.raises(ValueError, match=f"3 distinct anchors, got {distinct}"):
+        with pytest.raises(ValueError, match=match):
             localize_chunk(dep.coords[None], anchor_ids, g)
 
     def test_deterministic(self):
