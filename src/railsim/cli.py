@@ -1,13 +1,13 @@
 """Command-line front end: run experiments, inspect one seeded scenario,
 and turn runs.csv into per-density error charts.
 
-Exit codes: 0 success, 1 bad input (config, CSV, --out), 2 infeasible deployment.
+Exit codes: 0 success, 1 bad input (a malformed command line, config, CSV,
+--out), 2 infeasible deployment.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -39,13 +39,10 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
-def _load_config(path: str, seed_override=None) -> ExperimentConfig:
+def _load_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    cfg = ExperimentConfig.from_json_file(path)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, base_seed=seed_override)
-    return cfg
+    return ExperimentConfig.from_json_file(path)
 
 
 def _cannot_write(exc: OSError) -> int:
@@ -58,7 +55,7 @@ def cmd_run(args) -> int:
         log.error("--workers must be >= 1, got %d", args.workers)
         return 1
     try:
-        cfg = _load_config(args.config, args.seed)
+        cfg = _load_config(args.config)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         log.error("cannot load config: %s", exc)
         return 1
@@ -91,7 +88,7 @@ def cmd_run(args) -> int:
 
 def cmd_demo(args) -> int:
     try:
-        cfg = _load_config(args.config, args.seed)
+        cfg = _load_config(args.config)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         log.error("cannot load config: %s", exc)
         return 1
@@ -176,22 +173,27 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a malformed command line, as on any bad input; argparse's
+    own 2 is the code of an infeasible deployment. Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="rail", description="RSSI-based localization simulator"
-    )
+    p = _Parser(prog="rail", description="RSSI-based localization simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the full Monte Carlo sweep")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
-    run.add_argument("--seed", type=int, default=None, help="override base_seed")
     run.add_argument("--workers", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser("demo", help="render one seeded scenario")
     demo.add_argument("--config", required=True)
-    demo.add_argument("--seed", type=int, default=None, help="override base_seed")
     demo.add_argument("--target", type=int, default=None)
     demo.add_argument("--out", required=True)
     demo.set_defaults(func=cmd_demo)

@@ -144,18 +144,6 @@ class ExperimentConfig:
         with open(path) as f:
             return cls.from_json_dict(json.load(f))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "densities": list(self.densities),
-            "n_anchors": self.n_anchors,
-            "comm_range": self.comm_range,
-            "sigma": self.sigma,
-            "runs_per_density": self.runs_per_density,
-            "base_seed": self.base_seed,
-        }
-
 
 @dataclass
 class RunRecord:

@@ -185,8 +185,9 @@ class NetworkGraph:
     ``links``, a read-only (2, pairs) array of rows i and j, and ``weights``
     hold every block's links once, in (block, i, j) order; ``links_of``
     gives one block's, and ``edge_index`` finds links by their block and
-    ends. ``adjacency[b * n + v]`` lists the (b * n + neighbor, weight)
-    pairs of node v of block b, built on first use.
+    ends. ``adjacency[v]`` lists the (neighbor, weight) pairs of node v of
+    block 0, built on first use; ``neighbors`` and ``edge_weight`` read
+    block 0 too.
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
     orientation and raises ValueError on a self-loop, a repeated pair, a
@@ -251,12 +252,10 @@ class NetworkGraph:
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        rows = []
-        for b, m in enumerate(self.matrices):
-            pairs = list(zip((m.indices + b * self.node_count).tolist(), m.data.tolist()))
-            bounds = m.indptr.tolist()
-            rows += [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        return rows
+        m = self.matrices[0]
+        pairs = list(zip(m.indices.tolist(), m.data.tolist()))
+        bounds = m.indptr.tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         return self.adjacency[u]

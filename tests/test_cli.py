@@ -21,6 +21,14 @@ SMALL_CFG = {
 }
 
 
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture()
 def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
@@ -116,25 +124,55 @@ class TestRun:
         assert "deployment generation failed" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_1_exit_1(self, cfg_path, workers, tmp_path, caplog):
+    @pytest.mark.parametrize("workers", ["0", "-3", "abc", "1.5"])
+    def test_workers_below_1_exit_1(self, cfg_path, workers, tmp_path, caplog, capsys):
+        # 0 and -3 are refused by cmd_run, abc and 1.5 by the parser
         out = tmp_path / "out"
-        assert main(["run", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 1
-        assert "--workers must be >= 1" in caplog.text
+        assert exit_code(["run", "--config", cfg_path, "--out", str(out),
+                          "--workers", workers]) == 1
+        assert "--workers" in caplog.text + capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_override_deterministic(self, cfg_path, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(a), "--seed", "77"]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(b), "--seed", "77"]) == 0
-        for name in ("report.csv", "runs.csv", "errors.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_seed_override_changes_output(self, cfg_path, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", cfg_path, "--out", str(a), "--seed", "77"])
-        main(["run", "--config", cfg_path, "--out", str(b), "--seed", "78"])
+    def test_base_seed_changes_output(self, tmp_path):
+        # a sweep follows from its config file alone; running one config
+        # twice gives the same bytes (TestDeterminism, TestCsv)
+        outs = []
+        for seed in (77, 78):
+            p = tmp_path / f"seed{seed}.json"
+            p.write_text(json.dumps({**SMALL_CFG, "base_seed": seed}))
+            outs.append(tmp_path / f"out{seed}")
+            assert main(["run", "--config", str(p), "--out", str(outs[-1])]) == 0
+        a, b = outs
         assert (a / "runs.csv").read_bytes() != (b / "runs.csv").read_bytes()
+
+
+class TestUsage:
+    """A malformed command line is bad input: exit 1 with the usage on
+    stderr and no --out, where argparse alone exits 2, the code of an
+    infeasible deployment."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "OUT"],
+        ["run", "--config", "CFG", "--out", "OUT", "--seed", "5"],
+        ["demo", "--config", "CFG", "--out", "OUT", "--target", "x"],
+        ["plot", "--out", "OUT"],
+        ["frobnicate", "--out", "OUT"],
+        [],
+    ], ids=["run-no-config", "run-seed", "demo-target-x", "plot-no-runs", "unknown-command",
+            "no-command"])
+    def test_usage_error_exit_1(self, argv, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([{"OUT": str(out), "CFG": cfg_path}.get(a, a) for a in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rail") and "error:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exit_0(self, argv, capsys):
+        assert exit_code(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: rail")
 
 
 class TestDemo:
@@ -149,9 +187,11 @@ class TestDemo:
         assert len(dep.nodes) == SMALL_CFG["densities"][0] + 3
         assert scene["target"] in {int(k) for k in scene["estimates"]}
 
-    def test_draws_run_0_of_first_density(self, cfg_path, tmp_path):
+    def test_draws_run_0_of_first_density(self, tmp_path):
+        p = tmp_path / "seed8.json"
+        p.write_text(json.dumps({**SMALL_CFG, "base_seed": 8}))
         out = tmp_path / "demo"
-        assert main(["demo", "--config", cfg_path, "--out", str(out), "--seed", "8"]) == 0
+        assert main(["demo", "--config", str(p), "--out", str(out)]) == 0
         scene = json.loads((out / "scene.json").read_text())
         cfg = ExperimentConfig.from_json_dict({**SMALL_CFG, "base_seed": 8})
         dep, _ = scenario(cfg, SMALL_CFG["densities"][0], 0)

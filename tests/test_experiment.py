@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -167,10 +168,10 @@ class TestBasics:
 
     def test_config_json_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(SMALL.to_json_dict()))
+        p.write_text(json.dumps(dataclasses.asdict(SMALL)))
         assert ExperimentConfig.from_json_file(p) == SMALL
         # the one accepted algorithms key changes nothing
-        named = {**SMALL.to_json_dict(), "algorithms": ["RAIL", "MinMax", "RssiDvHop"]}
+        named = {**dataclasses.asdict(SMALL), "algorithms": ["RAIL", "MinMax", "RssiDvHop"]}
         assert ExperimentConfig.from_json_dict(named) == SMALL
 
     def test_run_seed_distinct(self):

@@ -644,7 +644,7 @@ class TestStack:
         gs = self.graphs()
         stack = NetworkGraph.stack(gs)
         n = stack.node_count
-        assert stack.blocks == len(gs) and len(stack.adjacency) == len(gs) * n
+        assert stack.blocks == len(gs)
         sources = np.random.default_rng(5).choice(n, 6, replace=False)  # not sorted
         k = len(sources)
         acc, hops = hop_floods(stack, sources)
@@ -670,8 +670,6 @@ class TestStack:
             found, pos = stack.edge_index(b, j, i)
             assert found.all() and stack.weights[pos].tobytes() == w.tobytes()
             assert [a.tolist() for a in stack.links_of(b)] == [a.tolist() for a in (i, j, w)]
-            u = int(i[0])
-            assert stack.neighbors(u + b * n) == [(v + b * n, x) for v, x in g.neighbors(u)]
             # no link joins a node to itself
             assert not stack.edge_index(b, nodes, nodes)[0].any()
             # another block holds only its own graph's links
@@ -679,8 +677,10 @@ class TestStack:
             theirs = set(zip(*(a.tolist() for a in gs[other].links_of(0)[:2])))
             want = [pair in theirs for pair in zip(i.tolist(), j.tolist())]
             assert stack.edge_index(other, i, j)[0].tolist() == want and not all(want)
-        # edge_weight reads block 0
+        # adjacency, neighbors and edge_weight read block 0
+        assert stack.adjacency == gs[0].adjacency and len(stack.adjacency) == n
         i, j, _ = gs[0].links_of(0)
+        assert stack.neighbors(int(i[0])) == gs[0].neighbors(int(i[0]))
         assert stack.edge_weight(int(i[0]), int(j[0])) == gs[0].edge_weight(int(j[0]), int(i[0]))
         # the last pair of the last block stays below the keys' sentinel
         assert not stack.edge_index(len(gs) - 1, n - 1, n - 1)[0]
