@@ -1,13 +1,19 @@
 """Command-line front end: run experiments, inspect one seeded scenario,
 and turn runs.csv into per-density error charts.
 
-Exit codes: 0 success, 1 bad input (a malformed command line, config, CSV,
---out), 2 infeasible deployment.
+The commands raise; ``main`` alone logs an error and picks the exit code:
+
+    0  success
+    1  bad input (``BadInput``): a malformed command line, a config that fails
+       to load, an unreadable or empty runs.csv, a --target that is not an
+       unknown node, an --out that is not a directory or cannot be written
+    2  infeasible deployment (``GenerationFailed``)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -16,17 +22,9 @@ import sys
 import numpy as np
 
 from . import rail, svgplot
-from .experiment import (
-    ALL_ALGORITHMS,
-    ExperimentConfig,
-    _atomic_write,
-    read_runs_csv,
-    run_experiment,
-    scenario,
-    write_errors_csv,
-    write_report_csv,
-    write_runs_csv,
-)
+from .experiment import (ALL_ALGORITHMS, ExperimentConfig, _atomic_write, read_runs_csv,
+                         run_experiment, scenario, write_errors_csv, write_report_csv,
+                         write_runs_csv)
 from .network import GenerationFailed
 
 log = logging.getLogger("railsim")
@@ -39,73 +37,59 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
+class BadInput(Exception):
+    """A refusal of the command's input; ``main`` logs its message and exits 1."""
+
+
+@contextlib.contextmanager
+def _refused(what: str, *errors: type[Exception]):
+    """Raise any of ``errors`` from the block as BadInput("<what>: <error>")."""
+    try:
+        yield
+    except errors as exc:
+        raise BadInput(f"{what}: {exc}") from exc
+
+
 def _load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    return ExperimentConfig.from_json_file(path)
+    with _refused("cannot load config", OSError, ValueError, TypeError, KeyError,
+                  RecursionError):  # RecursionError: JSON nested about 1000 deep
+        return ExperimentConfig.from_json_file(path)
 
 
-def _cannot_write(exc: OSError) -> int:
-    log.error("cannot write output: %s", exc)
-    return 1
+@contextlib.contextmanager
+def _out_dir(out: str):
+    """Create --out for the block, which names a file in it ``at(name)``; an
+    OSError there is bad input."""
+    with _refused("cannot write output", OSError):
+        os.makedirs(out, exist_ok=True)
+        yield lambda name: os.path.join(out, name)
 
 
-def cmd_run(args) -> int:
-    if args.workers < 1:
-        log.error("--workers must be >= 1, got %d", args.workers)
-        return 1
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        log.error("cannot load config: %s", exc)
-        return 1
-    try:
-        report = run_experiment(cfg, n_workers=args.workers)
-    except GenerationFailed as exc:
-        log.error("deployment generation failed: %s", exc)
-        return 2
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        write_report_csv(report, os.path.join(args.out, "report.csv"))
-        write_runs_csv(report, os.path.join(args.out, "runs.csv"))
-        write_errors_csv(report, os.path.join(args.out, "errors.csv"))
-    except OSError as exc:
-        return _cannot_write(exc)
-
+def cmd_run(args) -> None:
+    cfg = _load_config(args.config)
+    report = run_experiment(cfg, n_workers=args.workers)
+    with _out_dir(args.out) as at:
+        write_report_csv(report, at("report.csv"))
+        write_runs_csv(report, at("runs.csv"))
+        write_errors_csv(report, at("errors.csv"))
     print(f"{'':>12}" + "".join(f"{alg:>14}" for alg in ALL_ALGORITHMS))
     for d in cfg.densities:
-        row = f"{d:>8} mean"
-        for alg in ALL_ALGORITHMS:
-            row += f"{report.mean_error[(alg, d)]:>14.4f}"
-        print(row)
-        row = f"{'':>9}std"
-        for alg in ALL_ALGORITHMS:
-            row += f"{report.std_error[(alg, d)]:>14.4f}"
-        print(row)
+        for label, stat in ((f"{d:>8} mean", report.mean_error),
+                            (f"{'':>9}std", report.std_error)):
+            print(label + "".join(f"{stat[(alg, d)]:>14.4f}" for alg in ALL_ALGORITHMS))
     log.info("wrote report.csv, runs.csv, errors.csv to %s", args.out)
-    return 0
 
 
-def cmd_demo(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        log.error("cannot load config: %s", exc)
-        return 1
-    try:
-        # run 0 of the first density, exactly as `rail run` scores it
-        dep, g = scenario(cfg, cfg.densities[0], 0)
-    except GenerationFailed as exc:
-        log.error("deployment generation failed: %s", exc)
-        return 2
+def cmd_demo(args) -> None:
+    cfg = _load_config(args.config)
+    # run 0 of the first density, exactly as `rail run` scores it
+    dep, g = scenario(cfg, cfg.densities[0], 0)
     res = rail.localize_all(dep, g)
 
     targets = res.targets.tolist()  # ascending node ids
     target = args.target if args.target is not None else targets[0]
     if target not in targets:
-        log.error("node %s is not an unknown node of this scenario", target)
-        return 1
-
+        raise BadInput(f"node {target} is not an unknown node of this scenario")
     # one pass over the targets' columns as plain floats; a ray is
     # (x, y, dx, dy), a ray-pair hit (x, y) where it is found
     rows = zip(targets, res.x.tolist(), res.y.tolist(), res.case.tolist(), res.box.T.tolist(),
@@ -123,54 +107,34 @@ def cmd_demo(args) -> int:
         if t == target:
             drawn = box, rays, hits, (x, y)
 
-    scene = {
-        "deployment": dep.to_json_dict(),
-        "target": target,
-        "estimates": estimates,
-        "diagnostics": diagnostics,
-    }
+    scene = {"deployment": dep.to_json_dict(), "target": target, "estimates": estimates,
+             "diagnostics": diagnostics}
     svg = svgplot.scene_svg(dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids,
                             target, *drawn)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, "scene.json"), json.dumps(scene, indent=2) + "\n")
-        _atomic_write(os.path.join(args.out, "scene.svg"), svg)
-    except OSError as exc:
-        return _cannot_write(exc)
+    with _out_dir(args.out) as at:
+        _atomic_write(at("scene.json"), json.dumps(scene, indent=2) + "\n")
+        _atomic_write(at("scene.svg"), svg)
     log.info("wrote scene.json and scene.svg to %s", args.out)
-    return 0
 
 
-def cmd_plot(args) -> int:
-    try:
+def cmd_plot(args) -> None:
+    # TypeError: a short row
+    with _refused("cannot read runs csv", OSError, ValueError, KeyError, TypeError):
         rows = read_runs_csv(args.runs)
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: a short row
-        log.error("cannot read runs csv: %s", exc)
-        return 1
     if not rows:
-        log.error("runs csv %s has no data rows", args.runs)
-        return 1
-    densities = sorted({r["density"] for r in rows})
-    charts = {}
-    for d in densities:
-        series: dict[str, list[tuple[float, float]]] = {}
-        for r in rows:
-            if r["density"] == d:
-                series.setdefault(r["algorithm"], []).append(
-                    (float(r["run_index"]), r["run_mean_error_m"])
-                )
-        charts[f"errors_{d}.svg"] = svgplot.line_chart(
-            {name: sorted(pts) for name, pts in series.items()},
-            title=f"Per-run mean localization error, {d} unknown nodes",
-            x_label="run index", y_label="mean error (m)")
-    try:
-        os.makedirs(args.out, exist_ok=True)
+        raise BadInput(f"runs csv {args.runs} has no data rows")
+    series: dict[int, dict[str, list[tuple[float, float]]]] = {}  # density, algorithm
+    for r in rows:
+        series.setdefault(r["density"], {}).setdefault(r["algorithm"], []).append(
+            (float(r["run_index"]), r["run_mean_error_m"]))
+    charts = {f"errors_{d}.svg": svgplot.line_chart(
+        {name: sorted(pts) for name, pts in series[d].items()},
+        title=f"Per-run mean localization error, {d} unknown nodes",
+        x_label="run index", y_label="mean error (m)") for d in sorted(series)}
+    with _out_dir(args.out) as at:
         for name, svg in charts.items():
-            _atomic_write(os.path.join(args.out, name), svg)
-    except OSError as exc:
-        return _cannot_write(exc)
-    log.info("wrote %d chart(s) to %s", len(densities), args.out)
-    return 0
+            _atomic_write(at(name), svg)
+    log.info("wrote %d chart(s) to %s", len(charts), args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +146,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _workers(text: str) -> int:
+    """A --workers value: an integer >= 1, or a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rail", description="RSSI-based localization simulator")
     sub = p.add_subparsers(dest="command", required=True)
@@ -189,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full Monte Carlo sweep")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=_workers, default=1)
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser("demo", help="render one seeded scenario")
@@ -208,10 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any work
-        log.error("cannot write output: %s is not a directory", args.out)
+    try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any work
+            raise BadInput(f"cannot write output: {args.out} is not a directory")
+        args.func(args)
+    except BadInput as exc:
+        log.error("%s", exc)
         return 1
-    return args.func(args)
+    except GenerationFailed as exc:
+        log.error("deployment generation failed: %s", exc)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -62,6 +62,11 @@ N_NODES_MAX = 5000
 # while a range beyond the area's diagonal puts all 12.5 M pairs of 5000
 # nodes in range
 N_PAIRS_MAX = 2_000_000
+# the most targets a sweep may score (``ExperimentConfig.targets``). Every
+# run's record stays in memory until the CSVs are written: at 100-500 nodes
+# per run a sweep's peak RSS grows by about 175 bytes per target (72 MB at
+# 40,000 targets, 119 MB at 320,000), so this ceiling needs about 0.9 GB
+N_TARGETS_MAX = 5_000_000
 # the most nodes (anchors included) one chunk of same-density runs holds:
 # a chunk's array passes run once over all its runs' targets, so each run
 # adds its arrays to the chunk's memory while the passes' fixed cost is paid
@@ -115,6 +120,16 @@ class ExperimentConfig:
                 f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "
                 f"range, got {self.expected_pairs:.3g}: lower densities or comm_range, "
                 f"or widen the area")
+        if self.targets > N_TARGETS_MAX:
+            raise ValueError(
+                f"a sweep must score at most {N_TARGETS_MAX:,} targets (runs_per_density x "
+                f"the sum of densities), got {self.targets:,}: lower runs_per_density or "
+                f"densities")
+
+    @property
+    def targets(self) -> int:
+        """The targets the sweep scores, runs_per_density x sum(densities)."""
+        return self.runs_per_density * sum(self.densities)
 
     @property
     def expected_pairs(self) -> float:

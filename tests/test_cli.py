@@ -9,8 +9,8 @@ import pytest
 
 from railsim import cli, experiment
 from railsim.cli import main
-from railsim.experiment import ExperimentConfig, scenario
-from railsim.network import Deployment
+from railsim.experiment import N_TARGETS_MAX, ExperimentConfig, scenario
+from railsim.network import Deployment, Unreachable
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -37,6 +37,14 @@ def cfg_path(tmp_path):
 
 
 class TestRun:
+    def test_prints_the_table(self, cfg_path, tmp_path, capsys):
+        # each density's pooled mean and std per algorithm, as report.csv has them
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == (
+            "                      RAIL        MinMax     RssiDvHop\n"
+            "      60 mean       17.0606       15.6240       31.1984\n"
+            "         std       10.8769        9.3861       17.7683\n")
+
     def test_writes_three_csvs(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
@@ -109,6 +117,40 @@ class TestRun:
         assert "cannot load config" in caplog.text and "node pairs" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]],
+                             ids=["run-w2", "demo"])
+    def test_targets_bound_exit_1_before_any_chunk(self, command, tmp_path, caplog,
+                                                   monkeypatch):
+        # 10**12 runs of 60 targets would build 6e10 chunk bounds before the
+        # first run; the config is refused at load
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(experiment, "chunks", no_work)
+        monkeypatch.setattr(experiment, "generate_deployment", no_work)
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps({**SMALL_CFG, "runs_per_density": 10**12}))
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text
+        assert f"at most {N_TARGETS_MAX:,} targets" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000, '{"a": ' * 1000 + "1" + "}" * 1000],
+                             ids=["arrays", "objects"])
+    @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["demo"]],
+                             ids=["run", "demo"])
+    def test_deeply_nested_config_exit_1(self, text, command, tmp_path, caplog):
+        # json raises RecursionError from about 1000 levels
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ])
@@ -125,12 +167,26 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3", "abc", "1.5"])
-    def test_workers_below_1_exit_1(self, cfg_path, workers, tmp_path, caplog, capsys):
-        # 0 and -3 are refused by cmd_run, abc and 1.5 by the parser
+    def test_workers_below_1_exit_1(self, cfg_path, workers, tmp_path, capsys):
+        # the parser refuses all four, as a usage error
         out = tmp_path / "out"
         assert exit_code(["run", "--config", cfg_path, "--out", str(out),
                           "--workers", workers]) == 1
-        assert "--workers" in caplog.text + capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rail run") and "error: argument --workers" in err
+        assert not out.exists()
+
+    def test_other_errors_propagate(self, cfg_path, tmp_path, caplog, monkeypatch):
+        # only bad input (1) and an infeasible deployment (2) have exit codes;
+        # anything else is a fault of the program and keeps its traceback
+        def unreachable(*args, **kwargs):
+            raise Unreachable("node 7 unreachable from 0")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        out = tmp_path / "out"
+        with pytest.raises(Unreachable, match="node 7"):
+            main(["run", "--config", cfg_path, "--out", str(out)])
+        assert not caplog.records
         assert not out.exists()
 
     def test_base_seed_changes_output(self, tmp_path):

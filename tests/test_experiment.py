@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from railsim.experiment import (
     N_ANCHORS_MAX,
     N_NODES_MAX,
     N_PAIRS_MAX,
+    N_TARGETS_MAX,
     SIGMA_MAX_DB,
     ExperimentConfig,
     _run_chunk,
@@ -125,6 +127,8 @@ class TestBasics:
             {"densities": (100, N_NODES_MAX), "comm_range": 1000.0},
             {"densities": (N_NODES_MAX,), "width": 30.0, "height": 30.0},
             {"width": 1e300, "height": 1e300, "comm_range": 1e300},  # NaN expectation
+            {"runs_per_density": N_TARGETS_MAX // 800 + 1},  # 800 targets per run
+            {"runs_per_density": 10**12},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
@@ -138,15 +142,20 @@ class TestBasics:
 
     def test_ceilings_accepted(self):
         # the ceilings themselves load (test_config_validation rejects one
-        # past them), and every config in the repo lies within them
+        # past them), and every config in the repo, the benchmark's
+        # workloads included, lies within them
         ceiling = ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
         assert 1.5e6 < ceiling.expected_pairs <= N_PAIRS_MAX  # 5000 + 50 nodes, R = 10
         assert 1.5e6 < ExperimentConfig(densities=(N_NODES_MAX,)).expected_pairs <= N_PAIRS_MAX
+        assert ExperimentConfig(runs_per_density=N_TARGETS_MAX // 800).targets == N_TARGETS_MAX
         configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
         for path in configs.glob("*.json"):
             cfg = ExperimentConfig.from_json_file(path)
             assert cfg.n_anchors <= N_ANCHORS_MAX and max(cfg.densities) <= N_NODES_MAX
-            assert cfg.expected_pairs <= N_PAIRS_MAX
+            assert cfg.expected_pairs <= N_PAIRS_MAX and cfg.targets <= N_TARGETS_MAX
+        workloads = runpy.run_path(str(CONFIGS.parent / "perfbench" / "workloads.py"))
+        for spec in workloads["WORKLOADS"].values():
+            assert ExperimentConfig.from_json_dict(spec["config"]).targets <= N_TARGETS_MAX
 
     def test_expected_pairs(self):
         # n^2 min(pi R^2, W H) / (2 W H) for the largest density plus the anchors
