@@ -7,12 +7,13 @@ into a linearized trilateration solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point
+from .geometry import Point, libm
 
 DET_TOL = 1e-9
 
@@ -44,16 +45,17 @@ def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: fl
 
 
 def rssi_dv_hop_all(ax: np.ndarray, ay: np.ndarray, chosen: np.ndarray, d: np.ndarray):
-    """``rssi_dv_hop`` for many targets: anchor coordinates (k,), the three
-    anchors (indices into them) of each target and their distances, both
-    (3, m). Returns the estimates (x, y) and the degenerate flags, each (m,).
+    """``rssi_dv_hop`` for many targets: anchor coordinates (k,) and the three
+    anchors (indices into them) of each target and their distances (3, m),
+    or (k, B) and (3, B, m) for B runs of m targets each, as ``min_max_all``
+    takes them. Returns the estimates (x, y) and the degenerate flags, each
+    (m,) or (B, m).
     """
-    # squares by Python's float power (the C library pow), as the scalar
-    # solve took them
-    ax2 = np.array([x**2 for x in ax.tolist()])
-    ay2 = np.array([y**2 for y in ay.tolist()])
-    (p1x, p2x, p3x), (p1y, p2y, p3y) = ax[chosen], ay[chosen]
-    (s1x, s2x, s3x), (s1y, s2y, s3y) = ax2[chosen], ay2[chosen]
+    # the chosen anchors' coordinates and their squares, squared by the C
+    # library's pow as the scalar solve's x**2 took them
+    (p1x, p2x, p3x), (p1y, p2y, p3y), (s1x, s2x, s3x), (s1y, s2y, s3y) = (
+        np.take_along_axis(a[..., None], chosen, axis=0)
+        for a in (ax, ay, libm(math.pow, ax, 2.0), libm(math.pow, ay, 2.0)))
     d1, d2, d3 = d
 
     a11 = 2.0 * (p1x - p3x)

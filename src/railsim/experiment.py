@@ -13,7 +13,8 @@ block keeps its run's node ids.
 
 A run's record holds arrays, not per-node objects: each algorithm's
 estimates are one record array with fields ``x`` and ``y`` and its errors
-one float array, so a record crosses the process pool as a few buffers.
+one float array, views of the rows of the chunk's (algorithm, run, target)
+arrays, so a record crosses the process pool as a few buffers.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ N_NODES_MAX = 5000
 # while a range beyond the area's diagonal puts all 12.5 M pairs of 5000
 # nodes in range
 N_PAIRS_MAX = 2_000_000
-# the most targets a sweep may score (``ExperimentConfig.targets``). Every
-# run's record stays in memory until the CSVs are written: at 100-500 nodes
-# per run a sweep's peak RSS grows by about 175 bytes per target (72 MB at
-# 40,000 targets, 119 MB at 320,000), so this ceiling needs about 0.9 GB
+# the most targets a sweep may score (``ExperimentConfig.targets``), each of
+# its runs counting as RUN_TARGETS more. Every run's record stays in memory
+# until the CSVs are written: at 100-500 nodes per run a sweep's peak RSS
+# grows by about 175 bytes per target (72 MB at 40,000 targets, 119 MB at
+# 320,000), so this ceiling needs about 0.9 GB. A record also costs about
+# 2.4 KB whatever its size (peak RSS of 2,500 and 10,000 runs of 8 nodes),
+# the bytes of 14 targets, so below 15 nodes per run it outweighs them
 N_TARGETS_MAX = 5_000_000
+RUN_TARGETS = 15
 # the most nodes (anchors included) one chunk of same-density runs holds:
 # a chunk's array passes run once over all its runs' targets, so each run
 # adds its arrays to the chunk's memory while the passes' fixed cost is paid
@@ -120,16 +125,22 @@ class ExperimentConfig:
                 f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "
                 f"range, got {self.expected_pairs:.3g}: lower densities or comm_range, "
                 f"or widen the area")
-        if self.targets > N_TARGETS_MAX:
+        if self.targets + RUN_TARGETS * self.runs > N_TARGETS_MAX:
             raise ValueError(
-                f"a sweep must score at most {N_TARGETS_MAX:,} targets (runs_per_density x "
-                f"the sum of densities), got {self.targets:,}: lower runs_per_density or "
-                f"densities")
+                f"a sweep must score at most {N_TARGETS_MAX:,} targets, counting {RUN_TARGETS} "
+                f"more per run for its record, got {self.targets:,} targets (runs_per_density "
+                f"x the sum of densities) in {self.runs:,} runs (runs_per_density x the number "
+                f"of densities): lower runs_per_density or densities")
 
     @property
     def targets(self) -> int:
         """The targets the sweep scores, runs_per_density x sum(densities)."""
         return self.runs_per_density * sum(self.densities)
+
+    @property
+    def runs(self) -> int:
+        """The runs of the sweep, runs_per_density x len(densities)."""
+        return self.runs_per_density * len(self.densities)
 
     @property
     def expected_pairs(self) -> float:
@@ -165,7 +176,7 @@ class RunRecord:
     density: int
     run_index: int
     seed: int
-    node_ids: list[int]
+    node_ids: tuple[int, ...]  # one tuple, shared by the records of a chunk
     estimates: dict[str, np.recarray]  # per algorithm, fields x and y per node
     errors: dict[str, np.ndarray]  # per algorithm, float64 per node
     run_mean_error: dict[str, float]
@@ -241,7 +252,7 @@ def _scenes(cfg: ExperimentConfig, density: int, runs: Sequence[int]):
         dep, g = scenario(cfg, density, r)
         coords.append(dep.coords)
         graphs.append(g)
-    return (np.stack(coords), np.array(dep.anchor_ids), list(dep.unknown_ids),
+    return (np.stack(coords), np.array(dep.anchor_ids), dep.unknown_ids,
             NetworkGraph.stack(graphs))
 
 
@@ -249,57 +260,47 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     """The records of some runs of one density, in ``runs`` order.
 
     Each run draws its own scenario; then every algorithm and the scoring
-    run once over the targets of all runs (``localize_chunk``'s column
-    order), and the records are split back per run.
+    run once over the targets of all runs, as (run, target) arrays
+    (``localize_chunk``'s column order), and each run's record holds views
+    of its rows.
     """
     coords, anchors, targets, g = _scenes(cfg, density, runs)
     n_runs, n = coords.shape[:2]
-    m, n_anchors = len(targets), len(anchors)
-    truth_x, truth_y = coords[:, targets].reshape(-1, 2).T
+    m = len(targets)
+    truth = np.moveaxis(coords[:, targets], 2, 0)  # (x or y, run, target)
 
     results = rail.localize_chunk(coords, anchors, g)
-    rail_contained = results.box_contains(truth_x, truth_y).reshape(n_runs, m).sum(axis=1)
+    rail_contained = results.box_contains(*truth.reshape(2, -1)).reshape(n_runs, m).sum(axis=1)
 
     # Both baselines flood beacons by hop count: one BFS tree per anchor
     # gives Min-Max its minimum hop counts and DV-hop its accumulated RSSI
     # distance along the hop-minimal path (not the distance-optimal one RAIL
     # uses). Arrays are (anchor, run, target).
-    acc, hops = (a.reshape(n_runs, n_anchors, n)[:, :, targets].transpose(1, 0, 2)
+    acc, hops = (a.reshape(n_runs, len(anchors), n)[:, :, targets].transpose(1, 0, 2)
                  for a in hop_floods(g, anchors))
     anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
-
-    # the three anchors with the shortest accumulated distance, nearest
-    # first, as indices into the runs' anchors in (run, anchor) order
-    acc = acc.reshape(n_anchors, -1)
+    # the three anchors with the shortest accumulated distance, nearest first
     chosen = np.argsort(acc, axis=0, kind="stable")[:3]
-    dv_x, dv_y = baselines.rssi_dv_hop_all(
-        anchor_x.T.ravel(), anchor_y.T.ravel(),
-        chosen + np.repeat(np.arange(0, n_runs * n_anchors, n_anchors), m),
-        np.take_along_axis(acc, chosen, axis=0),
-    )[:2]
+    dv_x, dv_y, _ = baselines.rssi_dv_hop_all(anchor_x, anchor_y, chosen,
+                                              np.take_along_axis(acc, chosen, axis=0))
 
-    # every algorithm clamped and scored in one stacked pass, row r for
-    # ALL_ALGORITHMS[r]
-    x, y = clamp_all(*np.stack([(results.x, results.y), (mm_x.ravel(), mm_y.ravel()),
-                                (dv_x, dv_y)], axis=1), cfg.width, cfg.height)
-    err = localization_errors(truth_x, truth_y, x, y)
+    # every algorithm clamped and scored in one stacked pass over (algorithm,
+    # run, target) arrays, row r for ALL_ALGORITHMS[r]
+    x, y = clamp_all(*np.stack([np.reshape((results.x, results.y), (2, n_runs, m)),
+                                (mm_x, mm_y), (dv_x, dv_y)], axis=1), cfg.width, cfg.height)
+    err = localization_errors(*truth, x, y)
+    est = np.rec.fromarrays((x, y), dtype=ESTIMATE)
     records = []
     for b, run_index in enumerate(runs):
-        cols = slice(b * m, (b + 1) * m)
-        estimates: dict[str, np.recarray] = {}
-        errors: dict[str, np.ndarray] = {}
-        for r, alg in enumerate(ALL_ALGORITHMS):
-            rec = estimates[alg] = np.recarray(m, ESTIMATE)
-            rec.x, rec.y = x[r, cols], y[r, cols]
-            errors[alg] = err[r, cols]
+        errors = dict(zip(ALL_ALGORITHMS, err[:, b]))
         records.append(RunRecord(
             density=density,
             run_index=run_index,
             seed=run_seed(cfg.base_seed, density, run_index),
-            node_ids=list(targets),
-            estimates=estimates,
+            node_ids=targets,
+            estimates=dict(zip(ALL_ALGORITHMS, est[:, b])),
             errors=errors,
             run_mean_error={alg: float(np.mean(errs)) for alg, errs in errors.items()},
             rail_box_contains=int(rail_contained[b]),

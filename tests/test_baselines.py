@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim.baselines import min_max_all, rssi_dv_hop, rssi_dv_hop_all
-from railsim.geometry import Point, distance
+from railsim.geometry import Point, distance, libm
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, down to the sign of zero (as float64 bits; flags too)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def scalar_min_max(anchors, comm_range):
@@ -53,6 +59,37 @@ def test_array_kernels_match_scalar_formulas():
             assert (dx[t], dy[t], degenerate[t]) == want
         assert inverted.any() and not inverted.all()
         assert degenerate.any() == (k == 4)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_runs_layout_matches_one_run_calls(k):
+    # (k, B) anchors with (3, B, m) choices and distances give, run by run,
+    # what B calls of one run give, degenerate flags included
+    rng = np.random.default_rng(22 + k)
+    runs, m = 5, 300
+    ax, ay = rng.uniform(0, 50, (2, k, runs))
+    ax[:3, 1], ay[:3, 1] = (1.0, 5.0, 9.0), (3.0, 11.0, 19.0)  # run 1: a collinear triple
+    acc = rng.uniform(0.0, 60.0, size=(k, runs, m))
+    chosen = np.argsort(acc, axis=0, kind="stable")[:3]
+    d = np.take_along_axis(acc, chosen, axis=0)
+    x, y, degenerate = rssi_dv_hop_all(ax, ay, chosen, d)
+    assert x.shape == y.shape == degenerate.shape == (runs, m)
+    for b in range(runs):
+        one = rssi_dv_hop_all(ax[:, b], ay[:, b], chosen[:, b], d[:, b])
+        assert all(same_bits(got, want) for got, want in zip((x[b], y[b], degenerate[b]), one))
+    # the targets of run 1 that chose the collinear triple, all of them at k = 3
+    assert degenerate[1].any() and degenerate[1].all() == (k == 3)
+    assert not np.delete(degenerate, 1, axis=0).any()
+
+
+def test_pow_squares_match_python_power():
+    # rssi_dv_hop_all squares anchor coordinates with libm(math.pow, a, 2.0),
+    # the bits of the scalar formula's a**2; numpy's a * a and a**2 need not
+    # give them
+    rng = np.random.default_rng(20261019)
+    a = 10.0 ** rng.uniform(-4, 4, 1_000_000) * rng.choice((-1.0, 1.0), 1_000_000)
+    a[:6] = 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3, -1e-310
+    assert same_bits(libm(math.pow, a, 2.0), [v**2 for v in a.tolist()])
 
 
 def min_max_one(anchors, comm_range):

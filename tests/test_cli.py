@@ -9,7 +9,7 @@ import pytest
 
 from railsim import cli, experiment
 from railsim.cli import main
-from railsim.experiment import N_TARGETS_MAX, ExperimentConfig, scenario
+from railsim.experiment import N_TARGETS_MAX, RUN_TARGETS, ExperimentConfig, scenario
 from railsim.network import Deployment, Unreachable
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -135,6 +135,28 @@ class TestRun:
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
         assert "cannot load config" in caplog.text
         assert f"at most {N_TARGETS_MAX:,} targets" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]],
+                             ids=["run-w2", "demo"])
+    def test_run_cost_bound_exit_1_before_any_chunk(self, command, tmp_path, caplog,
+                                                    monkeypatch):
+        # 500,000 runs of 8 targets are 4 M targets, but each run's record
+        # costs as much as RUN_TARGETS more; the config is refused at load
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(experiment, "chunks", no_work)
+        monkeypatch.setattr(experiment, "generate_deployment", no_work)
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps({**SMALL_CFG, "width": 22, "height": 22, "densities": [8],
+                                 "runs_per_density": 500_000}))
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text
+        assert f"counting {RUN_TARGETS} more per run" in caplog.text
+        assert "4,000,000 targets" in caplog.text and "500,000 runs" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000, '{"a": ' * 1000 + "1" + "}" * 1000],

@@ -19,6 +19,7 @@ from railsim.experiment import (
     N_NODES_MAX,
     N_PAIRS_MAX,
     N_TARGETS_MAX,
+    RUN_TARGETS,
     SIGMA_MAX_DB,
     ExperimentConfig,
     _run_chunk,
@@ -127,7 +128,10 @@ class TestBasics:
             {"densities": (100, N_NODES_MAX), "comm_range": 1000.0},
             {"densities": (N_NODES_MAX,), "width": 30.0, "height": 30.0},
             {"width": 1e300, "height": 1e300, "comm_range": 1e300},  # NaN expectation
-            {"runs_per_density": N_TARGETS_MAX // 800 + 1},  # 800 targets per run
+            # one past the target ceiling: 800 targets in 3 runs, then 8 in 1,
+            # per runs_per_density
+            {"runs_per_density": N_TARGETS_MAX // (800 + 3 * RUN_TARGETS) + 1},
+            {"densities": (8,), "runs_per_density": N_TARGETS_MAX // (8 + RUN_TARGETS) + 1},
             {"runs_per_density": 10**12},
         ):
             with pytest.raises(ValueError):
@@ -147,15 +151,19 @@ class TestBasics:
         ceiling = ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
         assert 1.5e6 < ceiling.expected_pairs <= N_PAIRS_MAX  # 5000 + 50 nodes, R = 10
         assert 1.5e6 < ExperimentConfig(densities=(N_NODES_MAX,)).expected_pairs <= N_PAIRS_MAX
-        assert ExperimentConfig(runs_per_density=N_TARGETS_MAX // 800).targets == N_TARGETS_MAX
+        # the target ceiling in runs of 800 targets (3 densities) and of 8
+        ExperimentConfig(runs_per_density=N_TARGETS_MAX // (800 + 3 * RUN_TARGETS))
+        ExperimentConfig(densities=(8,), runs_per_density=N_TARGETS_MAX // (8 + RUN_TARGETS))
         configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
         for path in configs.glob("*.json"):
             cfg = ExperimentConfig.from_json_file(path)
             assert cfg.n_anchors <= N_ANCHORS_MAX and max(cfg.densities) <= N_NODES_MAX
-            assert cfg.expected_pairs <= N_PAIRS_MAX and cfg.targets <= N_TARGETS_MAX
+            assert cfg.expected_pairs <= N_PAIRS_MAX
+            assert cfg.targets + RUN_TARGETS * cfg.runs <= N_TARGETS_MAX
         workloads = runpy.run_path(str(CONFIGS.parent / "perfbench" / "workloads.py"))
         for spec in workloads["WORKLOADS"].values():
-            assert ExperimentConfig.from_json_dict(spec["config"]).targets <= N_TARGETS_MAX
+            cfg = ExperimentConfig.from_json_dict(spec["config"])
+            assert cfg.targets + RUN_TARGETS * cfg.runs <= N_TARGETS_MAX
 
     def test_expected_pairs(self):
         # n^2 min(pi R^2, W H) / (2 W H) for the largest density plus the anchors

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from oracle import AABox, contains, make_ray, ray_pair_intersection, reference_localize
 from railsim import geometry, network, radio, rail
+from railsim.baselines import min_max_all, rssi_dv_hop_all
 from railsim.experiment import ExperimentConfig, _run_single, scenario
 from railsim.geometry import Point, distance, libm
 from railsim.network import (
@@ -22,6 +23,7 @@ from railsim.network import (
     build_graph,
     dijkstra_trees,
     generate_deployment,
+    hop_floods,
 )
 from railsim.radio import PathLossModel
 from railsim.rail import (
@@ -335,21 +337,32 @@ def sweep_scenario(config, density, run):
     return scenario(ExperimentConfig.from_json_file(CONFIGS / config), density, run)
 
 
-def seeded(width, height, n, anchors, sigma, seed):
+def turned(dep):
+    """``dep`` rotated by 90 degrees, (x, y) -> (-y, x), which is exact in
+    floating point; the sides of its area swap."""
+    x, y = dep.coords.T
+    return Deployment(dep.height, dep.width, np.stack((-y, x), axis=1), dep.anchor_ids,
+                      dep.comm_range)
+
+
+def seeded(width, height, n, anchors, sigma, seed, turn=False):
     """The deployment (R = 10 m) and RSSI graph of one parameter set, both
-    drawn from ``seed``."""
+    drawn from ``seed``; with ``turn``, the deployment is ``turned`` before
+    its graph draws the same noise."""
     dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
+    dep = turned(dep) if turn else dep
     return dep, build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
 
 
-def lattice(pitch, comm_range, anchor_cells):
+def lattice(pitch, comm_range, anchor_cells, turn=False):
     """Node 13 * row + column at (column, row) * pitch on a 13 x 13 lattice in
     a 60 x 60 m area, anchors at ``anchor_cells`` and sigma 0: link weights
     repeat, so shortest paths tie exactly and ``network._resolve_ties``
-    picks the hop-K nodes of RAIL's angle triangles."""
+    picks the hop-K nodes of RAIL's angle triangles. ``turn`` as ``seeded``."""
     row, column = np.divmod(np.arange(13 * 13), 13)
     anchors = tuple(sorted(13 * r + c for c, r in anchor_cells))
     dep = Deployment(60.0, 60.0, np.stack((column, row), axis=1) * pitch, anchors, comm_range)
+    dep = turned(dep) if turn else dep
     return dep, build_graph(dep, MODEL)
 
 
@@ -373,6 +386,17 @@ def examples(values):
             test = example(v)(test)
         return test
     return add
+
+
+def baselines_of(dep, g):
+    """Min-Max's (x, y, inverted) and DV-hop's (x, y, degenerate) for the
+    targets of one run, as a sweep computes them before the clamp."""
+    anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
+    acc, hops = (a[:, targets] for a in hop_floods(g, anchors))
+    ax, ay = dep.coords[anchors].T
+    chosen = np.argsort(acc, axis=0, kind="stable")[:3]
+    return (min_max_all(ax, ay, hops, dep.comm_range),
+            rssi_dv_hop_all(ax, ay, chosen, np.take_along_axis(acc, chosen, axis=0)))
 
 
 def assert_matches_reference(dep, g):
@@ -406,6 +430,32 @@ class TestLocalizeAll:
         except GenerationFailed:
             reject()
         assert_matches_reference(dep, g)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seeded_scenes())
+    @examples([functools.partial(lattice, *p) for p in TIE_LATTICES])
+    def test_rotation_by_90_degrees(self, scene):
+        # the scenes above, ``turned``: the graph keeps its links and weights
+        # bit for bit, and RAIL's and Min-Max's estimates turn with the
+        # deployment bit for bit but for the sign of a zero (a lattice anchor
+        # at x = 0 turns to y = -0.0). DV-hop's b1 = (d3^2 - d1^2) + (s1x -
+        # s3x) + (s1y - s3y) swaps its last two terms, so only its degenerate
+        # flags are exact; its estimates agree within 1e-12 of max(1 m,
+        # |estimate|), and 309 such scenes differed by at most 3.7e-14 of it
+        try:
+            (dep, g), (dep_t, g_t) = scene(), scene(turn=True)
+        except GenerationFailed:
+            reject()
+        assert g.links.tobytes() == g_t.links.tobytes()
+        assert g.weights.tobytes() == g_t.weights.tobytes()
+        rail, rail_t = localize_all(dep, g), localize_all(dep_t, g_t)
+        assert (rail_t.x == -rail.y).all() and (rail_t.y == rail.x).all()
+        (mx, my, inverted), (dx, dy, degenerate) = baselines_of(dep, g)
+        (mx_t, my_t, inverted_t), (dx_t, dy_t, degenerate_t) = baselines_of(dep_t, g_t)
+        assert (mx_t == -my).all() and (my_t == mx).all() and (inverted_t == inverted).all()
+        assert (degenerate_t == degenerate).all()
+        size = np.maximum(1.0, np.maximum(abs(dx), abs(dy)))
+        assert (abs(dx_t + dy) <= 1e-12 * size).all() and (abs(dy_t - dx) <= 1e-12 * size).all()
 
     def test_reference_deployments_fire_every_case(self):
         # the reference comparison covers all four cases of the rule and
