@@ -6,7 +6,8 @@ The commands raise; ``main`` alone logs an error and picks the exit code:
     0  success
     1  bad input (``BadInput``): a malformed command line, a config that fails
        to load, an unreadable or empty runs.csv, a --target that is not an
-       unknown node, an --out that is not a directory or cannot be written
+       unknown node, an --out that is not a directory, lies below a file or
+       cannot be written
     2  infeasible deployment (``GenerationFailed``)
 """
 
@@ -63,6 +64,17 @@ def _out_dir(out: str):
     with _refused("cannot write output", OSError):
         os.makedirs(out, exist_ok=True)
         yield lambda name: os.path.join(out, name)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out that could not be made a directory:
+    its nearest existing ancestor (--out itself if it exists) must be one.
+    --out is not made here, so a run that fails leaves none."""
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise BadInput(f"cannot write output: {path} is not a directory")
 
 
 def cmd_run(args) -> None:
@@ -184,8 +196,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):  # before any work
-            raise BadInput(f"cannot write output: {args.out} is not a directory")
+        _check_out(args.out)
         args.func(args)
     except BadInput as exc:
         log.error("%s", exc)

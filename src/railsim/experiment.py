@@ -343,11 +343,23 @@ def chunks(cfg: ExperimentConfig, n_workers: int = 1) -> list[tuple[int, range]]
     return out
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Execute the full (density x run) sweep; deterministic given cfg."""
     jobs = chunks(cfg, n_workers)
-    n_workers = min(n_workers, len(jobs))  # the pool starts every worker at once
+    # the pool starts every worker at once: no more than the jobs or the CPUs
+    n_workers = min(n_workers, len(jobs), _cpus())
     if n_workers > 1:
+        # imported once here, so that the forked workers inherit it
+        import scipy.sparse.csgraph  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             done = pool.map(_run_chunk, *zip(*[(cfg, d, runs) for d, runs in jobs]))
             records = [rec for chunk in done for rec in chunk]

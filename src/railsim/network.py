@@ -15,7 +15,10 @@ A ``NetworkGraph`` is B >= 1 such graphs of one size side by side: a
 scenario's graph is one block, and ``NetworkGraph.stack`` joins the graphs
 of a chunk of runs, the unit a sweep scores at once. A query names nodes
 by their ids within a block. scipy's Dijkstra and BFS run on each block's
-own matrix; the passes around them run once over all blocks.
+own matrix; the passes around them run once over all blocks. Only the
+four functions that call scipy import it, so a command that computes no
+shortest path (``rail --help``, ``rail plot``, a refused config) never
+loads it.
 
 Edge weights come from the path-loss round trip, so with sigma = 0 they equal
 the true pairwise distances (up to float round-off) and every multi-hop
@@ -33,8 +36,6 @@ from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .geometry import Point, hypot
 from .radio import PathLossModel, estimate_distance, rssi_at
@@ -283,9 +284,11 @@ class NetworkGraph:
         return float(self.weights[pos]) if found else None
 
 
-def _placed(weights: np.ndarray, csr: tuple) -> csr_matrix:
+def _placed(weights: np.ndarray, csr: tuple):
     """The CSR matrix of the layout ``csr`` (see ``_symmetric_csr``) with
     each link's weight in both its entries."""
+    from scipy.sparse import csr_matrix
+
     indptr, cols, slots = csr
     n = len(indptr) - 1
     data = np.empty(len(cols))
@@ -356,6 +359,9 @@ def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
 def _components_ok(dep: Deployment) -> bool:
     """True when every node can reach every other (so every anchor) over
     one-hop links: one BFS from node 0 over the deployment's CSR layout."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     indptr, cols, _ = dep._csr
     n = len(indptr) - 1
     links = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
@@ -551,6 +557,8 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int],
     gives the hop counts of every node, ``tree_hops`` those of the nodes a
     caller reads.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     sources = np.asarray(sources, dtype=np.intp).reshape(-1)
     dist, pred = dijkstra(g.matrices[block], indices=sources, return_predecessors=True)
     pred = pred.astype(np.intp)
@@ -592,6 +600,8 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.
     in block b; the hop counts are the BFS minimum hops. Raises Unreachable
     if a block is disconnected from a source.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     n, k = g.node_count, len(sources)
     pred = np.empty((g.blocks * k, n), dtype=np.intp)
     # scipy scans each row in CSR (neighbor-id) order and keeps the first

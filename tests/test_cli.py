@@ -374,7 +374,8 @@ def out_argv(command, cfg_path, runs_path, out):
 
 class TestOut:
     """--out must name a directory or nothing yet: a command refuses an
-    existing file before any work, and an OSError while writing is exit 1."""
+    existing file, or a path below one, before any work, and an OSError
+    while writing is exit 1."""
 
     @pytest.fixture()
     def runs_path(self, tmp_path):
@@ -393,6 +394,25 @@ class TestOut:
         afile = tmp_path / "afile"
         afile.write_bytes(b"keep me\n")
         assert main(out_argv(command, cfg_path, runs_path, afile)) == 1
+        assert f"cannot write output: {afile} is not a directory" in caplog.text
+        assert afile.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["run", "--workers", "2"],
+                                         ["demo"], ["plot"]],
+                             ids=["run-w1", "run-w2", "demo", "plot"])
+    def test_out_under_a_file_exit_1_before_any_work(self, command, cfg_path, runs_path,
+                                                     tmp_path, caplog, monkeypatch):
+        # a directory cannot be made below a regular file, however deep
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(experiment, "chunks", no_work)
+        for name in ("_load_config", "read_runs_csv", "scenario"):
+            monkeypatch.setattr(cli, name, no_work)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep me\n")
+        argv = out_argv(command[0], cfg_path, runs_path, afile / "sub" / "deeper") + command[1:]
+        assert main(argv) == 1
         assert f"cannot write output: {afile} is not a directory" in caplog.text
         assert afile.read_bytes() == b"keep me\n"
 

@@ -241,7 +241,8 @@ class TestDeterminism:
 
     def test_pool_bounded_by_job_count(self, monkeypatch):
         # the pool starts all its workers at the first submit, so it gets no
-        # more than there are runs, and a single run stays serial
+        # more than there are runs or CPUs, and a single run or CPU stays
+        # serial; the chunks still follow the requested count
         sizes = []
 
         class RecordingPool:
@@ -258,12 +259,23 @@ class TestDeterminism:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "_cpus", lambda: 64)
         two_runs = ExperimentConfig(densities=(60,), runs_per_density=2)
         assert len(run_experiment(two_runs, n_workers=500).records) == 2
         assert len(run_experiment(SMALL, n_workers=2).records) == 6
         one_run = ExperimentConfig(densities=(60,), runs_per_density=1)
         assert len(run_experiment(one_run, n_workers=8).records) == 1
         assert sizes == [2, 2]
+
+        cut = []
+        monkeypatch.setattr(experiment, "chunks", lambda cfg, n: cut.append(n) or chunks(cfg, n))
+        many_runs = ExperimentConfig(densities=(60,), runs_per_density=6)
+        monkeypatch.setattr(experiment, "_cpus", lambda: 3)
+        assert len(run_experiment(many_runs, n_workers=5000).records) == 6
+        monkeypatch.setattr(experiment, "_cpus", lambda: 1)
+        assert len(run_experiment(many_runs, n_workers=5000).records) == 6
+        assert cut == [5000, 5000]
+        assert sizes == [2, 2, 3]
 
     def test_seed_changes_results(self, small_report):
         cfg = ExperimentConfig(

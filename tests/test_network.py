@@ -966,6 +966,47 @@ def test_cli_import_and_sweep_leave_out_scipy_spatial():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_without_shortest_paths_leave_out_scipy(tmp_path):
+    # only the network functions that compute paths import scipy, so loading
+    # a config, --help, plot and a refused config never load it; a pooled
+    # sweep imports it in the parent, which its forked workers inherit.
+    # Checked in a fresh interpreter, in that order
+    (tmp_path / "runs.csv").write_text(
+        "algorithm,density,run_index,seed,run_mean_error_m\nRAIL,60,0,123,4.5000\n")
+    (tmp_path / "cfg.json").write_text('{"densities": [60], "runs_per_density": 2}')
+    (tmp_path / "bad.json").write_text('{"densities": [60], "sigma": 3000}')
+    code = (
+        "import os, sys\n"
+        "tmp = sys.argv[1]\n"
+        "from railsim import cli, experiment\n"
+        "cli.ExperimentConfig.from_json_file(os.path.join(tmp, 'cfg.json'))\n"
+        "assert 'scipy' not in sys.modules, 'import and config load'\n"
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'scipy' not in sys.modules, '--help'\n"
+        "plot = ['plot', '--runs', os.path.join(tmp, 'runs.csv'), '--out',\n"
+        "        os.path.join(tmp, 'plots')]\n"
+        "assert cli.main(plot) == 0\n"
+        "assert 'scipy' not in sys.modules, 'plot'\n"
+        "bad = ['run', '--config', os.path.join(tmp, 'bad.json'), '--out',\n"
+        "       os.path.join(tmp, 'bad-out')]\n"
+        "assert cli.main(bad) == 1\n"
+        "assert 'scipy' not in sys.modules, 'refused config'\n"
+        "experiment._cpus = lambda: 2  # a pool of 2 on any runner\n"
+        "cfg = cli.ExperimentConfig.from_json_file(os.path.join(tmp, 'cfg.json'))\n"
+        "assert len(experiment.run_experiment(cfg, n_workers=2).records) == 2\n"
+        "assert 'scipy.sparse.csgraph' in sys.modules, 'pooled sweep'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(railsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, RAIL_LOG="off")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "plots" / "errors_60.svg").exists()
+
+
 def test_hop_floods_overestimate_weighted_shortest():
     dep = generate_deployment(50, 50, 120, 3, 10, seed=13)
     g = build_graph(dep, MODEL)

@@ -491,7 +491,8 @@ class TestLocalizeAll:
             calls.append(kwargs.get("indices"))
             return scipy_dijkstra(*args, **kwargs)
 
-        monkeypatch.setattr(network, "dijkstra", counted)
+        # network imports scipy's dijkstra in the function, on every call
+        monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", counted)
         for width, height, n, anchors, sigma, seed in REFERENCE_DEPLOYMENTS:
             dep = generate_deployment(width, height, n, anchors, 10, seed=seed)
             g = build_graph(dep, PathLossModel(sigma=sigma), rng=np.random.default_rng(seed))
