@@ -276,8 +276,9 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     # gives Min-Max its minimum hop counts and DV-hop its accumulated RSSI
     # distance along the hop-minimal path (not the distance-optimal one RAIL
     # uses). Arrays are (anchor, run, target).
+    floods = hop_floods(g, anchors)
     acc, hops = (a.reshape(n_runs, len(anchors), n)[:, :, targets].transpose(1, 0, 2)
-                 for a in hop_floods(g, anchors))
+                 for a in (floods.dist, floods.hops))
     anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)

@@ -1,7 +1,7 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
 edge weights, and multi-hop queries: the shortest-path trees of a batch of
-sources (``dijkstra_trees``), the hop counts of chosen nodes in such trees
-(``tree_hops``) and the minimum-hop flooding trees (``hop_floods``).
+sources (``dijkstra_trees``) and their minimum-hop flooding trees
+(``hop_floods``), both as one stacked ``Trees`` record.
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +145,28 @@ class RangingResult:
     path: tuple[int, ...]
 
 
+class Trees(NamedTuple):
+    """The trees of the same k source nodes in blocks of a graph, stacked
+    as (blocks * k, n) arrays: row ``b * k + a`` is the tree of
+    ``sources[a]`` in block b. Per node, ``dist`` is its distance from the
+    root (inf off the tree), ``pred`` its parent (-1 at the root and off
+    the tree) and ``hops`` its depth (0 at the root, -1 off the tree)."""
+
+    sources: np.ndarray
+    dist: np.ndarray
+    pred: np.ndarray
+    hops: np.ndarray
+
+
+def _node_ids(n: int, ids) -> np.ndarray:
+    """``ids`` as a flat intp array; ValueError if one lies outside [0, n)."""
+    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise ValueError(f"node ids must lie in [0, {n}), got {bad[0]}")
+    return ids
+
+
 def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, cols, slots): the symmetric CSR layout of n nodes' links, a
     (2, pairs) array of rows i and j, i < j, sorted by (i, j).
@@ -201,8 +223,7 @@ class NetworkGraph:
         ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2).T
         i, j = ends.min(axis=0), ends.max(axis=0)  # each link as (i, j), i <= j
         weights = np.array([w for _, _, w in edges], dtype=float)
-        if i.size and (i.min() < 0 or j.max() >= n):
-            raise ValueError(f"node ids must lie in [0, {n})")
+        _node_ids(n, ends)
         loops = i[i == j]
         if loops.size:
             raise ValueError(f"self-loop at node {loops[0]}")
@@ -467,43 +488,24 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
 def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Hop count of every node in each row's tree given by pred (-1 off the
     tree; row r rooted at sources[r]) by pointer jumping over the flattened
-    rows: each pass doubles how far every node has looked up. Where nearly
-    every node is read, this beats ``tree_hops``.
+    rows: each pass doubles how far every node has looked up.
     """
     k, n = pred.shape
     flat = pred.ravel()
-    hops = (flat >= 0).astype(np.intp)  # edges to ``up``
-    up = np.where(flat >= 0, flat + np.repeat(np.arange(k) * n, n), -1)
-    live = np.flatnonzero(up >= 0)
-    while live.size:
-        nxt = up[live]
-        hops[live] += hops[nxt]
-        up[live] = up[nxt]
-        live = live[up[live] >= 0]
-    hops[flat < 0] = -1
-    hops = hops.reshape(k, n)
+    end = k * n  # one sentinel above every root and off-tree node
+    on = np.flatnonzero(flat >= 0)
+    up = np.full(end + 1, end)
+    up[on] = flat[on] + on // n * n
+    hops = np.zeros(end + 1, dtype=np.intp)  # edges to ``up``
+    hops[on] = 1
+    # whole-array passes cost half as much as tracking the nodes still
+    # below their root
+    while (up != end).any():
+        hops += hops[up]
+        up = up[up]
+    hops = hops[:end].reshape(k, n)
+    hops[pred < 0] = -1
     hops[np.arange(k), sources] = 0
-    return hops
-
-
-def tree_hops(pred: np.ndarray, sources, rows, nodes) -> np.ndarray:
-    """Hop count of node ``nodes[i]`` in the tree of row ``rows[i]`` of
-    ``pred``, rooted at ``sources[rows[i]]`` (rows and nodes broadcast
-    together), by walking pred toward the root; -1 for a node off its tree.
-
-    Each numpy pass moves every node read one hop up, so the cost follows
-    the number of nodes read times the depth of the deepest one, not the
-    size of the trees as with ``_depths``.
-    """
-    flat = pred.ravel()
-    rows, nodes = np.broadcast_arrays(rows, nodes)
-    base = rows * pred.shape[1]
-    v = flat[base + nodes]  # each node's parent, -1 at a root or off the tree
-    hops = np.zeros(v.shape, dtype=np.intp)
-    while (step := v >= 0).any():
-        hops += step
-        v = np.where(step, flat[base + v], -1)
-    hops[(hops == 0) & (nodes != np.asarray(sources)[rows])] = -1
     return hops
 
 
@@ -541,11 +543,9 @@ def _resolve_ties(g: NetworkGraph, dist: np.ndarray, pred: np.ndarray, block: in
     pred[:] = pl
 
 
-def dijkstra_trees(g: NetworkGraph, sources: Sequence[int],
-                   block: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest paths from each source node of ``block`` (a lone graph's
-    only block by default), from one scipy call. Returns (dist, pred)
-    arrays of shape (len(sources), n), row r for sources[r].
+def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int] = None) -> Trees:
+    """Shortest paths from each source node in every block, or in block
+    ``block`` alone, from one scipy call per block.
 
     Distance ties are broken so the recovered path is the lexicographically
     smallest node-id sequence among all minimum-distance paths. scipy's
@@ -553,37 +553,39 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int],
     exactly as a textbook one does, so only nodes with two or more
     exact-tight predecessors need their pred re-resolved, one row at a
     time: per row, two 1-D gathers over the links beat any 2-D gather over
-    many rows. Unreachable nodes have dist inf and pred -1. ``_depths``
-    gives the hop counts of every node, ``tree_hops`` those of the nodes a
-    caller reads.
+    many rows.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    sources = np.asarray(sources, dtype=np.intp).reshape(-1)
-    dist, pred = dijkstra(g.matrices[block], indices=sources, return_predecessors=True)
-    pred = pred.astype(np.intp)
-    pred[pred < 0] = -1
-    for d, pr in zip(dist, pred):
-        _resolve_ties(g, d, pr, block)
-    return dist, pred
+    sources = _node_ids(g.node_count, sources)
+    k, blocks = len(sources), range(g.blocks) if block is None else (block,)
+    dist = np.empty((len(blocks) * k, g.node_count))
+    pred = np.empty(dist.shape, dtype=np.intp)
+    for r, b in enumerate(blocks):
+        rows = slice(r * k, (r + 1) * k)
+        dist[rows], pred[rows] = dijkstra(g.matrices[b], indices=sources, return_predecessors=True)
+        pred[rows][pred[rows] < 0] = -1
+        for d, p in zip(dist[rows], pred[rows]):
+            _resolve_ties(g, d, p, b)
+    return Trees(sources, dist, pred, _depths(pred, np.tile(sources, len(blocks))))
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
     """Shortest estimated distances, hop counts and paths to each target,
     read from ``dijkstra_trees``.
     """
-    dist, pred = dijkstra_trees(g, [source])
-    hops = tree_hops(pred, [source], 0, list(targets)).tolist()
-    dist, pred = dist[0], pred[0].tolist()
+    t = dijkstra_trees(g, [source])
+    hops = t.hops[0, _node_ids(g.node_count, targets)].tolist()
+    dist, pred = t.dist[0], t.pred[0].tolist()
     out = []
-    for t, h in zip(targets, hops):
-        if math.isinf(dist[t]):
-            raise Unreachable(f"node {t} unreachable from {source}")
-        out.append(RangingResult(source, t, float(dist[t]), h, _reconstruct(pred, t)))
+    for v, h in zip(targets, hops):
+        if math.isinf(dist[v]):
+            raise Unreachable(f"node {v} unreachable from {source}")
+        out.append(RangingResult(source, v, float(dist[v]), h, _reconstruct(pred, v)))
     return out
 
 
-def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> Trees:
     """Accumulated edge estimates along the BFS (minimum-hop) flooding tree
     of each source node, in every block.
 
@@ -595,13 +597,13 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.
     is hop-minimal, not distance-minimal, so the accumulated distance
     overestimates more strongly.
 
-    Returns (accumulated distance, hop count) arrays of shape
-    (blocks * len(sources), n), row ``b * len(sources) + r`` for sources[r]
-    in block b; the hop counts are the BFS minimum hops. Raises Unreachable
+    Returns the trees of every block, ``dist`` holding the accumulated
+    distance; the hop counts are the BFS minimum hops. Raises Unreachable
     if a block is disconnected from a source.
     """
     from scipy.sparse.csgraph import breadth_first_order
 
+    sources = _node_ids(g.node_count, sources)
     n, k = g.node_count, len(sources)
     pred = np.empty((g.blocks * k, n), dtype=np.intp)
     # scipy scans each row in CSR (neighbor-id) order and keeps the first
@@ -626,4 +628,4 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> tuple[np.ndarray, np.
     dist = np.zeros(pred.size)
     for lo, hi in zip(itertools.chain((0,), levels), levels):
         dist[child[lo:hi]] = dist[parent[lo:hi]] + step[lo:hi]
-    return dist.reshape(pred.shape), hops
+    return Trees(sources, dist.reshape(pred.shape), pred, hops)

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import DEFAULT_TOL, hypot, libm
-from .network import Deployment, NetworkGraph, Unreachable, _depths, dijkstra_trees, tree_hops
+from .network import Deployment, NetworkGraph, Trees, Unreachable, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 # row i: the two members of an anchor triple other than i, in id order
@@ -115,27 +115,7 @@ def corrected_angle(
     return float(_corrected_angles(float(a), float(b), float(c), float(e), hops_a, hops_b, hops_c))
 
 
-class _Forest(NamedTuple):
-    """The shortest-path trees of the same source nodes in every block of a
-    graph, stacked as (blocks * k, n) arrays for k sources: row ``b * k +
-    a`` is the tree of ``sources[a]`` in block b. The hop counts cover every
-    node, by ``_depths``: nearly all nodes are targets, and over whole trees
-    pointer jumping beats ``tree_hops``'s walk."""
-
-    sources: np.ndarray
-    dist: np.ndarray
-    pred: np.ndarray
-    hops: np.ndarray
-
-    @classmethod
-    def of(cls, g: NetworkGraph, sources: Sequence[int]) -> "_Forest":
-        sources = np.array(sources, dtype=np.intp)
-        dist, pred = map(np.concatenate,
-                         zip(*(dijkstra_trees(g, sources, b) for b in range(g.blocks))))
-        return cls(sources, dist, pred, _depths(pred, np.tile(sources, g.blocks)))
-
-
-def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _ancestors(forest: Trees, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The node k hops from the root of tree ``rows`` on its path to v, by
     binary lifting: ``up`` holds each node's 2**r-th ancestor in pass r
     (entries above a root are never read)."""
@@ -150,7 +130,7 @@ def _ancestors(forest: _Forest, rows: np.ndarray, v: np.ndarray, k: np.ndarray) 
     return v
 
 
-def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
+def _angles(g: NetworkGraph, forest: Trees, rows: np.ndarray, ref: np.ndarray,
             target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the estimated angle at the source of tree ``rows`` of
     ``forest`` between the directions to ``ref`` and to ``target`` (nodes
@@ -175,16 +155,15 @@ def _angles(g: NetworkGraph, forest: _Forest, rows: np.ndarray, ref: np.ndarray,
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
-def _connections(g: NetworkGraph, forest: _Forest, block: np.ndarray, u: np.ndarray,
+def _connections(g: NetworkGraph, forest: Trees, block: np.ndarray, u: np.ndarray,
                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per item, the length and hop count of the connection from node u to
     node v of block ``block`` of g: 0 and 0 hops where u == v, a direct
-    link's weight and 1 hop, or else their multi-hop shortest distance,
-    whose hops are counted at v only. A multi-hop connection reads u's row
-    of ``forest`` where u is one of its sources, and the rest take one
-    ``dijkstra_trees`` call per block over their distinct sources; one
-    block's trees at a time, since those of all blocks at once would be a
-    chunk's largest arrays.
+    link's weight and 1 hop, or else their multi-hop shortest distance and
+    hop count. A multi-hop connection reads u's row of ``forest`` where u
+    is one of its sources, and the rest take one ``dijkstra_trees`` call per
+    block over their distinct sources; one block's trees at a time, since
+    those of all blocks at once would be a chunk's largest arrays.
     """
     k = len(forest.sources)
     c_len = np.zeros(len(u))
@@ -207,9 +186,9 @@ def _connections(g: NetworkGraph, forest: _Forest, block: np.ndarray, u: np.ndar
     for b in np.unique(block[far]).tolist():
         item = far[block[far] == b]
         sources, row = np.unique(u[item], return_inverse=True)
-        dist, pred = dijkstra_trees(g, sources, b)
-        c_len[item] = dist[row, v[item]]
-        c_hops[item] = tree_hops(pred, sources, row, v[item])
+        t = dijkstra_trees(g, sources, b)
+        c_len[item] = t.dist[row, v[item]]
+        c_hops[item] = t.hops[row, v[item]]
     return c_len, c_hops
 
 
@@ -308,17 +287,21 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     order.
 
     When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance. One ``dijkstra_trees`` call per
-    run gives its anchors' trees and one ``_angles`` call reads all six
+    anchors by estimated shortest distance. One ``dijkstra_trees`` call
+    gives every run's anchor trees and one ``_angles`` call reads all six
     angles of every target, so each run's block sees at most two scipy
     Dijkstra calls, and the second has no anchor among its sources.
 
-    Raises ``ValueError`` for fewer than 3 distinct anchors or a repeated
-    anchor id, ``Unreachable`` where a chosen anchor cannot reach a partner
-    anchor or its target, and ``DegenerateGeometry`` where two chosen
-    anchors coincide.
+    Raises ``ValueError`` where ``coords`` does not hold g's runs and
+    nodes, for fewer than 3 distinct anchors or a repeated anchor id,
+    ``Unreachable`` where a chosen anchor cannot reach a partner anchor or
+    its target, and ``DegenerateGeometry`` where two chosen anchors
+    coincide.
     """
     runs, n = coords.shape[:2]
+    if (runs, n) != (g.blocks, g.node_count):
+        raise ValueError(f"coords of {runs} runs of {n} nodes do not match a graph of "
+                         f"{g.blocks} blocks of {g.node_count} nodes")
     anchor_ids = np.array(anchor_ids, dtype=np.intp)
     n_anchors = len(anchor_ids)
     ids, counts = np.unique(anchor_ids, return_counts=True)
@@ -331,7 +314,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     run = np.repeat(np.arange(runs), m)  # per column
     cols = np.tile(targets, runs)
     # forest row b * n_anchors + a: anchor a of run b
-    anchors = _Forest.of(g, anchor_ids)
+    anchors = dijkstra_trees(g, anchor_ids)
     sd = anchors.dist.reshape(runs, n_anchors, n)[:, :, targets]
 
     # the three nearest anchors by SD (ties: anchor_ids order), in id order

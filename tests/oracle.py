@@ -135,7 +135,8 @@ def reference_localize(dep, g):
 
     def tree(s):
         if s not in trees:
-            dist, pred = (a[0].tolist() for a in dijkstra_trees(g, [s]))
+            t = dijkstra_trees(g, [s])
+            dist, pred = t.dist[0].tolist(), t.pred[0].tolist()
             hops = []
             for v in range(len(pred)):  # edges walked up to the root
                 h = 0

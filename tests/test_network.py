@@ -22,7 +22,6 @@ from railsim.network import (
     Unreachable,
     _anchor_index,
     _components_ok,
-    _depths,
     _reconstruct,
     _resolve_ties,
     build_graph,
@@ -30,7 +29,6 @@ from railsim.network import (
     generate_deployment,
     hop_floods,
     shortest_ranging,
-    tree_hops,
 )
 from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
@@ -153,13 +151,23 @@ def random_connected_graph(rng, n_max=10):
 def flood(g, source):
     """Row 0 of ``hop_floods``: the (accumulated distance, hop count) of
     every node in the flooding tree of one source."""
-    dist, hops = hop_floods(g, [source])
-    return dist[0], hops[0]
+    t = hop_floods(g, [source])
+    return t.dist[0], t.hops[0]
 
 
-def all_hops(pred, sources):
-    """``tree_hops`` of every node of every row."""
-    return tree_hops(pred, sources, np.arange(len(pred))[:, None], np.arange(pred.shape[1]))
+def walked_hops(pred, sources):
+    """Oracle: the edges walked up ``pred`` from every node of every row to
+    its root, or -1 where the walk does not end at the row's source."""
+    out = []
+    for row, s in zip(pred.tolist(), sources):
+        hops = []
+        for v in range(len(row)):
+            h = 0
+            while row[v] >= 0:
+                v, h = row[v], h + 1
+            hops.append(h if v == s else -1)
+        out.append(hops)
+    return np.array(out)
 
 
 def resolve_ties_per_row(g, dist, pred):
@@ -627,8 +635,9 @@ class TestNetworkGraph:
     def test_no_edges(self):
         g = NetworkGraph(2, [])
         assert g.adjacency == [[], []] and g.edge_weight(0, 1) is None
-        dist, pred = dijkstra_trees(g, [0])
-        assert dist.tolist() == [[0.0, math.inf]] and pred.tolist() == [[-1, -1]]
+        t = dijkstra_trees(g, [0])
+        assert t.dist.tolist() == [[0.0, math.inf]] and t.pred.tolist() == [[-1, -1]]
+        assert t.hops.tolist() == [[0, -1]]
 
 
 class TestStack:
@@ -647,18 +656,26 @@ class TestStack:
         assert stack.blocks == len(gs)
         sources = np.random.default_rng(5).choice(n, 6, replace=False)  # not sorted
         k = len(sources)
-        acc, hops = hop_floods(stack, sources)
-        assert acc.shape == hops.shape == (len(gs) * k, n)
+        floods, trees = hop_floods(stack, sources), dijkstra_trees(stack, sources)
+        for t in (floods, trees):
+            assert t.sources.tolist() == sources.tolist()
+            assert t.dist.shape == t.pred.shape == t.hops.shape == (len(gs) * k, n)
         for b, g in enumerate(gs):
-            dist, pred = dijkstra_trees(stack, sources, b)
-            assert dist.shape == pred.shape == (k, n)
+            one = dijkstra_trees(stack, sources, b)
+            assert one.dist.shape == one.pred.shape == one.hops.shape == (k, n)
+            # with no block given, the blocks' trees stacked row for row
+            rows = slice(b * k, (b + 1) * k)
+            for got, want in zip(trees[1:], one[1:]):
+                assert got[rows].dtype == want.dtype and got[rows].tobytes() == want.tobytes()
             for r, v in enumerate(sources.tolist()):
-                want_dist, want_pred = dijkstra_trees(g, [v])
-                assert dist[r].tobytes() == want_dist[0].tobytes()
-                assert pred[r].tolist() == want_pred[0].tolist()
-                want_acc, want_hops = flood(g, v)
-                assert acc[b * k + r].tobytes() == want_acc.tobytes()
-                assert hops[b * k + r].tolist() == want_hops.tolist()
+                want = dijkstra_trees(g, [v])
+                assert one.dist[r].tobytes() == want.dist[0].tobytes()
+                assert one.pred[r].tolist() == want.pred[0].tolist()
+                assert one.hops[r].tolist() == want.hops[0].tolist()
+                want = hop_floods(g, [v])
+                assert floods.dist[b * k + r].tobytes() == want.dist[0].tobytes()
+                assert floods.pred[b * k + r].tolist() == want.pred[0].tolist()
+                assert floods.hops[b * k + r].tolist() == want.hops[0].tolist()
 
     def test_edge_index_finds_each_graphs_links(self):
         gs = self.graphs()
@@ -784,8 +801,7 @@ class TestDijkstraTrees:
         )
         for g in graphs:
             n = g.node_count
-            dist, pred = dijkstra_trees(g, range(n))
-            hops = all_hops(pred, range(n))
+            _, dist, pred, hops = dijkstra_trees(g, range(n))
             assert dist.shape == pred.shape == hops.shape == (n, n)
             for s in range(n):
                 want = brute_force_shortest(g, s)
@@ -797,8 +813,7 @@ class TestDijkstraTrees:
 
     def test_disconnected_rows(self):
         g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
-        dist, pred = dijkstra_trees(g, [3, 0])
-        hops = all_hops(pred, [3, 0])
+        _, dist, pred, hops = dijkstra_trees(g, [3, 0])
         assert dist.tolist() == [[math.inf, math.inf, 1.0, 0.0, 1.5],
                                  [0.0, 2.0, math.inf, math.inf, math.inf]]
         assert pred.tolist() == [[-1, -1, 3, -1, 3], [-1, 0, -1, -1, -1]]
@@ -809,8 +824,7 @@ class TestDijkstraTrees:
         # the smaller first hop: row 0 re-resolves node 3, row 1 node 7
         gadget = [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
         g = NetworkGraph(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
-        dist, pred = dijkstra_trees(g, [0, 4])
-        hops = all_hops(pred, [0, 4])
+        _, dist, pred, hops = dijkstra_trees(g, [0, 4])
         assert pred.tolist() == [[-1, 0, 1, 2, -1, -1, -1, -1],
                                  [-1, -1, -1, -1, -1, 4, 5, 6]]
         assert hops.tolist() == [[0, 1, 2, 3, -1, -1, -1, -1],
@@ -866,28 +880,24 @@ class TestTieShortcut:
         # that every node is reached
         g = NetworkGraph(5, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         assert self.check_rows(g, range(5)) == 2
-        dist, pred = dijkstra_trees(g, [0])
-        assert tree_path(pred[0], 3) == (0, 1, 2, 3)
+        assert tree_path(dijkstra_trees(g, [0]).pred[0], 3) == (0, 1, 2, 3)
         g = NetworkGraph(6, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 2, 1.0)])
         self.check_rows(g, range(6))
 
 
 class TestTreeHops:
-    """Hop counts at the nodes read equal pointer jumping over whole rows
-    and the lengths of the reconstructed paths."""
+    """``Trees.hops``, by pointer jumping over whole rows, equals a walk up
+    ``pred`` from every node and the lengths of the reconstructed paths."""
 
     @staticmethod
     def check(g, sources, rng, reads):
-        dist, pred = dijkstra_trees(g, sources)
-        want = _depths(pred, np.asarray(sources))
+        t = dijkstra_trees(g, sources)
+        assert np.array_equal(t.hops, walked_hops(t.pred, t.sources.tolist()))
         rows = rng.integers(len(sources), size=reads)
         nodes = rng.integers(g.node_count, size=reads)
-        got = tree_hops(pred, sources, rows, nodes)
-        assert got.tolist() == want[rows, nodes].tolist()
-        for r, v, h in zip(rows.tolist(), nodes.tolist(), got.tolist()):
-            if np.isfinite(dist[r, v]):
-                assert h == len(_reconstruct(pred[r].tolist(), v)) - 1
-        assert np.array_equal(all_hops(pred, sources), want)
+        for r, v, h in zip(rows.tolist(), nodes.tolist(), t.hops[rows, nodes].tolist()):
+            if np.isfinite(t.dist[r, v]):
+                assert h == len(_reconstruct(t.pred[r].tolist(), v)) - 1
 
     def test_random_lattices(self):
         rng = np.random.default_rng(31)
@@ -903,9 +913,32 @@ class TestTreeHops:
 
     def test_off_the_tree_and_at_the_root(self):
         g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
-        _, pred = dijkstra_trees(g, [3, 0])
-        assert tree_hops(pred, [3, 0], [0, 0, 1, 1], [3, 0, 0, 4]).tolist() == [0, -1, 0, -1]
-        assert tree_hops(pred, [3, 0], 0, np.empty(0, dtype=int)).shape == (0,)
+        # block 0 twice: a stack's rows keep each block's roots
+        for t in (dijkstra_trees(g, [3, 0]), dijkstra_trees(NetworkGraph.stack([g, g]), [3, 0])):
+            rows = np.arange(len(t.hops))[:, None]
+            assert t.hops[rows, [3, 0]].tolist() == [[0, -1], [-1, 0]] * (len(rows) // 2)
+            assert t.hops[rows, [4, 1]].tolist() == [[1, -1], [-1, 1]] * (len(rows) // 2)
+
+
+class TestNodeIdsOutsideTheGraph:
+    """Every entry point of the tree layer refuses a node id outside [0, n)
+    before it runs a tree."""
+
+    CALLS = {
+        "dijkstra_trees": lambda g, v: dijkstra_trees(g, [0, v]),
+        "dijkstra_trees-block": lambda g, v: dijkstra_trees(g, [v], 0),
+        "hop_floods": lambda g, v: hop_floods(g, [v]),
+        "shortest_ranging-source": lambda g, v: shortest_ranging(g, v, [2]),
+        "shortest_ranging-target": lambda g, v: shortest_ranging(g, 0, [1, v]),
+    }
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_rejected(self, call, node, capfd):
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match=rf"node ids must lie in \[0, 4\), got {node}$"):
+            self.CALLS[call](g, node)
+        assert capfd.readouterr().err == ""
 
 
 class TestMinHops:

@@ -32,7 +32,6 @@ from railsim.rail import (
     NO_INTERSECTION,
     SINGLE,
     _angles,
-    _Forest,
     _boxes,
     _locate,
     _per_hop_errors,
@@ -68,7 +67,7 @@ class TestBoundingBox:
             g = build_graph(dep, MODEL)
             targets = list(dep.unknown_ids)
             anchors = list(dep.anchor_ids)
-            sd = dijkstra_trees(g, anchors)[0][:, targets]
+            sd = dijkstra_trees(g, anchors).dist[:, targets]
             ax, ay = (np.repeat(dep.coords[anchors, i, None], len(targets), axis=1)
                       for i in (0, 1))
             box, empty = _boxes(ax, ay, sd)
@@ -121,7 +120,7 @@ class TestCorrectedAngle:
 
 def angle(g, e, at, ref, target):
     """``_angles`` for one item: (theta, K)."""
-    theta, k = _angles(g, _Forest.of(g, [at]), np.array([0]), np.array([ref]),
+    theta, k = _angles(g, dijkstra_trees(g, [at]), np.array([0]), np.array([ref]),
                        np.array([target]), np.array([e]))
     return theta[0], k[0]
 
@@ -157,10 +156,10 @@ class TestEstimateAngle:
         edges = [(0, 3, 6.0), (3, 1, 6.0), (0, 4, 6.0), (4, 2, 6.0), (1, 5, 6.0), (5, 2, 6.0)]
         g = NetworkGraph(6, edges)
         items = np.array([0]), np.array([1]), np.array([2]), np.array([1.0])
-        alone = _angles(g, _Forest.of(g, [0]), *items)
-        forest = _Forest.of(g, [0, 1])
+        alone = _angles(g, dijkstra_trees(g, [0]), *items)
+        forest = dijkstra_trees(g, [0, 1])
         calls = []
-        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=0:
+        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=None:
                             calls.append(sources) or dijkstra_trees(g, sources, block))
         both = _angles(g, forest, *items)
         assert calls == []
@@ -173,7 +172,7 @@ class TestEstimateAngle:
             g = build_graph(dep, MODEL)
             targets = np.array(dep.unknown_ids[::7])
             m = len(targets)
-            theta, k = _angles(g, _Forest.of(g, [0]), np.zeros(m, dtype=int),
+            theta, k = _angles(g, dijkstra_trees(g, [0]), np.zeros(m, dtype=int),
                                np.ones(m, dtype=int), targets, np.full(m, 2.5))
             assert ((0.0 <= theta) & (theta <= math.pi)).all()
             assert ((1 <= k) & (k <= 3)).all()
@@ -392,7 +391,8 @@ def baselines_of(dep, g):
     """Min-Max's (x, y, inverted) and DV-hop's (x, y, degenerate) for the
     targets of one run, as a sweep computes them before the clamp."""
     anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
-    acc, hops = (a[:, targets] for a in hop_floods(g, anchors))
+    floods = hop_floods(g, anchors)
+    acc, hops = floods.dist[:, targets], floods.hops[:, targets]
     ax, ay = dep.coords[anchors].T
     chosen = np.argsort(acc, axis=0, kind="stable")[:3]
     return (min_max_all(ax, ay, hops, dep.comm_range),
@@ -465,7 +465,7 @@ class TestLocalizeAll:
             dep, g = seeded(*params)
             fired.update(localize_all(dep, g).case.tolist())
             anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
-            sd = dijkstra_trees(g, anchors)[0][:, targets]
+            sd = dijkstra_trees(g, anchors).dist[:, targets]
             nearest = np.argsort(sd, axis=0, kind="stable")[:3]
             ax, ay = (dep.coords[anchors, i][nearest] for i in (0, 1))
             empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
@@ -507,7 +507,7 @@ class TestLocalizeAll:
         # row from them, so its one call has no anchor among its sources
         dep, g = sweep_scenario(config, density, run)
         calls = []
-        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=0:
+        monkeypatch.setattr(rail, "dijkstra_trees", lambda g, sources, block=None:
                             calls.append(sources) or dijkstra_trees(g, sources, block))
         localize_all(dep, g)
         assert 1 <= len(calls) <= 2
@@ -566,6 +566,21 @@ class TestLocalizeAll:
         with pytest.raises(ValueError, match=match):
             localize_chunk(dep.coords[None], anchor_ids, g)
 
+    def test_coords_must_match_the_graph(self):
+        # a stacked graph for one run's coordinates, and a graph of another
+        # node count, are refused with both shapes named
+        dep, g = seeded(50, 50, 60, 3, 0.0, 1)
+        other = seeded(50, 50, 61, 3, 0.0, 1)[1]
+        one, two = dep.coords[None], np.stack((dep.coords, dep.coords))
+        for coords, graph, want in (
+                (one, NetworkGraph.stack([g, g]), "1 runs of 63 nodes .* 2 blocks of 63"),
+                (one, other, "1 runs of 63 nodes .* 1 blocks of 64"),
+                (two, g, "2 runs of 63 nodes .* 1 blocks of 63")):
+            with pytest.raises(ValueError, match=want):
+                localize_chunk(coords, dep.anchor_ids, graph)
+        with pytest.raises(ValueError, match="2 blocks"):
+            localize_all(dep, NetworkGraph.stack([g, g]))
+
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
         g = build_graph(dep, MODEL)
@@ -616,7 +631,7 @@ class TestLocalizeAll:
         targets = list(dep.unknown_ids)
         assert results.targets.tolist() == targets
         # each target's rays start at its three nearest anchors by SD, in id order
-        sd = dijkstra_trees(g, list(dep.anchor_ids))[0][:, targets]
+        sd = dijkstra_trees(g, list(dep.anchor_ids)).dist[:, targets]
         nearest = np.sort(np.argsort(sd, axis=0, kind="stable")[:3], axis=0)
         chosen = np.array(dep.anchor_ids)[nearest]
         ray_x, ray_y = results.rays[:2]
