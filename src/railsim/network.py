@@ -6,10 +6,11 @@ sources (``dijkstra_trees``) and their minimum-hop flooding trees
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
 per-node ``Point`` objects are built only when ``Deployment.nodes`` is
-read. A deployment finds its own in-range node pairs on a grid of cells
-(``Deployment.links``, rows i and j, sorted by (i, j)) and places them
-once in a symmetric CSR layout (``_symmetric_csr``), which both the
-connectivity check and ``build_graph`` read.
+read. A deployment finds its own in-range node pairs with a sweep over
+strips of x one range wide (``Deployment.links``, rows i and j, sorted by
+(i, j)) and places them once in a symmetric CSR layout
+(``_symmetric_csr``), which both the connectivity check and
+``build_graph`` read.
 
 A ``NetworkGraph`` is B >= 1 such graphs of one size side by side: a
 scenario's graph is one block, and ``NetworkGraph.stack`` joins the graphs
@@ -159,8 +160,16 @@ class Trees(NamedTuple):
 
 
 def _node_ids(n: int, ids) -> np.ndarray:
-    """``ids`` as a flat intp array; ValueError if one lies outside [0, n)."""
-    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    """``ids`` as a flat intp array; ValueError unless each is an integer,
+    not a bool, in [0, n)."""
+    flat = np.asarray(ids).reshape(-1)
+    if flat.size and flat.dtype.kind not in "iu":
+        raise ValueError(f"node ids must be integers, got a {flat.dtype} id")
+    # numpy turns a bool among ints into an int
+    if not isinstance(ids, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(ids, dtype=object).flat):
+        raise ValueError("node ids must be integers, got a bool id")
+    ids = flat.astype(np.intp)
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise ValueError(f"node ids must lie in [0, {n}), got {bad[0]}")
@@ -214,16 +223,15 @@ class NetworkGraph:
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
     orientation and raises ValueError on a self-loop, a repeated pair, a
-    node id outside [0, n) or a weight that is not finite and > 0 (which
-    could hang the tie resolution or drop its link); ``build_graph`` places
-    its links the same way.
+    node id that is not an integer in [0, n) or a weight that is not finite
+    and > 0 (which could hang the tie resolution or drop its link);
+    ``build_graph`` places its links the same way.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
-        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2).T
+        ends = _node_ids(n, [x for u, v, _ in edges for x in (u, v)]).reshape(-1, 2).T
         i, j = ends.min(axis=0), ends.max(axis=0)  # each link as (i, j), i <= j
         weights = np.array([w for _, _, w in edges], dtype=float)
-        _node_ids(n, ends)
         loops = i[i == j]
         if loops.size:
             raise ValueError(f"self-loop at node {loops[0]}")
@@ -319,45 +327,28 @@ def _placed(weights: np.ndarray, csr: tuple):
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
     """The node pairs (i, j), i < j, with ``dx*dx + dy*dy <= r*r``, as a
-    (2, pairs) array of rows i and j, sorted by (i, j).
-
-    The nodes are binned into square cells a hair wider than r, so an
-    in-range pair lies in one cell or in two adjacent ones. Each node is
-    tested against the later nodes of its own cell, the cell above it and
-    the three cells of the next column. Cells are keyed from the nodes'
-    extent and looked up among the occupied cells only, so the cost follows
-    the node count, not the area.
-    """
+    (2, pairs) array of rows i and j, sorted by (i, j): each node is tested
+    against the later nodes of its own strip of x, a hair wider than r, and
+    the next strip's nodes within a strip width of its y."""
     n = len(coords)
     if n == 0:
         return np.empty((2, 0), dtype=np.intp)
     lo = coords.min(axis=0)
     extent = float((coords.max(axis=0) - lo).max())
-    # the margin exceeds the rounding of ``coords - lo`` and of the division,
-    # so rounding never puts an in-range pair two cells apart
+    # the margin exceeds the rounding of ``coords - lo``, of the division and
+    # of ``y +- side``, so rounding never leaves an in-range pair untested
     side = r * (1 + 2**-40) + extent * 2**-48
-    cx, cy = ((coords - lo) / side).astype(np.int64).T
-    col_len = int(cy.max()) + 3  # keys per column, padded so cy - 1 and cy + 1 stay in it
-    key = cx * col_len + cy + 1
-    order = np.argsort(key, kind="stable")  # by cell, then by id
-    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    end = start + count
+    x, y = (coords - lo).T
+    strip = (x / side).astype(np.int64)
+    order = np.lexsort((y, strip))
+    # numpy sorts and searches complex numbers by real part, then imaginary
+    key = strip[order] + 1j * y[order]
     pos = np.arange(n)  # position in ``order``
-    cell = np.repeat(np.arange(len(cells)), count)
-    # the later nodes of the own cell, then the cell above and the next
-    # column's cells below, level and above
-    steps = (1, col_len - 1, col_len, col_len + 1)
-    first, last = [pos + 1], [end[cell]]
-    for step in steps:
-        want = cells + step
-        k = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
-        hit = cells[k] == want
-        first.append(np.where(hit, start[k], 0)[cell])
-        last.append(np.where(hit, end[k], 0)[cell])
-    first = np.concatenate(first)
-    size = np.concatenate(last) - first
+    first = np.concatenate((pos + 1, np.searchsorted(key, key + (1 - 1j * side))))
+    last = np.searchsorted(key, np.concatenate((key + 1j * side, key + (1 + 1j * side))), "right")
+    size = last - first
     # every candidate pair (a, b) of positions in ``order``
-    a = np.repeat(np.tile(pos, 1 + len(steps)), size)
+    a = np.repeat(np.tile(pos, 2), size)
     b = np.repeat(first - (np.cumsum(size) - size), size)
     b += np.arange(len(b))
     xs, ys = coords[order, 0], coords[order, 1]
@@ -558,6 +549,8 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
     from scipy.sparse.csgraph import dijkstra
 
     sources = _node_ids(g.node_count, sources)
+    if block is not None and block not in range(g.blocks):
+        raise ValueError(f"block must lie in [0, {g.blocks}), got {block!r}")
     k, blocks = len(sources), range(g.blocks) if block is None else (block,)
     dist = np.empty((len(blocks) * k, g.node_count))
     pred = np.empty(dist.shape, dtype=np.intp)

@@ -384,6 +384,13 @@ class TestLinks:
         for _ in range(3):
             self.assert_links_match(
                 Deployment(side, side, rng.uniform(0, side, size=(n, 2)), (0,), 10.0))
+        # strips run along x: many short ones, then a few long ones
+        for width, height in ((200, 20), (20, 200)):
+            xy = rng.uniform(0, (width, height), size=(n, 2))
+            self.assert_links_match(Deployment(width, height, xy, (0,), 10.0))
+        # 1e6 m out: each coordinate rounds to a step of 2**-33 m
+        xy = 1e6 + rng.uniform(0, side, size=(n, 2))
+        self.assert_links_match(Deployment(1e6 + side, 1e6 + side, xy, (0,), 10.0))
 
     def test_strip(self):
         dep = generate_deployment(200, 20, 200, 3, 10, seed=3)
@@ -392,7 +399,7 @@ class TestLinks:
     @pytest.mark.parametrize("r", [10.0, 0.1, 0.3, 1 / 3])
     def test_coordinates_on_range_multiples(self, r):
         # a lattice of pitch r: row and column neighbors lie at r, exactly
-        # or rounded either way, and the cell edges fall on nodes
+        # or rounded either way, and the strip edges fall on nodes
         k = np.arange(12) * r
         lattice = np.stack(np.meshgrid(k, k + 3 * r), axis=-1).reshape(-1, 2)
         dep = Deployment(50, 50, lattice, (0,), r)
@@ -402,8 +409,8 @@ class TestLinks:
 
     def test_rounding_across_a_cell_edge(self):
         # (x - x_min) / 0.1 gives 243.99999999999997 for node 1 and 245.0
-        # for node 2, 0.1 apart: cells exactly 0.1 wide would put this
-        # in-range pair two cells apart
+        # for node 2, 0.1 apart: strips exactly 0.1 wide would put this
+        # in-range pair two strips apart
         xy = np.array([[1.23456, 0.0], [25.63456, 0.0], [25.73456, 0.0]])
         dep = Deployment(50, 50, xy, (0,), 0.1)
         self.assert_links_match(dep)
@@ -417,8 +424,8 @@ class TestLinks:
         self.assert_links_match(dep)
 
     def test_sparse_over_large_area(self):
-        # 60 small clusters on a 10,000 km square: about 1e12 cells of the
-        # range would cover it, of which at most 300 are occupied
+        # 60 small clusters on a 10,000 km square: about 1e6 strips of the
+        # range would cover it, of which at most 180 hold a node
         rng = np.random.default_rng(9)
         centres = rng.uniform(0, 1e7, size=(60, 1, 2))
         xy = (centres + rng.uniform(0, 15, size=(60, 5, 2))).reshape(-1, 2)
@@ -921,8 +928,9 @@ class TestTreeHops:
 
 
 class TestNodeIdsOutsideTheGraph:
-    """Every entry point of the tree layer refuses a node id outside [0, n)
-    before it runs a tree."""
+    """Every entry point of the tree layer, and the graph constructor,
+    refuses a node id that is not an integer in [0, n), and
+    ``dijkstra_trees`` a block outside the stack, before it runs a tree."""
 
     CALLS = {
         "dijkstra_trees": lambda g, v: dijkstra_trees(g, [0, v]),
@@ -930,6 +938,7 @@ class TestNodeIdsOutsideTheGraph:
         "hop_floods": lambda g, v: hop_floods(g, [v]),
         "shortest_ranging-source": lambda g, v: shortest_ranging(g, v, [2]),
         "shortest_ranging-target": lambda g, v: shortest_ranging(g, 0, [1, v]),
+        "NetworkGraph": lambda g, v: NetworkGraph(4, [(0, 1, 1.0), (2, v, 1.0)]),
     }
 
     @pytest.mark.parametrize("node", [-1, 4])
@@ -939,6 +948,21 @@ class TestNodeIdsOutsideTheGraph:
         with pytest.raises(ValueError, match=rf"node ids must lie in \[0, 4\), got {node}$"):
             self.CALLS[call](g, node)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("node", [1.5, True])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_integer_rejected(self, call, node):
+        # not truncated to node 1
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match=r"node ids must be integers, got a (float64|bool) id$"):
+            self.CALLS[call](g, node)
+
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_block_outside_the_stack_rejected(self, block):
+        path = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        g = NetworkGraph.stack([path, path])
+        with pytest.raises(ValueError, match=rf"block must lie in \[0, 2\), got {block}$"):
+            dijkstra_trees(g, [0], block)
 
 
 class TestMinHops:
