@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, rail
-from .geometry import hypot
+from .geometry import libm
 from .network import (
     Deployment,
     GenerationFailed,
@@ -193,7 +193,7 @@ class ExperimentReport:
 
 def localization_errors(true_x, true_y, x, y) -> np.ndarray:
     """Euclidean distances between true and estimated coordinates, elementwise."""
-    return hypot(true_x - x, true_y - y)  # geometry.distance
+    return libm(math.hypot, true_x - x, true_y - y)  # geometry.distance
 
 
 def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):

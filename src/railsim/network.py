@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, hypot
+from .geometry import Point, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -162,18 +162,19 @@ class Trees(NamedTuple):
 def _node_ids(n: int, ids) -> np.ndarray:
     """``ids`` as a flat intp array; ValueError unless each is an integer,
     not a bool, in [0, n)."""
-    flat = np.asarray(ids).reshape(-1)
-    if flat.size and flat.dtype.kind not in "iu":
-        raise ValueError(f"node ids must be integers, got a {flat.dtype} id")
-    # numpy turns a bool among ints into an int
-    if not isinstance(ids, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(ids, dtype=object).flat):
-        raise ValueError("node ids must be integers, got a bool id")
-    ids = flat.astype(np.intp)
-    bad = ids[(ids < 0) | (ids >= n)]
+    if isinstance(ids, np.ndarray):
+        flat = ids.reshape(-1)
+        odd = [flat.dtype] if flat.size and flat.dtype.kind not in "iu" else []
+    else:  # one by one: numpy turns a bool among ints into an int, a uint64 into a float
+        flat = np.asarray(ids, dtype=object).reshape(-1)
+        odd = [np.asarray(v).dtype for v in flat.tolist()
+               if isinstance(v, bool) or not isinstance(v, Integral)]
+    if odd:
+        raise ValueError(f"node ids must be integers, got a {odd[0]} id")
+    bad = flat[(flat < 0) | (flat >= n)]  # before the cast, which wraps large uint64 ids
     if bad.size:
         raise ValueError(f"node ids must lie in [0, {n}), got {bad[0]}")
-    return ids
+    return flat.astype(np.intp)
 
 
 def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,7 +424,7 @@ def generate_deployment(
         # the bits of rng.uniform((0, 0), (width, height)), which adds 0.0
         coords = rng.random((n_total, 2)) * (width, height)
         x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
-        if (hypot(x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
+        if (libm(math.hypot, x[pi] - x[pj], y[pi] - y[pj]) <= comm_range).any():
             continue
         # twice the signed area of each anchor triangle
         cross = (x[tj] - x[ti]) * (y[tk] - y[ti]) - (x[tk] - x[ti]) * (y[tj] - y[ti])
@@ -457,7 +458,7 @@ def build_graph(
     noise = rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0 else np.zeros(len(i))
 
     x, y = dep.coords.T
-    true_d = hypot(x[i] - x[j], y[i] - y[j])
+    true_d = libm(math.hypot, x[i] - x[j], y[i] - y[j])
     colocated = np.flatnonzero(true_d == 0)
     if colocated.size:
         k = colocated[0]
@@ -549,7 +550,8 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
     from scipy.sparse.csgraph import dijkstra
 
     sources = _node_ids(g.node_count, sources)
-    if block is not None and block not in range(g.blocks):
+    if block is not None and not (isinstance(block, Integral) and not isinstance(block, bool)
+                                  and 0 <= block < g.blocks):
         raise ValueError(f"block must lie in [0, {g.blocks}), got {block!r}")
     k, blocks = len(sources), range(g.blocks) if block is None else (block,)
     dist = np.empty((len(blocks) * k, g.node_count))

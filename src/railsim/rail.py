@@ -9,8 +9,8 @@ its id in its run's graph. ``localize_chunk`` runs the stages in order:
 ``_locate``, and returns ``RailResults``: the estimates, case codes,
 boxes, rays and ray-pair hits as arrays, with no per-target objects.
 ``localize_all`` is the chunk of one run. ``corrected_angle`` is the one
-scalar entry point, a 0-d call of the angle formula. Transcendentals go
-through ``geometry.libm``, distances through ``geometry.hypot``, and every
+scalar entry point, a 0-d call of the angle formula. Transcendentals and
+distances (``math.hypot``) go through ``geometry.libm``, and every
 expression keeps the scalar operand order, so the passes give the results
 of the per-target scalar formulas in ``tests/oracle.py`` bit for bit. Max,
 min, clip and argmin need no such care: they return one of their finite
@@ -24,8 +24,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, hypot, libm
-from .network import Deployment, NetworkGraph, Trees, Unreachable, dijkstra_trees
+from .geometry import DEFAULT_TOL, libm
+from .network import Deployment, NetworkGraph, Trees, Unreachable, _node_ids, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
 # row i: the two members of an anchor triple other than i, in id order
@@ -216,7 +216,7 @@ def _ray_directions(ax: np.ndarray, ay: np.ndarray, dist: np.ndarray, theta_j: n
     err = np.abs(libm(math.acos, np.clip(dx * ux[1] + dy * uy[1], -1.0, 1.0)) - theta_k)
     pick = err[0] <= err[1]
     dx, dy = np.where(pick, dx[0], dx[1]), np.where(pick, dy[0], dy[1])
-    norm = hypot(dx, dy)  # the normalisation of oracle.make_ray
+    norm = libm(math.hypot, dx, dy)  # the normalisation of oracle.make_ray
     return dx / norm, dy / norm
 
 
@@ -263,8 +263,8 @@ def _locate(box: np.ndarray, rays):
     # box (argmin keeps the first of equally near ones)
     out = np.flatnonzero((n_inside == 0) & ~none)
     b, px, py = box[:, out], hx[:, out], hy[:, out]
-    gap = hypot(np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),  # oracle.box_distance
-                np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))
+    gap = libm(math.hypot, np.maximum(np.maximum(b[0] - px, 0.0), px - b[1]),
+               np.maximum(np.maximum(b[2] - py, 0.0), py - b[3]))  # oracle.box_distance
     near = np.argmin(np.where(hit[:, out], gap, math.inf), axis=0), np.arange(out.size)
     case[out] = ALL_OUTSIDE
     x[out] = np.clip(px[near], b[0], b[1])
@@ -293,7 +293,8 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     Dijkstra calls, and the second has no anchor among its sources.
 
     Raises ``ValueError`` where ``coords`` does not hold g's runs and
-    nodes, for fewer than 3 distinct anchors or a repeated anchor id,
+    nodes, for an anchor id that is not an integer in [0, n), for fewer
+    than 3 distinct anchors or a repeated anchor id,
     ``Unreachable`` where a chosen anchor cannot reach a partner anchor or
     its target, and ``DegenerateGeometry`` where two chosen anchors
     coincide.
@@ -302,7 +303,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     if (runs, n) != (g.blocks, g.node_count):
         raise ValueError(f"coords of {runs} runs of {n} nodes do not match a graph of "
                          f"{g.blocks} blocks of {g.node_count} nodes")
-    anchor_ids = np.array(anchor_ids, dtype=np.intp)
+    anchor_ids = _node_ids(n, anchor_ids)
     n_anchors = len(anchor_ids)
     ids, counts = np.unique(anchor_ids, return_counts=True)
     if len(ids) < 3:
@@ -332,7 +333,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
             raise Unreachable(f"node {b.flat[k]} unreachable from {a.flat[k]}")
 
     ax, ay = coords[run, chosen, 0], coords[run, chosen, 1]
-    dist = hypot(ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    dist = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
     if (dist == 0).any():
         raise DegenerateGeometry("coincident anchors")
     e = _per_hop_errors(dist, pair_sd, anchors.hops[rows[i], chosen[j]])

@@ -1,5 +1,4 @@
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -17,11 +16,8 @@ from oracle import (
     project_onto_box,
     ray_pair_intersection,
 )
-from railsim import geometry
-from railsim.experiment import ExperimentConfig, scenario
-from railsim.geometry import Point, distance, hypot, libm
+from railsim.geometry import Point, distance, libm
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 DRAWS = 1_000_000
 
@@ -43,6 +39,15 @@ def test_libm_keeps_shape():
     scalar = libm(math.log10, 7.0)
     assert scalar.shape == () and scalar == math.log10(7.0)
     assert libm(math.acos, np.array(0.3)).shape == ()
+    assert libm(math.hypot, np.empty(0), np.empty(0)).shape == (0,)
+    # zeros, subnormals, infinities, NaN and magnitudes near overflow
+    tiny = np.finfo(float).tiny
+    dx = np.array([0.0, -0.0, 5e-324, tiny / 3, tiny, math.inf, -math.inf, math.nan,
+                   math.nan, 1e308, 1.7e308, 2.0**1023, 3.0])
+    dy = np.array([-0.0, 0.0, 0.0, tiny / 7, tiny, math.nan, 1.0, math.inf, 2.0,
+                   1e308, 1.7e308, -(2.0**1023), -4.0])
+    want = [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
+    assert same_bits(libm(math.hypot, dx, dy), want)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
@@ -58,53 +63,6 @@ def test_libm_scalars_match_broadcast_map(shape):
         want = np.reshape([math.pow(a, b) for a, b in zip(*flat)],
                           np.broadcast_shapes(*map(np.shape, args)))
         assert same_bits(libm(math.pow, *args), want)
-
-
-class TestHypot:
-    """``geometry.hypot`` reproduces CPython's ``math.hypot`` bit for bit,
-    pinned strictly on this interpreter: the port that long arrays take
-    follows CPython's algorithm, which a release could change."""
-
-    def test_hypot_matches_math_hypot(self):
-        rng = np.random.default_rng(20261018)
-        dx, dy = 10.0 ** rng.uniform(-3, 6, (2, DRAWS)) * rng.choice((-1.0, 1.0), (2, DRAWS))
-        dy[:1000] = dx[:1000]  # equal magnitudes, same and mixed signs
-        dy[1000:2000] = -dx[1000:2000]
-        dx[2000:3000] = 0.0  # one-zero pairs
-        dy[3000:4000] = -0.0
-        dx[4000:4100] = dy[4000:4100] = 0.0  # zeros
-        assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
-
-    def test_hypot_special_values(self):
-        tiny = np.finfo(float).tiny
-        dx = np.array([0.0, -0.0, 5e-324, tiny / 3, tiny, math.inf, -math.inf, math.nan,
-                       math.nan, 1e308, 1.7e308, 2.0**1023, 3.0])
-        dy = np.array([-0.0, 0.0, 0.0, tiny / 7, tiny, math.nan, 1.0, math.inf, 2.0,
-                       1e308, 1.7e308, -(2.0**1023), -4.0])
-        want = [math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
-        assert same_bits(hypot(dx, dy), want)
-        # the same values within an array long enough for the port
-        reps = -(-geometry._PORT_MIN // dx.size)
-        assert same_bits(hypot(np.tile(dx, reps), np.tile(dy, reps)), want * reps)
-
-    def test_hypot_keeps_shape(self):
-        # any shape, across block boundaries, and 0-d
-        x, y = np.random.default_rng(4).uniform(-9, 9, (2, 3, 5000))
-        assert same_bits(hypot(x, y), libm(math.hypot, x, y))
-        assert same_bits(hypot(3.0, 4.0), np.array(5.0))
-        assert hypot(np.empty(0), np.empty(0)).shape == (0,)
-        # either side of the size at which hypot turns to the port
-        for n in (geometry._PORT_MIN - 1, geometry._PORT_MIN):
-            dx, dy = x[0, :n], y[0, :n]
-            assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
-
-    def test_hypot_on_every_link_of_a_500_node_scenario(self):
-        cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
-        dep, _ = scenario(cfg, 500, 0)
-        i, j = dep.links
-        dx, dy = dep.coords[i].T - dep.coords[j].T
-        assert len(i) > 10_000
-        assert same_bits(hypot(dx, dy), libm(math.hypot, dx, dy))
 
 
 def test_libm_cos_even_sin_odd():

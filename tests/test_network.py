@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import deque
@@ -941,13 +942,20 @@ class TestNodeIdsOutsideTheGraph:
         "NetworkGraph": lambda g, v: NetworkGraph(4, [(0, 1, 1.0), (2, v, 1.0)]),
     }
 
-    @pytest.mark.parametrize("node", [-1, 4])
+    # the largest uint64 is named as passed, not as the -1 it wraps to in intp
+    @pytest.mark.parametrize("node", [-1, 4, np.uint64(2**64 - 1)])
     @pytest.mark.parametrize("call", CALLS)
     def test_rejected(self, call, node, capfd):
         g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError, match=rf"node ids must lie in \[0, 4\), got {node}$"):
             self.CALLS[call](g, node)
         assert capfd.readouterr().err == ""
+
+    def test_uint64_among_ints_accepted(self):
+        # not refused as floats, which numpy would make of the list
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, np.uint64(3), 1.0)])
+        assert g.links.tolist() == [[0, 1, 2], [1, 2, 3]]
+        assert dijkstra_trees(g, [0, np.uint64(3)]).sources.tolist() == [0, 3]
 
     @pytest.mark.parametrize("node", [1.5, True])
     @pytest.mark.parametrize("call", CALLS)
@@ -957,11 +965,13 @@ class TestNodeIdsOutsideTheGraph:
         with pytest.raises(ValueError, match=r"node ids must be integers, got a (float64|bool) id$"):
             self.CALLS[call](g, node)
 
-    @pytest.mark.parametrize("block", [-1, 2])
+    # bools and floats are refused, not read as blocks 0 and 1
+    @pytest.mark.parametrize("block", [-1, 2, True, False, 1.0, np.True_])
     def test_block_outside_the_stack_rejected(self, block):
         path = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         g = NetworkGraph.stack([path, path])
-        with pytest.raises(ValueError, match=rf"block must lie in \[0, 2\), got {block}$"):
+        message = rf"block must lie in \[0, 2\), got {re.escape(repr(block))}$"
+        with pytest.raises(ValueError, match=message):
             dijkstra_trees(g, [0], block)
 
 

@@ -566,6 +566,24 @@ class TestLocalizeAll:
         with pytest.raises(ValueError, match=match):
             localize_chunk(dep.coords[None], anchor_ids, g)
 
+    @pytest.mark.parametrize("anchor_ids, match", [
+        # not truncated to anchors 0, 1 and 2
+        pytest.param([0.7, 1, 2], "be integers, got a float64 id$", id="float-first"),
+        pytest.param([0, 1.9, 2], "be integers, got a float64 id$", id="float-middle"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), "be integers, got a float64 id$", id="float-array"),
+        pytest.param([0, True, 2], "be integers, got a bool id$", id="bool"),
+        pytest.param([0, 1, 63], r"lie in \[0, 63\), got 63$", id="past-n"),
+        pytest.param([-1, 1, 2], r"lie in \[0, 63\), got -1$", id="negative"),
+    ])
+    def test_anchor_ids_checked_before_any_tree(self, anchor_ids, match, monkeypatch):
+        dep, g = seeded(50, 50, 60, 3, 0.0, 1)
+
+        def grown(*args, **kwargs):
+            raise AssertionError("a tree was grown")
+        monkeypatch.setattr(rail, "dijkstra_trees", grown)
+        with pytest.raises(ValueError, match="node ids must " + match):
+            localize_chunk(dep.coords[None], anchor_ids, g)
+
     def test_coords_must_match_the_graph(self):
         # a stacked graph for one run's coordinates, and a graph of another
         # node count, are refused with both shapes named
