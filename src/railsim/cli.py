@@ -6,8 +6,8 @@ The commands raise; ``main`` alone logs an error and picks the exit code:
     0  success
     1  bad input (``BadInput``): a malformed command line, a config that fails
        to load, an unreadable or empty runs.csv, a --target that is not an
-       unknown node, an --out that is not a directory, lies below a file or
-       cannot be written
+       unknown node, an --out that is empty, is not a directory, lies below a
+       file or cannot be written
     2  infeasible deployment (``GenerationFailed``)
 """
 
@@ -68,8 +68,11 @@ def _out_dir(out: str):
 
 def _check_out(out: str) -> None:
     """Refuse, before any work, an --out that could not be made a directory:
-    its nearest existing ancestor (--out itself if it exists) must be one.
-    --out is not made here, so a run that fails leaves none."""
+    it must not be empty, and its nearest existing ancestor (--out itself if
+    it exists) must be one. --out is not made here, so a run that fails
+    leaves none."""
+    if not out:
+        raise BadInput("cannot write output: --out is empty")
     path = out
     while path and not os.path.lexists(path):
         path = os.path.dirname(path)
@@ -124,8 +127,8 @@ def cmd_demo(args) -> None:
     svg = svgplot.scene_svg(dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids,
                             target, *drawn)
     with _out_dir(args.out) as at:
-        _atomic_write(at("scene.json"), json.dumps(scene, indent=2) + "\n")
-        _atomic_write(at("scene.svg"), svg)
+        _atomic_write(at("scene.json"), [json.dumps(scene, indent=2), "\n"])
+        _atomic_write(at("scene.svg"), [svg])
     log.info("wrote scene.json and scene.svg to %s", args.out)
 
 
@@ -145,7 +148,7 @@ def cmd_plot(args) -> None:
         x_label="run index", y_label="mean error (m)") for d in sorted(series)}
     with _out_dir(args.out) as at:
         for name, svg in charts.items():
-            _atomic_write(at(name), svg)
+            _atomic_write(at(name), [svg])
     log.info("wrote %d chart(s) to %s", len(charts), args.out)
 
 

@@ -66,10 +66,11 @@ N_PAIRS_MAX = 2_000_000
 # the most targets a sweep may score (``ExperimentConfig.targets``), each of
 # its runs counting as RUN_TARGETS more. Every run's record stays in memory
 # until the CSVs are written: at 100-500 nodes per run a sweep's peak RSS
-# grows by about 175 bytes per target (72 MB at 40,000 targets, 119 MB at
-# 320,000), so this ceiling needs about 0.9 GB. A record also costs about
-# 2.4 KB whatever its size (peak RSS of 2,500 and 10,000 runs of 8 nodes),
-# the bytes of 14 targets, so below 15 nodes per run it outweighs them
+# grows by about 120 bytes per target (72 MB at 40,000 targets, 104 MB at
+# 320,000), so this ceiling needs about 0.6 GB. A record also costs about
+# 2.0 KB whatever its size (peak RSS of 2,500 and 10,000 runs of 8 nodes),
+# the bytes of 17 targets, so below 17 nodes per run it outweighs them; at
+# 15 targets per run, 8-node runs reach the ceiling near 0.65 GB
 N_TARGETS_MAX = 5_000_000
 RUN_TARGETS = 15
 # the most nodes (anchors included) one chunk of same-density runs holds:
@@ -157,6 +158,9 @@ class ExperimentConfig:
             raise TypeError(f"a config must be a JSON object, got {type(d).__name__}")
         kwargs = dict(d)
         if "densities" in kwargs:
+            # tuple() would split a string into characters and a dict into keys
+            if not isinstance(kwargs["densities"], (list, tuple)):
+                raise ValueError(f"densities must be a list, got {kwargs['densities']!r}")
             kwargs["densities"] = tuple(kwargs["densities"])
         # a sweep scores every algorithm; the key may only say so
         algorithms = kwargs.pop("algorithms", list(ALL_ALGORITHMS))
@@ -175,11 +179,9 @@ class ExperimentConfig:
 class RunRecord:
     density: int
     run_index: int
-    seed: int
     node_ids: tuple[int, ...]  # one tuple, shared by the records of a chunk
     estimates: dict[str, np.recarray]  # per algorithm, fields x and y per node
     errors: dict[str, np.ndarray]  # per algorithm, float64 per node
-    run_mean_error: dict[str, float]
     rail_box_contains: int  # targets whose box held the true position
 
 
@@ -194,15 +196,6 @@ class ExperimentReport:
 def localization_errors(true_x, true_y, x, y) -> np.ndarray:
     """Euclidean distances between true and estimated coordinates, elementwise."""
     return libm(math.hypot, true_x - x, true_y - y)  # geometry.distance
-
-
-def clamp_all(x: np.ndarray, y: np.ndarray, width: float, height: float):
-    """Clip estimates into the deployment region, elementwise.
-
-    All nodes are known to live inside the region, so estimates outside it
-    are trimmed; applied uniformly to every algorithm.
-    """
-    return np.clip(x, 0.0, width), np.clip(y, 0.0, height)
 
 
 def run_seed(base_seed: int, density: int, run_index: int) -> int:
@@ -234,11 +227,6 @@ def scenario(
         ) from exc
     model = PathLossModel(sigma=cfg.sigma)
     return dep, build_graph(dep, model, rng=np.random.default_rng(noise_stream))
-
-
-def _run_single(cfg: ExperimentConfig, density: int, run_index: int) -> RunRecord:
-    """The record of one run: the chunk of one."""
-    return _run_chunk(cfg, density, (run_index,))[0]
 
 
 def _scenes(cfg: ExperimentConfig, density: int, runs: Sequence[int]):
@@ -288,25 +276,21 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
                                               np.take_along_axis(acc, chosen, axis=0))
 
     # every algorithm clamped and scored in one stacked pass over (algorithm,
-    # run, target) arrays, row r for ALL_ALGORITHMS[r]
-    x, y = clamp_all(*np.stack([np.reshape((results.x, results.y), (2, n_runs, m)),
-                                (mm_x, mm_y), (dv_x, dv_y)], axis=1), cfg.width, cfg.height)
+    # run, target) arrays, row r for ALL_ALGORITHMS[r]. Every node lies inside
+    # the area, so every algorithm's estimates are clipped into it
+    x, y = np.stack([np.reshape((results.x, results.y), (2, n_runs, m)),
+                     (mm_x, mm_y), (dv_x, dv_y)], axis=1)
+    x, y = np.clip(x, 0.0, cfg.width), np.clip(y, 0.0, cfg.height)
     err = localization_errors(*truth, x, y)
     est = np.rec.fromarrays((x, y), dtype=ESTIMATE)
-    records = []
-    for b, run_index in enumerate(runs):
-        errors = dict(zip(ALL_ALGORITHMS, err[:, b]))
-        records.append(RunRecord(
-            density=density,
-            run_index=run_index,
-            seed=run_seed(cfg.base_seed, density, run_index),
-            node_ids=targets,
-            estimates=dict(zip(ALL_ALGORITHMS, est[:, b])),
-            errors=errors,
-            run_mean_error={alg: float(np.mean(errs)) for alg, errs in errors.items()},
-            rail_box_contains=int(rail_contained[b]),
-        ))
-    return records
+    return [RunRecord(
+        density=density,
+        run_index=run_index,
+        node_ids=targets,
+        estimates=dict(zip(ALL_ALGORITHMS, est[:, b])),
+        errors=dict(zip(ALL_ALGORITHMS, err[:, b])),
+        rail_box_contains=int(rail_contained[b]),
+    ) for b, run_index in enumerate(runs)]
 
 
 def aggregate(records: Sequence[RunRecord], cfg: ExperimentConfig) -> ExperimentReport:
@@ -369,7 +353,10 @@ def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentRepor
     return aggregate(records, cfg)
 
 
-def _atomic_write(path: str, *parts: str) -> None:
+def _atomic_write(path: str, parts) -> None:
+    """Write the strings of the iterable ``parts`` to ``path`` as one
+    replacement: a reader sees the old file or the whole new one. The
+    parts are written as they come, so a generator never holds the file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -390,33 +377,44 @@ def _fmt(x: float) -> str:
 
 
 def write_report_csv(report: ExperimentReport, path: str) -> None:
-    lines = ["algorithm,density,mean_error_m,std_error_m"]
-    for alg in ALL_ALGORITHMS:
-        for d in report.config.densities:
-            lines.append(f"{alg},{d},{_fmt(report.mean_error[(alg, d)])},"
-                         f"{_fmt(report.std_error[(alg, d)])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    def rows():
+        yield "algorithm,density,mean_error_m,std_error_m\n"
+        for alg in ALL_ALGORITHMS:
+            for d in report.config.densities:
+                yield (f"{alg},{d},{_fmt(report.mean_error[(alg, d)])},"
+                       f"{_fmt(report.std_error[(alg, d)])}\n")
+
+    _atomic_write(path, rows())
 
 
 def write_runs_csv(report: ExperimentReport, path: str) -> None:
-    lines = ["algorithm,density,run_index,seed,run_mean_error_m"]
-    for rec in report.records:
-        for alg in ALL_ALGORITHMS:
-            lines.append(f"{alg},{rec.density},{rec.run_index},{rec.seed},"
-                         f"{_fmt(rec.run_mean_error[alg])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per run and algorithm: the run's seed (``run_seed``) and the
+    mean of its errors, both derived from the record as the row is written."""
+    def rows():
+        yield "algorithm,density,run_index,seed,run_mean_error_m\n"
+        for rec in report.records:
+            seed = run_seed(report.config.base_seed, rec.density, rec.run_index)
+            for alg in ALL_ALGORITHMS:
+                yield (f"{alg},{rec.density},{rec.run_index},{seed},"
+                       f"{_fmt(float(np.mean(rec.errors[alg])))}\n")
+
+    _atomic_write(path, rows())
 
 
 def write_errors_csv(report: ExperimentReport, path: str) -> None:
-    blocks = ["algorithm,density,run_index,node_id,error_m\n"]
-    for rec in report.records:
-        fields = [None] * (2 * len(rec.node_ids))  # node, error, node, error, ...
-        fields[::2] = rec.node_ids
-        for alg in ALL_ALGORITHMS:
-            fields[1::2] = rec.errors[alg].tolist()
-            row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
-            blocks.append(row * len(rec.node_ids) % tuple(fields))
-    _atomic_write(path, *blocks)  # joined, they would be a second copy of the file
+    """One row per target, run and algorithm, written one run's algorithm
+    at a time."""
+    def blocks():
+        yield "algorithm,density,run_index,node_id,error_m\n"
+        for rec in report.records:
+            fields = [None] * (2 * len(rec.node_ids))  # node, error, node, error, ...
+            fields[::2] = rec.node_ids
+            for alg in ALL_ALGORITHMS:
+                fields[1::2] = rec.errors[alg].tolist()
+                row = f"{alg},{rec.density},{rec.run_index},%d,%.4f\n"
+                yield row * len(rec.node_ids) % tuple(fields)
+
+    _atomic_write(path, blocks())
 
 
 def read_runs_csv(path: str) -> list[dict]:

@@ -372,13 +372,10 @@ def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
 def _components_ok(dep: Deployment) -> bool:
     """True when every node can reach every other (so every anchor) over
     one-hop links: one BFS from node 0 over the deployment's CSR layout."""
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    indptr, cols, _ = dep._csr
-    n = len(indptr) - 1
-    links = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
-    return len(breadth_first_order(links, 0, return_predecessors=False)) == n
+    links = _placed(np.ones(len(dep.links[0])), dep._csr)
+    return len(breadth_first_order(links, 0, return_predecessors=False)) == len(dep.coords)
 
 
 @functools.lru_cache(maxsize=8)

@@ -73,6 +73,10 @@ class TestRun:
         {"comm_range": True}, {"n_anchors": 2000}, {"densities": [10**9]},
         {"densities": [5000], "comm_range": 80}, {"algorithms": []},
         {"algorithms": ["RAIL"]}, {"algorithms": ["RssiDvHop", "MinMax", "RAIL"]},
+        # anything but a list, named as written: tuple() would have split
+        # "100" into ('1', '0', '0') and {"100": 1} into ('100',)
+        {"densities": "100"}, {"densities": {"100": 1}}, {"densities": 5},
+        {"densities": None},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
@@ -82,6 +86,8 @@ class TestRun:
         assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
         assert "cannot load config" in caplog.text
         assert not out.exists()
+        if not isinstance(bad.get("densities", []), list):
+            assert f"densities must be a list, got {bad['densities']!r}" in caplog.text
 
     @pytest.mark.parametrize("text", [
         "[]", json.dumps(list(SMALL_CFG.items())), '"densities"', "60", "null",
@@ -396,6 +402,19 @@ class TestOut:
         assert main(out_argv(command, cfg_path, runs_path, afile)) == 1
         assert f"cannot write output: {afile} is not a directory" in caplog.text
         assert afile.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("command", ["run", "demo", "plot"])
+    def test_empty_out_exit_1_before_any_work(self, command, cfg_path, runs_path, caplog,
+                                              monkeypatch):
+        # "" names no directory: os.makedirs("") fails, so a command that
+        # reached its writes would fail only after its sweep or scene
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        for name in ("_load_config", "read_runs_csv", "run_experiment", "scenario"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(out_argv(command, cfg_path, runs_path, "")) == 1
+        assert "cannot write output: --out is empty" in caplog.text
 
     @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["run", "--workers", "2"],
                                          ["demo"], ["plot"]],

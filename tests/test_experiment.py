@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from railsim import experiment, geometry, rail
+from railsim import baselines, experiment, geometry, rail
 from railsim.experiment import (
     ALL_ALGORITHMS,
     CHUNK_NODES,
@@ -22,11 +22,10 @@ from railsim.experiment import (
     RUN_TARGETS,
     SIGMA_MAX_DB,
     ExperimentConfig,
+    RunRecord,
     _run_chunk,
-    _run_single,
     aggregate,
     chunks,
-    clamp_all,
     localization_errors,
     read_runs_csv,
     run_experiment,
@@ -57,10 +56,9 @@ def assert_records_equal(got, want):
     for bit."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.density, a.run_index, a.seed) == (b.density, b.run_index, b.seed)
+        assert (a.density, a.run_index) == (b.density, b.run_index)
         assert a.node_ids == b.node_ids
         assert a.rail_box_contains == b.rail_box_contains
-        assert a.run_mean_error == b.run_mean_error
         assert a.estimates.keys() == b.estimates.keys() == a.errors.keys()
         for alg in a.estimates:
             assert np.array_equal(a.estimates[alg].x, b.estimates[alg].x)
@@ -84,9 +82,18 @@ class TestBasics:
         errs = localization_errors(zero, zero, np.array([3.0]), np.array([4.0]))
         assert errs.tolist() == pytest.approx([5.0])
 
-    def test_clamp(self):
-        x, y = clamp_all(np.array([-3.0, 12.0]), np.array([60.0, 7.0]), 50, 50)
-        assert (x.tolist(), y.tolist()) == ([0, 12], [50, 7])
+    def test_clamp(self, monkeypatch):
+        # every algorithm's estimates are clipped into the area: Min-Max's,
+        # moved far past its left and top edges, land on them
+        min_max_all = baselines.min_max_all
+
+        def outside(*args):
+            x, y, inverted = min_max_all(*args)
+            return x - 1e3, y + 1e3, inverted
+
+        monkeypatch.setattr(baselines, "min_max_all", outside)
+        est = _run_chunk(SMALL, 60, (0,))[0].estimates["MinMax"]
+        assert (est.x == 0.0).all() and (est.y == SMALL.height).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -215,13 +222,18 @@ class TestAggregate:
         assert again.mean_error == small_report.mean_error
         assert again.std_error == small_report.std_error
 
-    def test_run_series_length(self, small_report):
-        # one run mean per algorithm and run, equal to the mean of its errors
+    def test_run_series_length(self, small_report, tmp_path):
+        # one runs.csv row per algorithm and run: the run's seed and the mean
+        # of its errors, derived from the record as the row is written
         assert len(small_report.records) == len(SMALL.densities) * SMALL.runs_per_density
-        for rec in small_report.records:
-            assert rec.run_mean_error.keys() == rec.errors.keys() == set(ALL_ALGORITHMS)
-            for alg, errs in rec.errors.items():
-                assert rec.run_mean_error[alg] == float(np.mean(errs))
+        p = tmp_path / "runs.csv"
+        write_runs_csv(small_report, str(p))
+        rows = [tuple(row.values()) for row in csv.DictReader(p.open())]
+        assert rows == [
+            (alg, str(rec.density), str(rec.run_index),
+             str(run_seed(SMALL.base_seed, rec.density, rec.run_index)),
+             f"{float(np.mean(rec.errors[alg])):.4f}")
+            for rec in small_report.records for alg in ALL_ALGORITHMS]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -338,10 +350,8 @@ def same_record(a, b) -> bool:
         return [(alg, rec.estimates[alg].tobytes(), rec.errors[alg].tobytes())
                 for alg in rec.estimates]
 
-    return ((a.density, a.run_index, a.seed, a.node_ids, a.rail_box_contains)
-            == (b.density, b.run_index, b.seed, b.node_ids, b.rail_box_contains)
-            and [(k, v.hex()) for k, v in a.run_mean_error.items()]
-            == [(k, v.hex()) for k, v in b.run_mean_error.items()]
+    return ((a.density, a.run_index, a.node_ids, a.rail_box_contains)
+            == (b.density, b.run_index, b.node_ids, b.rail_box_contains)
             and list(a.errors) == list(b.errors) and arrays(a) == arrays(b))
 
 
@@ -350,7 +360,7 @@ def same_record(a, b) -> bool:
 def test_chunking_never_changes_a_record(cfg):
     # one chunk per density, chunks of one run, and the pool's chunks
     runs = range(cfg.runs_per_density)
-    single = [_run_single(cfg, d, r) for d in cfg.densities for r in runs]
+    single = [_run_chunk(cfg, d, (r,))[0] for d in cfg.densities for r in runs]
     key = {(rec.density, rec.run_index): rec for rec in single}
     whole = [rec for d in cfg.densities for rec in _run_chunk(cfg, d, runs)]
     pooled = run_experiment(cfg, n_workers=2).records
@@ -381,7 +391,7 @@ def test_a_run_gives_finite_in_area_estimates(cfg):
     # every target of every algorithm inside the area (a NaN is in no area)
     (n,) = cfg.densities
     try:
-        rec = _run_single(cfg, n, 0)
+        rec = _run_chunk(cfg, n, (0,))[0]
     except GenerationFailed:
         reject()
     assert list(rec.estimates) == list(ALL_ALGORITHMS)
@@ -421,9 +431,9 @@ class TestCsv:
             and r["algorithm"] == algo
         )
         assert first["run_mean_error_m"] == pytest.approx(
-            rec.run_mean_error[algo], abs=5e-5
+            float(np.mean(rec.errors[algo])), abs=5e-5
         )
-        assert int(first["seed"]) == rec.seed
+        assert int(first["seed"]) == run_seed(SMALL.base_seed, rec.density, rec.run_index)
 
     def test_errors_csv_one_row_per_node(self, small_report, tmp_path):
         p = tmp_path / "errors.csv"
@@ -521,6 +531,24 @@ class TestRecords:
             for alg, pts in rec.estimates.items():
                 for truth, est, err in zip(truths, pts, rec.errors[alg]):
                     assert err == distance(truth, est)
+
+    def test_records_hold_what_the_run_measured(self):
+        # a run's seed and its mean errors are derived where runs.csv is written
+        assert [f.name for f in dataclasses.fields(RunRecord)] == [
+            "density", "run_index", "node_ids", "estimates", "errors", "rail_box_contains"]
+
+    def test_writers_stream(self, small_report, tmp_path, monkeypatch):
+        # each writer hands _atomic_write an iterator of its rows, never a
+        # list or a string of its whole file
+        atomic_write, streamed = experiment._atomic_write, []
+
+        def spy(path, parts):
+            streamed.append(iter(parts) is parts)
+            atomic_write(path, parts)
+
+        monkeypatch.setattr(experiment, "_atomic_write", spy)
+        write_csvs(small_report, tmp_path)
+        assert streamed == [True] * 3
 
     def test_records_hold_arrays(self, small_report):
         for rec in small_report.records:

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 from oracle import AABox, contains, make_ray, ray_pair_intersection, reference_localize
 from railsim import geometry, network, radio, rail
 from railsim.baselines import min_max_all, rssi_dv_hop_all
-from railsim.experiment import ExperimentConfig, _run_single, scenario
+from railsim.experiment import ExperimentConfig, _run_chunk, scenario
 from railsim.geometry import Point, distance, libm
 from railsim.network import (
     Deployment,
@@ -457,6 +457,44 @@ class TestLocalizeAll:
         size = np.maximum(1.0, np.maximum(abs(dx), abs(dy)))
         assert (abs(dx_t + dy) <= 1e-12 * size).all() and (abs(dy_t - dx) <= 1e-12 * size).all()
 
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.tuples(seeded_scenes(), st.integers(0, 2**32 - 1)))
+    @examples([(functools.partial(lattice, *p), 0) for p in TIE_LATTICES]
+              + [(functools.partial(seeded, 50.0, 50.0, 200, 6, 4.0, 1), 1)])  # noisy6-like
+    def test_relabeling_the_unknowns(self, case):
+        # the scenes above with their unknowns' ids permuted, anchors keeping
+        # theirs and every physical link its weight: flood hop counts, and
+        # so Min-Max's estimates, follow the nodes bit for bit, and so do
+        # RAIL's but on the exact-tie lattices, where the tie rule takes the
+        # smallest-id path. DV-hop sums the RSSI distances of the flood's
+        # first-found parents, which depend on the ids, so it is not checked
+        scene, seed = case
+        try:
+            dep, g = scene()
+        except GenerationFailed:
+            reject()
+        unknown = np.array(dep.unknown_ids)
+        new = np.arange(len(dep.coords))  # node v is renamed new[v]
+        new[unknown] = np.random.default_rng(seed).permutation(unknown)
+        coords = np.empty_like(dep.coords)
+        coords[new] = dep.coords
+        dep_r = Deployment(dep.width, dep.height, coords, dep.anchor_ids, dep.comm_range)
+        i, j, w = g.links_of(0)
+        g_r = NetworkGraph(len(new), list(zip(new[i].tolist(), new[j].tolist(), w.tolist())))
+
+        anchors = list(dep.anchor_ids)
+        floods, floods_r = hop_floods(g, anchors), hop_floods(g_r, anchors)
+        assert (floods_r.hops[:, new] == floods.hops).all()
+        (mx, my, inverted), _ = baselines_of(dep, g)
+        (mx_r, my_r, inverted_r), _ = baselines_of(dep_r, g_r)
+        col = np.searchsorted(dep_r.unknown_ids, new[unknown])  # target t's column in dep_r
+        assert mx_r[col].tobytes() == mx.tobytes() and my_r[col].tobytes() == my.tobytes()
+        assert (inverted_r[col] == inverted).all()
+        if scene.func is not lattice:
+            rail, rail_r = localize_all(dep, g), localize_all(dep_r, g_r)
+            assert rail_r.x[col].tobytes() == rail.x.tobytes()
+            assert rail_r.y[col].tobytes() == rail.y.tobytes()
+
     def test_reference_deployments_fire_every_case(self):
         # the reference comparison covers all four cases of the rule and
         # the empty-box fallback
@@ -529,7 +567,7 @@ class TestLocalizeAll:
 
         for module in (geometry, radio, rail):
             monkeypatch.setattr(module, "libm", spy)
-        _run_single(cfg, density, run)
+        _run_chunk(cfg, density, (run,))
         m = 3 * density
         assert {fn for fn, _ in calls} == {math.acos, math.log10, math.pow, math.hypot,
                                            math.cos, math.sin}
