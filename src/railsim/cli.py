@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import rail, svgplot
+from . import rail
 from .experiment import (ALL_ALGORITHMS, ExperimentConfig, _atomic_write, read_runs_csv,
                          run_experiment, scenario, write_errors_csv, write_report_csv,
                          write_runs_csv)
@@ -96,6 +96,8 @@ def cmd_run(args) -> None:
 
 
 def cmd_demo(args) -> None:
+    from . import svgplot  # only demo and plot draw, so `rail run` never loads it
+
     cfg = _load_config(args.config)
     # run 0 of the first density, exactly as `rail run` scores it
     dep, g = scenario(cfg, cfg.densities[0], 0)
@@ -133,6 +135,8 @@ def cmd_demo(args) -> None:
 
 
 def cmd_plot(args) -> None:
+    from . import svgplot
+
     # TypeError: a short row
     with _refused("cannot read runs csv", OSError, ValueError, KeyError, TypeError):
         rows = read_runs_csv(args.runs)

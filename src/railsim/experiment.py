@@ -22,10 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,6 +35,9 @@ from .network import (
     Deployment,
     GenerationFailed,
     NetworkGraph,
+    _finite,
+    _require,
+    _whole,
     build_graph,
     generate_deployment,
     hop_floods,
@@ -92,35 +93,28 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        def whole(x, low):  # an int, not a bool, >= low
-            return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= low
-
-        def finite(x):  # a finite real number, not a bool
-            return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
         def distinct(xs):
             return len(set(xs)) == len(xs)
 
         # an infinite sigma would hang the shortest-path tie resolution
         rules = {
-            "n_anchors": (whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
+            "n_anchors": (_whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
                           f"an integer in [3, {N_ANCHORS_MAX}]"),
-            "runs_per_density": (whole(self.runs_per_density, 1), "an integer >= 1"),
-            "base_seed": (whole(self.base_seed, 0), "an integer >= 0"),
+            "runs_per_density": (_whole(self.runs_per_density, 1), "an integer >= 1"),
+            "base_seed": (_whole(self.base_seed, 0), "an integer >= 0"),
             "densities": (bool(self.densities)
-                          and all(whole(d, 1) and d <= N_NODES_MAX for d in self.densities)
+                          and all(_whole(d, 1) and d <= N_NODES_MAX for d in self.densities)
                           and distinct(self.densities),
                           f"distinct integers in [1, {N_NODES_MAX}]"),
-            "width": (finite(self.width) and self.width > 0, "a finite number > 0"),
-            "height": (finite(self.height) and self.height > 0, "a finite number > 0"),
-            "comm_range": (finite(self.comm_range) and self.comm_range > 0,
+            "width": (_finite(self.width) and self.width > 0, "a finite number > 0"),
+            "height": (_finite(self.height) and self.height > 0, "a finite number > 0"),
+            "comm_range": (_finite(self.comm_range) and self.comm_range > 0,
                            "a finite number > 0"),
-            "sigma": (finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
+            "sigma": (_finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
                       f"a number in [0, {SIGMA_MAX_DB:g}] dB"),
         }
         for name, (ok, rule) in rules.items():
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            _require(name, getattr(self, name), ok, rule)
         if not self.expected_pairs <= N_PAIRS_MAX:  # also rejects an overflow to NaN
             raise ValueError(
                 f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "
@@ -342,7 +336,11 @@ def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentRepor
     # the pool starts every worker at once: no more than the jobs or the CPUs
     n_workers = min(n_workers, len(jobs), _cpus())
     if n_workers > 1:
-        # imported once here, so that the forked workers inherit it
+        # imported here, not at the top, so a serial sweep never loads the
+        # pool's multiprocessing modules; scipy is imported once here so
+        # that the forked workers inherit it
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.sparse.csgraph  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,29 @@ from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
 ANCHOR_AREA_MIN = 25.0
+
+
+def _whole(x, low: int) -> bool:
+    """Whether x is an integer, not a bool, >= low."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= low
+
+
+def _finite(x) -> bool:
+    """Whether x is a finite real number, not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _require(name: str, value, ok: bool, rule: str) -> None:
+    """Refuse ``value`` unless ok, as "<name> must be <rule>, got <value>"."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_area(width, height, comm_range) -> None:
+    """Refuse an area side or range that is not a finite number > 0: a
+    negative range fails in the pair sweep, a NaN one casts NaN to ints."""
+    for name, x in (("width", width), ("height", height), ("comm_range", comm_range)):
+        _require(name, x, _finite(x) and x > 0, "a finite number > 0")
 
 
 class GenerationFailed(Exception):
@@ -60,7 +83,9 @@ class Deployment:
     ``coords`` is stored as a read-only (n, 2) float array (a copy of what
     the caller passed). ``anchor_ids`` must be distinct node ids in [0, n).
     Anchors occupy the first ``len(anchor_ids)`` node slots by construction,
-    but consumers should rely on ``anchor_ids`` only.
+    but consumers should rely on ``anchor_ids`` only. ``width``, ``height``
+    and ``comm_range`` must be finite numbers > 0; the nodes may lie outside
+    the area.
     """
 
     width: float
@@ -70,14 +95,14 @@ class Deployment:
     comm_range: float
 
     def __post_init__(self):
+        _require_area(self.width, self.height, self.comm_range)
         xy = np.array(self.coords, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ValueError(f"coords must have shape (n, 2), not {xy.shape}")
         if not np.isfinite(xy).all():
             raise ValueError("non-finite node position")
         ids, n = tuple(self.anchor_ids), len(xy)
-        if len(set(ids)) < len(ids) or not all(
-                isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < n for i in ids):
+        if len(set(ids)) < len(ids) or not all(_whole(i, 0) and i < n for i in ids):
             raise ValueError(f"anchor ids must be distinct integers in [0, {n}), not {ids}")
         xy.flags.writeable = False
         object.__setattr__(self, "coords", xy)
@@ -127,11 +152,11 @@ class Deployment:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Deployment":
         return cls(
-            width=float(d["width"]),
-            height=float(d["height"]),
+            width=d["width"],
+            height=d["height"],
             coords=d["nodes"],
             anchor_ids=tuple(d["anchor_ids"]),
-            comm_range=float(d["comm_range"]),
+            comm_range=d["comm_range"],
         )
 
 
@@ -223,13 +248,15 @@ class NetworkGraph:
     block 0 too.
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
-    orientation and raises ValueError on a self-loop, a repeated pair, a
-    node id that is not an integer in [0, n) or a weight that is not finite
-    and > 0 (which could hang the tie resolution or drop its link);
+    orientation and raises ValueError on an n that is not an integer >= 0,
+    a self-loop, a repeated pair, a node id that is not an integer in
+    [0, n) or a weight that is not finite and > 0 (which could hang the tie
+    resolution or drop its link);
     ``build_graph`` places its links the same way.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int, float]]):
+        _require("n", n, _whole(n, 0), "an integer >= 0")
         ends = _node_ids(n, [x for u, v, _ in edges for x in (u, v)]).reshape(-1, 2).T
         i, j = ends.min(axis=0), ends.max(axis=0)  # each link as (i, j), i <= j
         weights = np.array([w for _, _, w in edges], dtype=float)
@@ -407,10 +434,9 @@ def generate_deployment(
     linear system well-conditioned), and every node reaches every anchor
     through the connectivity graph.
     """
-    if n_anchors < 3:
-        raise ValueError("at least 3 anchors required")
-    if width <= 0 or height <= 0 or comm_range <= 0:
-        raise ValueError("area dimensions and range must be positive")
+    _require("n_unknown", n_unknown, _whole(n_unknown, 0), "an integer >= 0")
+    _require("n_anchors", n_anchors, _whole(n_anchors, 3), "an integer >= 3")
+    _require_area(width, height, comm_range)
 
     rng = np.random.default_rng(seed)
     n_total = n_anchors + n_unknown
@@ -547,8 +573,7 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
     from scipy.sparse.csgraph import dijkstra
 
     sources = _node_ids(g.node_count, sources)
-    if block is not None and not (isinstance(block, Integral) and not isinstance(block, bool)
-                                  and 0 <= block < g.blocks):
+    if block is not None and not (_whole(block, 0) and block < g.blocks):
         raise ValueError(f"block must lie in [0, {g.blocks}), got {block!r}")
     k, blocks = len(sources), range(g.blocks) if block is None else (block,)
     dist = np.empty((len(blocks) * k, g.node_count))

@@ -270,7 +270,8 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool from here when it opens one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiment, "_cpus", lambda: 64)
         two_runs = ExperimentConfig(densities=(60,), runs_per_density=2)
         assert len(run_experiment(two_runs, n_workers=500).records) == 2

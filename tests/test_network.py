@@ -478,6 +478,39 @@ class TestDeploymentCoords:
         with pytest.raises(ValueError):
             Deployment(50, 50, coords, (0,), 10.0)
 
+    @pytest.mark.parametrize("name", ["width", "height", "comm_range"])
+    @pytest.mark.parametrize("value", [-10.0, -50, 0, 0.0, math.nan, math.inf, -math.inf,
+                                       True, "50", None])
+    def test_bad_area_rejected(self, name, value):
+        # ExperimentConfig's rule: a finite number > 0, not a bool, refused
+        # before a negative range reaches the pair sweep or a NaN one its cast
+        xy = [[0.0, 0.0], [5.0, 0.0]]
+        args = {"width": 50.0, "height": 50.0, "comm_range": 10.0, name: value}
+        match = re.escape(f"{name} must be a finite number > 0, got {value!r}") + "$"
+        with pytest.raises(ValueError, match=match):
+            Deployment(coords=xy, anchor_ids=(0,), **args)
+        with pytest.raises(ValueError, match=match):
+            Deployment.from_json_dict({"nodes": xy, "anchor_ids": [0], **args})
+        with pytest.raises(ValueError, match=match):
+            generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args)
+
+    @pytest.mark.parametrize("n_unknown, n_anchors, match", [
+        (-5, 3, "n_unknown must be an integer >= 0, got -5$"),
+        (2.5, 3, "n_unknown must be an integer >= 0, got 2.5$"),
+        (True, 3, "n_unknown must be an integer >= 0, got True$"),
+        (10, 3.5, "n_anchors must be an integer >= 3, got 3.5$"),
+        (10, 2, "n_anchors must be an integer >= 3, got 2$"),
+    ])
+    def test_bad_counts_rejected(self, n_unknown, n_anchors, match):
+        with pytest.raises(ValueError, match=match):
+            generate_deployment(50, 50, n_unknown, n_anchors, 10.0, seed=1)
+
+    def test_integer_area_and_counts_accepted(self):
+        # an int or numpy number is a number; the area keeps the value passed
+        dep = generate_deployment(np.int64(50), 50, np.int64(100), 3, np.float64(10), seed=1)
+        assert dep == generate_deployment(50.0, 50.0, 100, 3, 10.0, seed=1)
+        assert Deployment.from_json_dict(dep.to_json_dict()).to_json_dict() == dep.to_json_dict()
+
     @pytest.mark.parametrize("anchor_ids", [(0, 1, -1), (0, 1, 4), (0, 0, 1), (0, 1, 1.5)])
     def test_bad_anchor_ids_rejected(self, anchor_ids):
         # on 4 nodes: negative, out of range, repeated and non-integer ids
@@ -639,6 +672,11 @@ class TestNetworkGraph:
     def test_invalid_edges_rejected(self, edges, match):
         with pytest.raises(ValueError, match=match):
             NetworkGraph(3, edges)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True, None])
+    def test_bad_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {n!r}")):
+            NetworkGraph(n, [])
 
     def test_no_edges(self):
         g = NetworkGraph(2, [])
@@ -1035,43 +1073,63 @@ def test_cli_import_and_sweep_leave_out_scipy_spatial():
 
 def test_commands_without_shortest_paths_leave_out_scipy(tmp_path):
     # only the network functions that compute paths import scipy, so loading
-    # a config, --help, plot and a refused config never load it; a pooled
-    # sweep imports it in the parent, which its forked workers inherit.
-    # Checked in a fresh interpreter, in that order
+    # a config, --help, plot and a refused config never load it; only a
+    # pooled sweep imports the process pool, in the parent, which its forked
+    # workers inherit along with scipy; only demo and plot load the SVG
+    # writer. Checked in fresh interpreters, each in its order: plot alone,
+    # for scipy, and every command, for the pool and the SVG writer
     (tmp_path / "runs.csv").write_text(
         "algorithm,density,run_index,seed,run_mean_error_m\nRAIL,60,0,123,4.5000\n")
     (tmp_path / "cfg.json").write_text('{"densities": [60], "runs_per_density": 2}')
     (tmp_path / "bad.json").write_text('{"densities": [60], "sigma": 3000}')
-    code = (
+    prelude = (
         "import os, sys\n"
         "tmp = sys.argv[1]\n"
         "from railsim import cli, experiment\n"
-        "cli.ExperimentConfig.from_json_file(os.path.join(tmp, 'cfg.json'))\n"
-        "assert 'scipy' not in sys.modules, 'import and config load'\n"
+        "def absent(names, what):\n"
+        "    loaded = [m for m in names if m in sys.modules]\n"
+        "    assert not loaded, (what, loaded)\n"
+        "POOL = ['multiprocessing', 'concurrent.futures.process']\n"
+        "def at(name):\n"
+        "    return os.path.join(tmp, name)\n"
+        "plot = ['plot', '--runs', at('runs.csv'), '--out', at('plots')]\n"
+    )
+    plot_alone = (
+        "assert cli.main(plot) == 0\n"
+        "absent(['scipy'] + POOL, 'plot')\n"
+    )
+    every_command = (
+        "cli.ExperimentConfig.from_json_file(at('cfg.json'))\n"
+        "absent(['scipy', 'railsim.svgplot'] + POOL, 'import and config load')\n"
         "try:\n"
         "    cli.main(['--help'])\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "assert 'scipy' not in sys.modules, '--help'\n"
-        "plot = ['plot', '--runs', os.path.join(tmp, 'runs.csv'), '--out',\n"
-        "        os.path.join(tmp, 'plots')]\n"
+        "absent(['scipy', 'railsim.svgplot'] + POOL, '--help')\n"
+        "assert cli.main(['run', '--config', at('bad.json'), '--out', at('bad-out')]) == 1\n"
+        "absent(['scipy', 'railsim.svgplot'] + POOL, 'refused config')\n"
+        "serial = ['run', '--config', at('cfg.json'), '--out', at('serial'), '--workers', '1']\n"
+        "assert cli.main(serial) == 0\n"
+        "absent(['railsim.svgplot'] + POOL, 'serial run')\n"
         "assert cli.main(plot) == 0\n"
-        "assert 'scipy' not in sys.modules, 'plot'\n"
-        "bad = ['run', '--config', os.path.join(tmp, 'bad.json'), '--out',\n"
-        "       os.path.join(tmp, 'bad-out')]\n"
-        "assert cli.main(bad) == 1\n"
-        "assert 'scipy' not in sys.modules, 'refused config'\n"
+        "absent(POOL, 'plot')\n"
+        "assert cli.main(['demo', '--config', at('cfg.json'), '--out', at('demo')]) == 0\n"
+        "absent(POOL, 'demo')\n"
         "experiment._cpus = lambda: 2  # a pool of 2 on any runner\n"
-        "cfg = cli.ExperimentConfig.from_json_file(os.path.join(tmp, 'cfg.json'))\n"
+        "cfg = cli.ExperimentConfig.from_json_file(at('cfg.json'))\n"
         "assert len(experiment.run_experiment(cfg, n_workers=2).records) == 2\n"
-        "assert 'scipy.sparse.csgraph' in sys.modules, 'pooled sweep'\n"
+        "for m in ('scipy.sparse.csgraph', 'concurrent.futures.process'):\n"
+        "    assert m in sys.modules, ('pooled sweep', m)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(railsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src, RAIL_LOG="off")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for steps in (plot_alone, every_command):
+        proc = subprocess.run([sys.executable, "-c", prelude + steps, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "plots" / "errors_60.svg").exists()
+    assert (tmp_path / "serial" / "runs.csv").exists()
+    assert (tmp_path / "demo" / "scene.svg").exists()
 
 
 def test_hop_floods_overestimate_weighted_shortest():
