@@ -203,32 +203,25 @@ def _node_ids(n: int, ids) -> np.ndarray:
 
 
 def _symmetric_csr(n: int, links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, cols, slots): the symmetric CSR layout of n nodes' links, a
+    """(indptr, cols, link): the symmetric CSR layout of n nodes' links, a
     (2, pairs) array of rows i and j, i < j, sorted by (i, j).
 
-    Row u lists u's neighbors in increasing id order, and link k = (i, j)
-    fills entry ``slots[0, k]`` of row i and ``slots[1, k]`` of row j. The
-    arrays are read-only: a deployment's layout is shared by its graphs.
+    One stable sort by row of both arcs of every link, the arcs (j, i)
+    first, so row u lists its smaller neighbors and then its larger ones,
+    each in increasing id order; numpy sorts ids of up to 16 bits by radix.
+    Entry e belongs to link ``link[e]``. The arrays are read-only: a
+    deployment's layout is shared by its graphs.
     """
     i, j = links
-    below = np.bincount(j, minlength=n)  # per node, neighbors with smaller ids
-    above = np.bincount(i, minlength=n)
+    rows = np.concatenate((j, i))
+    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(below + above, out=indptr[1:])
-    k = np.arange(len(i))
-    # row i holds its smaller neighbors, then its links in (i, j) order
-    upper = k + (indptr[:-1] + below - (np.cumsum(above) - above))[i]
-    # row j holds its links by increasing i: a stable sort by j, which
-    # numpy does as a radix sort on ids of up to 16 bits
-    by_j = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
-    lower = np.empty_like(k)
-    lower[by_j] = k + (indptr[:-1] - (np.cumsum(below) - below))[j[by_j]]
-    cols = np.empty(2 * len(k), dtype=np.intp)
-    cols[upper], cols[lower] = j, i
-    slots = np.stack((upper, lower))
-    for a in (indptr, cols, slots):
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    cols = np.concatenate((i, j))[order]
+    link = np.where(order < len(i), order, order - len(i))  # arc k is link k mod pairs
+    for a in (indptr, cols, link):
         a.flags.writeable = False
-    return indptr, cols, slots
+    return indptr, cols, link
 
 
 class NetworkGraph:
@@ -245,7 +238,8 @@ class NetworkGraph:
     gives one block's, and ``edge_index`` finds links by their block and
     ends. ``adjacency[v]`` lists the (neighbor, weight) pairs of node v of
     block 0, built on first use; ``neighbors`` and ``edge_weight`` read
-    block 0 too.
+    block 0 too. Each of these but ``edge_index`` raises ValueError on a
+    node id or block outside the graph.
 
     ``NetworkGraph(n, edges)`` takes (u, v, weight) triples in any order and
     orientation and raises ValueError on an n that is not an integer >= 0,
@@ -284,6 +278,8 @@ class NetworkGraph:
     def stack(cls, graphs: Sequence["NetworkGraph"]) -> "NetworkGraph":
         """The blocks of ``graphs``, in order, as one graph that shares
         their matrices."""
+        if not graphs:
+            raise ValueError("a stack needs at least one graph")
         n = graphs[0].node_count
         if any(g.node_count != n for g in graphs):
             raise ValueError("the stacked graphs must have one node count")
@@ -316,10 +312,17 @@ class NetworkGraph:
         return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def neighbors(self, u: int) -> list[tuple[int, float]]:
+        (u,) = _node_ids(self.node_count, [u])
         return self.adjacency[u]
+
+    def _require_block(self, block) -> None:
+        """ValueError unless ``block`` is an integer, not a bool, in [0, blocks)."""
+        if not (_whole(block, 0) and block < self.blocks):
+            raise ValueError(f"block must lie in [0, {self.blocks}), got {block!r}")
 
     def links_of(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, weights) of the links of ``block``, i < j, sorted by (i, j)."""
+        self._require_block(block)
         lo, hi = self._start[block], self._start[block + 1]
         return self.links[0, lo:hi], self.links[1, lo:hi], self.weights[lo:hi]
 
@@ -327,7 +330,8 @@ class NetworkGraph:
         """(found, link position) of the link between nodes u and v of
         ``block``, per element of the broadcast arrays; the position is
         meaningless where not found, and the link's weight is
-        ``weights[pos]``.
+        ``weights[pos]``. The ids are not checked: a key of nodes outside
+        [0, n) can match another pair's link.
         """
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         keys = (np.asarray(block, dtype=np.int64) * self.node_count
@@ -337,6 +341,7 @@ class NetworkGraph:
 
     def edge_weight(self, u: int, v: int) -> Optional[float]:
         """The weight of the link between nodes u and v of block 0, or None."""
+        u, v = _node_ids(self.node_count, [u, v])
         found, pos = self.edge_index(0, u, v)
         return float(self.weights[pos]) if found else None
 
@@ -346,11 +351,9 @@ def _placed(weights: np.ndarray, csr: tuple):
     each link's weight in both its entries."""
     from scipy.sparse import csr_matrix
 
-    indptr, cols, slots = csr
+    indptr, cols, link = csr
     n = len(indptr) - 1
-    data = np.empty(len(cols))
-    data[slots] = weights
-    return csr_matrix((data, cols, indptr), shape=(n, n), dtype=float)
+    return csr_matrix((weights[link], cols, indptr), shape=(n, n), dtype=float)
 
 
 def _pairs_in_range(coords: np.ndarray, r: float) -> np.ndarray:
@@ -573,8 +576,8 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
     from scipy.sparse.csgraph import dijkstra
 
     sources = _node_ids(g.node_count, sources)
-    if block is not None and not (_whole(block, 0) and block < g.blocks):
-        raise ValueError(f"block must lie in [0, {g.blocks}), got {block!r}")
+    if block is not None:
+        g._require_block(block)
     k, blocks = len(sources), range(g.blocks) if block is None else (block,)
     dist = np.empty((len(blocks) * k, g.node_count))
     pred = np.empty(dist.shape, dtype=np.intp)
@@ -589,8 +592,10 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
     """Shortest estimated distances, hop counts and paths to each target,
-    read from ``dijkstra_trees``.
+    read from ``dijkstra_trees``, on a graph of one block.
     """
+    if g.blocks != 1:
+        raise ValueError(f"shortest_ranging needs a graph of 1 block, got {g.blocks} blocks")
     t = dijkstra_trees(g, [source])
     hops = t.hops[0, _node_ids(g.node_count, targets)].tolist()
     dist, pred = t.dist[0], t.pred[0].tolist()

@@ -9,6 +9,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
@@ -25,6 +27,7 @@ from railsim.network import (
     _components_ok,
     _reconstruct,
     _resolve_ties,
+    _symmetric_csr,
     build_graph,
     dijkstra_trees,
     generate_deployment,
@@ -523,6 +526,40 @@ class TestDeploymentCoords:
             Deployment.from_json_dict(d)
 
 
+@st.composite
+def link_sets(draw):
+    """(n, links): a set of links (i, j), i < j, of n nodes as a (2, pairs)
+    intp array sorted by (i, j), with n on each side of where
+    ``np.min_scalar_type`` widens ids past 8 and past 16 bits."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(250, 262), st.integers(65530, 65542)))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.sets(st.tuples(ends, ends), max_size=60)) if n else set()
+    links = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    return n, np.array(links, dtype=np.intp).reshape(-1, 2).T
+
+
+def lexsort_csr(n, links):
+    """Reference layout: both entries of every link sorted by (row, column),
+    with the link of each."""
+    i, j = links
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return indptr, cols[order], np.tile(np.arange(len(i)), 2)[order]
+
+
+class TestSymmetricCsr:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(link_sets())
+    def test_equals_lexsort_layout(self, case):
+        # no links, isolated nodes and ids of 8, 16 and 32 bits
+        n, links = case
+        got = _symmetric_csr(n, links)
+        for a, b in zip(got, lexsort_csr(n, links)):
+            assert a.dtype == np.intp and np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
 class TestBuildGraph:
     def test_exact_round_trip_edge(self):
         dep = Deployment(50, 50, np.array([[0, 0], [5, 0]]), (0,), 10.0)
@@ -748,6 +785,10 @@ class TestStack:
         # the last pair of the last block stays below the keys' sentinel
         assert not stack.edge_index(len(gs) - 1, n - 1, n - 1)[0]
 
+    def test_rejects_no_graphs(self):
+        with pytest.raises(ValueError, match="a stack needs at least one graph"):
+            NetworkGraph.stack([])
+
     def test_rejects_mixed_sizes(self):
         g = noisy_graph(0, n_unknown=60)
         with pytest.raises(ValueError, match="one node count"):
@@ -787,6 +828,12 @@ class TestShortestRanging:
         assert res.shortest_distance == pytest.approx(9.0)
         assert res.hop_count == 1
         assert res.path == (0, 2)
+
+    def test_rejects_a_stack(self):
+        # not block 0's answer after growing every block's tree
+        g = NetworkGraph(3, [(0, 1, 4.0), (1, 2, 3.0)])
+        with pytest.raises(ValueError, match="got 2 blocks"):
+            shortest_ranging(NetworkGraph.stack([g, g]), 0, [2])
 
     def test_unreachable(self):
         g = NetworkGraph(3, [(0, 1, 1.0)])
@@ -1011,6 +1058,29 @@ class TestNodeIdsOutsideTheGraph:
         message = rf"block must lie in \[0, 2\), got {re.escape(repr(block))}$"
         with pytest.raises(ValueError, match=message):
             dijkstra_trees(g, [0], block)
+
+
+    # edge_weight(0, 6) once gave link (1, 2)'s weight, whose key 6 aliases,
+    # and neighbors(-1) node 3's neighbors
+    BLOCK0 = {
+        "edge_weight": lambda g, v: g.edge_weight(0, v),
+        "edge_weight-first": lambda g, v: g.edge_weight(v, 3),
+        "neighbors": lambda g, v: g.neighbors(v),
+    }
+
+    @pytest.mark.parametrize("node", [-1, 6, 7])
+    @pytest.mark.parametrize("call", BLOCK0)
+    def test_block0_query_rejected(self, call, node):
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+        with pytest.raises(ValueError, match=rf"node ids must lie in \[0, 4\), got {node}$"):
+            self.BLOCK0[call](g, node)
+
+    @pytest.mark.parametrize("block", [-1, 1, True, 1.0])
+    def test_links_of_block_outside_rejected(self, block):
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        message = rf"block must lie in \[0, 1\), got {re.escape(repr(block))}$"
+        with pytest.raises(ValueError, match=message):
+            g.links_of(block)
 
 
 class TestMinHops:
