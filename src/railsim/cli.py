@@ -35,7 +35,10 @@ def _setup_logging() -> None:
     level = {"off": logging.CRITICAL, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("RAIL_LOG", "info").lower(), logging.INFO
     )
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+    # basicConfig adds the stderr handler once; the level is set on every
+    # call, so each main() in a process follows RAIL_LOG as it is then
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    log.setLevel(level)
 
 
 class BadInput(Exception):

@@ -331,7 +331,9 @@ def _cpus() -> int:
 
 
 def run_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Execute the full (density x run) sweep; deterministic given cfg."""
+    """Execute the full (density x run) sweep; deterministic given cfg.
+    ValueError unless ``n_workers`` is an integer >= 1, not a bool."""
+    _require("n_workers", n_workers, _whole(n_workers, 1), "an integer >= 1")
     jobs = chunks(cfg, n_workers)
     # the pool starts every worker at once: no more than the jobs or the CPUs
     n_workers = min(n_workers, len(jobs), _cpus())

@@ -26,14 +26,18 @@ def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
 
     numpy's SIMD acos, log10, hypot and power can differ from ``math``'s
     in the last bit on some CPUs, while the scalar code calls ``math``;
-    mapping it keeps array and scalar results identical.
+    mapping it keeps array and scalar results identical. Each array is
+    read from a C-contiguous float64 buffer through a memoryview, so an
+    element's float lives only while ``map`` consumes it and no list as
+    long as the array is built.
     """
     arrays = [np.asarray(a) for a in arrays]
     shapes = {a.shape for a in arrays if a.ndim}
     shape = np.broadcast_shapes(*shapes) if len(shapes) > 1 else max(shapes, default=())
-    # a 0-d argument is repeated, not broadcast into a list of its own
+    # a 0-d argument is repeated, not broadcast into a buffer of its own
     flat = (itertools.repeat(a.item()) if a.ndim == 0
-            else (a if a.shape == shape else np.broadcast_to(a, shape)).ravel().tolist()
+            else memoryview(np.asarray(a if a.shape == shape else np.broadcast_to(a, shape),
+                                       float).ravel())
             for a in arrays)
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 

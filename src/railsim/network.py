@@ -596,8 +596,11 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
     """
     if g.blocks != 1:
         raise ValueError(f"shortest_ranging needs a graph of 1 block, got {g.blocks} blocks")
+    # Python ints, not the caller's numpy ones, in each result and path
+    (source,) = _node_ids(g.node_count, [source]).tolist()
+    targets = _node_ids(g.node_count, targets).tolist()
     t = dijkstra_trees(g, [source])
-    hops = t.hops[0, _node_ids(g.node_count, targets)].tolist()
+    hops = t.hops[0, targets].tolist()
     dist, pred = t.dist[0], t.pred[0].tolist()
     out = []
     for v, h in zip(targets, hops):

@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +230,30 @@ class TestRun:
             assert main(["run", "--config", str(p), "--out", str(outs[-1])]) == 0
         a, b = outs
         assert (a / "runs.csv").read_bytes() != (b / "runs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("levels", [("off", "info"), ("info", "off")])
+def test_rail_log_applies_to_every_main(levels, cfg_path, tmp_path):
+    # two `rail run`s in one fresh process (no handler on the root logger
+    # yet, unlike under pytest): each follows RAIL_LOG as set for it
+    script = (
+        "import os, sys\n"
+        "from railsim import cli\n"
+        "cfg, out = sys.argv[1:3]\n"
+        "for k, level in enumerate(sys.argv[3:]):\n"
+        "    os.environ['RAIL_LOG'] = level\n"
+        "    assert cli.main(['run', '--config', cfg, '--out', f'{out}{k}']) == 0\n"
+        "    print('-- end of call', file=sys.stderr, flush=True)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, cfg_path, str(tmp_path / "out"), *levels],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = proc.stderr.split("-- end of call\n")[:2]
+    for level, err in zip(levels, calls):
+        wrote = "INFO wrote report.csv, runs.csv, errors.csv to " in err
+        assert wrote == (level == "info"), (level, err)
 
 
 class TestUsage:

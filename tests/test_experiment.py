@@ -251,6 +251,17 @@ class TestDeterminism:
         assert r2.mean_error == small_report.mean_error
         assert r2.std_error == small_report.std_error
 
+    @pytest.mark.parametrize("n_workers", [0, -1, True, False, 1.5, 2.0, "2", None])
+    def test_bad_worker_count_rejected(self, n_workers, monkeypatch):
+        # refused before any chunk runs, not run serially or as a bare TypeError
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(experiment, "_run_chunk", no_chunk)
+        with pytest.raises(ValueError,
+                           match=f"n_workers must be an integer >= 1, got {n_workers!r}$"):
+            run_experiment(SMALL, n_workers=n_workers)
+
     def test_pool_bounded_by_job_count(self, monkeypatch):
         # the pool starts all its workers at the first submit, so it gets no
         # more than there are runs or CPUs, and a single run or CPU stays

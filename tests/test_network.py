@@ -22,6 +22,7 @@ from railsim.network import (
     Deployment,
     GenerationFailed,
     NetworkGraph,
+    RangingResult,
     Unreachable,
     _anchor_index,
     _components_ok,
@@ -828,6 +829,15 @@ class TestShortestRanging:
         assert res.shortest_distance == pytest.approx(9.0)
         assert res.hop_count == 1
         assert res.path == (0, 2)
+
+    def test_numpy_ids_give_python_ints(self):
+        # the fields are declared int: numpy ids in, Python ints out
+        g = NetworkGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        (res,) = shortest_ranging(g, np.int64(0), np.array([3]))
+        assert res == RangingResult(0, 3, 3.0, 3, (0, 1, 2, 3))
+        for value in (res.anchor_id, res.target_id, res.hop_count, *res.path):
+            assert type(value) is int
+        assert type(res.shortest_distance) is float
 
     def test_rejects_a_stack(self):
         # not block 0's answer after growing every block's tree
