@@ -1,8 +1,9 @@
 """Comparison algorithms: Min-Max and RSSI-based DV-hop.
 
-Min-Max is range-free (BFS hop counts times the communication range);
-the DV-hop variant here feeds accumulated RSSI multi-hop distances straight
-into a linearized trilateration solve.
+Min-Max is range-free: the center of RAIL's box of anchor squares
+(``square_box``) with BFS hop counts times the communication range in place
+of shortest distances; the DV-hop variant feeds accumulated RSSI multi-hop
+distances straight into a linearized trilateration solve.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, libm
+from .geometry import Point, libm, square_box
 
 DET_TOL = 1e-9
 
@@ -25,22 +26,17 @@ class BaselineEstimate:
 
 
 def min_max_all(ax: np.ndarray, ay: np.ndarray, hops: np.ndarray, comm_range: float):
-    """Min-Max for many targets: the center of the intersection of the
-    per-anchor squares of half-width hops * comm_range. Anchor coordinates
-    are (k,) and hop counts (k, m), or (k, B) and (k, B, m) for B runs of
-    m targets each. Returns the estimates (x, y) and the inverted flags,
-    each (m,) or (B, m).
+    """Min-Max for many targets: the center of ``square_box``, the
+    intersection of the per-anchor squares of half-width hops * comm_range.
+    Anchor coordinates are (k,) and hop counts (k, m), or (k, B) and
+    (k, B, m) for B runs of m targets each. Returns the estimates (x, y) and
+    the inverted flags, each (m,) or (B, m).
 
-    The (max-of-mins, min-of-maxes) rectangle is centered even when it is
-    inverted; the flag records that situation.
+    The rectangle is centered even when it is inverted; the flag records
+    that situation.
     """
-    reach = hops * comm_range
-    ax, ay = ax[..., None], ay[..., None]
-    x_min = (ax - reach).max(axis=0)
-    x_max = (ax + reach).min(axis=0)
-    y_min = (ay - reach).max(axis=0)
-    y_max = (ay + reach).min(axis=0)
-    inverted = (x_min > x_max) | (y_min > y_max)
+    (x_min, x_max, y_min, y_max), inverted = square_box(ax[..., None], ay[..., None],
+                                                        hops * comm_range)
     return (x_min + x_max) / 2.0, (y_min + y_max) / 2.0, inverted
 
 

@@ -37,6 +37,7 @@ from .network import (
     NetworkGraph,
     _finite,
     _require,
+    _require_area,
     _whole,
     build_graph,
     generate_deployment,
@@ -93,28 +94,19 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        def distinct(xs):
-            return len(set(xs)) == len(xs)
-
+        _require("n_anchors", self.n_anchors,
+                 _whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
+                 f"an integer in [3, {N_ANCHORS_MAX}]")
+        _require("runs_per_density", self.runs_per_density, _whole(self.runs_per_density, 1),
+                 "an integer >= 1")
+        _require("base_seed", self.base_seed, _whole(self.base_seed, 0), "an integer >= 0")
+        d = self.densities
+        _require("densities", d, bool(d) and all(_whole(x, 1) and x <= N_NODES_MAX for x in d)
+                 and len(set(d)) == len(d), f"distinct integers in [1, {N_NODES_MAX}]")
+        _require_area(self.width, self.height, self.comm_range)
         # an infinite sigma would hang the shortest-path tie resolution
-        rules = {
-            "n_anchors": (_whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
-                          f"an integer in [3, {N_ANCHORS_MAX}]"),
-            "runs_per_density": (_whole(self.runs_per_density, 1), "an integer >= 1"),
-            "base_seed": (_whole(self.base_seed, 0), "an integer >= 0"),
-            "densities": (bool(self.densities)
-                          and all(_whole(d, 1) and d <= N_NODES_MAX for d in self.densities)
-                          and distinct(self.densities),
-                          f"distinct integers in [1, {N_NODES_MAX}]"),
-            "width": (_finite(self.width) and self.width > 0, "a finite number > 0"),
-            "height": (_finite(self.height) and self.height > 0, "a finite number > 0"),
-            "comm_range": (_finite(self.comm_range) and self.comm_range > 0,
-                           "a finite number > 0"),
-            "sigma": (_finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
-                      f"a number in [0, {SIGMA_MAX_DB:g}] dB"),
-        }
-        for name, (ok, rule) in rules.items():
-            _require(name, getattr(self, name), ok, rule)
+        _require("sigma", self.sigma, _finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
+                 f"a number in [0, {SIGMA_MAX_DB:g}] dB")
         if not self.expected_pairs <= N_PAIRS_MAX:  # also rejects an overflow to NaN
             raise ValueError(
                 f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "

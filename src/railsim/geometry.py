@@ -1,8 +1,10 @@
 """Exact 2D primitives: points and their distance, the tolerance of the
-location rule's comparisons, and ``libm``, the array map that keeps the
-array passes bit-identical to scalar float arithmetic: it maps a scalar
-``math`` function (``hypot`` for every distance, ``log10``, ``pow``,
-``acos``, ``cos``, ``sin``) over arrays one element at a time.
+location rule's comparisons, ``square_box``, the intersection of
+axis-aligned squares that gives Min-Max its estimate and RAIL its box,
+and ``libm``, the array map that keeps the array passes bit-identical to
+scalar float arithmetic: it maps a scalar ``math`` function (``hypot``
+for every distance, ``log10``, ``pow``, ``acos``, ``cos``, ``sin``) over
+arrays one element at a time.
 
 The scalar boxes, rays and location rule that RAIL's array passes are
 checked against live in ``tests/oracle.py``.
@@ -40,6 +42,17 @@ def libm(fn: Callable[..., float], *arrays) -> np.ndarray:
                                        float).ravel())
             for a in arrays)
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
+
+
+def square_box(ax: np.ndarray, ay: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intersection over axis 0 of the squares of half-width ``half``
+    around (ax, ay), broadcast together: its bounds (x_min, x_max, y_min,
+    y_max) stacked on a new axis 0, and the mask where they are inverted,
+    the squares having no common point.
+    """
+    box = np.stack(((ax - half).max(axis=0), (ax + half).min(axis=0),
+                    (ay - half).max(axis=0), (ay + half).min(axis=0)))
+    return box, (box[0] > box[1]) | (box[2] > box[3])
 
 
 @dataclass(frozen=True)

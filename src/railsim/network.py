@@ -43,6 +43,8 @@ from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
 ANCHOR_AREA_MIN = 25.0
+# the deployments ``generate_deployment`` samples before it gives up
+MAX_ATTEMPTS = 1000
 
 
 def _whole(x, low: int) -> bool:
@@ -69,7 +71,7 @@ def _require_area(width, height, comm_range) -> None:
 
 
 class GenerationFailed(Exception):
-    """Deployment constraints could not be satisfied within max_attempts."""
+    """Deployment constraints could not be satisfied within MAX_ATTEMPTS."""
 
 
 class Unreachable(Exception):
@@ -81,7 +83,8 @@ class Deployment:
     """Ground truth of one simulated world: node i sits at ``coords[i]``.
 
     ``coords`` is stored as a read-only (n, 2) float array (a copy of what
-    the caller passed). ``anchor_ids`` must be distinct node ids in [0, n).
+    the caller passed). ``anchor_ids`` must be distinct node ids in [0, n),
+    kept as a tuple of Python ints.
     Anchors occupy the first ``len(anchor_ids)`` node slots by construction,
     but consumers should rely on ``anchor_ids`` only. ``width``, ``height``
     and ``comm_range`` must be finite numbers > 0; the nodes may lie outside
@@ -102,10 +105,11 @@ class Deployment:
         if not np.isfinite(xy).all():
             raise ValueError("non-finite node position")
         ids, n = tuple(self.anchor_ids), len(xy)
-        if len(set(ids)) < len(ids) or not all(_whole(i, 0) and i < n for i in ids):
+        if not all(_whole(i, 0) and i < n for i in ids) or len(set(ids)) < len(ids):
             raise ValueError(f"anchor ids must be distinct integers in [0, {n}), not {ids}")
         xy.flags.writeable = False
         object.__setattr__(self, "coords", xy)
+        object.__setattr__(self, "anchor_ids", tuple(int(i) for i in ids))
 
     def __eq__(self, other):
         if not isinstance(other, Deployment):
@@ -428,7 +432,6 @@ def generate_deployment(
     n_anchors: int,
     comm_range: float,
     seed,
-    max_attempts: int = 1000,
 ) -> Deployment:
     """Sample uniform deployments until all placement constraints hold.
 
@@ -446,7 +449,7 @@ def generate_deployment(
     anchor_ids = tuple(range(n_anchors))
     (pi, pj), (ti, tj, tk) = _anchor_index(n_anchors)
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         # the bits of rng.uniform((0, 0), (width, height)), which adds 0.0
         coords = rng.random((n_total, 2)) * (width, height)
         x, y = coords[:n_anchors, 0], coords[:n_anchors, 1]
@@ -460,7 +463,7 @@ def generate_deployment(
         if _components_ok(dep):  # computes dep.links and dep._csr, which build_graph reads
             return dep
     raise GenerationFailed(
-        f"no valid deployment in {max_attempts} attempts "
+        f"no valid deployment in {MAX_ATTEMPTS} attempts "
         f"(area {width}x{height}, {n_unknown} unknown, {n_anchors} anchors, R={comm_range})"
     )
 
@@ -481,7 +484,7 @@ def build_graph(
     i, j = dep.links
     if model.sigma > 0 and rng is None:
         raise ValueError(f"sigma {model.sigma} dB needs an rng to draw the noise from")
-    noise = rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0 else np.zeros(len(i))
+    noise = rng.normal(0.0, model.sigma, size=len(i)) if model.sigma > 0 else 0.0
 
     x, y = dep.coords.T
     true_d = libm(math.hypot, x[i] - x[j], y[i] - y[j])

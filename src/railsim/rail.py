@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, libm
+from .geometry import DEFAULT_TOL, libm, square_box
 from .network import Deployment, NetworkGraph, Trees, Unreachable, _node_ids, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
@@ -69,16 +69,14 @@ class RailResults(NamedTuple):
 
 
 def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the intersection of the anchor squares of half-width sd
+    """Per column, ``square_box`` of the anchor squares of half-width sd
     around (ax, ay) (rows: anchors), as (4, m) bounds, and where it is empty;
     an empty box falls back to the square of the first anchor with the
     smallest sd.
     """
-    squares = np.stack((ax - sd, ax + sd, ay - sd, ay + sd))
-    x_min, x_max, y_min, y_max = squares
-    box = np.stack((x_min.max(axis=0), x_max.min(axis=0), y_min.max(axis=0), y_max.min(axis=0)))
-    empty = (box[0] > box[1]) | (box[2] > box[3])
-    fallback = squares[:, np.argmin(sd, axis=0), np.arange(sd.shape[1])]
+    box, empty = square_box(ax, ay, sd)
+    near = np.argmin(sd, axis=0)[None]
+    fallback = square_box(*(np.take_along_axis(a, near, axis=0) for a in (ax, ay, sd)))[0]
     return np.where(empty, fallback, box), empty
 
 
@@ -117,9 +115,8 @@ def corrected_angle(
 
 def _ancestors(forest: Trees, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The node k hops from the root of tree ``rows`` on its path to v, by
-    binary lifting: ``up`` holds each node's 2**r-th ancestor in pass r
-    (entries above a root are never read)."""
-    v = v.copy()
+    binary lifting, written over v: ``up`` holds each node's 2**r-th
+    ancestor in pass r (entries above a root are never read)."""
     steps = forest.hops[rows, v] - k
     up = forest.pred
     while steps.any():
@@ -148,8 +145,8 @@ def _angles(g: NetworkGraph, forest: Trees, rows: np.ndarray, ref: np.ndarray,
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
     # same K edges in path order
-    node_a = _ancestors(forest, rows, ref, k)
-    node_b = _ancestors(forest, rows, target, k)
+    node_a, node_b = _ancestors(forest, np.tile(rows, 2), np.concatenate((ref, target)),
+                                np.tile(k, 2)).reshape(2, -1)
     a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
     c_len, c_hops = _connections(g, forest, rows // k_src, node_a, node_b)
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
@@ -292,17 +289,22 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     angles of every target, so each run's block sees at most two scipy
     Dijkstra calls, and the second has no anchor among its sources.
 
-    Raises ``ValueError`` where ``coords`` does not hold g's runs and
-    nodes, for an anchor id that is not an integer in [0, n), for fewer
-    than 3 distinct anchors or a repeated anchor id,
+    Raises ``ValueError`` where ``coords`` is not a finite (g.blocks,
+    g.node_count, 2) array, for an anchor id that is not an integer in
+    [0, n), for fewer than 3 distinct anchors or a repeated anchor id,
     ``Unreachable`` where a chosen anchor cannot reach a partner anchor or
     its target, and ``DegenerateGeometry`` where two chosen anchors
     coincide.
     """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 3 or coords.shape[2] != 2:
+        raise ValueError(f"coords must have shape (runs, nodes, 2), not {coords.shape}")
     runs, n = coords.shape[:2]
     if (runs, n) != (g.blocks, g.node_count):
         raise ValueError(f"coords of {runs} runs of {n} nodes do not match a graph of "
                          f"{g.blocks} blocks of {g.node_count} nodes")
+    if not np.isfinite(coords).all():
+        raise ValueError("non-finite node position")
     anchor_ids = _node_ids(n, anchor_ids)
     n_anchors = len(anchor_ids)
     ids, counts = np.unique(anchor_ids, return_counts=True)

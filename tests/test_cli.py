@@ -14,7 +14,8 @@ from railsim.cli import main
 from railsim.experiment import N_TARGETS_MAX, RUN_TARGETS, ExperimentConfig, scenario
 from railsim.network import Deployment, Unreachable
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 SMALL_CFG = {
     "densities": [60],
@@ -230,6 +231,20 @@ class TestRun:
             assert main(["run", "--config", str(p), "--out", str(outs[-1])]) == 0
         a, b = outs
         assert (a / "runs.csv").read_bytes() != (b / "runs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_benchmark_golden_digests(workers, tmp_path):
+    # the benchmark refuses every sweep whose CSVs differ from the digests
+    # stored in perfbench/golden.json; its table2 sweep must give them here
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["table2"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(golden["config"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in golden["digests"]}
+    assert got == golden["digests"]
 
 
 @pytest.mark.parametrize("levels", [("off", "info"), ("info", "off")])

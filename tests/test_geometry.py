@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracle import (
     AABox,
@@ -17,7 +17,7 @@ from oracle import (
     project_onto_box,
     ray_pair_intersection,
 )
-from railsim.geometry import Point, distance, libm
+from railsim.geometry import Point, distance, libm, square_box
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 DRAWS = 1_000_000
@@ -187,6 +187,28 @@ class TestIntersectBoxes:
             if folded is None:
                 break
         assert folded == a
+
+
+# squares as (x, y, half-width), zero half-widths drawn often
+square = st.tuples(finite, finite, st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(square, min_size=k, max_size=k), min_size=1, max_size=4)))
+@example([[(0.0, 0.0, 1.0), (5.0, 0.0, 1.0)]])  # disjoint
+@example([[(0.0, 0.0, 1.0), (2.0, 2.0, 1.0)]])  # touching at a corner
+@example([[(1.0, 2.0, 0.0), (1.0, 2.0, 0.0)], [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])  # points
+def test_square_box_matches_intersect_boxes(columns):
+    # columns of k squares each, laid out as (k, m) arrays: column i's box
+    # is the oracle's intersection, and the mask is set where that is None
+    ax, ay, half = np.array(columns).transpose(2, 1, 0)
+    box, empty = square_box(ax, ay, half)
+    assert box.shape == (4, len(columns)) and empty.shape == (len(columns),)
+    for i, squares in enumerate(columns):
+        want = intersect_boxes([AABox(x - h, x + h, y - h, y + h) for x, y, h in squares])
+        assert bool(empty[i]) == (want is None)
+        if want is not None:
+            assert box[:, i].tolist() == [want.x_min, want.x_max, want.y_min, want.y_max]
 
 
 class TestRayPairIntersection:

@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 import railsim
+from railsim import network
 from railsim.geometry import Point, distance, libm
 from railsim.network import (
     ANCHOR_AREA_MIN,
@@ -299,10 +300,11 @@ class TestGenerateDeployment:
             assert triples.T.tolist() == [list(t) for t in itertools.combinations(range(n), 3)]
             assert not pairs.flags.writeable and not triples.flags.writeable
 
-    def test_infeasible_anchor_spacing(self):
+    def test_infeasible_anchor_spacing(self, monkeypatch):
         # anchors cannot be pairwise > 80 m apart inside a 50x50 area
-        with pytest.raises(GenerationFailed):
-            generate_deployment(50, 50, 0, 3, 80, seed=1, max_attempts=50)
+        monkeypatch.setattr(network, "MAX_ATTEMPTS", 50)
+        with pytest.raises(GenerationFailed, match="in 50 attempts"):
+            generate_deployment(50, 50, 0, 3, 80, seed=1)
 
     def test_deterministic(self):
         d1 = generate_deployment(50, 50, 100, 3, 10, seed=42)
@@ -337,16 +339,17 @@ class TestGenerateDeployment:
             assert_same_deployment(generate_deployment(*args, seed),
                                    reference_deployment(*args, seed))
 
-    def test_gives_up_with_scalar_reference(self):
+    def test_gives_up_with_scalar_reference(self, monkeypatch):
         # at 3 and 4 attempts the tight case fails for some seeds and not
         # others; both loops fail on the same ones. Seed 1 first succeeds at
         # attempt 3 and seed 0 at attempt 5, so one attempt too few or too
         # many changes the outcome
         args = (40, 40, 60, 6, 10)
         for max_attempts in (3, 4):
+            monkeypatch.setattr(network, "MAX_ATTEMPTS", max_attempts)
             failed = 0
             for seed in range(40):
-                got = attempt(generate_deployment, *args, seed, max_attempts=max_attempts)
+                got = attempt(generate_deployment, *args, seed)
                 want = attempt(reference_deployment, *args, seed, max_attempts=max_attempts)
                 assert (got is None) == (want is None)
                 if got is None:
@@ -515,7 +518,18 @@ class TestDeploymentCoords:
         assert dep == generate_deployment(50.0, 50.0, 100, 3, 10.0, seed=1)
         assert Deployment.from_json_dict(dep.to_json_dict()).to_json_dict() == dep.to_json_dict()
 
-    @pytest.mark.parametrize("anchor_ids", [(0, 1, -1), (0, 1, 4), (0, 0, 1), (0, 1, 1.5)])
+    @pytest.mark.parametrize("ids", [np.array([0, 1, 2]), tuple(np.arange(3))],
+                             ids=["array", "int64-tuple"])
+    def test_numpy_anchor_ids_kept_as_ints(self, ids):
+        # equality compares Python ints, not arrays, and JSON takes them
+        xy = [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [15.0, 5.0]]
+        dep = Deployment(50, 50, xy, ids, 10.0)
+        assert dep.anchor_ids == (0, 1, 2) and all(type(i) is int for i in dep.anchor_ids)
+        assert dep == Deployment(50, 50, xy, ids, 10.0) == Deployment(50, 50, xy, (0, 1, 2), 10.0)
+        assert Deployment.from_json_dict(json.loads(json.dumps(dep.to_json_dict()))) == dep
+
+    @pytest.mark.parametrize("anchor_ids", [(0, 1, -1), (0, 1, 4), (0, 0, 1), (0, 1, 1.5),
+                                            np.array([[0, 1, 2]])])
     def test_bad_anchor_ids_rejected(self, anchor_ids):
         # on 4 nodes: negative, out of range, repeated and non-integer ids
         xy = [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [15.0, 5.0]]

@@ -1,6 +1,7 @@
 import functools
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -636,6 +637,28 @@ class TestLocalizeAll:
                 localize_chunk(coords, dep.anchor_ids, graph)
         with pytest.raises(ValueError, match="2 blocks"):
             localize_all(dep, NetworkGraph.stack([g, g]))
+
+    @pytest.mark.parametrize("change, match", [
+        pytest.param(lambda xy: xy[:, :, :1], r"\(runs, nodes, 2\), not \(1, 63, 1\)$",
+                     id="one-column"),
+        pytest.param(lambda xy: np.concatenate((xy, xy[:, :, :1]), axis=2),
+                     r"\(runs, nodes, 2\), not \(1, 63, 3\)$", id="three-columns"),
+        # anchor 0's x
+        pytest.param(lambda xy: np.where((np.arange(63)[:, None] == 0) & (np.arange(2) == 0),
+                                         math.inf, xy),
+                     "non-finite node position$", id="infinite-anchor"),
+    ])
+    def test_coords_must_be_finite_xy(self, change, match, monkeypatch):
+        # refused before any tree is grown, with no numpy warning
+        dep, g = seeded(50, 50, 60, 3, 0.0, 1)
+
+        def grown(*args, **kwargs):
+            raise AssertionError("a tree was grown")
+        monkeypatch.setattr(rail, "dijkstra_trees", grown)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                localize_chunk(change(dep.coords[None]), dep.anchor_ids, g)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
