@@ -25,46 +25,31 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import baselines, rail
-from .geometry import libm
+from .geometry import _require, _whole, libm
 from .network import (
     Deployment,
     GenerationFailed,
     NetworkGraph,
-    _finite,
-    _require,
-    _require_area,
-    _whole,
+    _require_deployable,
     build_graph,
+    expected_pairs,
     generate_deployment,
     hop_floods,
 )
 from .radio import PathLossModel
+# the limits a config is checked against, each owned by the code whose
+# resource it bounds and importable from here too
+from .network import N_ANCHORS_MAX, N_NODES_MAX, N_PAIRS_MAX  # noqa: F401
+from .radio import SIGMA_MAX_DB  # noqa: F401
 
 ALL_ALGORITHMS = ("RAIL", "MinMax", "RssiDvHop")
 # the dtype of one algorithm's estimates: an (x, y) record per target
 ESTIMATE = np.dtype([("x", float), ("y", float)])
-# the largest accepted shadowing sigma (dB). Far above any measured channel,
-# and far below the thousands of dB at which a draw overflows the path-loss
-# inverse's 10 ** exponent
-SIGMA_MAX_DB = 100.0
-# the most anchors a run may place. The deployment sampler tests all
-# C(n_anchors, 3) anchor triangles on every attempt: 19,600 at 50 anchors,
-# about 13 ms per attempt, against 1.3e9 at 2000
-N_ANCHORS_MAX = 50
-# the most unknown nodes one run may place (one densities entry)
-N_NODES_MAX = 5000
-# the most in-range node pairs a deployment attempt may expect (see
-# ``ExperimentConfig.expected_pairs``). Every attempt holds all of its pairs,
-# so its memory follows this count: the 1.6 M pairs expected of 5000 nodes
-# and 50 anchors on 50 x 50 m with R = 10 (1.34 M found) take about 0.2 s
-# and 160 MB of peak RSS per attempt on a 2-vCPU Xeon, while a range beyond
-# the area's diagonal puts all 12.5 M pairs of 5000 nodes in range
-N_PAIRS_MAX = 2_000_000
 # the most targets a sweep may score (``ExperimentConfig.targets``), each of
 # its runs counting as RUN_TARGETS more. Every run's record stays in memory
 # until the CSVs are written: at 100-500 nodes per run a sweep's peak RSS
@@ -94,24 +79,22 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        _require("n_anchors", self.n_anchors,
-                 _whole(self.n_anchors, 3) and self.n_anchors <= N_ANCHORS_MAX,
-                 f"an integer in [3, {N_ANCHORS_MAX}]")
         _require("runs_per_density", self.runs_per_density, _whole(self.runs_per_density, 1),
                  "an integer >= 1")
         _require("base_seed", self.base_seed, _whole(self.base_seed, 0), "an integer >= 0")
-        d = self.densities
-        _require("densities", d, bool(d) and all(_whole(x, 1) and x <= N_NODES_MAX for x in d)
-                 and len(set(d)) == len(d), f"distinct integers in [1, {N_NODES_MAX}]")
-        _require_area(self.width, self.height, self.comm_range)
-        # an infinite sigma would hang the shortest-path tie resolution
-        _require("sigma", self.sigma, _finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
-                 f"a number in [0, {SIGMA_MAX_DB:g}] dB")
-        if not self.expected_pairs <= N_PAIRS_MAX:  # also rejects an overflow to NaN
-            raise ValueError(
-                f"the largest density must expect at most {N_PAIRS_MAX:,} node pairs in "
-                f"range, got {self.expected_pairs:.3g}: lower densities or comm_range, "
-                f"or widen the area")
+        # each element checked as given, an array's as the Python number it
+        # holds (``network._node_ids``' rule), and kept as a tuple of ints;
+        # the deployment rule below refuses a density above N_NODES_MAX
+        d = self.densities.tolist() if isinstance(self.densities, np.ndarray) else self.densities
+        _require("densities", self.densities, isinstance(d, Sequence) and len(d) > 0
+                 and all(_whole(x, 1) for x in d) and len(set(d)) == len(d),
+                 f"distinct integers in [1, {N_NODES_MAX}]")
+        object.__setattr__(self, "densities", tuple(int(x) for x in d))
+        # the node, anchor, area and pair rules of a deployment at the
+        # largest density, and the channel's sigma rule
+        _require_deployable(max(d), self.n_anchors, self.width, self.height, self.comm_range,
+                            unknown="the largest density")
+        PathLossModel(self.sigma)
         if self.targets + RUN_TARGETS * self.runs > N_TARGETS_MAX:
             raise ValueError(
                 f"a sweep must score at most {N_TARGETS_MAX:,} targets, counting {RUN_TARGETS} "
@@ -132,22 +115,19 @@ class ExperimentConfig:
     @property
     def expected_pairs(self) -> float:
         """The expected in-range node pairs of a deployment at the largest
-        density, n**2 * min(pi R**2, W H) / (2 W H) for n nodes, anchors
-        included; ignoring the area's edges makes it an overestimate."""
-        n = max(self.densities) + self.n_anchors
-        area = self.width * self.height
-        return n * n * min(math.pi * self.comm_range * self.comm_range, area) / (2 * area)
+        density, anchors included (``network.expected_pairs``)."""
+        return expected_pairs(max(self.densities) + self.n_anchors, self.width, self.height,
+                              self.comm_range)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):  # dict() would also take a list of pairs
             raise TypeError(f"a config must be a JSON object, got {type(d).__name__}")
         kwargs = dict(d)
-        if "densities" in kwargs:
-            # tuple() would split a string into characters and a dict into keys
-            if not isinstance(kwargs["densities"], (list, tuple)):
-                raise ValueError(f"densities must be a list, got {kwargs['densities']!r}")
-            kwargs["densities"] = tuple(kwargs["densities"])
+        # anything but a list is named as written, not as the characters of
+        # a string that the densities rule would read
+        if not isinstance(kwargs.get("densities", ()), (list, tuple)):
+            raise ValueError(f"densities must be a list, got {kwargs['densities']!r}")
         # a sweep scores every algorithm; the key may only say so
         algorithms = kwargs.pop("algorithms", list(ALL_ALGORITHMS))
         if algorithms != list(ALL_ALGORITHMS):

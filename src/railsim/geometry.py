@@ -4,7 +4,9 @@ axis-aligned squares that gives Min-Max its estimate and RAIL its box,
 and ``libm``, the array map that keeps the array passes bit-identical to
 scalar float arithmetic: it maps a scalar ``math`` function (``hypot``
 for every distance, ``log10``, ``pow``, ``acos``, ``cos``, ``sin``) over
-arrays one element at a time.
+arrays one element at a time. The input rules every module applies
+(``_whole``, ``_finite``, ``_require``) live here too, as this module
+imports nothing from railsim.
 
 The scalar boxes, rays and location rule that RAIL's array passes are
 checked against live in ``tests/oracle.py``.
@@ -15,11 +17,28 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def _whole(x, low: int) -> bool:
+    """Whether x is an integer, not a bool, >= low."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= low
+
+
+def _finite(x) -> bool:
+    """Whether x is a finite real number, not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _require(name: str, value, ok: bool, rule: str) -> None:
+    """Refuse ``value`` unless ok, as "<name> must be <rule>, got <value>"."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def libm(fn: Callable[..., float], *arrays) -> np.ndarray:

@@ -33,41 +33,72 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, libm
+from .geometry import Point, _finite, _require, _whole, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
 ANCHOR_AREA_MIN = 25.0
 # the deployments ``generate_deployment`` samples before it gives up
 MAX_ATTEMPTS = 1000
-
-
-def _whole(x, low: int) -> bool:
-    """Whether x is an integer, not a bool, >= low."""
-    return isinstance(x, Integral) and not isinstance(x, bool) and x >= low
-
-
-def _finite(x) -> bool:
-    """Whether x is a finite real number, not a bool."""
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _require(name: str, value, ok: bool, rule: str) -> None:
-    """Refuse ``value`` unless ok, as "<name> must be <rule>, got <value>"."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+# the most anchors a deployment may place. Each attempt tests all
+# C(n_anchors, 3) anchor triangles: 19,600 at 50 anchors, about 13 ms per
+# attempt, against 1.3e9 at 2000
+N_ANCHORS_MAX = 50
+# the most unknown nodes a deployment may place
+N_NODES_MAX = 5000
+# the most in-range node pairs a deployment attempt may expect
+# (``expected_pairs``). Every attempt holds all of its pairs, so its memory
+# follows this count: the 1.6 M pairs expected of 5000 nodes and 50 anchors
+# on 50 x 50 m with R = 10 (1.34 M found) take about 0.2 s and 160 MB of
+# peak RSS per attempt on a 2-vCPU Xeon, while a range beyond the area's
+# diagonal puts all 12.5 M pairs of 5000 nodes in range
+N_PAIRS_MAX = 2_000_000
 
 
 def _require_area(width, height, comm_range) -> None:
     """Refuse an area side or range that is not a finite number > 0: a
-    negative range fails in the pair sweep, a NaN one casts NaN to ints."""
+    negative range fails in the pair sweep, a NaN one casts NaN to ints.
+    Refuse an area whose 2 * width * height, the bound of the anchor
+    triangles' cross products and of ``expected_pairs``' divisor,
+    overflows."""
     for name, x in (("width", width), ("height", height), ("comm_range", comm_range)):
         _require(name, x, _finite(x) and x > 0, "a finite number > 0")
+    if not math.isfinite(2.0 * (float(width) * float(height))):  # Python floats: no warning
+        raise ValueError(f"2 * width * height must be finite, got width {width!r} and "
+                         f"height {height!r}")
+
+
+def expected_pairs(n: int, width, height, comm_range) -> float:
+    """The expected in-range pairs of n nodes placed uniformly on the area,
+    n**2 * min(pi R**2, W H) / (2 W H); ignoring the area's edges makes it
+    an overestimate. In Python floats, so a range whose square overflows
+    gives inf, not a numpy warning."""
+    area, r = float(width) * float(height), float(comm_range)
+    return n * n * min(math.pi * r * r, area) / (2 * area)
+
+
+def _require_deployable(n_unknown, n_anchors, width, height, comm_range,
+                        unknown: str = "n_unknown") -> None:
+    """Refuse what no deployment attempt may hold: counts that are not
+    integers >= 0 (unknowns, named ``unknown``) and >= 3 (anchors), an
+    area ``_require_area`` refuses, more than N_NODES_MAX unknowns or
+    N_ANCHORS_MAX anchors, or more than N_PAIRS_MAX expected pairs."""
+    _require(unknown, n_unknown, _whole(n_unknown, 0), "an integer >= 0")
+    _require("n_anchors", n_anchors, _whole(n_anchors, 3), "an integer >= 3")
+    _require_area(width, height, comm_range)
+    _require(unknown, n_unknown, n_unknown <= N_NODES_MAX, f"at most {N_NODES_MAX}")
+    _require("n_anchors", n_anchors, n_anchors <= N_ANCHORS_MAX, f"at most {N_ANCHORS_MAX}")
+    pairs = expected_pairs(n_unknown + n_anchors, width, height, comm_range)
+    if pairs > N_PAIRS_MAX:
+        raise ValueError(
+            f"{n_unknown + n_anchors:,} nodes, anchors included, must expect at most "
+            f"{N_PAIRS_MAX:,} node pairs in range, got {pairs:.3g}: lower {unknown} or "
+            f"comm_range, or widen the area")
 
 
 class GenerationFailed(Exception):
@@ -438,11 +469,10 @@ def generate_deployment(
     Constraints: anchors pairwise farther apart than comm_range, every anchor
     triple spans a triangle of area > ANCHOR_AREA_MIN (keeps the baseline
     linear system well-conditioned), and every node reaches every anchor
-    through the connectivity graph.
+    through the connectivity graph. ``_require_deployable`` refuses the
+    arguments, ValueError, before the first draw.
     """
-    _require("n_unknown", n_unknown, _whole(n_unknown, 0), "an integer >= 0")
-    _require("n_anchors", n_anchors, _whole(n_anchors, 3), "an integer >= 3")
-    _require_area(width, height, comm_range)
+    _require_deployable(n_unknown, n_anchors, width, height, comm_range)
 
     rng = np.random.default_rng(seed)
     n_total = n_anchors + n_unknown

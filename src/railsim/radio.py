@@ -15,27 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import libm
+from .geometry import _finite, _require, libm
 
 # received strength (dBm) at the reference distance D0 (m)
 RSSI_D0 = -40.0
 D0 = 1.0
 # path loss exponent of the environment
 N_EXP = 2.0
+# the largest accepted shadowing sigma (dB). Far above any measured channel,
+# and far below the thousands of dB at which a draw overflows the path-loss
+# inverse's 10 ** exponent
+SIGMA_MAX_DB = 100.0
 
 
 @dataclass(frozen=True)
 class PathLossModel:
     """The channel's shadowing: sigma is the standard deviation (dB) of the
-    Gaussian term added to each edge's RSSI."""
+    Gaussian term added to each edge's RSSI, a real number in [0,
+    SIGMA_MAX_DB], not a bool."""
 
     sigma: float = 0.0
 
     def __post_init__(self):
         # a non-finite sigma gives zero and NaN edge weights, on which the
         # shortest-path tie resolution never settles
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        _require("sigma", self.sigma, _finite(self.sigma) and 0 <= self.sigma <= SIGMA_MAX_DB,
+                 f"a number in [0, {SIGMA_MAX_DB:g}] dB")
 
 
 def rssi_at(d, noise_draw=0.0):

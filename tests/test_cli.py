@@ -6,6 +6,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -80,13 +81,19 @@ class TestRun:
         # "100" into ('1', '0', '0') and {"100": 1} into ('100',)
         {"densities": "100"}, {"densities": {"100": 1}}, {"densities": 5},
         {"densities": None},
+        # width * height overflows: it loaded, then sampled 1000 times into
+        # NaN anchor-triangle cross products and exited 2
+        {"width": 1e308, "height": 1e308},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**SMALL_CFG, **bad}))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "cannot load config" in caplog.text
         assert not out.exists()
         if not isinstance(bad.get("densities", []), list):

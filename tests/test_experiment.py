@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from railsim import baselines, experiment, geometry, rail
+from railsim import baselines, experiment, geometry, network, radio, rail
 from railsim.experiment import (
     ALL_ALGORITHMS,
     CHUNK_NODES,
@@ -36,7 +36,8 @@ from railsim.experiment import (
     write_runs_csv,
 )
 from railsim.geometry import distance
-from railsim.network import GenerationFailed
+from railsim.network import GenerationFailed, generate_deployment
+from railsim.radio import PathLossModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
@@ -171,6 +172,61 @@ class TestBasics:
         for spec in workloads["WORKLOADS"].values():
             cfg = ExperimentConfig.from_json_dict(spec["config"])
             assert cfg.targets + RUN_TARGETS * cfg.runs <= N_TARGETS_MAX
+
+    @pytest.mark.parametrize("owner, name, patched, at, past, config, library", [
+        (radio, "SIGMA_MAX_DB", None, SIGMA_MAX_DB, math.nextafter(SIGMA_MAX_DB, math.inf),
+         lambda v: {"sigma": v}, lambda v, rng: PathLossModel(sigma=v)),
+        (network, "N_ANCHORS_MAX", None, N_ANCHORS_MAX, N_ANCHORS_MAX + 1,
+         lambda v: {"n_anchors": v}, lambda v, rng: generate_deployment(50, 50, 0, v, 10, rng)),
+        # small limits, so that no case allocates at scale: 100 unknowns,
+        # and the pairs that 100 unknowns and 3 anchors expect on 50 x 50 m
+        (network, "N_NODES_MAX", 100, 100, 101, lambda v: {"densities": (v,)},
+         lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
+        (network, "N_PAIRS_MAX", ExperimentConfig(densities=(100,)).expected_pairs, 100, 101,
+         lambda v: {"densities": (v,)}, lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
+    ], ids=["sigma", "anchors", "nodes", "pairs"])
+    def test_config_and_library_agree_on_limit(self, owner, name, patched, at, past, config,
+                                               library, monkeypatch):
+        # each limit has one owner, which the config calls: at the limit both
+        # accept, one past it both refuse, the library before any draw
+        if patched is not None:
+            monkeypatch.setattr(owner, name, patched)
+        monkeypatch.setattr(network, "MAX_ATTEMPTS", 1)
+        ExperimentConfig(**config(at))
+        try:
+            library(at, np.random.default_rng(1))
+        except GenerationFailed:  # accepted, then sampled once without success
+            pass
+        with pytest.raises(ValueError):
+            ExperimentConfig(**config(past))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            library(past, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("densities", [[100, 200], np.array([100, 200]),
+                                           np.array([100, 200], dtype=np.uint16)],
+                             ids=["list", "array", "uint16-array"])
+    def test_densities_kept_as_int_tuple(self, densities):
+        # a list or an array is stored as a tuple of Python ints, so the
+        # frozen config hashes and equals the tuple config
+        cfg = ExperimentConfig(densities=densities)
+        assert cfg.densities == (100, 200) and all(type(d) is int for d in cfg.densities)
+        assert cfg == ExperimentConfig(densities=(100, 200))
+        assert hash(cfg) == hash(ExperimentConfig(densities=(100, 200)))
+
+    @pytest.mark.parametrize("densities", [
+        [100, 100], [100, 0], [100, 2.0], [True], np.array([100, 100]),
+        np.array([100.0, 200.0]), np.array([True, False]), np.array([[100, 200]]),
+        np.array([], dtype=int), np.array(100), 100, {100: 1},
+    ])
+    def test_bad_densities_rule_message(self, densities):
+        # each element checked as given: an array's refused by the rule, not
+        # by numpy's ambiguous truth value
+        with pytest.raises(ValueError,
+                           match=r"^densities must be distinct integers in \[1, 5000\], got "):
+            ExperimentConfig(densities=densities)
 
     def test_expected_pairs(self):
         # n^2 min(pi R^2, W H) / (2 W H) for the largest density plus the anchors

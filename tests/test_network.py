@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import deque
 
 import numpy as np
@@ -500,6 +501,36 @@ class TestDeploymentCoords:
             Deployment.from_json_dict({"nodes": xy, "anchor_ids": [0], **args})
         with pytest.raises(ValueError, match=match):
             generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args)
+
+    @pytest.mark.parametrize("width, height", [(1e308, 1e308), (1e200, 1e200),
+                                               (np.float64(1e308), 2.0)])
+    def test_area_overflowing_when_doubled_rejected(self, width, height):
+        # 2 * width * height bounds the anchor triangles' cross products and
+        # the expected pairs' divisor: an area whose double overflows is
+        # refused, with no RuntimeWarning, and not sampled 1000 times into
+        # NaN cross products
+        xy = [[0.0, 0.0], [5.0, 0.0]]
+        args = {"width": width, "height": height, "comm_range": 10.0}
+        match = re.escape(f"2 * width * height must be finite, got width {width!r} and "
+                          f"height {height!r}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=match):
+                Deployment(coords=xy, anchor_ids=(0,), **args)
+            with pytest.raises(ValueError, match=match):
+                Deployment.from_json_dict({"nodes": xy, "anchor_ids": [0], **args})
+            with pytest.raises(ValueError, match=match):
+                generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # an area whose double is the largest finite float is accepted
+        assert Deployment(1e308, 0.5, xy, (0,), 10.0).width == 1e308
+
+    def test_numpy_range_past_float_squares_sampled(self, monkeypatch):
+        # the expected pairs of a numpy range whose square overflows are
+        # computed in Python floats: no RuntimeWarning, the attempt is made
+        monkeypatch.setattr(network, "MAX_ATTEMPTS", 1)
+        with pytest.raises(GenerationFailed):
+            generate_deployment(50, 50, 10, 3, np.float64(1e200), seed=1)
 
     @pytest.mark.parametrize("n_unknown, n_anchors, match", [
         (-5, 3, "n_unknown must be an integer >= 0, got -5$"),

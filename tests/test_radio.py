@@ -1,15 +1,24 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from railsim import radio
 from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
 
 def test_model_validation():
-    for bad in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    # a real number in [0, SIGMA_MAX_DB], not a bool: 5000 dB overflowed
+    # estimate_distance's pow in build_graph, and True was read as 1 dB
+    for bad in (-0.1, math.inf, math.nan, True, "4", None, 100.5, 5000,
+                math.nextafter(radio.SIGMA_MAX_DB, math.inf)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma must be a number in [0, 100] dB, got {bad!r}") + "$"):
             PathLossModel(sigma=bad)
+    for good in (0, 0.0, 4, np.float64(4.0), radio.SIGMA_MAX_DB):
+        assert PathLossModel(sigma=good).sigma == good
 
 
 def test_rssi_at_reference():
