@@ -151,8 +151,7 @@ def cmd_plot(args) -> None:
             (float(r["run_index"]), r["run_mean_error_m"]))
     charts = {f"errors_{d}.svg": svgplot.line_chart(
         {name: sorted(pts) for name, pts in series[d].items()},
-        title=f"Per-run mean localization error, {d} unknown nodes",
-        x_label="run index", y_label="mean error (m)") for d in sorted(series)}
+        title=f"Per-run mean localization error, {d} unknown nodes") for d in sorted(series)}
     with _out_dir(args.out) as at:
         for name, svg in charts.items():
             _atomic_write(at(name), [svg])

@@ -37,7 +37,6 @@ from .network import (
     NetworkGraph,
     _require_deployable,
     build_graph,
-    expected_pairs,
     generate_deployment,
     hop_floods,
 )
@@ -111,13 +110,6 @@ class ExperimentConfig:
     def runs(self) -> int:
         """The runs of the sweep, runs_per_density x len(densities)."""
         return self.runs_per_density * len(self.densities)
-
-    @property
-    def expected_pairs(self) -> float:
-        """The expected in-range node pairs of a deployment at the largest
-        density, anchors included (``network.expected_pairs``)."""
-        return expected_pairs(max(self.densities) + self.n_anchors, self.width, self.height,
-                              self.comm_range)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -222,8 +214,9 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     n_runs, n = coords.shape[:2]
     m = len(targets)
     truth = np.moveaxis(coords[:, targets], 2, 0)  # (x or y, run, target)
+    anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run), for all three algorithms
 
-    results = rail.localize_chunk(coords, anchors, g)
+    results = rail.localize_chunk(anchor_x, anchor_y, anchors, g)
     rail_contained = results.box_contains(*truth.reshape(2, -1)).reshape(n_runs, m).sum(axis=1)
 
     # Both baselines flood beacons by hop count: one BFS tree per anchor
@@ -233,7 +226,6 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     floods = hop_floods(g, anchors)
     acc, hops = (a.reshape(n_runs, len(anchors), n)[:, :, targets].transpose(1, 0, 2)
                  for a in (floods.dist, floods.hops))
-    anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run)
 
     mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
     # the three anchors with the shortest accumulated distance, nearest first

@@ -5,8 +5,9 @@ and ``libm``, the array map that keeps the array passes bit-identical to
 scalar float arithmetic: it maps a scalar ``math`` function (``hypot``
 for every distance, ``log10``, ``pow``, ``acos``, ``cos``, ``sin``) over
 arrays one element at a time. The input rules every module applies
-(``_whole``, ``_finite``, ``_require``) live here too, as this module
-imports nothing from railsim.
+(``_whole``, ``_finite``, ``_floats``, ``_require``) live here too, as
+this module imports nothing from railsim; a number too large for a float
+is read as infinite (``_float``), so no rule ends in OverflowError.
 
 The scalar boxes, rays and location rule that RAIL's array passes are
 checked against live in ``tests/oracle.py``.
@@ -30,9 +31,26 @@ def _whole(x, low: int) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool) and x >= low
 
 
+def _float(x) -> float:
+    """float(x), or an infinity of x's sign where x is too large for a float
+    (an integer of 309+ digits, on which ``float`` raises OverflowError)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _floats(values) -> np.ndarray:
+    """``values`` as a new float array, each number read by ``_float``."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[float])(np.array(values, dtype=object))
+
+
 def _finite(x) -> bool:
-    """Whether x is a finite real number, not a bool."""
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether x is a real number, not a bool, whose float is finite."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(_float(x))
 
 
 def _require(name: str, value, ok: bool, rule: str) -> None:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, _finite, _require, _whole, libm
+from .geometry import Point, _finite, _floats, _require, _whole, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -130,7 +130,7 @@ class Deployment:
 
     def __post_init__(self):
         _require_area(self.width, self.height, self.comm_range)
-        xy = np.array(self.coords, dtype=float)
+        xy = _floats(self.coords)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ValueError(f"coords must have shape (n, 2), not {xy.shape}")
         if not np.isfinite(xy).all():
@@ -288,13 +288,14 @@ class NetworkGraph:
         _require("n", n, _whole(n, 0), "an integer >= 0")
         ends = _node_ids(n, [x for u, v, _ in edges for x in (u, v)]).reshape(-1, 2).T
         i, j = ends.min(axis=0), ends.max(axis=0)  # each link as (i, j), i <= j
-        weights = np.array([w for _, _, w in edges], dtype=float)
+        given = [w for _, _, w in edges]
+        weights = _floats(given)
         loops = i[i == j]
         if loops.size:
             raise ValueError(f"self-loop at node {loops[0]}")
-        bad = weights[~(np.isfinite(weights) & (weights > 0))]
-        if bad.size:
-            raise ValueError(f"edge weights must be finite and > 0, got {bad[0]}")
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:  # named as given: a weight too large for a float reads as inf
+            raise ValueError(f"edge weights must be finite and > 0, got {given[bad[0]]}")
         order = np.argsort(i * n + j)
         links = np.stack((i[order], j[order]))
         repeated = np.flatnonzero((links[:, 1:] == links[:, :-1]).all(axis=0))

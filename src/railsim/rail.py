@@ -4,11 +4,11 @@ ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets of a chunk of same-size
 runs, whose graphs are the blocks of one ``NetworkGraph``; a node keeps
-its id in its run's graph. ``localize_chunk`` runs the stages in order:
-``_per_hop_errors``, ``_boxes``, ``_angles``, ``_ray_directions`` and
-``_locate``, and returns ``RailResults``: the estimates, case codes,
-boxes, rays and ray-pair hits as arrays, with no per-target objects.
-``localize_all`` is the chunk of one run. ``corrected_angle`` is the one
+its id in its run's graph. ``localize_chunk`` reads the graph and the
+anchors' positions alone, runs ``_per_hop_errors``, ``_boxes``,
+``_angles``, ``_ray_directions`` and ``_locate`` in order, and returns
+``RailResults``: the estimates, case codes, boxes, rays and ray-pair
+hits as arrays. ``localize_all`` is the chunk of one run. ``corrected_angle`` is the one
 scalar entry point, a 0-d call of the angle formula. Transcendentals and
 distances (``math.hypot``) go through ``geometry.libm``, and every
 expression keeps the scalar operand order, so the passes give the results
@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, libm, square_box
+from .geometry import DEFAULT_TOL, _floats, libm, square_box
 from .network import Deployment, NetworkGraph, Trees, Unreachable, _node_ids, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
@@ -114,16 +114,15 @@ def corrected_angle(
 
 
 def _ancestors(forest: Trees, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The node k hops from the root of tree ``rows`` on its path to v, by
-    binary lifting, written over v: ``up`` holds each node's 2**r-th
-    ancestor in pass r (entries above a root are never read)."""
-    steps = forest.hops[rows, v] - k
-    up = forest.pred
-    while steps.any():
-        odd = np.flatnonzero(steps & 1)
-        v[odd] = up[rows[odd], v[odd]]
-        steps >>= 1
-        up = np.take_along_axis(up, up, axis=1)
+    """Per item, as a new array, the node k hops from the root of tree ``rows``
+    on its path to v: each pass moves the items still deeper one hop up."""
+    pred, base = forest.pred.reshape(-1), rows * forest.pred.shape[1]  # parent: pred[base + v]
+    v, steps = v.copy(), forest.hops[rows, v] - k
+    deep, done = np.flatnonzero(steps > 0), 0
+    while deep.size:
+        v[deep] = pred[base[deep] + v[deep]]
+        done += 1
+        deep = deep[steps[deep] > done]
     return v
 
 
@@ -145,8 +144,7 @@ def _angles(g: NetworkGraph, forest: Trees, rows: np.ndarray, ref: np.ndarray,
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
     # same K edges in path order
-    node_a, node_b = _ancestors(forest, np.tile(rows, 2), np.concatenate((ref, target)),
-                                np.tile(k, 2)).reshape(2, -1)
+    node_a, node_b = (_ancestors(forest, rows, v, k) for v in (ref, target))
     a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
     c_len, c_hops = _connections(g, forest, rows // k_src, node_a, node_b)
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
@@ -270,18 +268,21 @@ def _locate(box: np.ndarray, rays):
 
 
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
-    """Run the full pipeline for every unknown node of one run, whose graph
-    ``g`` is one block: the chunk of one run, as a sweep scores it."""
-    return localize_chunk(dep.coords[None], dep.anchor_ids, g)
+    """``localize_chunk`` of one run, whose graph ``g`` is one block, from
+    ``dep``'s anchor positions; ValueError unless dep has g's node count."""
+    if len(dep.coords) != g.node_count:
+        raise ValueError(f"{len(dep.coords)} deployed nodes do not match a graph of {g.node_count}")
+    return localize_chunk(*dep.coords[list(dep.anchor_ids)].T[..., None], dep.anchor_ids, g)
 
 
-def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGraph) -> RailResults:
+def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Sequence[int],
+                   g: NetworkGraph) -> RailResults:
     """Run the full pipeline for every unknown node of B runs of n nodes,
-    as array passes over all their targets: ``coords`` (B, n, 2) holds the
-    runs' positions, ``anchor_ids`` their anchors (the same ids in every
-    run) and ``g`` their graphs, block b for run b. Column ``b * m + t`` of
-    the result is target t of run b, for the m unknowns of a run in id
-    order.
+    as array passes over all their targets: ``anchor_x`` and ``anchor_y``
+    (anchor, run) hold the positions of the anchors ``anchor_ids`` (the
+    same ids in every run), as the baselines take them, and ``g`` the
+    runs' graphs, block b for run b. Column ``b * m + t`` of the result is
+    target t of run b, for the m unknowns of a run in id order.
 
     When more than three anchors exist, each target uses its three nearest
     anchors by estimated shortest distance. One ``dijkstra_trees`` call
@@ -289,22 +290,14 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
     angles of every target, so each run's block sees at most two scipy
     Dijkstra calls, and the second has no anchor among its sources.
 
-    Raises ``ValueError`` where ``coords`` is not a finite (g.blocks,
-    g.node_count, 2) array, for an anchor id that is not an integer in
-    [0, n), for fewer than 3 distinct anchors or a repeated anchor id,
+    Raises ``ValueError`` for an anchor id that is not an integer in
+    [0, n), for fewer than 3 distinct anchors or a repeated anchor id, and
+    unless both anchor arrays are finite and (len(anchor_ids), g.blocks);
     ``Unreachable`` where a chosen anchor cannot reach a partner anchor or
     its target, and ``DegenerateGeometry`` where two chosen anchors
     coincide.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 3 or coords.shape[2] != 2:
-        raise ValueError(f"coords must have shape (runs, nodes, 2), not {coords.shape}")
-    runs, n = coords.shape[:2]
-    if (runs, n) != (g.blocks, g.node_count):
-        raise ValueError(f"coords of {runs} runs of {n} nodes do not match a graph of "
-                         f"{g.blocks} blocks of {g.node_count} nodes")
-    if not np.isfinite(coords).all():
-        raise ValueError("non-finite node position")
+    runs, n = g.blocks, g.node_count
     anchor_ids = _node_ids(n, anchor_ids)
     n_anchors = len(anchor_ids)
     ids, counts = np.unique(anchor_ids, return_counts=True)
@@ -312,6 +305,12 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
         raise ValueError(f"RAIL needs 3 distinct anchors, got {len(ids)}")
     if (counts > 1).any():
         raise ValueError(f"anchor id {ids[counts > 1][0]} is given more than once")
+    anchor_x, anchor_y = _floats(anchor_x), _floats(anchor_y)
+    if anchor_x.shape != (n_anchors, runs) or anchor_y.shape != (n_anchors, runs):
+        raise ValueError(f"anchor_x and anchor_y must be (anchors, runs) = ({n_anchors}, "
+                         f"{runs}) arrays, got {anchor_x.shape} and {anchor_y.shape}")
+    if not (np.isfinite(anchor_x).all() and np.isfinite(anchor_y).all()):
+        raise ValueError("non-finite anchor position")
     targets = np.setdiff1d(np.arange(n), anchor_ids)
     m = len(targets)
     run = np.repeat(np.arange(runs), m)  # per column
@@ -334,7 +333,7 @@ def localize_chunk(coords: np.ndarray, anchor_ids: Sequence[int], g: NetworkGrap
             k = np.isinf(d).argmax()
             raise Unreachable(f"node {b.flat[k]} unreachable from {a.flat[k]}")
 
-    ax, ay = coords[run, chosen, 0], coords[run, chosen, 1]
+    ax, ay = anchor_x[nearest, run], anchor_y[nearest, run]
     dist = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
     if (dist == 0).any():
         raise DegenerateGeometry("coincident anchors")

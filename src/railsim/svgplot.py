@@ -9,6 +9,8 @@ from typing import Sequence
 
 _SERIES_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd"]
 CHART_SIZE = (640, 400)  # px, a line chart's (width, height)
+CHART_X_LABEL = "run index"  # a line chart's axis labels: one run's mean error per point
+CHART_Y_LABEL = "mean error (m)"
 SCENE_SIZE = 600  # px, the side of a square scene drawing
 
 
@@ -16,13 +18,9 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
-def line_chart(
-    series: dict[str, list[tuple[float, float]]],
-    title: str,
-    x_label: str,
-    y_label: str,
-) -> str:
-    """Self-contained SVG line chart: one polyline + markers per series."""
+def line_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:
+    """Self-contained SVG line chart: one polyline + markers per series,
+    its axes labelled ``CHART_X_LABEL`` and ``CHART_Y_LABEL``."""
     if not series or all(not pts for pts in series.values()):
         raise ValueError("no data to plot")
     width, height = CHART_SIZE
@@ -49,9 +47,9 @@ def line_chart(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle">{x_label}</text>',
+        f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle">{CHART_X_LABEL}</text>',
         f'<text x="15" y="{height / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 15 {height / 2})">{y_label}</text>',
+        f'transform="rotate(-90 15 {height / 2})">{CHART_Y_LABEL}</text>',
     ]
     n_ticks = 5
     for t in range(n_ticks + 1):

@@ -84,6 +84,9 @@ class TestRun:
         # width * height overflows: it loaded, then sampled 1000 times into
         # NaN anchor-triangle cross products and exited 2
         {"width": 1e308, "height": 1e308},
+        # 401-digit integers, too large for a float: they ended in an
+        # OverflowError traceback from math.isfinite
+        {"width": 10**400}, {"sigma": 10**400},
     ])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):

@@ -96,6 +96,21 @@ class TestBasics:
         est = _run_chunk(SMALL, 60, (0,))[0].estimates["MinMax"]
         assert (est.x == 0.0).all() and (est.y == SMALL.height).all()
 
+    def test_one_anchor_cut_for_all_three(self, monkeypatch):
+        # the chunk's anchors are cut once as (anchor, run) arrays, and RAIL,
+        # Min-Max and DV-hop each take those same two arrays
+        seen = {}
+        for module, name in ((rail, "localize_chunk"), (baselines, "min_max_all"),
+                             (baselines, "rssi_dv_hop_all")):
+            def spy(ax, ay, *rest, fn=getattr(module, name), name=name):
+                seen[name] = ax, ay
+                return fn(ax, ay, *rest)
+            monkeypatch.setattr(module, name, spy)
+        _run_chunk(SMALL, 60, (0, 1))
+        (ax, ay), *others = seen.values()
+        assert len(others) == 2 and all(x is ax and y is ay for x, y in others)
+        assert ax.shape == ay.shape == (SMALL.n_anchors, 2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(runs_per_density=0)
@@ -141,6 +156,8 @@ class TestBasics:
             {"runs_per_density": N_TARGETS_MAX // (800 + 3 * RUN_TARGETS) + 1},
             {"densities": (8,), "runs_per_density": N_TARGETS_MAX // (8 + RUN_TARGETS) + 1},
             {"runs_per_density": 10**12},
+            # too large for a float: refused by the rules, not an OverflowError
+            {"comm_range": 10**400}, {"width": 10**400}, {"sigma": 10**400},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
@@ -156,9 +173,10 @@ class TestBasics:
         # the ceilings themselves load (test_config_validation rejects one
         # past them), and every config in the repo, the benchmark's
         # workloads included, lies within them
-        ceiling = ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
-        assert 1.5e6 < ceiling.expected_pairs <= N_PAIRS_MAX  # 5000 + 50 nodes, R = 10
-        assert 1.5e6 < ExperimentConfig(densities=(N_NODES_MAX,)).expected_pairs <= N_PAIRS_MAX
+        ExperimentConfig(n_anchors=N_ANCHORS_MAX, densities=(1, N_NODES_MAX))
+        ExperimentConfig(densities=(N_NODES_MAX,))
+        for nodes in (N_NODES_MAX + N_ANCHORS_MAX, N_NODES_MAX + 3):  # on 50 x 50 m, R = 10
+            assert 1.5e6 < network.expected_pairs(nodes, 50.0, 50.0, 10.0) <= N_PAIRS_MAX
         # the target ceiling in runs of 800 targets (3 densities) and of 8
         ExperimentConfig(runs_per_density=N_TARGETS_MAX // (800 + 3 * RUN_TARGETS))
         ExperimentConfig(densities=(8,), runs_per_density=N_TARGETS_MAX // (8 + RUN_TARGETS))
@@ -166,7 +184,8 @@ class TestBasics:
         for path in configs.glob("*.json"):
             cfg = ExperimentConfig.from_json_file(path)
             assert cfg.n_anchors <= N_ANCHORS_MAX and max(cfg.densities) <= N_NODES_MAX
-            assert cfg.expected_pairs <= N_PAIRS_MAX
+            assert network.expected_pairs(max(cfg.densities) + cfg.n_anchors, cfg.width,
+                                          cfg.height, cfg.comm_range) <= N_PAIRS_MAX
             assert cfg.targets + RUN_TARGETS * cfg.runs <= N_TARGETS_MAX
         workloads = runpy.run_path(str(CONFIGS.parent / "perfbench" / "workloads.py"))
         for spec in workloads["WORKLOADS"].values():
@@ -182,7 +201,7 @@ class TestBasics:
         # and the pairs that 100 unknowns and 3 anchors expect on 50 x 50 m
         (network, "N_NODES_MAX", 100, 100, 101, lambda v: {"densities": (v,)},
          lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
-        (network, "N_PAIRS_MAX", ExperimentConfig(densities=(100,)).expected_pairs, 100, 101,
+        (network, "N_PAIRS_MAX", network.expected_pairs(103, 50.0, 50.0, 10.0), 100, 101,
          lambda v: {"densities": (v,)}, lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
     ], ids=["sigma", "anchors", "nodes", "pairs"])
     def test_config_and_library_agree_on_limit(self, owner, name, patched, at, past, config,
@@ -229,12 +248,11 @@ class TestBasics:
             ExperimentConfig(densities=densities)
 
     def test_expected_pairs(self):
-        # n^2 min(pi R^2, W H) / (2 W H) for the largest density plus the anchors
-        cfg = ExperimentConfig(width=40.0, height=25.0, densities=(90, 197), comm_range=5.0)
-        assert cfg.expected_pairs == pytest.approx(200**2 * math.pi * 25 / 2000)
+        # n^2 min(pi R^2, W H) / (2 W H), for n nodes anchors included
+        assert network.expected_pairs(200, 40.0, 25.0, 5.0) == \
+            pytest.approx(200**2 * math.pi * 25 / 2000)
         # a range past the diagonal puts every pair in range
-        assert ExperimentConfig(densities=(97,), comm_range=71.0).expected_pairs == \
-            pytest.approx(100**2 / 2)
+        assert network.expected_pairs(100, 50.0, 50.0, 71.0) == pytest.approx(100**2 / 2)
         with pytest.raises(ValueError, match="node pairs"):
             ExperimentConfig(densities=(N_NODES_MAX,), comm_range=71.0)
 

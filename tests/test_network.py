@@ -481,6 +481,7 @@ class TestDeploymentCoords:
         [0.0, 1.0],
         [[0.0, math.nan]],
         [[math.inf, 0.0]],
+        [[10**400, 0.0]],  # too large for a float: not an OverflowError
     ])
     def test_bad_coords_rejected(self, coords):
         with pytest.raises(ValueError):
@@ -488,7 +489,10 @@ class TestDeploymentCoords:
 
     @pytest.mark.parametrize("name", ["width", "height", "comm_range"])
     @pytest.mark.parametrize("value", [-10.0, -50, 0, 0.0, math.nan, math.inf, -math.inf,
-                                       True, "50", None])
+                                       True, "50", None,
+                                       # too large for a float: not an OverflowError
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     def test_bad_area_rejected(self, name, value):
         # ExperimentConfig's rule: a finite number > 0, not a bool, refused
         # before a negative range reaches the pair sweep or a NaN one its cast
@@ -751,6 +755,8 @@ class TestNetworkGraph:
         ([(0, 1, math.inf), (1, 2, 1.0)], "finite and > 0, got inf"),
         ([(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)], "finite and > 0, got 0.0"),
         ([(0, 1, 1.0), (2, 1, -1.0)], "finite and > 0, got -1.0"),
+        # too large for a float: refused as given, not an OverflowError
+        ([(0, 1, 10**400)], "finite and > 0, got 1000"),
     ])
     def test_invalid_edges_rejected(self, edges, match):
         with pytest.raises(ValueError, match=match):

@@ -11,9 +11,10 @@ from railsim.radio import PathLossModel, estimate_distance, rssi_at
 
 def test_model_validation():
     # a real number in [0, SIGMA_MAX_DB], not a bool: 5000 dB overflowed
-    # estimate_distance's pow in build_graph, and True was read as 1 dB
+    # estimate_distance's pow in build_graph, and True was read as 1 dB;
+    # 10**400, too large for a float, raised OverflowError in math.isfinite
     for bad in (-0.1, math.inf, math.nan, True, "4", None, 100.5, 5000,
-                math.nextafter(radio.SIGMA_MAX_DB, math.inf)):
+                math.nextafter(radio.SIGMA_MAX_DB, math.inf), 10**400):
         with pytest.raises(ValueError, match=re.escape(
                 f"sigma must be a number in [0, 100] dB, got {bad!r}") + "$"):
             PathLossModel(sigma=bad)

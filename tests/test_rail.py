@@ -51,6 +51,12 @@ def column(*values):
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
+def anchor_xy(coords, anchor_ids):
+    """The (anchor, run) x and y arrays ``localize_chunk`` takes, cut from
+    (runs, n, 2) coordinates as ``_run_chunk`` cuts them."""
+    return coords[:, list(anchor_ids)].T
+
+
 class TestBoundingBox:
     def test_manual_intersection(self):
         box, empty = _boxes(column(0, 20, 0), column(0, 0, 20), column(10, 15, 15))
@@ -166,6 +172,16 @@ class TestEstimateAngle:
         assert calls == []
         assert alone[0].tolist() == both[0].tolist() and alone[1].tolist() == both[1].tolist()
         assert both[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
+
+    def test_ancestors_walk_up_a_copy(self):
+        # on the path 0-1-2-3-4 rooted at 0, the node k hops from the root
+        # toward v, for every (v, k <= depth); v is left as it was
+        g = NetworkGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+        forest = dijkstra_trees(g, [0])
+        v, k = np.array([4, 4, 4, 3, 2, 0]), np.array([0, 1, 3, 3, 1, 0])
+        kept = v.copy()
+        got = rail._ancestors(forest, np.zeros(len(v), dtype=int), v, k)
+        assert got.tolist() == k.tolist() and v.tolist() == kept.tolist()
 
     def test_output_in_range_on_random_networks(self):
         for seed in (1, 4):
@@ -581,9 +597,11 @@ class TestLocalizeAll:
         whole = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0), (2, 3, 4.0)])
         cut = NetworkGraph(4, [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)])
         coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
-        assert localize_chunk(coords[None], (0, 1, 2), whole).targets.tolist() == [3]
+        one = anchor_xy(coords[None], (0, 1, 2))
+        two = anchor_xy(np.stack((coords, coords)), (0, 1, 2))
+        assert localize_chunk(*one, (0, 1, 2), whole).targets.tolist() == [3]
         with pytest.raises(Unreachable, match="node 3 unreachable from 0"):
-            localize_chunk(np.stack((coords, coords)), (0, 1, 2), NetworkGraph.stack([whole, cut]))
+            localize_chunk(*two, (0, 1, 2), NetworkGraph.stack([whole, cut]))
 
     def test_unreachable_partner_anchor(self):
         # anchor 0 has no link: node 3 reaches anchors 1 and 2 only
@@ -603,7 +621,7 @@ class TestLocalizeAll:
     def test_fewer_than_three_anchors_rejected(self, anchor_ids, match):
         dep, g = seeded(50, 50, 60, 3, 0.0, 1)
         with pytest.raises(ValueError, match=match):
-            localize_chunk(dep.coords[None], anchor_ids, g)
+            localize_chunk(*anchor_xy(dep.coords[None], anchor_ids), anchor_ids, g)
 
     @pytest.mark.parametrize("anchor_ids, match", [
         # not truncated to anchors 0, 1 and 2
@@ -621,34 +639,51 @@ class TestLocalizeAll:
             raise AssertionError("a tree was grown")
         monkeypatch.setattr(rail, "dijkstra_trees", grown)
         with pytest.raises(ValueError, match="node ids must " + match):
-            localize_chunk(dep.coords[None], anchor_ids, g)
+            localize_chunk(*anchor_xy(dep.coords[None], dep.anchor_ids), anchor_ids, g)
 
-    def test_coords_must_match_the_graph(self):
-        # a stacked graph for one run's coordinates, and a graph of another
-        # node count, are refused with both shapes named
+    def test_coords_must_match_the_graph(self, monkeypatch):
+        # anchor arrays of another run count than the graph's blocks,
+        # transposed, of another anchor count than anchor_ids, or 1-D are
+        # refused with both shapes named, before any tree is grown and with
+        # no numpy warning
         dep, g = seeded(50, 50, 60, 3, 0.0, 1)
         other = seeded(50, 50, 61, 3, 0.0, 1)[1]
-        one, two = dep.coords[None], np.stack((dep.coords, dep.coords))
-        for coords, graph, want in (
-                (one, NetworkGraph.stack([g, g]), "1 runs of 63 nodes .* 2 blocks of 63"),
-                (one, other, "1 runs of 63 nodes .* 1 blocks of 64"),
-                (two, g, "2 runs of 63 nodes .* 1 blocks of 63")):
-            with pytest.raises(ValueError, match=want):
-                localize_chunk(coords, dep.anchor_ids, graph)
-        with pytest.raises(ValueError, match="2 blocks"):
-            localize_all(dep, NetworkGraph.stack([g, g]))
+        one = anchor_xy(dep.coords[None], (0, 1, 2))
+        two = anchor_xy(np.stack((dep.coords, dep.coords)), (0, 1, 2))
+        four = anchor_xy(dep.coords[None], (0, 1, 2, 3))
 
-    @pytest.mark.parametrize("change, match", [
-        pytest.param(lambda xy: xy[:, :, :1], r"\(runs, nodes, 2\), not \(1, 63, 1\)$",
-                     id="one-column"),
-        pytest.param(lambda xy: np.concatenate((xy, xy[:, :, :1]), axis=2),
-                     r"\(runs, nodes, 2\), not \(1, 63, 3\)$", id="three-columns"),
+        def grown(*args, **kwargs):
+            raise AssertionError("a tree was grown")
+        monkeypatch.setattr(rail, "dijkstra_trees", grown)
+        stacked = NetworkGraph.stack([g, g])
+        for (x, y), graph, got in (
+                (one, stacked, r"\(3, 1\) and \(3, 1\)"),
+                (two, g, r"\(3, 2\) and \(3, 2\)"),
+                (one.transpose(0, 2, 1), g, r"\(1, 3\) and \(1, 3\)"),
+                ((one[0], one[1].T), g, r"\(3, 1\) and \(1, 3\)"),
+                (four, g, r"\(4, 1\) and \(4, 1\)"),
+                ((one[0, :, 0], one[1, :, 0]), g, r"\(3,\) and \(3,\)")):
+            want = (r"must be \(anchors, runs\) = \(3, %d\) arrays, got " % graph.blocks) + got
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=want + "$"):
+                    localize_chunk(x, y, (0, 1, 2), graph)
+        with pytest.raises(ValueError, match=r"= \(3, 2\) arrays"):
+            localize_all(dep, stacked)
+        # localize_all reads the deployment's anchors for the graph's nodes
+        with pytest.raises(ValueError, match="^63 deployed nodes do not match a graph of 64$"):
+            localize_all(dep, other)
+
+    @pytest.mark.parametrize("change", [
         # anchor 0's x
-        pytest.param(lambda xy: np.where((np.arange(63)[:, None] == 0) & (np.arange(2) == 0),
-                                         math.inf, xy),
-                     "non-finite node position$", id="infinite-anchor"),
+        pytest.param(lambda x, y: (np.where(np.arange(3)[:, None] == 0, math.inf, x), y),
+                     id="infinite-anchor"),
+        pytest.param(lambda x, y: (x, np.where(np.arange(3)[:, None] == 2, math.nan, y)),
+                     id="nan-anchor-y"),
+        # a number too large for a float is not finite: no OverflowError
+        pytest.param(lambda x, y: ([[10**400]] + x[1:].tolist(), y), id="huge-integer"),
     ])
-    def test_coords_must_be_finite_xy(self, change, match, monkeypatch):
+    def test_coords_must_be_finite_xy(self, change, monkeypatch):
         # refused before any tree is grown, with no numpy warning
         dep, g = seeded(50, 50, 60, 3, 0.0, 1)
 
@@ -657,8 +692,9 @@ class TestLocalizeAll:
         monkeypatch.setattr(rail, "dijkstra_trees", grown)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=match):
-                localize_chunk(change(dep.coords[None]), dep.anchor_ids, g)
+            with pytest.raises(ValueError, match="non-finite anchor position$"):
+                localize_chunk(*change(*anchor_xy(dep.coords[None], dep.anchor_ids)),
+                               dep.anchor_ids, g)
 
     def test_deterministic(self):
         dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
@@ -669,6 +705,18 @@ class TestLocalizeAll:
             return [r.targets, r.x, r.y, r.case, r.box, *r.rays, *r.hits]
 
         assert all(np.array_equal(u, v) for u, v in zip(columns(r1), columns(r2)))
+
+    def test_reads_no_unknown_position(self):
+        # the unknowns moved, the graph kept: every column is the same
+        dep = generate_deployment(50, 50, 80, 3, 10, seed=21)
+        g = build_graph(dep, MODEL)
+        xy = dep.coords.copy()
+        xy[list(dep.unknown_ids)] = 25.0
+        moved = Deployment(dep.width, dep.height, xy, dep.anchor_ids, dep.comm_range)
+        r1, r2 = localize_all(dep, g), localize_all(moved, g)
+        assert all(np.array_equal(u, v) for u, v in zip(
+            [r1.targets, r1.x, r1.y, r1.case, r1.box, *r1.rays, *r1.hits],
+            [r2.targets, r2.x, r2.y, r2.case, r2.box, *r2.rays, *r2.hits]))
 
     def test_near_anchor_targets_accurate(self):
         # noise-free: targets within one hop of some anchor average well
