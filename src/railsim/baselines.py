@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, libm, square_box
+from .geometry import Point, _finite, _require, libm, square_box
 
 DET_TOL = 1e-9
 
@@ -76,10 +76,13 @@ def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
 
     The three circle equations are linearized by subtracting the third;
     the resulting 2x2 system is the exact least-squares solution. Collinear
-    anchors fall back to the mean of the anchor positions.
+    anchors fall back to the mean of the anchor positions. ValueError
+    unless each distance is a finite real number.
     """
     if len(anchors) != 3:
         raise ValueError("exactly three anchors required")
+    for _, dist in anchors:
+        _require("distance", dist, _finite(dist), "a finite real number")
     ax = np.array([p.x for p, _ in anchors], dtype=float)
     ay = np.array([p.y for p, _ in anchors], dtype=float)
     d = np.array([[dist] for _, dist in anchors], dtype=float)

@@ -211,7 +211,7 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     of its rows.
     """
     coords, anchors, targets, g = _scenes(cfg, density, runs)
-    n_runs, n = coords.shape[:2]
+    n_runs = len(coords)
     m = len(targets)
     truth = np.moveaxis(coords[:, targets], 2, 0)  # (x or y, run, target)
     anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run), for all three algorithms
@@ -224,8 +224,7 @@ def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list
     # distance along the hop-minimal path (not the distance-optimal one RAIL
     # uses). Arrays are (anchor, run, target).
     floods = hop_floods(g, anchors)
-    acc, hops = (a.reshape(n_runs, len(anchors), n)[:, :, targets].transpose(1, 0, 2)
-                 for a in (floods.dist, floods.hops))
+    acc, hops = (a[:, :, targets].transpose(1, 0, 2) for a in (floods.dist, floods.hops))
 
     mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
     # the three anchors with the shortest accumulated distance, nearest first

@@ -1,7 +1,8 @@
 """Deployment generation, the one-hop connectivity graph with RSSI-estimated
 edge weights, and multi-hop queries: the shortest-path trees of a batch of
 sources (``dijkstra_trees``) and their minimum-hop flooding trees
-(``hop_floods``), both as one stacked ``Trees`` record.
+(``hop_floods``), both as one ``Trees`` record of (block, source, node)
+arrays.
 
 A deployment holds its node positions as one (n, 2) coordinate array. The
 rejection sampler checks each attempt's anchors with array passes; the
@@ -207,11 +208,11 @@ class RangingResult:
 
 
 class Trees(NamedTuple):
-    """The trees of the same k source nodes in blocks of a graph, stacked
-    as (blocks * k, n) arrays: row ``b * k + a`` is the tree of
-    ``sources[a]`` in block b. Per node, ``dist`` is its distance from the
-    root (inf off the tree), ``pred`` its parent (-1 at the root and off
-    the tree) and ``hops`` its depth (0 at the root, -1 off the tree)."""
+    """The trees of the same k source nodes in blocks of a graph, as
+    (blocks, k, n) arrays: ``[b, a]`` is the tree of ``sources[a]`` in
+    block b. Per node v, ``dist[b, a, v]`` is its distance from the root
+    (inf off the tree), ``pred`` its parent (-1 at the root and off the
+    tree) and ``hops`` its depth (0 at the root, -1 off the tree)."""
 
     sources: np.ndarray
     dist: np.ndarray
@@ -538,13 +539,13 @@ def _reconstruct(pred: list[int], v: int) -> tuple[int, ...]:
 
 
 def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Hop count of every node in each row's tree given by pred (-1 off the
-    tree; row r rooted at sources[r]) by pointer jumping over the flattened
-    rows: each pass doubles how far every node has looked up.
+    """Hop count of every node in each tree [b, a] of pred (-1 off the tree;
+    rooted at sources[a]) by pointer jumping over the flattened trees: each
+    pass doubles how far every node has looked up.
     """
-    k, n = pred.shape
+    n = pred.shape[-1]
     flat = pred.ravel()
-    end = k * n  # one sentinel above every root and off-tree node
+    end = flat.size  # one sentinel above every root and off-tree node
     on = np.flatnonzero(flat >= 0)
     up = np.full(end + 1, end)
     up[on] = flat[on] + on // n * n
@@ -555,9 +556,9 @@ def _depths(pred: np.ndarray, sources: np.ndarray) -> np.ndarray:
     while (up != end).any():
         hops += hops[up]
         up = up[up]
-    hops = hops[:end].reshape(k, n)
+    hops = hops[:end].reshape(pred.shape)
     hops[pred < 0] = -1
-    hops[np.arange(k), sources] = 0
+    hops[..., np.arange(len(sources)), sources] = 0
     return hops
 
 
@@ -613,15 +614,14 @@ def dijkstra_trees(g: NetworkGraph, sources: Sequence[int], block: Optional[int]
     if block is not None:
         g._require_block(block)
     k, blocks = len(sources), range(g.blocks) if block is None else (block,)
-    dist = np.empty((len(blocks) * k, g.node_count))
+    dist = np.empty((len(blocks), k, g.node_count))
     pred = np.empty(dist.shape, dtype=np.intp)
     for r, b in enumerate(blocks):
-        rows = slice(r * k, (r + 1) * k)
-        dist[rows], pred[rows] = dijkstra(g.matrices[b], indices=sources, return_predecessors=True)
-        pred[rows][pred[rows] < 0] = -1
-        for d, p in zip(dist[rows], pred[rows]):
+        dist[r], pred[r] = dijkstra(g.matrices[b], indices=sources, return_predecessors=True)
+        pred[r][pred[r] < 0] = -1
+        for d, p in zip(dist[r], pred[r]):
             _resolve_ties(g, d, p, b)
-    return Trees(sources, dist, pred, _depths(pred, np.tile(sources, len(blocks))))
+    return Trees(sources, dist, pred, _depths(pred, sources))
 
 
 def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> list[RangingResult]:
@@ -634,8 +634,8 @@ def shortest_ranging(g: NetworkGraph, source: int, targets: Sequence[int]) -> li
     (source,) = _node_ids(g.node_count, [source]).tolist()
     targets = _node_ids(g.node_count, targets).tolist()
     t = dijkstra_trees(g, [source])
-    hops = t.hops[0, targets].tolist()
-    dist, pred = t.dist[0], t.pred[0].tolist()
+    hops = t.hops[0, 0, targets].tolist()
+    dist, pred = t.dist[0, 0], t.pred[0, 0].tolist()
     out = []
     for v, h in zip(targets, hops):
         if math.isinf(dist[v]):
@@ -664,21 +664,21 @@ def hop_floods(g: NetworkGraph, sources: Sequence[int]) -> Trees:
 
     sources = _node_ids(g.node_count, sources)
     n, k = g.node_count, len(sources)
-    pred = np.empty((g.blocks * k, n), dtype=np.intp)
+    pred = np.empty((g.blocks, k, n), dtype=np.intp)
     # scipy scans each row in CSR (neighbor-id) order and keeps the first
     # discoverer, as a FIFO flood does
     for b, m in enumerate(g.matrices):
         for r, s in enumerate(sources):
-            order, pred[b * k + r] = breadth_first_order(m, s, return_predecessors=True)
+            order, pred[b, r] = breadth_first_order(m, s, return_predecessors=True)
             if len(order) < n:
                 missing = np.setdiff1d(np.arange(n), order)
                 raise Unreachable(f"nodes {missing[:5].tolist()} unreachable from {s}")
     pred[pred < 0] = -1
-    hops = _depths(pred, np.tile(sources, g.blocks))
+    hops = _depths(pred, sources)
     # every tree's nodes by hop level, the roots first (a stable sort of
     # small ints is a radix sort); the distances accumulate one level per
-    # numpy pass, each node's from its parent's
-    child = np.argsort(hops.ravel().astype(np.min_scalar_type(n)), kind="stable")[len(pred):]
+    # numpy pass, each node's from its parent's (flat row b * k + a)
+    child = np.argsort(hops.ravel().astype(np.min_scalar_type(n)), kind="stable")[g.blocks * k:]
     row, v = np.divmod(child, n)
     u = pred.ravel()[child]
     parent = u + row * n

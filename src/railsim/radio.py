@@ -43,13 +43,45 @@ class PathLossModel:
                  f"a number in [0, {SIGMA_MAX_DB:g}] dB")
 
 
+def _refuse(name: str, values, ok, rule: str):
+    """Raise ValueError naming the first of ``values``, flattened, that fails ``ok``."""
+    _require(name, next(v for v in np.ravel(values).tolist() if not ok(v)), False, rule)
+
+
+def _all_positive(a) -> bool:
+    """Whether every value of a is finite and > 0, by two reductions, with
+    no mask as long as a (NaN fails the first)."""
+    return np.min(a, initial=math.inf) > 0 and np.max(a, initial=0.0) < math.inf
+
+
 def rssi_at(d, noise_draw=0.0):
-    """Received strength (dBm) at distance d (m), plus a caller-drawn noise term."""
-    if np.any(np.less_equal(d, 0)):
-        raise ValueError(f"distance must be positive, got {np.min(d)}")
+    """Received strength (dBm) at distance d (m), plus a caller-drawn noise
+    term; ValueError unless every distance is finite and > 0."""
+    if not _all_positive(d):
+        _refuse("distance", d, _all_positive, "finite and > 0")
     return RSSI_D0 - 10.0 * N_EXP * libm(math.log10, d / D0) + noise_draw
 
 
-def estimate_distance(rssi):
-    """Invert the path-loss model: distance (m) implied by a received strength."""
+def _distance(rssi):
     return D0 * libm(math.pow, 10.0, (RSSI_D0 - rssi) / (10.0 * N_EXP))
+
+
+def _gives_distance(rssi) -> bool:
+    try:
+        return _all_positive(_distance(rssi))  # NaN, -inf and inf give NaN, inf and 0
+    except OverflowError:
+        return False
+
+
+def estimate_distance(rssi):
+    """Invert the path-loss model: distance (m) implied by a received
+    strength; ValueError for an RSSI that is not finite or whose distance
+    is not finite and > 0 (``pow`` overflows below about -6200 dBm and
+    gives 0 above about 6400 dBm)."""
+    try:
+        d = _distance(rssi)
+    except OverflowError:
+        d = math.inf
+    if not _all_positive(d):
+        _refuse("rssi", rssi, _gives_distance, "finite with a distance finite and > 0")
+    return d

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, _floats, libm, square_box
+from .geometry import DEFAULT_TOL, _finite, _floats, _require, _whole, libm, square_box
 from .network import Deployment, NetworkGraph, Trees, Unreachable, _node_ids, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
@@ -108,16 +108,24 @@ def corrected_angle(
 
     Each side is shortened by e per hop when its hop count is >= 2, floored
     at MIN_SIDE; the cosine argument is clamped to [-1, 1] so violated
-    triangle inequalities map to 0 or pi.
+    triangle inequalities map to 0 or pi. ValueError, naming the argument,
+    unless the sides and e are finite real numbers >= 0 and the hop counts
+    integers in [0, 2**63), none of them a bool.
     """
+    for name, x in zip("abce", (a, b, c, e)):
+        _require(name, x, _finite(x) and x >= 0, "a finite real number >= 0")
+    for name, h in (("hops_a", hops_a), ("hops_b", hops_b), ("hops_c", hops_c)):
+        _require(name, h, _whole(h, 0) and h < 2**63, "an integer in [0, 2**63)")
     return float(_corrected_angles(float(a), float(b), float(c), float(e), hops_a, hops_b, hops_c))
 
 
-def _ancestors(forest: Trees, rows: np.ndarray, v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per item, as a new array, the node k hops from the root of tree ``rows``
-    on its path to v: each pass moves the items still deeper one hop up."""
-    pred, base = forest.pred.reshape(-1), rows * forest.pred.shape[1]  # parent: pred[base + v]
-    v, steps = v.copy(), forest.hops[rows, v] - k
+def _ancestors(forest: Trees, block: np.ndarray, slot: np.ndarray, v: np.ndarray,
+               k: np.ndarray) -> np.ndarray:
+    """Per item, as a new array, the node k hops from the root of tree [block,
+    slot] on its path to v: each pass moves the items still deeper one hop up."""
+    pred = forest.pred.reshape(-1)  # parent: pred[base + v], flat 1-D gathers
+    base = np.ravel_multi_index((block, slot), forest.pred.shape[:2]) * forest.pred.shape[2]
+    v, steps = v.copy(), forest.hops[block, slot, v] - k
     deep, done = np.flatnonzero(steps > 0), 0
     while deep.size:
         v[deep] = pred[base[deep] + v[deep]]
@@ -126,11 +134,11 @@ def _ancestors(forest: Trees, rows: np.ndarray, v: np.ndarray, k: np.ndarray) ->
     return v
 
 
-def _angles(g: NetworkGraph, forest: Trees, rows: np.ndarray, ref: np.ndarray,
-            target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per item, the estimated angle at the source of tree ``rows`` of
+def _angles(g: NetworkGraph, forest: Trees, block: np.ndarray, slot: np.ndarray,
+            ref: np.ndarray, target: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, the estimated angle at the source of tree [block, slot] of
     ``forest`` between the directions to ``ref`` and to ``target`` (nodes
-    of the tree's block of ``g``), and the prefix length K.
+    of block ``block`` of ``g``), and the prefix length K.
 
     The two path-prefix segments formed by the first K <= 3 hops of the
     shortest paths toward ``ref`` and toward ``target``, together with the
@@ -139,14 +147,13 @@ def _angles(g: NetworkGraph, forest: Trees, rows: np.ndarray, ref: np.ndarray,
     applying the law of cosines. K shrinks when either path is shorter than
     3 hops.
     """
-    k_src = len(forest.sources)
-    k = np.minimum(np.minimum(forest.hops[rows, ref], forest.hops[rows, target]), 3)
+    k = np.minimum(np.minimum(forest.hops[block, slot, ref], forest.hops[block, slot, target]), 3)
 
     # a prefix length is the hop-K node's tree distance: Dijkstra summed the
     # same K edges in path order
-    node_a, node_b = (_ancestors(forest, rows, v, k) for v in (ref, target))
-    a_len, b_len = forest.dist[rows, node_a], forest.dist[rows, node_b]
-    c_len, c_hops = _connections(g, forest, rows // k_src, node_a, node_b)
+    node_a, node_b = (_ancestors(forest, block, slot, v, k) for v in (ref, target))
+    a_len, b_len = forest.dist[block, slot, node_a], forest.dist[block, slot, node_b]
+    c_len, c_hops = _connections(g, forest, block, node_a, node_b)
     return _corrected_angles(a_len, b_len, c_len, e, k, k, c_hops), k
 
 
@@ -155,7 +162,7 @@ def _connections(g: NetworkGraph, forest: Trees, block: np.ndarray, u: np.ndarra
     """Per item, the length and hop count of the connection from node u to
     node v of block ``block`` of g: 0 and 0 hops where u == v, a direct
     link's weight and 1 hop, or else their multi-hop shortest distance and
-    hop count. A multi-hop connection reads u's row of ``forest`` where u
+    hop count. A multi-hop connection reads u's tree in ``forest`` where u
     is one of its sources, and the rest take one ``dijkstra_trees`` call per
     block over their distinct sources; one block's trees at a time, since
     those of all blocks at once would be a chunk's largest arrays.
@@ -175,15 +182,14 @@ def _connections(g: NetworkGraph, forest: Trees, block: np.ndarray, u: np.ndarra
     a = slot[u[far]]
     root = a >= 0
     own, far = far[root], far[~root]
-    row = block[own] * k + a[root]
-    c_len[own] = forest.dist[row, v[own]]
-    c_hops[own] = forest.hops[row, v[own]]
+    c_len[own] = forest.dist[block[own], a[root], v[own]]
+    c_hops[own] = forest.hops[block[own], a[root], v[own]]
     for b in np.unique(block[far]).tolist():
         item = far[block[far] == b]
         sources, row = np.unique(u[item], return_inverse=True)
         t = dijkstra_trees(g, sources, b)
-        c_len[item] = t.dist[row, v[item]]
-        c_hops[item] = t.hops[row, v[item]]
+        c_len[item] = t.dist[0, row, v[item]]
+        c_hops[item] = t.hops[0, row, v[item]]
     return c_len, c_hops
 
 
@@ -315,19 +321,18 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
     m = len(targets)
     run = np.repeat(np.arange(runs), m)  # per column
     cols = np.tile(targets, runs)
-    # forest row b * n_anchors + a: anchor a of run b
+    # the anchor forest, (run, anchor slot, node) arrays
     anchors = dijkstra_trees(g, anchor_ids)
-    sd = anchors.dist.reshape(runs, n_anchors, n)[:, :, targets]
+    sd = anchors.dist[:, :, targets]
 
     # the three nearest anchors by SD (ties: anchor_ids order), in id order
     nearest = np.argsort(sd.transpose(1, 0, 2).reshape(n_anchors, -1), axis=0,
                          kind="stable")[:3]
     nearest = np.take_along_axis(nearest, np.argsort(anchor_ids[nearest], axis=0), axis=0)
     chosen = anchor_ids[nearest]  # (3, B m) anchor ids
-    rows = run * n_anchors + nearest  # their forest rows
     i, j = PAIRS  # an anchor pair's SD is read from the tree of its lower id
-    pair_sd, target_sd = anchors.dist[rows[i], chosen[j]], anchors.dist[rows, cols]
-    ends = np.broadcast_to(cols, rows.shape)
+    pair_sd, target_sd = anchors.dist[run, nearest[i], chosen[j]], anchors.dist[run, nearest, cols]
+    ends = np.broadcast_to(cols, nearest.shape)
     for a, b, d in ((chosen[i], chosen[j], pair_sd), (chosen, ends, target_sd)):
         if np.isinf(d).any():
             k = np.isinf(d).argmax()
@@ -337,13 +342,13 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
     dist = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
     if (dist == 0).any():
         raise DegenerateGeometry("coincident anchors")
-    e = _per_hop_errors(dist, pair_sd, anchors.hops[rows[i], chosen[j]])
+    e = _per_hop_errors(dist, pair_sd, anchors.hops[run, nearest[i], chosen[j]])
     box = _boxes(ax, ay, target_sd)[0]
 
     # the six angle items of every target, at anchor i toward OTHERS[i, 0]
     # and OTHERS[i, 1], stacked as (anchor, other, target)
     at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
-    theta = _angles(g, anchors, rows[at].ravel(), chosen[ref].ravel(),
+    theta = _angles(g, anchors, np.tile(run, 6), nearest[at].ravel(), chosen[ref].ravel(),
                     np.tile(cols, 6), np.tile(e, 6))[0].reshape(3, 2, runs * m)
     ray_dx, ray_dy = _ray_directions(ax, ay, dist, theta[:, 0], theta[:, 1])
     rays = (ax, ay, ray_dx, ray_dy)

@@ -136,7 +136,7 @@ def reference_localize(dep, g):
     def tree(s):
         if s not in trees:
             t = dijkstra_trees(g, [s])
-            dist, pred = t.dist[0].tolist(), t.pred[0].tolist()
+            dist, pred = t.dist[0, 0].tolist(), t.pred[0, 0].tolist()
             hops = []
             for v in range(len(pred)):  # edges walked up to the root
                 h = 0

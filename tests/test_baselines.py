@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,17 @@ class TestRssiDvHop:
     def test_requires_three_anchors(self):
         with pytest.raises(ValueError):
             rssi_dv_hop([(Point(0, 0), 1.0), (Point(1, 0), 1.0)])
+
+    # a NaN or infinite distance was refused as "non-finite point (nan,
+    # nan)", a point the caller never passed
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, True, "1"])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_distance_rejected(self, bad, slot):
+        anchors = [(Point(0, 0), 5.0), (Point(10, 0), 5.0), (Point(0, 10), 5.0)]
+        anchors[slot] = (anchors[slot][0], bad)
+        with pytest.raises(ValueError, match=rf"^distance must be a finite real number, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            rssi_dv_hop(anchors)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -156,10 +156,10 @@ def random_connected_graph(rng, n_max=10):
 
 
 def flood(g, source):
-    """Row 0 of ``hop_floods``: the (accumulated distance, hop count) of
-    every node in the flooding tree of one source."""
+    """Tree [0, 0] of ``hop_floods``: the (accumulated distance, hop count)
+    of every node in the flooding tree of one source."""
     t = hop_floods(g, [source])
-    return t.dist[0], t.hops[0]
+    return t.dist[0, 0], t.hops[0, 0]
 
 
 def walked_hops(pred, sources):
@@ -771,8 +771,8 @@ class TestNetworkGraph:
         g = NetworkGraph(2, [])
         assert g.adjacency == [[], []] and g.edge_weight(0, 1) is None
         t = dijkstra_trees(g, [0])
-        assert t.dist.tolist() == [[0.0, math.inf]] and t.pred.tolist() == [[-1, -1]]
-        assert t.hops.tolist() == [[0, -1]]
+        assert t.dist.tolist() == [[[0.0, math.inf]]] and t.pred.tolist() == [[[-1, -1]]]
+        assert t.hops.tolist() == [[[0, -1]]]
 
 
 class TestStack:
@@ -794,23 +794,24 @@ class TestStack:
         floods, trees = hop_floods(stack, sources), dijkstra_trees(stack, sources)
         for t in (floods, trees):
             assert t.sources.tolist() == sources.tolist()
-            assert t.dist.shape == t.pred.shape == t.hops.shape == (len(gs) * k, n)
+            assert t.dist.shape == t.pred.shape == t.hops.shape == (len(gs), k, n)
         for b, g in enumerate(gs):
             one = dijkstra_trees(stack, sources, b)
-            assert one.dist.shape == one.pred.shape == one.hops.shape == (k, n)
-            # with no block given, the blocks' trees stacked row for row
-            rows = slice(b * k, (b + 1) * k)
+            assert one.dist.shape == one.pred.shape == one.hops.shape == (1, k, n)
+            # with no block given, block b's trees are those of block b alone
             for got, want in zip(trees[1:], one[1:]):
-                assert got[rows].dtype == want.dtype and got[rows].tobytes() == want.tobytes()
+                assert got[b].dtype == want.dtype and got[b].tobytes() == want[0].tobytes()
             for r, v in enumerate(sources.tolist()):
                 want = dijkstra_trees(g, [v])
-                assert one.dist[r].tobytes() == want.dist[0].tobytes()
-                assert one.pred[r].tolist() == want.pred[0].tolist()
-                assert one.hops[r].tolist() == want.hops[0].tolist()
+                assert want.dist.shape == (1, 1, n)
+                assert one.dist[0, r].tobytes() == want.dist[0, 0].tobytes()
+                assert one.pred[0, r].tolist() == want.pred[0, 0].tolist()
+                assert one.hops[0, r].tolist() == want.hops[0, 0].tolist()
                 want = hop_floods(g, [v])
-                assert floods.dist[b * k + r].tobytes() == want.dist[0].tobytes()
-                assert floods.pred[b * k + r].tolist() == want.pred[0].tolist()
-                assert floods.hops[b * k + r].tolist() == want.hops[0].tolist()
+                assert want.dist.shape == (1, 1, n)
+                assert floods.dist[b, r].tobytes() == want.dist[0, 0].tobytes()
+                assert floods.pred[b, r].tolist() == want.pred[0, 0].tolist()
+                assert floods.hops[b, r].tolist() == want.hops[0, 0].tolist()
 
     def test_edge_index_finds_each_graphs_links(self):
         gs = self.graphs()
@@ -955,7 +956,7 @@ class TestDijkstraTrees:
         )
         for g in graphs:
             n = g.node_count
-            _, dist, pred, hops = dijkstra_trees(g, range(n))
+            _, (dist,), (pred,), (hops,) = dijkstra_trees(g, range(n))
             assert dist.shape == pred.shape == hops.shape == (n, n)
             for s in range(n):
                 want = brute_force_shortest(g, s)
@@ -967,7 +968,7 @@ class TestDijkstraTrees:
 
     def test_disconnected_rows(self):
         g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
-        _, dist, pred, hops = dijkstra_trees(g, [3, 0])
+        _, (dist,), (pred,), (hops,) = dijkstra_trees(g, [3, 0])
         assert dist.tolist() == [[math.inf, math.inf, 1.0, 0.0, 1.5],
                                  [0.0, 2.0, math.inf, math.inf, math.inf]]
         assert pred.tolist() == [[-1, -1, 3, -1, 3], [-1, 0, -1, -1, -1]]
@@ -978,7 +979,7 @@ class TestDijkstraTrees:
         # the smaller first hop: row 0 re-resolves node 3, row 1 node 7
         gadget = [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
         g = NetworkGraph(8, gadget + [(u + 4, v + 4, w) for u, v, w in gadget])
-        _, dist, pred, hops = dijkstra_trees(g, [0, 4])
+        _, (dist,), (pred,), (hops,) = dijkstra_trees(g, [0, 4])
         assert pred.tolist() == [[-1, 0, 1, 2, -1, -1, -1, -1],
                                  [-1, -1, -1, -1, -1, 4, 5, 6]]
         assert hops.tolist() == [[0, 1, 2, 3, -1, -1, -1, -1],
@@ -1034,7 +1035,7 @@ class TestTieShortcut:
         # that every node is reached
         g = NetworkGraph(5, [(0, 3, 3.0), (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         assert self.check_rows(g, range(5)) == 2
-        assert tree_path(dijkstra_trees(g, [0]).pred[0], 3) == (0, 1, 2, 3)
+        assert tree_path(dijkstra_trees(g, [0]).pred[0, 0], 3) == (0, 1, 2, 3)
         g = NetworkGraph(6, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 2, 1.0)])
         self.check_rows(g, range(6))
 
@@ -1046,12 +1047,12 @@ class TestTreeHops:
     @staticmethod
     def check(g, sources, rng, reads):
         t = dijkstra_trees(g, sources)
-        assert np.array_equal(t.hops, walked_hops(t.pred, t.sources.tolist()))
+        assert np.array_equal(t.hops[0], walked_hops(t.pred[0], t.sources.tolist()))
         rows = rng.integers(len(sources), size=reads)
         nodes = rng.integers(g.node_count, size=reads)
-        for r, v, h in zip(rows.tolist(), nodes.tolist(), t.hops[rows, nodes].tolist()):
-            if np.isfinite(t.dist[r, v]):
-                assert h == len(_reconstruct(t.pred[r].tolist(), v)) - 1
+        for r, v, h in zip(rows.tolist(), nodes.tolist(), t.hops[0, rows, nodes].tolist()):
+            if np.isfinite(t.dist[0, r, v]):
+                assert h == len(_reconstruct(t.pred[0, r].tolist(), v)) - 1
 
     def test_random_lattices(self):
         rng = np.random.default_rng(31)
@@ -1067,11 +1068,10 @@ class TestTreeHops:
 
     def test_off_the_tree_and_at_the_root(self):
         g = NetworkGraph(5, [(0, 1, 2.0), (2, 3, 1.0), (3, 4, 1.5)])
-        # block 0 twice: a stack's rows keep each block's roots
+        # block 0 twice: a stack's trees keep each block's roots
         for t in (dijkstra_trees(g, [3, 0]), dijkstra_trees(NetworkGraph.stack([g, g]), [3, 0])):
-            rows = np.arange(len(t.hops))[:, None]
-            assert t.hops[rows, [3, 0]].tolist() == [[0, -1], [-1, 0]] * (len(rows) // 2)
-            assert t.hops[rows, [4, 1]].tolist() == [[1, -1], [-1, 1]] * (len(rows) // 2)
+            assert t.hops[:, :, [3, 0]].tolist() == [[[0, -1], [-1, 0]]] * len(t.hops)
+            assert t.hops[:, :, [4, 1]].tolist() == [[[1, -1], [-1, 1]]] * len(t.hops)
 
 
 class TestNodeIdsOutsideTheGraph:

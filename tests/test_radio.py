@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,42 @@ def test_rssi_rejects_nonpositive_distance():
         rssi_at(0.0)
     with pytest.raises(ValueError):
         rssi_at(-3.0)
+
+
+@pytest.mark.parametrize("d, bad", [
+    (math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf), (0.0, 0.0),
+    (np.array([1.0, math.nan, 0.0]), math.nan), (np.array([[2.0, 1.0], [-1.0, math.inf]]), -1.0),
+])
+def test_rssi_names_first_bad_distance(d, bad):
+    # NaN and inf gave a NaN and a -inf strength
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"distance must be finite and > 0, got {bad!r}") + "$"):
+            rssi_at(d)
+
+
+@pytest.mark.parametrize("rssi, bad", [
+    # -1e6 dBm raised OverflowError from pow; NaN gave NaN, -inf gave inf,
+    # and inf and 1e4 dBm a zero distance
+    (-1e6, -1e6), (math.nan, math.nan), (-math.inf, -math.inf), (math.inf, math.inf),
+    (1e4, 1e4), (np.array([-50.0, 1e4, -1e6]), 1e4), (np.array([-50.0, -1e6, 1e4]), -1e6),
+    (np.array([-40.0, math.nan]), math.nan),
+])
+def test_estimate_names_first_bad_rssi(rssi, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"rssi must be finite with a distance finite and > 0, got {bad!r}") + "$"):
+            estimate_distance(rssi)
+
+
+def test_extreme_finite_strengths_accepted():
+    # far outside any channel, yet their distances are finite and > 0
+    assert 0 < estimate_distance(6000.0) < estimate_distance(-6000.0) < math.inf
+    assert rssi_at(np.array([1e-300, 1e300])).tolist() == [5960.0, -6040.0]
+    # a graph with no link at all
+    assert rssi_at(np.array([])).size == estimate_distance(np.array([])).size == 0
 
 
 def test_noise_is_additive():

@@ -1,6 +1,7 @@
 import functools
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestBoundingBox:
             g = build_graph(dep, MODEL)
             targets = list(dep.unknown_ids)
             anchors = list(dep.anchor_ids)
-            sd = dijkstra_trees(g, anchors).dist[:, targets]
+            sd = dijkstra_trees(g, anchors).dist[0][:, targets]
             ax, ay = (np.repeat(dep.coords[anchors, i, None], len(targets), axis=1)
                       for i in (0, 1))
             box, empty = _boxes(ax, ay, sd)
@@ -124,11 +125,41 @@ class TestCorrectedAngle:
             assert 0.0 <= th <= math.pi
             assert math.isfinite(th)
 
+    # no triangle has such a side or e: NaN, inf and 10**400 gave NaN (inf
+    # with a RuntimeWarning), and "1" was read as 1
+    @pytest.mark.parametrize("slot, name", enumerate("abce"))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -0.5, True, "1"])
+    def test_bad_side_or_e_rejected(self, slot, name, bad):
+        args = [3, 4, 5, 0.1, 1, 1, 1]
+        args[slot] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite real number >= 0, "
+                                                 rf"got {re.escape(repr(bad))}$"):
+                corrected_angle(*args)
+
+    # no path has such a hop count: True was read as 1 hop, 2.5 as 2.5 hops
+    @pytest.mark.parametrize("slot, name", [(4, "hops_a"), (5, "hops_b"), (6, "hops_c")])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, -1, 2**63, np.float64(1.0), "2"])
+    def test_bad_hop_count_rejected(self, slot, name, bad):
+        args = [3, 4, 5, 0.1, 1, 1, 1]
+        args[slot] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*63\), "
+                                             rf"got {re.escape(repr(bad))}$"):
+            corrected_angle(*args)
+
+    def test_numpy_and_boundary_values_accepted(self):
+        # zero sides and e, numpy numbers and the largest hop count
+        assert corrected_angle(np.float64(3), np.int64(4), 5, np.float64(0.0), np.int64(1),
+                               1, 1) == pytest.approx(math.pi / 2, abs=1e-9)
+        assert corrected_angle(0, 0, 0, 0, 0, 0, 0) == 0.0  # sides 0.01, 0.01 and 0
+        assert corrected_angle(1, 1, 1, 0.5, 2, 2, 2**63 - 1) == pytest.approx(math.pi / 3)
+
 
 def angle(g, e, at, ref, target):
     """``_angles`` for one item: (theta, K)."""
-    theta, k = _angles(g, dijkstra_trees(g, [at]), np.array([0]), np.array([ref]),
-                       np.array([target]), np.array([e]))
+    theta, k = _angles(g, dijkstra_trees(g, [at]), np.array([0]), np.array([0]),
+                       np.array([ref]), np.array([target]), np.array([e]))
     return theta[0], k[0]
 
 
@@ -159,10 +190,10 @@ class TestEstimateAngle:
     def test_anchor_c_side_read_from_forest(self, monkeypatch):
         # the hop-2 node toward ref 1 is node 1 itself, two hops from the
         # hop-2 node 2 toward the target: with 1 a root of the forest, the
-        # c side reads 1's row and runs no shortest-path call of its own
+        # c side reads 1's tree and runs no shortest-path call of its own
         edges = [(0, 3, 6.0), (3, 1, 6.0), (0, 4, 6.0), (4, 2, 6.0), (1, 5, 6.0), (5, 2, 6.0)]
         g = NetworkGraph(6, edges)
-        items = np.array([0]), np.array([1]), np.array([2]), np.array([1.0])
+        items = np.array([0]), np.array([0]), np.array([1]), np.array([2]), np.array([1.0])
         alone = _angles(g, dijkstra_trees(g, [0]), *items)
         forest = dijkstra_trees(g, [0, 1])
         calls = []
@@ -180,7 +211,8 @@ class TestEstimateAngle:
         forest = dijkstra_trees(g, [0])
         v, k = np.array([4, 4, 4, 3, 2, 0]), np.array([0, 1, 3, 3, 1, 0])
         kept = v.copy()
-        got = rail._ancestors(forest, np.zeros(len(v), dtype=int), v, k)
+        zero = np.zeros(len(v), dtype=int)
+        got = rail._ancestors(forest, zero, zero, v, k)
         assert got.tolist() == k.tolist() and v.tolist() == kept.tolist()
 
     def test_output_in_range_on_random_networks(self):
@@ -189,8 +221,9 @@ class TestEstimateAngle:
             g = build_graph(dep, MODEL)
             targets = np.array(dep.unknown_ids[::7])
             m = len(targets)
-            theta, k = _angles(g, dijkstra_trees(g, [0]), np.zeros(m, dtype=int),
-                               np.ones(m, dtype=int), targets, np.full(m, 2.5))
+            zero = np.zeros(m, dtype=int)
+            theta, k = _angles(g, dijkstra_trees(g, [0]), zero, zero, np.ones(m, dtype=int),
+                               targets, np.full(m, 2.5))
             assert ((0.0 <= theta) & (theta <= math.pi)).all()
             assert ((1 <= k) & (k <= 3)).all()
 
@@ -409,7 +442,7 @@ def baselines_of(dep, g):
     targets of one run, as a sweep computes them before the clamp."""
     anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
     floods = hop_floods(g, anchors)
-    acc, hops = floods.dist[:, targets], floods.hops[:, targets]
+    acc, hops = floods.dist[0][:, targets], floods.hops[0][:, targets]
     ax, ay = dep.coords[anchors].T
     chosen = np.argsort(acc, axis=0, kind="stable")[:3]
     return (min_max_all(ax, ay, hops, dep.comm_range),
@@ -501,7 +534,7 @@ class TestLocalizeAll:
 
         anchors = list(dep.anchor_ids)
         floods, floods_r = hop_floods(g, anchors), hop_floods(g_r, anchors)
-        assert (floods_r.hops[:, new] == floods.hops).all()
+        assert (floods_r.hops[0][:, new] == floods.hops[0]).all()
         (mx, my, inverted), _ = baselines_of(dep, g)
         (mx_r, my_r, inverted_r), _ = baselines_of(dep_r, g_r)
         col = np.searchsorted(dep_r.unknown_ids, new[unknown])  # target t's column in dep_r
@@ -520,7 +553,7 @@ class TestLocalizeAll:
             dep, g = seeded(*params)
             fired.update(localize_all(dep, g).case.tolist())
             anchors, targets = list(dep.anchor_ids), list(dep.unknown_ids)
-            sd = dijkstra_trees(g, anchors).dist[:, targets]
+            sd = dijkstra_trees(g, anchors).dist[0][:, targets]
             nearest = np.argsort(sd, axis=0, kind="stable")[:3]
             ax, ay = (dep.coords[anchors, i][nearest] for i in (0, 1))
             empty_boxes += _boxes(ax, ay, np.take_along_axis(sd, nearest, axis=0))[1].sum()
@@ -758,7 +791,7 @@ class TestLocalizeAll:
         targets = list(dep.unknown_ids)
         assert results.targets.tolist() == targets
         # each target's rays start at its three nearest anchors by SD, in id order
-        sd = dijkstra_trees(g, list(dep.anchor_ids)).dist[:, targets]
+        sd = dijkstra_trees(g, list(dep.anchor_ids)).dist[0][:, targets]
         nearest = np.sort(np.argsort(sd, axis=0, kind="stable")[:3], axis=0)
         chosen = np.array(dep.anchor_ids)[nearest]
         ray_x, ray_y = results.rays[:2]
