@@ -17,6 +17,9 @@ import numpy as np
 from .geometry import Point, _finite, _require, libm, square_box
 
 DET_TOL = 1e-9
+# rssi_dv_hop's bound on the magnitude of distances and anchor coordinates:
+# at 1e103 the solve's products b1 * a22 overflow, at 1e102 they do not
+MAGNITUDE_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,16 @@ def rssi_dv_hop(anchors: Sequence[tuple[Point, float]]) -> BaselineEstimate:
 
     The three circle equations are linearized by subtracting the third;
     the resulting 2x2 system is the exact least-squares solution. Collinear
-    anchors fall back to the mean of the anchor positions. ValueError
-    unless each distance is a finite real number.
+    anchors fall back to the mean of the anchor positions. ValueError,
+    naming the argument, unless each distance is a finite real number and
+    each distance and anchor coordinate at most MAGNITUDE_MAX in magnitude.
     """
     if len(anchors) != 3:
         raise ValueError("exactly three anchors required")
-    for _, dist in anchors:
+    for p, dist in anchors:
         _require("distance", dist, _finite(dist), "a finite real number")
+        for name, v in (("x", p.x), ("y", p.y), ("distance", dist)):
+            _require(name, v, abs(v) <= MAGNITUDE_MAX, f"at most {MAGNITUDE_MAX:g} in magnitude")
     ax = np.array([p.x for p, _ in anchors], dtype=float)
     ay = np.array([p.y for p, _ in anchors], dtype=float)
     d = np.array([[dist] for _, dist in anchors], dtype=float)

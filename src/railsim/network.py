@@ -65,13 +65,15 @@ def _require_area(width, height, comm_range) -> None:
     """Refuse an area side or range that is not a finite number > 0: a
     negative range fails in the pair sweep, a NaN one casts NaN to ints.
     Refuse an area whose 2 * width * height, the bound of the anchor
-    triangles' cross products and of ``expected_pairs``' divisor,
-    overflows."""
+    triangles' cross products and ``expected_pairs``' divisor, overflows
+    or underflows to 0."""
     for name, x in (("width", width), ("height", height), ("comm_range", comm_range)):
         _require(name, x, _finite(x) and x > 0, "a finite number > 0")
-    if not math.isfinite(2.0 * (float(width) * float(height))):  # Python floats: no warning
-        raise ValueError(f"2 * width * height must be finite, got width {width!r} and "
-                         f"height {height!r}")
+    double = 2.0 * (float(width) * float(height))  # Python floats: no warning
+    for ok, rule in ((math.isfinite(double), "finite"), (double > 0, "> 0")):
+        if not ok:
+            raise ValueError(f"2 * width * height must be {rule}, got width {width!r} and "
+                             f"height {height!r}")
 
 
 def expected_pairs(n: int, width, height, comm_range) -> float:

@@ -5,16 +5,16 @@ ray construction, and the four-case precise-location rule.
 Every stage is an array pass over all targets of a chunk of same-size
 runs, whose graphs are the blocks of one ``NetworkGraph``; a node keeps
 its id in its run's graph. ``localize_chunk`` reads the graph and the
-anchors' positions alone, runs ``_per_hop_errors``, ``_boxes``,
-``_angles``, ``_ray_directions`` and ``_locate`` in order, and returns
-``RailResults``: the estimates, case codes, boxes, rays and ray-pair
-hits as arrays. ``localize_all`` is the chunk of one run. ``corrected_angle`` is the one
-scalar entry point, a 0-d call of the angle formula. Transcendentals and
-distances (``math.hypot``) go through ``geometry.libm``, and every
-expression keeps the scalar operand order, so the passes give the results
-of the per-target scalar formulas in ``tests/oracle.py`` bit for bit. Max,
-min, clip and argmin need no such care: they return one of their finite
-operands exactly.
+anchors' positions alone and composes the paper's three steps,
+``_anchor_geometry``, ``_triangle_angles`` and ``_place``, into
+``RailResults``: the estimates, case codes, boxes, rays and ray-pair hits
+as arrays. ``localize_all`` is the chunk of one run. ``corrected_angle``
+is the one scalar entry point, a 0-d call of the angle formula.
+Transcendentals and distances (``math.hypot``) go through
+``geometry.libm``, and every expression keeps the scalar operand order,
+so the passes give the results of the per-target scalar formulas in
+``tests/oracle.py`` bit for bit. Max, min, clip and argmin need no such
+care: they return one of their finite operands exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .geometry import DEFAULT_TOL, _finite, _floats, _require, _whole, libm, squ
 from .network import Deployment, NetworkGraph, Trees, Unreachable, _node_ids, dijkstra_trees
 
 MIN_SIDE = 0.01  # floor for corrected triangle sides, keeps arccos finite
+SIDE_MAX = 1e150  # corrected_angle's bound on sides and e: their squares stay finite
 # row i: the two members of an anchor triple other than i, in id order
 OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 PAIRS = np.triu_indices(3, 1)  # the pairs (0, 1), (0, 2), (1, 2) as (i, j)
@@ -109,11 +110,12 @@ def corrected_angle(
     Each side is shortened by e per hop when its hop count is >= 2, floored
     at MIN_SIDE; the cosine argument is clamped to [-1, 1] so violated
     triangle inequalities map to 0 or pi. ValueError, naming the argument,
-    unless the sides and e are finite real numbers >= 0 and the hop counts
-    integers in [0, 2**63), none of them a bool.
+    unless the sides and e are finite real numbers in [0, SIDE_MAX] and the
+    hop counts integers in [0, 2**63), none of them a bool.
     """
     for name, x in zip("abce", (a, b, c, e)):
         _require(name, x, _finite(x) and x >= 0, "a finite real number >= 0")
+        _require(name, x, x <= SIDE_MAX, f"at most {SIDE_MAX:g}")
     for name, h in (("hops_a", hops_a), ("hops_b", hops_b), ("hops_c", hops_c)):
         _require(name, h, _whole(h, 0) and h < 2**63, "an integer in [0, 2**63)")
     return float(_corrected_angles(float(a), float(b), float(c), float(e), hops_a, hops_b, hops_c))
@@ -273,6 +275,84 @@ def _locate(box: np.ndarray, rays):
     return x, y, case, (hx, hy, hit)
 
 
+class _AnchorGeometry(NamedTuple):
+    """The anchor ``forest`` (run, anchor slot, node) and, per column (target
+    t of run b at b * m + t), its ``run`` and target id ``cols``, the slots
+    ``nearest`` and ids ``chosen`` of its three nearest anchors in id order,
+    their ``ax``, ``ay``, pair distances ``dist`` (01, 02, 12) and shortest
+    distances ``sd`` to the target, all (3, columns), the per-hop error
+    ``e``, and ``_boxes``' ``box`` (4, columns) and ``empty`` mask."""
+
+    forest: Trees
+    run: np.ndarray
+    cols: np.ndarray
+    nearest: np.ndarray
+    chosen: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    dist: np.ndarray
+    sd: np.ndarray
+    e: np.ndarray
+    box: np.ndarray
+    empty: np.ndarray
+
+
+def _anchor_geometry(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: np.ndarray,
+                     g: NetworkGraph) -> _AnchorGeometry:
+    """RAIL's first stage, over ``localize_chunk``'s checked inputs. When more
+    than three anchors exist, each target uses its three nearest anchors by
+    estimated shortest distance. One ``dijkstra_trees`` call gives every
+    run's anchor trees, so each run's block sees at most two scipy Dijkstra
+    calls, and the second (``_triangle_angles``') has no anchor among its
+    sources.
+    """
+    targets = np.setdiff1d(np.arange(g.node_count), anchor_ids)
+    run = np.repeat(np.arange(g.blocks), len(targets))  # per column
+    cols = np.tile(targets, g.blocks)
+    forest = dijkstra_trees(g, anchor_ids)
+    sd = forest.dist[:, :, targets]
+
+    # the three nearest anchors by SD (ties: anchor_ids order), in id order
+    nearest = np.argsort(sd.transpose(1, 0, 2).reshape(len(anchor_ids), -1), axis=0,
+                         kind="stable")[:3]
+    nearest = np.take_along_axis(nearest, np.argsort(anchor_ids[nearest], axis=0), axis=0)
+    chosen = anchor_ids[nearest]  # (3, B m) anchor ids
+    i, j = PAIRS  # an anchor pair's SD is read from the tree of its lower id
+    pair_sd, target_sd = forest.dist[run, nearest[i], chosen[j]], forest.dist[run, nearest, cols]
+    ends = np.broadcast_to(cols, nearest.shape)
+    for a, b, d in ((chosen[i], chosen[j], pair_sd), (chosen, ends, target_sd)):
+        if np.isinf(d).any():
+            k = np.isinf(d).argmax()
+            raise Unreachable(f"node {b.flat[k]} unreachable from {a.flat[k]}")
+
+    ax, ay = anchor_x[nearest, run], anchor_y[nearest, run]
+    dist = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
+    if (dist == 0).any():
+        raise DegenerateGeometry("coincident anchors")
+    e = _per_hop_errors(dist, pair_sd, forest.hops[run, nearest[i], chosen[j]])
+    return _AnchorGeometry(forest, run, cols, nearest, chosen, ax, ay, dist, target_sd, e,
+                           *_boxes(ax, ay, target_sd))
+
+
+def _triangle_angles(g: NetworkGraph, geo: _AnchorGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """RAIL's second stage: one ``_angles`` call for the six angles θ of
+    every target and their prefix lengths K, each (anchor, other, column):
+    θ[i, o] is the angle at chosen anchor i between the directions to
+    anchor ``OTHERS[i, o]`` and to the target."""
+    at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
+    theta, k = _angles(g, geo.forest, np.tile(geo.run, 6), geo.nearest[at].ravel(),
+                       geo.chosen[ref].ravel(), np.tile(geo.cols, 6), np.tile(geo.e, 6))
+    return theta.reshape(3, 2, len(geo.cols)), k.reshape(3, 2, len(geo.cols))
+
+
+def _place(geo: _AnchorGeometry, theta: np.ndarray):
+    """RAIL's third stage: the chosen anchors' rays turned by the angles θ
+    (anchor, other, column), and ``_locate``'s four-case rule in the box,
+    as (ray_x, ray_y, ray_dx, ray_dy) and (x, y, case, hits)."""
+    rays = (geo.ax, geo.ay, *_ray_directions(geo.ax, geo.ay, geo.dist, theta[:, 0], theta[:, 1]))
+    return rays, _locate(geo.box, rays)
+
+
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     """``localize_chunk`` of one run, whose graph ``g`` is one block, from
     ``dep``'s anchor positions; ValueError unless dep has g's node count."""
@@ -288,13 +368,8 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
     (anchor, run) hold the positions of the anchors ``anchor_ids`` (the
     same ids in every run), as the baselines take them, and ``g`` the
     runs' graphs, block b for run b. Column ``b * m + t`` of the result is
-    target t of run b, for the m unknowns of a run in id order.
-
-    When more than three anchors exist, each target uses its three nearest
-    anchors by estimated shortest distance. One ``dijkstra_trees`` call
-    gives every run's anchor trees and one ``_angles`` call reads all six
-    angles of every target, so each run's block sees at most two scipy
-    Dijkstra calls, and the second has no anchor among its sources.
+    target t of run b, for the m unknowns of a run in id order. It
+    composes ``_anchor_geometry``, ``_triangle_angles`` and ``_place``.
 
     Raises ``ValueError`` for an anchor id that is not an integer in
     [0, n), for fewer than 3 distinct anchors or a repeated anchor id, and
@@ -317,40 +392,6 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
                          f"{runs}) arrays, got {anchor_x.shape} and {anchor_y.shape}")
     if not (np.isfinite(anchor_x).all() and np.isfinite(anchor_y).all()):
         raise ValueError("non-finite anchor position")
-    targets = np.setdiff1d(np.arange(n), anchor_ids)
-    m = len(targets)
-    run = np.repeat(np.arange(runs), m)  # per column
-    cols = np.tile(targets, runs)
-    # the anchor forest, (run, anchor slot, node) arrays
-    anchors = dijkstra_trees(g, anchor_ids)
-    sd = anchors.dist[:, :, targets]
-
-    # the three nearest anchors by SD (ties: anchor_ids order), in id order
-    nearest = np.argsort(sd.transpose(1, 0, 2).reshape(n_anchors, -1), axis=0,
-                         kind="stable")[:3]
-    nearest = np.take_along_axis(nearest, np.argsort(anchor_ids[nearest], axis=0), axis=0)
-    chosen = anchor_ids[nearest]  # (3, B m) anchor ids
-    i, j = PAIRS  # an anchor pair's SD is read from the tree of its lower id
-    pair_sd, target_sd = anchors.dist[run, nearest[i], chosen[j]], anchors.dist[run, nearest, cols]
-    ends = np.broadcast_to(cols, nearest.shape)
-    for a, b, d in ((chosen[i], chosen[j], pair_sd), (chosen, ends, target_sd)):
-        if np.isinf(d).any():
-            k = np.isinf(d).argmax()
-            raise Unreachable(f"node {b.flat[k]} unreachable from {a.flat[k]}")
-
-    ax, ay = anchor_x[nearest, run], anchor_y[nearest, run]
-    dist = libm(math.hypot, ax[i] - ax[j], ay[i] - ay[j])  # geometry.distance
-    if (dist == 0).any():
-        raise DegenerateGeometry("coincident anchors")
-    e = _per_hop_errors(dist, pair_sd, anchors.hops[run, nearest[i], chosen[j]])
-    box = _boxes(ax, ay, target_sd)[0]
-
-    # the six angle items of every target, at anchor i toward OTHERS[i, 0]
-    # and OTHERS[i, 1], stacked as (anchor, other, target)
-    at, ref = np.repeat(np.arange(3), 2), OTHERS.ravel()
-    theta = _angles(g, anchors, np.tile(run, 6), nearest[at].ravel(), chosen[ref].ravel(),
-                    np.tile(cols, 6), np.tile(e, 6))[0].reshape(3, 2, runs * m)
-    ray_dx, ray_dy = _ray_directions(ax, ay, dist, theta[:, 0], theta[:, 1])
-    rays = (ax, ay, ray_dx, ray_dy)
-    x, y, case, hits = _locate(box, rays)
-    return RailResults(cols, x, y, case, box, rays, hits)
+    geo = _anchor_geometry(anchor_x, anchor_y, anchor_ids, g)
+    rays, (x, y, case, hits) = _place(geo, _triangle_angles(g, geo)[0])
+    return RailResults(geo.cols, x, y, case, geo.box, rays, hits)

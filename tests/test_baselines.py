@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,34 @@ class TestRssiDvHop:
         with pytest.raises(ValueError, match=rf"^distance must be a finite real number, "
                                              rf"got {re.escape(repr(bad))}$"):
             rssi_dv_hop(anchors)
+
+    # finite values whose products overflow: 1e160 warned "overflow
+    # encountered in multiply" as a distance, and raised a bare
+    # OverflowError from the C library's pow as a coordinate
+    @pytest.mark.parametrize("bad", [1e160, -1e101, pytest.param(10**200, id="10**200"),
+                                     np.float64(1.1e100)])
+    @pytest.mark.parametrize("name", ["x", "y", "distance"])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_magnitude_past_bound_rejected(self, bad, name, slot):
+        anchors = [[0.0, 0.0, 5.0], [10.0, 0.0, 5.0], [0.0, 10.0, 5.0]]
+        anchors[slot][("x", "y", "distance").index(name)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be at most 1e\+100 in "
+                                                 rf"magnitude, got {re.escape(repr(bad))}$"):
+                rssi_dv_hop([(Point(x, y), d) for x, y, d in anchors])
+
+    def test_magnitude_bound_accepted(self):
+        # the bound itself solves to a finite point with no overflow; the
+        # last set's b1 * a22 is 6 b**3, which overflows at b = 1e103
+        b = 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for anchors in ([(Point(b, b), b), (Point(-b, b), b), (Point(b, -b), -b)],
+                            [(Point(-b, -b), b), (Point(b, -b), -b), (Point(-b, b), b)],
+                            [(Point(b, b), 0.0), (Point(-b, b), 0.0), (Point(0, 0), b)]):
+                est = rssi_dv_hop(anchors)
+                assert math.isfinite(est.position.x) and math.isfinite(est.position.y)
 
     @settings(max_examples=200, deadline=None)
     @given(

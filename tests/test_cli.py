@@ -178,6 +178,22 @@ class TestRun:
         assert "4,000,000 targets" in caplog.text and "500,000 runs" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
+    ], ids=["run-w1", "run-w2", "demo"])
+    def test_underflowing_area_exit_1(self, command, tmp_path, caplog):
+        # 2 * width * height underflows to 0: it printed a bare
+        # ZeroDivisionError from expected_pairs
+        p = tmp_path / "small.json"
+        p.write_text(json.dumps({"densities": [20], "runs_per_density": 1,
+                                 "width": 1e-300, "height": 1e-300}))
+        out = tmp_path / "out"
+        name, *flags = command
+        assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
+        assert "cannot load config" in caplog.text
+        assert "2 * width * height must be > 0" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000, '{"a": ' * 1000 + "1" + "}" * 1000],
                              ids=["arrays", "objects"])
     @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["demo"]],

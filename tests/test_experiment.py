@@ -151,6 +151,7 @@ class TestBasics:
             {"densities": (100, N_NODES_MAX), "comm_range": 1000.0},
             {"densities": (N_NODES_MAX,), "width": 30.0, "height": 30.0},
             {"width": 1e300, "height": 1e300, "comm_range": 1e300},  # NaN expectation
+            {"width": 1e-300, "height": 1e-300},  # 2 * width * height underflows to 0
             # one past the target ceiling: 800 targets in 3 runs, then 8 in 1,
             # per runs_per_density
             {"runs_per_density": N_TARGETS_MAX // (800 + 3 * RUN_TARGETS) + 1},

@@ -529,6 +529,25 @@ class TestDeploymentCoords:
         # an area whose double is the largest finite float is accepted
         assert Deployment(1e308, 0.5, xy, (0,), 10.0).width == 1e308
 
+    @pytest.mark.parametrize("width, height", [(1e-300, 1e-300), (1e-200, 1e-200),
+                                               (np.float64(1e-300), 1e-100)])
+    def test_area_underflowing_when_doubled_rejected(self, width, height):
+        # an area whose double underflows to 0 divided expected_pairs by 0:
+        # a bare ZeroDivisionError, not a refusal naming the area
+        xy = [[0.0, 0.0], [5.0, 0.0]]
+        args = {"width": width, "height": height, "comm_range": 10.0}
+        match = re.escape(f"2 * width * height must be > 0, got width {width!r} and "
+                          f"height {height!r}")
+        with pytest.raises(ValueError, match=match):
+            Deployment(coords=xy, anchor_ids=(0,), **args)
+        with pytest.raises(ValueError, match=match):
+            Deployment.from_json_dict({"nodes": xy, "anchor_ids": [0], **args})
+        with pytest.raises(ValueError, match=match):
+            generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args)
+        # a positive subnormal double is accepted
+        for w, h in ((1e-160, 1e-160), (5e-324, 1.0)):
+            assert Deployment(w, h, xy, (0,), 10.0).width == w
+
     def test_numpy_range_past_float_squares_sampled(self, monkeypatch):
         # the expected pairs of a numpy range whose square overflows are
         # computed in Python floats: no RuntimeWarning, the attempt is made

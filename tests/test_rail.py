@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 from oracle import AABox, contains, make_ray, ray_pair_intersection, reference_localize
 from railsim import geometry, network, radio, rail
 from railsim.baselines import min_max_all, rssi_dv_hop_all
-from railsim.experiment import ExperimentConfig, _run_chunk, scenario
+from railsim.experiment import ExperimentConfig, _run_chunk, _scenes, scenario
 from railsim.geometry import Point, distance, libm
 from railsim.network import (
     Deployment,
@@ -32,6 +32,7 @@ from railsim.rail import (
     ALL_OUTSIDE,
     MULTI,
     NO_INTERSECTION,
+    OTHERS,
     SINGLE,
     _angles,
     _boxes,
@@ -154,6 +155,29 @@ class TestCorrectedAngle:
                                1, 1) == pytest.approx(math.pi / 2, abs=1e-9)
         assert corrected_angle(0, 0, 0, 0, 0, 0, 0) == 0.0  # sides 0.01, 0.01 and 0
         assert corrected_angle(1, 1, 1, 0.5, 2, 2, 2**63 - 1) == pytest.approx(math.pi / 3)
+
+    # finite sides whose squares overflow: 1e160 warned "overflow
+    # encountered in scalar multiply" and gave NaN with warnings ignored
+    @pytest.mark.parametrize("slot, name", enumerate("abce"))
+    @pytest.mark.parametrize("bad", [1e160, pytest.param(10**151, id="10**151"),
+                                     np.float64(1.01e150)])
+    def test_side_or_e_past_bound_rejected(self, slot, name, bad):
+        args = [3, 4, 5, 0.1, 1, 1, 1]
+        args[slot] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be at most 1e\+150, "
+                                                 rf"got {re.escape(repr(bad))}$"):
+                corrected_angle(*args)
+
+    def test_side_bound_accepted(self):
+        # the bound itself, as sides and as e times the largest hop count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert corrected_angle(1e150, 1e150, 1e150, 0, 1, 1, 1) == pytest.approx(math.pi / 3)
+            assert corrected_angle(1e150, 1e150, 0, 1e150, 1, 1, 2**63 - 1) == 0.0
+            assert corrected_angle(1e150, 1e150, 1e150, 1e150, 2, 2, 2) == pytest.approx(
+                math.pi / 3)
 
 
 def angle(g, e, at, ref, target):
@@ -463,6 +487,25 @@ def assert_matches_reference(dep, g):
         assert [(hit_x[q, i], hit_y[q, i]) for q in range(3) if hit[q, i]] == [
             (p.x, p.y) for p in pts]
         assert (results.x[i], results.y[i]) == (est.x, est.y)
+
+
+class TestStages:
+    @pytest.mark.parametrize("density", [100, 200, 500])
+    def test_true_angles_place_every_target(self, density):
+        # fed the true angle at each chosen anchor, the rays and the
+        # four-case rule put every target of table2's noise-free runs in
+        # case MULTI at its own position: RAIL's error comes from the angles
+        cfg = ExperimentConfig.from_json_file(CONFIGS / "table2.json")
+        coords, anchors, _, g = _scenes(cfg, density, range(4))
+        geo = rail._anchor_geometry(*coords[:, anchors].T, anchors, g)
+        tx, ty = coords[geo.run, geo.cols].T
+        # theta[i, o], at chosen anchor i between anchor OTHERS[i, o] and the target
+        ux, uy = geo.ax[OTHERS] - geo.ax[:, None], geo.ay[OTHERS] - geo.ay[:, None]
+        vx, vy = (tx - geo.ax)[:, None], (ty - geo.ay)[:, None]
+        theta = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        _, (x, y, case, _) = rail._place(geo, theta)
+        assert (case == MULTI).all()
+        assert np.hypot(x - tx, y - ty).max() < 1e-5
 
 
 class TestLocalizeAll:
