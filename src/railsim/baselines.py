@@ -14,12 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, _finite, _require, libm, square_box
+from .geometry import MAGNITUDE_MAX, Point, _finite, _require, libm, square_box
 
 DET_TOL = 1e-9
-# rssi_dv_hop's bound on the magnitude of distances and anchor coordinates:
-# at 1e103 the solve's products b1 * a22 overflow, at 1e102 they do not
-MAGNITUDE_MAX = 1e100
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# the largest area side and range a deployment accepts, and the largest
+# anchor coordinate and distance ``rssi_dv_hop`` accepts in magnitude: at
+# 1e103 its products b1 * a22 overflow, at 1e102 they do not
+MAGNITUDE_MAX = 1e100
 
 
 def _whole(x, low: int) -> bool:

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, _finite, _floats, _require, _whole, libm
+from .geometry import MAGNITUDE_MAX, Point, _finite, _floats, _require, _whole, libm
 from .radio import PathLossModel, estimate_distance, rssi_at
 
 # every anchor triple must span a triangle larger than this (m^2)
@@ -64,16 +64,16 @@ N_PAIRS_MAX = 2_000_000
 def _require_area(width, height, comm_range) -> None:
     """Refuse an area side or range that is not a finite number > 0: a
     negative range fails in the pair sweep, a NaN one casts NaN to ints.
-    Refuse an area whose 2 * width * height, the bound of the anchor
-    triangles' cross products and ``expected_pairs``' divisor, overflows
-    or underflows to 0."""
+    Refuse one above MAGNITUDE_MAX, where the pair sweep's squares and the
+    DV-hop solve overflow. Refuse an area whose 2 * width * height, the
+    bound of the anchor triangles' cross products and ``expected_pairs``'
+    divisor, underflows to 0."""
     for name, x in (("width", width), ("height", height), ("comm_range", comm_range)):
         _require(name, x, _finite(x) and x > 0, "a finite number > 0")
-    double = 2.0 * (float(width) * float(height))  # Python floats: no warning
-    for ok, rule in ((math.isfinite(double), "finite"), (double > 0, "> 0")):
-        if not ok:
-            raise ValueError(f"2 * width * height must be {rule}, got width {width!r} and "
-                             f"height {height!r}")
+        _require(name, x, x <= MAGNITUDE_MAX, f"at most {MAGNITUDE_MAX:g}")
+    if not 2.0 * (float(width) * float(height)) > 0:  # Python floats: no warning
+        raise ValueError(f"2 * width * height must be > 0, got width {width!r} and "
+                         f"height {height!r}")
 
 
 def expected_pairs(n: int, width, height, comm_range) -> float:

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import pathlib
@@ -35,16 +34,12 @@ from railsim.experiment import (
     write_report_csv,
     write_runs_csv,
 )
-from railsim.geometry import distance
+from railsim.geometry import MAGNITUDE_MAX, distance
 from railsim.network import GenerationFailed, generate_deployment
 from railsim.radio import PathLossModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
-
-# the reduced sweeps whose outputs TestCsv pins
-PIN_BASE = {"densities": (60, 120), "runs_per_density": 3, "base_seed": 4}
-NOISY6_SMALL = {"densities": (200,), "n_anchors": 6, "sigma": 4.0, "runs_per_density": 4}
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +199,9 @@ class TestBasics:
          lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
         (network, "N_PAIRS_MAX", network.expected_pairs(103, 50.0, 50.0, 10.0), 100, 101,
          lambda v: {"densities": (v,)}, lambda v, rng: generate_deployment(50, 50, v, 3, 10, rng)),
-    ], ids=["sigma", "anchors", "nodes", "pairs"])
+        (geometry, "MAGNITUDE_MAX", None, MAGNITUDE_MAX, math.nextafter(MAGNITUDE_MAX, math.inf),
+         lambda v: {"width": v}, lambda v, rng: generate_deployment(v, 50, 10, 3, 10, rng)),
+    ], ids=["sigma", "anchors", "nodes", "pairs", "side"])
     def test_config_and_library_agree_on_limit(self, owner, name, patched, at, past, config,
                                                library, monkeypatch):
         # each limit has one owner, which the config calls: at the limit both
@@ -532,66 +529,6 @@ class TestCsv:
         )
         assert len(rows) == want
         assert all(math.isfinite(float(r["error_m"])) for r in rows)
-
-    # sha256 of (report.csv, runs.csv, errors.csv) of reduced sweeps, captured
-    # before the shortest-path layer was rewritten on scipy (sigma 0 and 2) and
-    # before the run pipeline became array-native (6 anchors, sigma 4); any
-    # change to what a run computes shows here
-    @pytest.mark.parametrize("overrides, digests", [
-        pytest.param(
-            {"sigma": 0.0},
-            ("847715c6ae8ff3c38ab9c7a487e9164a82d683db590dc9534e54f1f0290fdddc",
-             "b694d53eb43a88daf0a8f1dc6aa87949dad3e5f60942e0f771f57e99821d6511",
-             "80cd06c6d52dffb0454bda00661005ad680139b36bae33c5d2007e4f3822a6fa"),
-            id="0.0-digests0"),
-        pytest.param(
-            {"sigma": 2.0},
-            ("59337e97f6e8e6587a4464738ad9c252913275e6d306b468336b15f74303fa46",
-             "7cbc7b4fec97b54dcb6637c677a9860e7e3369b62c57a61e04520210c1458013",
-             "b9503c5228d4270a4902ecbbed4e0fb733d145dab3c58f07b8da2be4cf26d2e1"),
-            id="2.0-digests1"),
-        pytest.param(
-            NOISY6_SMALL,
-            ("de58fa17306341669742829e2b0a4d2a06a965f32a7c52489b7e3edee3a997c2",
-             "1a4d8a163b30a6dd96ecb30c5094ee29d1701c815e7c19559b85f9c4eb895d37",
-             "3c9367d09186c1f73a11c03fdb688de9949392d11b7c54b1a1125fce49e83093"),
-            id="4.0-6anchors"),
-    ])
-    def test_pinned_digests(self, overrides, digests, tmp_path):
-        cfg = ExperimentConfig(**{**PIN_BASE, **overrides})
-        csvs = write_csvs(run_experiment(cfg), tmp_path)
-        got = tuple(hashlib.sha256(data).hexdigest() for data in csvs.values())
-        assert got == digests
-
-    # the CSVs round to 4 decimals; these pin every estimate and error to the
-    # last bit (float.hex), captured before the run pipeline became
-    # array-native
-    @pytest.mark.parametrize("overrides, digest", [
-        pytest.param(
-            {"densities": (100, 500), "runs_per_density": 2},
-            "7ff2696894e89d05cc4439231feb02685456b026c4e31c7039575d7bc596f3c2",
-            id="sigma0-500nodes"),
-        pytest.param(
-            NOISY6_SMALL,
-            "5de454e0bfe300adbf293ac838048a4e91a8b99f5c577ff337d3c9968d7065e7",
-            id="sigma4-6anchors"),
-        # a non-square area with 4 anchors: targets of one run use different
-        # anchor triples
-        pytest.param(
-            {"width": 80.0, "height": 30.0, "n_anchors": 4, "sigma": 2.0},
-            "c75bb3bf0d947d60043e0bbe2872e8ca1e10f51d193f4b96bd917174fcd7bb49",
-            id="sigma2-4anchors-80x30"),
-    ])
-    def test_pinned_estimates(self, overrides, digest):
-        report = run_experiment(ExperimentConfig(**{**PIN_BASE, **overrides}))
-        h = hashlib.sha256()
-        for rec in report.records:
-            for alg in sorted(rec.estimates):
-                for p, err in zip(rec.estimates[alg], rec.errors[alg]):
-                    h.update(f"{alg} {rec.density} {rec.run_index} "
-                             f"{p.x.hex()} {p.y.hex()} {err.hex()}\n".encode())
-            h.update(f"box {rec.rail_box_contains}\n".encode())
-        assert h.hexdigest() == digest
 
     def test_byte_identical_across_runs(self, small_report, tmp_path):
         # the records come back from the pool's workers unpickled

@@ -18,7 +18,8 @@ from scipy.spatial import cKDTree
 
 import railsim
 from railsim import network
-from railsim.geometry import Point, distance, libm
+from railsim.experiment import ExperimentConfig
+from railsim.geometry import MAGNITUDE_MAX, Point, distance, libm
 from railsim.network import (
     ANCHOR_AREA_MIN,
     Deployment,
@@ -511,12 +512,11 @@ class TestDeploymentCoords:
     def test_area_overflowing_when_doubled_rejected(self, width, height):
         # 2 * width * height bounds the anchor triangles' cross products and
         # the expected pairs' divisor: an area whose double overflows is
-        # refused, with no RuntimeWarning, and not sampled 1000 times into
-        # NaN cross products
+        # refused by the side bound, with no RuntimeWarning, and not sampled
+        # 1000 times into NaN cross products
         xy = [[0.0, 0.0], [5.0, 0.0]]
         args = {"width": width, "height": height, "comm_range": 10.0}
-        match = re.escape(f"2 * width * height must be finite, got width {width!r} and "
-                          f"height {height!r}")
+        match = re.escape(f"width must be at most {MAGNITUDE_MAX:g}, got {width!r}") + "$"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=match):
@@ -526,8 +526,28 @@ class TestDeploymentCoords:
             with pytest.raises(ValueError, match=match):
                 generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        # an area whose double is the largest finite float is accepted
-        assert Deployment(1e308, 0.5, xy, (0,), 10.0).width == 1e308
+        # the largest area is accepted: its double, 2e200, is finite
+        assert Deployment(MAGNITUDE_MAX, MAGNITUDE_MAX, xy, (0,), 10.0).width == MAGNITUDE_MAX
+
+    @pytest.mark.parametrize("name", ["width", "height", "comm_range"])
+    @pytest.mark.parametrize("value", [1e200, math.nextafter(MAGNITUDE_MAX, math.inf),
+                                       np.float64(1e101)], ids=["1e200", "next-above", "np-1e101"])
+    def test_side_above_magnitude_max_rejected(self, name, value):
+        # a width of 1e200 loaded, and its run ended in an OverflowError from
+        # the DV-hop solve's pow or in the pair sweep's overflowing squares
+        xy = [[0.0, 0.0], [5.0, 0.0]]
+        args = {"width": 50.0, "height": 50.0, "comm_range": 10.0, name: value}
+        match = re.escape(f"{name} must be at most 1e+100, got {value!r}") + "$"
+        for make in (lambda: Deployment(coords=xy, anchor_ids=(0,), **args),
+                     lambda: Deployment.from_json_dict({"nodes": xy, "anchor_ids": [0], **args}),
+                     lambda: generate_deployment(n_unknown=10, n_anchors=3, seed=1, **args),
+                     lambda: ExperimentConfig(**args)):
+            with pytest.raises(ValueError, match=match):
+                make()
+        # at the bound each is accepted
+        at = {**args, name: MAGNITUDE_MAX}
+        assert getattr(Deployment(coords=xy, anchor_ids=(0,), **at), name) == MAGNITUDE_MAX
+        assert getattr(ExperimentConfig(**at), name) == MAGNITUDE_MAX
 
     @pytest.mark.parametrize("width, height", [(1e-300, 1e-300), (1e-200, 1e-200),
                                                (np.float64(1e-300), 1e-100)])
@@ -550,10 +570,16 @@ class TestDeploymentCoords:
 
     def test_numpy_range_past_float_squares_sampled(self, monkeypatch):
         # the expected pairs of a numpy range whose square overflows are
-        # computed in Python floats: no RuntimeWarning, the attempt is made
+        # computed in Python floats: no RuntimeWarning. A deployment refuses
+        # such a range by the side bound, and makes the attempt at the bound
         monkeypatch.setattr(network, "MAX_ATTEMPTS", 1)
-        with pytest.raises(GenerationFailed):
-            generate_deployment(50, 50, 10, 3, np.float64(1e200), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert network.expected_pairs(13, 50, 50, np.float64(1e200)) == 13 * 13 / 2
+            with pytest.raises(ValueError, match="comm_range must be at most 1e"):
+                generate_deployment(50, 50, 10, 3, np.float64(1e200), seed=1)
+            with pytest.raises(GenerationFailed):
+                generate_deployment(50, 50, 10, 3, np.float64(MAGNITUDE_MAX), seed=1)
 
     @pytest.mark.parametrize("n_unknown, n_anchors, match", [
         (-5, 3, "n_unknown must be an integer >= 0, got -5$"),
