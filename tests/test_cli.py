@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from railsim import cli, experiment
 from railsim.cli import main
 from railsim.experiment import N_TARGETS_MAX, RUN_TARGETS, ExperimentConfig, scenario
 from railsim.network import Deployment, Unreachable
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SMALL_CFG = {
     "densities": [60],
@@ -287,6 +291,24 @@ class TestRun:
             assert main(["run", "--config", str(p), "--out", str(outs[-1])]) == 0
         a, b = outs
         assert (a / "runs.csv").read_bytes() != (b / "runs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_benchmark_golden_digests(workers, tmp_path):
+    # the benchmark refuses every sweep whose CSVs differ from the digests
+    # stored in perfbench/golden.json; its table2 workload is the
+    # tests/pins.json entry table2-golden, and its sweep must give them here
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["table2"]
+    pin = json.loads((ROOT / "tests" / "pins.json").read_text())["table2-golden"]
+    assert (pin["config"], pin["digests"]) == (golden["config"], golden["digests"])
+    assert int(workers) in pin["workers"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(golden["config"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in golden["digests"]}
+    assert got == golden["digests"]
 
 
 @pytest.mark.parametrize("levels", [("off", "info"), ("info", "off")])
