@@ -46,6 +46,12 @@ def rssi_dv_hop_all(ax: np.ndarray, ay: np.ndarray, chosen: np.ndarray, d: np.nd
     or (k, B) and (3, B, m) for B runs of m targets each, as ``min_max_all``
     takes them. Returns the estimates (x, y) and the degenerate flags, each
     (m,) or (B, m).
+
+    A target is degenerate when its anchors are collinear (``|det| <
+    DET_TOL``) or when its solve overflows (x or y not finite: its squared
+    distances times the anchor offsets pass the float range, as noisy
+    multi-hop distances on a 1e95 m square do); like a collinear one, it
+    falls back to the mean of its three anchor positions, with no warning.
     """
     # the chosen anchors' coordinates and their squares, squared by the C
     # library's pow as the scalar solve's x**2 took them
@@ -58,14 +64,13 @@ def rssi_dv_hop_all(ax: np.ndarray, ay: np.ndarray, chosen: np.ndarray, d: np.nd
     a12 = 2.0 * (p1y - p3y)
     a21 = 2.0 * (p2x - p3x)
     a22 = 2.0 * (p2y - p3y)
-    b1 = (d3 * d3 - d1 * d1) + (s1x - s3x) + (s1y - s3y)
-    b2 = (d3 * d3 - d2 * d2) + (s2x - s3x) + (s2y - s3y)
-
-    det = a11 * a22 - a12 * a21
-    degenerate = np.abs(det) < DET_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b1 = (d3 * d3 - d1 * d1) + (s1x - s3x) + (s1y - s3y)
+        b2 = (d3 * d3 - d2 * d2) + (s2x - s3x) + (s2y - s3y)
+        det = a11 * a22 - a12 * a21
         x = (b1 * a22 - b2 * a12) / det
         y = (a11 * b2 - a21 * b1) / det
+    degenerate = (np.abs(det) < DET_TOL) | ~np.isfinite(x) | ~np.isfinite(y)
     x = np.where(degenerate, (p1x + p2x + p3x) / 3.0, x)
     y = np.where(degenerate, (p1y + p2y + p3y) / 3.0, y)
     return x, y, degenerate

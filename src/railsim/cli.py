@@ -32,7 +32,7 @@ log = logging.getLogger("railsim")
 
 
 def _setup_logging() -> None:
-    level = {"off": logging.CRITICAL, "info": logging.INFO, "debug": logging.DEBUG}.get(
+    level = {"off": logging.CRITICAL, "info": logging.INFO}.get(
         os.environ.get("RAIL_LOG", "info").lower(), logging.INFO
     )
     # basicConfig adds the stderr handler once; the level is set on every

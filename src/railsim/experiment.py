@@ -32,6 +32,7 @@ import numpy as np
 from . import baselines, rail
 from .geometry import _require, _whole, libm
 from .network import (
+    N_NODES_MAX,
     Deployment,
     GenerationFailed,
     NetworkGraph,
@@ -41,10 +42,6 @@ from .network import (
     hop_floods,
 )
 from .radio import PathLossModel
-# the limits a config is checked against, each owned by the code whose
-# resource it bounds and importable from here too
-from .network import N_ANCHORS_MAX, N_NODES_MAX, N_PAIRS_MAX  # noqa: F401
-from .radio import SIGMA_MAX_DB  # noqa: F401
 
 ALL_ALGORITHMS = ("RAIL", "MinMax", "RssiDvHop")
 # the dtype of one algorithm's estimates: an (x, y) record per target

@@ -94,6 +94,21 @@ def test_pow_squares_match_python_power():
     assert same_bits(libm(math.pow, a, 2.0), [v**2 for v in a.tolist()])
 
 
+def test_overflowing_solve_falls_back_to_centroid():
+    # distances of 1e200 square to inf: the solve warned "overflow
+    # encountered in multiply" and returned NaN, unflagged. The second
+    # target, with ordinary distances, solves as rssi_dv_hop does
+    ax, ay = np.array([0.0, 10.0, 0.0]), np.array([0.0, 0.0, 10.0])
+    d = np.array([[1e200, 5.0], [1e200, 5.0], [1e200, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y, degenerate = rssi_dv_hop_all(ax, ay, np.array([[0, 0], [1, 1], [2, 2]]), d)
+    assert same_bits(x[0], 10.0 / 3.0) and same_bits(y[0], 10.0 / 3.0)
+    assert degenerate.tolist() == [True, False]
+    est = rssi_dv_hop([(Point(px, py), 5.0) for px, py in zip(ax, ay)])
+    assert same_bits([x[1], y[1]], [est.position.x, est.position.y])
+
+
 def min_max_one(anchors, comm_range):
     """``min_max_all`` for one target: (x, y, inverted) from (Point, hops) pairs."""
     ax = np.array([p.x for p, _ in anchors])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import stat
@@ -87,14 +88,17 @@ class TestRun:
         # OverflowError traceback from math.isfinite
         {"width": 10**400}, {"sigma": 10**400},
     ])
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_invalid_config_exit_1(self, bad, workers, tmp_path, caplog):
+    @pytest.mark.parametrize("command", [
+        ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
+    ], ids=["1", "2", "demo"])
+    def test_invalid_config_exit_1(self, bad, command, tmp_path, caplog):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**SMALL_CFG, **bad}))
         out = tmp_path / "out"
+        name, *flags = command
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", "--config", str(p), "--out", str(out), "--workers", workers]) == 1
+            assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "cannot load config" in caplog.text
         assert not out.exists()
@@ -155,8 +159,8 @@ class TestRun:
         assert f"at most {N_TARGETS_MAX:,} targets" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]],
-                             ids=["run-w2", "demo"])
+    @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["run", "--workers", "2"],
+                                         ["demo"]], ids=["run-w1", "run-w2", "demo"])
     def test_run_cost_bound_exit_1_before_any_chunk(self, command, tmp_path, caplog,
                                                     monkeypatch):
         # 500,000 runs of 8 targets are 4 M targets, but each run's record
@@ -227,6 +231,22 @@ class TestRun:
             warnings.simplefilter("error", RuntimeWarning)
             assert main([name, "--config", str(p), "--out", str(out), *flags]) == 0
         assert out.is_dir()
+
+    def test_noisy_dv_hop_past_float_range_scored_finite(self, tmp_path):
+        # at 100 dB on a 1e95 m square the noisy multi-hop distances overflow
+        # the DV-hop solve: run exited 0 with nan as RssiDvHop's mean and std,
+        # or ended in a traceback with RuntimeWarnings raised
+        p = tmp_path / "noisy.json"
+        p.write_text(json.dumps({"width": 1e95, "height": 1e95, "comm_range": 3e94,
+                                 "densities": [100], "runs_per_density": 3, "sigma": 100}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "report.csv").open()))
+        assert [row["algorithm"] for row in rows] == list(experiment.ALL_ALGORITHMS)
+        assert all(math.isfinite(float(row[k])) for row in rows
+                   for k in ("mean_error_m", "std_error_m"))
 
     @pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000, '{"a": ' * 1000 + "1" + "}" * 1000],
                              ids=["arrays", "objects"])

@@ -14,12 +14,8 @@ from railsim import baselines, experiment, geometry, network, radio, rail
 from railsim.experiment import (
     ALL_ALGORITHMS,
     CHUNK_NODES,
-    N_ANCHORS_MAX,
-    N_NODES_MAX,
-    N_PAIRS_MAX,
     N_TARGETS_MAX,
     RUN_TARGETS,
-    SIGMA_MAX_DB,
     ExperimentConfig,
     RunRecord,
     _run_chunk,
@@ -35,8 +31,14 @@ from railsim.experiment import (
     write_runs_csv,
 )
 from railsim.geometry import MAGNITUDE_MAX, distance
-from railsim.network import GenerationFailed, generate_deployment
-from railsim.radio import PathLossModel
+from railsim.network import (
+    N_ANCHORS_MAX,
+    N_NODES_MAX,
+    N_PAIRS_MAX,
+    GenerationFailed,
+    generate_deployment,
+)
+from railsim.radio import SIGMA_MAX_DB, PathLossModel
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SMALL = ExperimentConfig(densities=(60, 80), runs_per_density=3, base_seed=9)
