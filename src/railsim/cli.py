@@ -1,9 +1,10 @@
 """Command-line front end: run experiments, inspect one seeded scenario,
 and turn runs.csv into per-density error charts.
 
-The commands raise; ``main`` alone logs an error and picks the exit code:
+The commands raise; ``main`` alone prints an error and picks the exit code:
 
-    0  success
+    0  success, also when stdout is closed after every file is written: the
+       table ``rail run`` prints there only repeats report.csv
     1  bad input (``BadInput``): a malformed command line, a config that fails
        to load, an unreadable or empty runs.csv, a --target that is not an
        unknown node, an --out that is empty, is not a directory, lies below a
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import os
 import sys
 
@@ -28,21 +28,8 @@ from .experiment import (ALL_ALGORITHMS, ExperimentConfig, _atomic_write, read_r
                          write_runs_csv)
 from .network import GenerationFailed
 
-log = logging.getLogger("railsim")
-
-
-def _setup_logging() -> None:
-    level = {"off": logging.CRITICAL, "info": logging.INFO}.get(
-        os.environ.get("RAIL_LOG", "info").lower(), logging.INFO
-    )
-    # basicConfig adds the stderr handler once; the level is set on every
-    # call, so each main() in a process follows RAIL_LOG as it is then
-    logging.basicConfig(format="%(levelname)s %(message)s")
-    log.setLevel(level)
-
-
 class BadInput(Exception):
-    """A refusal of the command's input; ``main`` logs its message and exits 1."""
+    """A refusal of the command's input; ``main`` prints its message and exits 1."""
 
 
 @contextlib.contextmanager
@@ -95,7 +82,7 @@ def cmd_run(args) -> None:
         for label, stat in ((f"{d:>8} mean", report.mean_error),
                             (f"{'':>9}std", report.std_error)):
             print(label + "".join(f"{stat[(alg, d)]:>14.4f}" for alg in ALL_ALGORITHMS))
-    log.info("wrote report.csv, runs.csv, errors.csv to %s", args.out)
+    print(f"INFO wrote report.csv, runs.csv, errors.csv to {args.out}", file=sys.stderr)
 
 
 def cmd_demo(args) -> None:
@@ -134,7 +121,7 @@ def cmd_demo(args) -> None:
     with _out_dir(args.out) as at:
         _atomic_write(at("scene.json"), [json.dumps(scene, indent=2), "\n"])
         _atomic_write(at("scene.svg"), [svg])
-    log.info("wrote scene.json and scene.svg to %s", args.out)
+    print(f"INFO wrote scene.json and scene.svg to {args.out}", file=sys.stderr)
 
 
 def cmd_plot(args) -> None:
@@ -155,7 +142,7 @@ def cmd_plot(args) -> None:
     with _out_dir(args.out) as at:
         for name, svg in charts.items():
             _atomic_write(at(name), [svg])
-    log.info("wrote %d chart(s) to %s", len(charts), args.out)
+    print(f"INFO wrote {len(charts)} chart(s) to {args.out}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,16 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         _check_out(args.out)
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader of stdout is gone; send what is left in its buffer to
+        # devnull, where the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BadInput as exc:
-        log.error("%s", exc)
+        print(f"ERROR {exc}", file=sys.stderr)
         return 1
     except GenerationFailed as exc:
-        log.error("deployment generation failed: %s", exc)
+        print(f"ERROR deployment generation failed: {exc}", file=sys.stderr)
         return 2
     return 0
 

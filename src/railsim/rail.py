@@ -85,11 +85,10 @@ def _per_hop_errors(true: np.ndarray, sd: np.ndarray, hops: np.ndarray) -> np.nd
     """Per column, the system per-hop error of an anchor triple: the average
     per-hop excess of the pairwise shortest distances over the true ones,
     clamped at 0. The true distances, SDs and hop counts of the anchor
-    pairs are (3, m) in (01, 02, 12) order.
+    pairs are (3, m) in (01, 02, 12) order; each hop count is at least 1,
+    as the anchors of a triple are distinct and reachable.
     """
     hop_sum = hops[0] + hops[1] + hops[2]
-    if (hop_sum == 0).any():
-        raise ValueError("anchor pair with zero hop count")
     return np.maximum((sd[0] + sd[1] + sd[2] - (true[0] + true[1] + true[2])) / hop_sum, 0.0)
 
 

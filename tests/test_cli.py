@@ -91,7 +91,7 @@ class TestRun:
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ], ids=["1", "2", "demo"])
-    def test_invalid_config_exit_1(self, bad, command, tmp_path, caplog):
+    def test_invalid_config_exit_1(self, bad, command, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**SMALL_CFG, **bad}))
         out = tmp_path / "out"
@@ -100,10 +100,11 @@ class TestRun:
             warnings.simplefilter("always")
             assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert "cannot load config" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
         assert not out.exists()
         if not isinstance(bad.get("densities", []), list):
-            assert f"densities must be a list, got {bad['densities']!r}" in caplog.text
+            assert f"densities must be a list, got {bad['densities']!r}" in err
 
     @pytest.mark.parametrize("text", [
         "[]", json.dumps(list(SMALL_CFG.items())), '"densities"', "60", "null",
@@ -111,7 +112,7 @@ class TestRun:
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ], ids=["run-w1", "run-w2", "demo"])
-    def test_non_object_config_exit_1(self, text, command, tmp_path, caplog):
+    def test_non_object_config_exit_1(self, text, command, tmp_path, capsys):
         # dict() reads `[]` as the default config and a list of key/value
         # pairs as the config it spells: neither is a config file
         p = tmp_path / "cfg.json"
@@ -119,11 +120,12 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text and "JSON object" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err and "JSON object" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]])
-    def test_pairs_bound_exit_1_before_any_deployment(self, command, tmp_path, caplog,
+    def test_pairs_bound_exit_1_before_any_deployment(self, command, tmp_path, capsys,
                                                       monkeypatch):
         # 5000 nodes with R past the area's diagonal expect all 12.5 M pairs
         # in range; the config is refused at load, before any sampling
@@ -136,12 +138,13 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text and "node pairs" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err and "node pairs" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["run", "--workers", "2"], ["demo"]],
                              ids=["run-w2", "demo"])
-    def test_targets_bound_exit_1_before_any_chunk(self, command, tmp_path, caplog,
+    def test_targets_bound_exit_1_before_any_chunk(self, command, tmp_path, capsys,
                                                    monkeypatch):
         # 10**12 runs of 60 targets would build 6e10 chunk bounds before the
         # first run; the config is refused at load
@@ -155,13 +158,14 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text
-        assert f"at most {N_TARGETS_MAX:,} targets" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
+        assert f"at most {N_TARGETS_MAX:,} targets" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["run", "--workers", "2"],
                                          ["demo"]], ids=["run-w1", "run-w2", "demo"])
-    def test_run_cost_bound_exit_1_before_any_chunk(self, command, tmp_path, caplog,
+    def test_run_cost_bound_exit_1_before_any_chunk(self, command, tmp_path, capsys,
                                                     monkeypatch):
         # 500,000 runs of 8 targets are 4 M targets, but each run's record
         # costs as much as RUN_TARGETS more; the config is refused at load
@@ -176,15 +180,16 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text
-        assert f"counting {RUN_TARGETS} more per run" in caplog.text
-        assert "4,000,000 targets" in caplog.text and "500,000 runs" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
+        assert f"counting {RUN_TARGETS} more per run" in err
+        assert "4,000,000 targets" in err and "500,000 runs" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ], ids=["run-w1", "run-w2", "demo"])
-    def test_underflowing_area_exit_1(self, command, tmp_path, caplog):
+    def test_underflowing_area_exit_1(self, command, tmp_path, capsys):
         # 2 * width * height underflows to 0: it printed a bare
         # ZeroDivisionError from expected_pairs
         p = tmp_path / "small.json"
@@ -193,14 +198,15 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text
-        assert "2 * width * height must be > 0" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
+        assert "2 * width * height must be > 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ], ids=["run-w1", "run-w2", "demo"])
-    def test_side_above_1e100_exit_1(self, command, tmp_path, caplog):
+    def test_side_above_1e100_exit_1(self, command, tmp_path, capsys):
         # 1e200 wide loaded: run ended in an OverflowError traceback from
         # the DV-hop solve's pow, demo in the pair sweep's overflowing squares
         p = tmp_path / "wide.json"
@@ -211,8 +217,9 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text
-        assert "width must be at most 1e+100, got 1e+200" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
+        assert "width must be at most 1e+100, got 1e+200" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("area", [(1e100, 1.0), (1.0, 1e100)], ids=["wide", "tall"])
@@ -252,20 +259,21 @@ class TestRun:
                              ids=["arrays", "objects"])
     @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["demo"]],
                              ids=["run", "demo"])
-    def test_deeply_nested_config_exit_1(self, text, command, tmp_path, caplog):
+    def test_deeply_nested_config_exit_1(self, text, command, tmp_path, capsys):
         # json raises RecursionError from about 1000 levels
         p = tmp_path / "deep.json"
         p.write_text(text)
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 1
-        assert "cannot load config" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["run", "--workers", "1"], ["run", "--workers", "2"], ["demo"],
     ])
-    def test_infeasible_deployment_exit_2(self, command, tmp_path, caplog):
+    def test_infeasible_deployment_exit_2(self, command, tmp_path, capsys):
         # four anchors pairwise farther apart than the 10 m range do not
         # fit on 8 x 8 m; the failed command leaves no --out directory
         p = tmp_path / "tight.json"
@@ -274,7 +282,8 @@ class TestRun:
         out = tmp_path / "out"
         name, *flags = command
         assert main([name, "--config", str(p), "--out", str(out), *flags]) == 2
-        assert "deployment generation failed" in caplog.text
+        err = capsys.readouterr().err
+        assert "deployment generation failed" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3", "abc", "1.5"])
@@ -287,7 +296,7 @@ class TestRun:
         assert err.startswith("usage: rail run") and "error: argument --workers" in err
         assert not out.exists()
 
-    def test_other_errors_propagate(self, cfg_path, tmp_path, caplog, monkeypatch):
+    def test_other_errors_propagate(self, cfg_path, tmp_path, capsys, monkeypatch):
         # only bad input (1) and an infeasible deployment (2) have exit codes;
         # anything else is a fault of the program and keeps its traceback
         def unreachable(*args, **kwargs):
@@ -297,7 +306,7 @@ class TestRun:
         out = tmp_path / "out"
         with pytest.raises(Unreachable, match="node 7"):
             main(["run", "--config", cfg_path, "--out", str(out)])
-        assert not caplog.records
+        assert capsys.readouterr().err == ""
         assert not out.exists()
 
     def test_base_seed_changes_output(self, tmp_path):
@@ -331,28 +340,64 @@ def test_benchmark_golden_digests(workers, tmp_path):
     assert got == golden["digests"]
 
 
-@pytest.mark.parametrize("levels", [("off", "info"), ("info", "off")])
-def test_rail_log_applies_to_every_main(levels, cfg_path, tmp_path):
-    # two `rail run`s in one fresh process (no handler on the root logger
-    # yet, unlike under pytest): each follows RAIL_LOG as set for it
-    script = (
-        "import os, sys\n"
-        "from railsim import cli\n"
-        "cfg, out = sys.argv[1:3]\n"
-        "for k, level in enumerate(sys.argv[3:]):\n"
-        "    os.environ['RAIL_LOG'] = level\n"
-        "    assert cli.main(['run', '--config', cfg, '--out', f'{out}{k}']) == 0\n"
-        "    print('-- end of call', file=sys.stderr, flush=True)\n"
-    )
+def rail(argv, **kwargs):
+    """``python -m railsim.cli ARGV`` in a fresh interpreter, as the console
+    script runs it, in ``env`` (by default this process's environment);
+    stderr is captured as text."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, cfg_path, str(tmp_path / "out"), *levels],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                          timeout=120)
+    env = dict(kwargs.pop("env", os.environ), PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "railsim.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv, status, line", [
+    (["run", "--config", "CFG", "--out", "OUT"], 0,
+     "INFO wrote report.csv, runs.csv, errors.csv to OUT"),
+    (["demo", "--config", "CFG", "--out", "OUT"], 0,
+     "INFO wrote scene.json and scene.svg to OUT"),
+    (["plot", "--runs", "RUNS", "--out", "OUT"], 0, "INFO wrote 1 chart(s) to OUT"),
+    (["run", "--config", "REFUSED", "--out", "OUT"], 1,
+     "ERROR cannot load config: sigma must be a number in [0, 100] dB, got 3000"),
+    (["demo", "--config", "TIGHT", "--out", "OUT"], 2,
+     "ERROR deployment generation failed: density 20, run 0: no valid deployment in 1000 "
+     "attempts (area 8x8, 20 unknown, 4 anchors, R=10.0)"),
+], ids=["run", "demo", "plot", "refused-config", "infeasible"])
+def test_stderr_is_one_whole_line(argv, status, line, cfg_path, tmp_path):
+    # each command's whole stderr, as a shell sees it: its level, a space
+    # and its message, on one line
+    paths = {"CFG": cfg_path, "OUT": str(tmp_path / "out"), "RUNS": str(tmp_path / "runs.csv"),
+             "REFUSED": str(tmp_path / "refused.json"), "TIGHT": str(tmp_path / "tight.json")}
+    (tmp_path / "runs.csv").write_text(RUNS_CSV)
+    (tmp_path / "refused.json").write_text(json.dumps({**SMALL_CFG, "sigma": 3000}))
+    (tmp_path / "tight.json").write_text(json.dumps(
+        {**SMALL_CFG, "width": 8, "height": 8, "n_anchors": 4, "densities": [20]}))
+    proc = rail([paths.get(a, a) for a in argv], stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (status, line.replace("OUT", paths["OUT"]) + "\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exit_0(unbuffered, cfg_path, tmp_path):
+    # `rail run ... | true`: the reader of stdout is gone before the table
+    # is printed. Every CSV is already whole, and the table only repeats
+    # report.csv. It ended in a BrokenPipeError traceback and exit 1 with
+    # PYTHONUNBUFFERED set, and in "Exception ignored ... BrokenPipeError"
+    # and exit 120 at interpreter exit without it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = rail(["run", "--config", cfg_path, "--out", str(tmp_path / "piped")],
+                    stdout=write, env=env)
+    finally:
+        os.close(write)
     assert proc.returncode == 0, proc.stderr
-    calls = proc.stderr.split("-- end of call\n")[:2]
-    for level, err in zip(levels, calls):
-        wrote = "INFO wrote report.csv, runs.csv, errors.csv to " in err
-        assert wrote == (level == "info"), (level, err)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "normal")]) == 0
+    for name in ("report.csv", "runs.csv", "errors.csv"):
+        assert ((tmp_path / "piped" / name).read_bytes()
+                == (tmp_path / "normal" / name).read_bytes()), name
 
 
 class TestUsage:
@@ -452,7 +497,7 @@ class TestPlot:
         # a series name is printed into the SVG as its label
         ("R<&AIL,60,0,123,4.5000", "unknown algorithm 'R<&AIL'"),
     ])
-    def test_bad_row_exit_1(self, row, why, tmp_path, caplog):
+    def test_bad_row_exit_1(self, row, why, tmp_path, capsys):
         # a chart cannot place a non-finite or missing mean error; no SVG
         # is written
         p = tmp_path / "runs.csv"
@@ -462,7 +507,8 @@ class TestPlot:
         )
         charts = tmp_path / "charts"
         assert main(["plot", "--runs", str(p), "--out", str(charts)]) == 1
-        assert "cannot read runs csv" in caplog.text and why in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot read runs csv" in err and why in err
         assert not charts.exists()
 
     def test_single_run_markers_only(self, tmp_path):
@@ -500,7 +546,7 @@ class TestOut:
 
     @pytest.mark.parametrize("command", ["run", "demo", "plot"])
     def test_existing_file_exit_1_before_any_work(self, command, cfg_path, runs_path,
-                                                  tmp_path, caplog, monkeypatch):
+                                                  tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work was done")
 
@@ -509,11 +555,12 @@ class TestOut:
         afile = tmp_path / "afile"
         afile.write_bytes(b"keep me\n")
         assert main(out_argv(command, cfg_path, runs_path, afile)) == 1
-        assert f"cannot write output: {afile} is not a directory" in caplog.text
+        err = capsys.readouterr().err
+        assert f"cannot write output: {afile} is not a directory" in err
         assert afile.read_bytes() == b"keep me\n"
 
     @pytest.mark.parametrize("command", ["run", "demo", "plot"])
-    def test_empty_out_exit_1_before_any_work(self, command, cfg_path, runs_path, caplog,
+    def test_empty_out_exit_1_before_any_work(self, command, cfg_path, runs_path, capsys,
                                               monkeypatch):
         # "" names no directory: os.makedirs("") fails, so a command that
         # reached its writes would fail only after its sweep or scene
@@ -523,13 +570,14 @@ class TestOut:
         for name in ("_load_config", "read_runs_csv", "run_experiment", "scenario"):
             monkeypatch.setattr(cli, name, no_work)
         assert main(out_argv(command, cfg_path, runs_path, "")) == 1
-        assert "cannot write output: --out is empty" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot write output: --out is empty" in err
 
     @pytest.mark.parametrize("command", [["run", "--workers", "1"], ["run", "--workers", "2"],
                                          ["demo"], ["plot"]],
                              ids=["run-w1", "run-w2", "demo", "plot"])
     def test_out_under_a_file_exit_1_before_any_work(self, command, cfg_path, runs_path,
-                                                     tmp_path, caplog, monkeypatch):
+                                                     tmp_path, capsys, monkeypatch):
         # a directory cannot be made below a regular file, however deep
         def no_work(*args, **kwargs):
             raise AssertionError("work was done")
@@ -541,16 +589,18 @@ class TestOut:
         afile.write_bytes(b"keep me\n")
         argv = out_argv(command[0], cfg_path, runs_path, afile / "sub" / "deeper") + command[1:]
         assert main(argv) == 1
-        assert f"cannot write output: {afile} is not a directory" in caplog.text
+        err = capsys.readouterr().err
+        assert f"cannot write output: {afile} is not a directory" in err
         assert afile.read_bytes() == b"keep me\n"
 
     @pytest.mark.parametrize("command", ["run", "demo", "plot"])
-    def test_unwritable_out_exit_1(self, command, cfg_path, runs_path, tmp_path, caplog):
+    def test_unwritable_out_exit_1(self, command, cfg_path, runs_path, tmp_path, capsys):
         # a directory below a regular file cannot be made
         afile = tmp_path / "afile"
         afile.write_bytes(b"keep me\n")
         assert main(out_argv(command, cfg_path, runs_path, afile / "sub")) == 1
-        assert "cannot write output" in caplog.text
+        err = capsys.readouterr().err
+        assert "cannot write output" in err
         assert afile.read_bytes() == b"keep me\n"
 
     @pytest.mark.parametrize("command", ["run", "demo", "plot"])

@@ -1252,8 +1252,10 @@ def test_commands_without_shortest_paths_leave_out_scipy(tmp_path):
     # a config, --help, plot and a refused config never load it; only a
     # pooled sweep imports the process pool, in the parent, which its forked
     # workers inherit along with scipy; only demo and plot load the SVG
-    # writer. Checked in fresh interpreters, each in its order: plot alone,
-    # for scipy, and every command, for the pool and the SVG writer
+    # writer; `rail` prints its own stderr lines, so the logging module
+    # loads only with scipy or the pool. Checked in fresh interpreters, each
+    # in its order: plot alone, for scipy and logging, and every command, for
+    # the pool, the SVG writer and logging
     (tmp_path / "runs.csv").write_text(
         "algorithm,density,run_index,seed,run_mean_error_m\nRAIL,60,0,123,4.5000\n")
     (tmp_path / "cfg.json").write_text('{"densities": [60], "runs_per_density": 2}')
@@ -1272,18 +1274,18 @@ def test_commands_without_shortest_paths_leave_out_scipy(tmp_path):
     )
     plot_alone = (
         "assert cli.main(plot) == 0\n"
-        "absent(['scipy'] + POOL, 'plot')\n"
+        "absent(['scipy', 'logging'] + POOL, 'plot')\n"
     )
     every_command = (
         "cli.ExperimentConfig.from_json_file(at('cfg.json'))\n"
-        "absent(['scipy', 'railsim.svgplot'] + POOL, 'import and config load')\n"
+        "absent(['scipy', 'railsim.svgplot', 'logging'] + POOL, 'import and config load')\n"
         "try:\n"
         "    cli.main(['--help'])\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "absent(['scipy', 'railsim.svgplot'] + POOL, '--help')\n"
+        "absent(['scipy', 'railsim.svgplot', 'logging'] + POOL, '--help')\n"
         "assert cli.main(['run', '--config', at('bad.json'), '--out', at('bad-out')]) == 1\n"
-        "absent(['scipy', 'railsim.svgplot'] + POOL, 'refused config')\n"
+        "absent(['scipy', 'railsim.svgplot', 'logging'] + POOL, 'refused config')\n"
         "serial = ['run', '--config', at('cfg.json'), '--out', at('serial'), '--workers', '1']\n"
         "assert cli.main(serial) == 0\n"
         "absent(['railsim.svgplot'] + POOL, 'serial run')\n"
@@ -1298,7 +1300,7 @@ def test_commands_without_shortest_paths_leave_out_scipy(tmp_path):
         "    assert m in sys.modules, ('pooled sweep', m)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(railsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, RAIL_LOG="off")
+    env = dict(os.environ, PYTHONPATH=src)
     for steps in (plot_alone, every_command):
         proc = subprocess.run([sys.executable, "-c", prelude + steps, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=120)

@@ -101,10 +101,6 @@ class TestPerHopError:
     def test_clamped_at_zero(self):
         assert _per_hop_errors(self.true, column(5, 7, 9), self.hops)[0] == 0.0
 
-    def test_zero_hop_sum_rejected(self):
-        with pytest.raises(ValueError):
-            _per_hop_errors(self.true, column(6, 8, 10), np.zeros((3, 1), dtype=int))
-
 
 class TestCorrectedAngle:
     def test_right_triangle(self):
