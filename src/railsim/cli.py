@@ -1,10 +1,12 @@
 """Command-line front end: run experiments, inspect one seeded scenario,
 and turn runs.csv into per-density error charts.
 
-The commands raise; ``main`` alone prints an error and picks the exit code:
+The commands raise; ``main`` alone prints an error and picks the exit code.
+A line that cannot be written, to a stdout or stderr that is closed or whose
+reader is gone, is dropped and changes no code:
 
-    0  success, also when stdout is closed after every file is written: the
-       table ``rail run`` prints there only repeats report.csv
+    0  success, ``--help`` included; every file is written, and the table
+       ``rail run`` prints on stdout only repeats report.csv
     1  bad input (``BadInput``): a malformed command line, a config that fails
        to load, an unreadable or empty runs.csv, a --target that is not an
        unknown node, an --out that is empty, is not a directory, lies below a
@@ -56,6 +58,20 @@ def _out_dir(out: str):
         yield lambda name: os.path.join(out, name)
 
 
+def _emit(stream, text: str) -> None:
+    """Write and flush text to sys.stdout or sys.stderr, or drop it: a stream
+    closed when Python started is None, and one whose write fails gets its fd
+    pointed at devnull, where the flush at exit cannot fail."""
+    try:
+        if stream is not None:
+            stream.write(text)
+            stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+
+
 def _check_out(out: str) -> None:
     """Refuse, before any work, an --out that could not be made a directory:
     it must not be empty, and its nearest existing ancestor (--out itself if
@@ -77,12 +93,13 @@ def cmd_run(args) -> None:
         write_report_csv(report, at("report.csv"))
         write_runs_csv(report, at("runs.csv"))
         write_errors_csv(report, at("errors.csv"))
-    print(f"{'':>12}" + "".join(f"{alg:>14}" for alg in ALL_ALGORITHMS))
+    table = [f"{'':>12}" + "".join(f"{alg:>14}" for alg in ALL_ALGORITHMS)]
     for d in cfg.densities:
         for label, stat in ((f"{d:>8} mean", report.mean_error),
                             (f"{'':>9}std", report.std_error)):
-            print(label + "".join(f"{stat[(alg, d)]:>14.4f}" for alg in ALL_ALGORITHMS))
-    print(f"INFO wrote report.csv, runs.csv, errors.csv to {args.out}", file=sys.stderr)
+            table.append(label + "".join(f"{stat[(alg, d)]:>14.4f}" for alg in ALL_ALGORITHMS))
+    _emit(sys.stdout, "".join(line + "\n" for line in table))
+    _emit(sys.stderr, f"INFO wrote report.csv, runs.csv, errors.csv to {args.out}\n")
 
 
 def cmd_demo(args) -> None:
@@ -114,14 +131,15 @@ def cmd_demo(args) -> None:
         if t == target:
             drawn = box, rays, hits, (x, y)
 
-    scene = {"deployment": dep.to_json_dict(), "target": target, "estimates": estimates,
-             "diagnostics": diagnostics}
+    scene = {"deployment": {"width": dep.width, "height": dep.height, "nodes": dep.coords.tolist(),
+                            "anchor_ids": list(dep.anchor_ids), "comm_range": dep.comm_range},
+             "target": target, "estimates": estimates, "diagnostics": diagnostics}
     svg = svgplot.scene_svg(dep.width, dep.height, dep.coords.tolist(), dep.anchor_ids,
                             target, *drawn)
     with _out_dir(args.out) as at:
         _atomic_write(at("scene.json"), [json.dumps(scene, indent=2), "\n"])
         _atomic_write(at("scene.svg"), [svg])
-    print(f"INFO wrote scene.json and scene.svg to {args.out}", file=sys.stderr)
+    _emit(sys.stderr, f"INFO wrote scene.json and scene.svg to {args.out}\n")
 
 
 def cmd_plot(args) -> None:
@@ -142,16 +160,19 @@ def cmd_plot(args) -> None:
     with _out_dir(args.out) as at:
         for name, svg in charts.items():
             _atomic_write(at(name), [svg])
-    print(f"INFO wrote {len(charts)} chart(s) to {args.out}", file=sys.stderr)
+    _emit(sys.stderr, f"INFO wrote {len(charts)} chart(s) to {args.out}\n")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a malformed command line, as on any bad input; argparse's
-    own 2 is the code of an infeasible deployment. Subparsers inherit it."""
+    """Exits 1 on a malformed command line, as on any bad input (argparse's 2
+    is an infeasible deployment), and prints through ``_emit``. Subparsers inherit it."""
+
+    def print_help(self, file=None):
+        _emit(file or sys.stdout, self.format_help())
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _emit(sys.stderr, f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(1)
 
 
 def _workers(text: str) -> int:
@@ -193,17 +214,11 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader of stdout is gone; send what is left in its buffer to
-        # devnull, where the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except BadInput as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"ERROR {exc}\n")
         return 1
     except GenerationFailed as exc:
-        print(f"ERROR deployment generation failed: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"ERROR deployment generation failed: {exc}\n")
         return 2
     return 0
 

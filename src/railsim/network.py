@@ -122,7 +122,7 @@ class Deployment:
     Anchors occupy the first ``len(anchor_ids)`` node slots by construction,
     but consumers should rely on ``anchor_ids`` only. ``width``, ``height``
     and ``comm_range`` must be finite numbers > 0; the nodes may lie outside
-    the area.
+    the area. A deployment compares and hashes by identity.
     """
 
     width: float
@@ -144,15 +144,6 @@ class Deployment:
         xy.flags.writeable = False
         object.__setattr__(self, "coords", xy)
         object.__setattr__(self, "anchor_ids", tuple(int(i) for i in ids))
-
-    def __eq__(self, other):
-        if not isinstance(other, Deployment):
-            return NotImplemented
-        return (
-            (self.width, self.height, self.anchor_ids, self.comm_range)
-            == (other.width, other.height, other.anchor_ids, other.comm_range)
-            and np.array_equal(self.coords, other.coords)
-        )
 
     @cached_property
     def unknown_ids(self) -> tuple[int, ...]:
@@ -177,25 +168,6 @@ class Deployment:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_symmetric_csr`` of ``links``, shared by the connectivity check and the graph."""
         return _symmetric_csr(len(self.coords), self.links)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "nodes": self.coords.tolist(),
-            "anchor_ids": list(self.anchor_ids),
-            "comm_range": self.comm_range,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Deployment":
-        return cls(
-            width=d["width"],
-            height=d["height"],
-            coords=d["nodes"],
-            anchor_ids=tuple(d["anchor_ids"]),
-            comm_range=d["comm_range"],
-        )
 
 
 @dataclass(frozen=True)

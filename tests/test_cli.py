@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import pytest
 from railsim import cli, experiment
 from railsim.cli import main
 from railsim.experiment import N_TARGETS_MAX, RUN_TARGETS, ExperimentConfig, scenario
-from railsim.network import Deployment, Unreachable
+from railsim.network import Unreachable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -340,17 +342,33 @@ def test_benchmark_golden_digests(workers, tmp_path):
     assert got == golden["digests"]
 
 
-def rail(argv, **kwargs):
+def rail(argv, unbuffered=None, **kwargs):
     """``python -m railsim.cli ARGV`` in a fresh interpreter, as the console
-    script runs it, in ``env`` (by default this process's environment);
-    stderr is captured as text."""
+    script runs it, in this process's environment, with PYTHONUNBUFFERED
+    set to 1 or unset if ``unbuffered`` is given; stderr is captured as
+    text unless ``stderr`` is given."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(kwargs.pop("env", os.environ), PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "railsim.cli", *argv], env=env,
-                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+    env = {k: v for k, v in os.environ.items()
+           if unbuffered is None or k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "railsim.cli", *argv],
+                          env=dict(env, PYTHONPATH=src), text=True, timeout=120, **kwargs)
 
 
-@pytest.mark.parametrize("argv, status, line", [
+@contextlib.contextmanager
+def gone_reader():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+STATUS_LINES = pytest.mark.parametrize("argv, status, line", [
     (["run", "--config", "CFG", "--out", "OUT"], 0,
      "INFO wrote report.csv, runs.csv, errors.csv to OUT"),
     (["demo", "--config", "CFG", "--out", "OUT"], 0,
@@ -362,17 +380,26 @@ def rail(argv, **kwargs):
      "ERROR deployment generation failed: density 20, run 0: no valid deployment in 1000 "
      "attempts (area 8x8, 20 unknown, 4 anchors, R=10.0)"),
 ], ids=["run", "demo", "plot", "refused-config", "infeasible"])
-def test_stderr_is_one_whole_line(argv, status, line, cfg_path, tmp_path):
-    # each command's whole stderr, as a shell sees it: its level, a space
-    # and its message, on one line
-    paths = {"CFG": cfg_path, "OUT": str(tmp_path / "out"), "RUNS": str(tmp_path / "runs.csv"),
-             "REFUSED": str(tmp_path / "refused.json"), "TIGHT": str(tmp_path / "tight.json")}
+
+
+@pytest.fixture()
+def status_paths(cfg_path, tmp_path):
+    """The paths STATUS_LINES' argv name, their inputs written."""
     (tmp_path / "runs.csv").write_text(RUNS_CSV)
     (tmp_path / "refused.json").write_text(json.dumps({**SMALL_CFG, "sigma": 3000}))
     (tmp_path / "tight.json").write_text(json.dumps(
         {**SMALL_CFG, "width": 8, "height": 8, "n_anchors": 4, "densities": [20]}))
-    proc = rail([paths.get(a, a) for a in argv], stdout=subprocess.DEVNULL)
-    assert (proc.returncode, proc.stderr) == (status, line.replace("OUT", paths["OUT"]) + "\n")
+    return {"CFG": cfg_path, "OUT": str(tmp_path / "out"), "RUNS": str(tmp_path / "runs.csv"),
+            "REFUSED": str(tmp_path / "refused.json"), "TIGHT": str(tmp_path / "tight.json")}
+
+
+@STATUS_LINES
+def test_stderr_is_one_whole_line(argv, status, line, status_paths):
+    # each command's whole stderr, as a shell sees it: its level, a space
+    # and its message, on one line
+    proc = rail([status_paths.get(a, a) for a in argv], stdout=subprocess.DEVNULL)
+    want = line.replace("OUT", status_paths["OUT"]) + "\n"
+    assert (proc.returncode, proc.stderr) == (status, want)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -382,22 +409,89 @@ def test_closed_stdout_exit_0(unbuffered, cfg_path, tmp_path):
     # report.csv. It ended in a BrokenPipeError traceback and exit 1 with
     # PYTHONUNBUFFERED set, and in "Exception ignored ... BrokenPipeError"
     # and exit 120 at interpreter exit without it
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read, write = os.pipe()
-    os.close(read)
-    try:
+    with gone_reader() as write:
         proc = rail(["run", "--config", cfg_path, "--out", str(tmp_path / "piped")],
-                    stdout=write, env=env)
-    finally:
-        os.close(write)
+                    unbuffered, stdout=write)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "normal")]) == 0
     for name in ("report.csv", "runs.csv", "errors.csv"):
         assert ((tmp_path / "piped" / name).read_bytes()
                 == (tmp_path / "normal" / name).read_bytes()), name
+
+
+def test_stdout_closed_at_start_exit_0(cfg_path, tmp_path):
+    # `rail run ... >&-`: Python starts with sys.stdout None, and the
+    # flush of it ended in an AttributeError traceback and exit 1
+    out = tmp_path / "out"
+    proc = rail(["run", "--config", cfg_path, "--out", str(out)], preexec_fn=lambda: os.close(1))
+    line = f"INFO wrote report.csv, runs.csv, errors.csv to {out}\n"
+    assert (proc.returncode, proc.stderr) == (0, line)
+    assert all((out / name).stat().st_size for name in ("report.csv", "runs.csv", "errors.csv"))
+
+
+def test_failed_write_dropped_and_fd_to_devnull(tmp_path):
+    # a write refused with EBADF, as on an fd opened read-only, is dropped;
+    # the fd then points at devnull, so a later flush cannot fail
+    (tmp_path / "f").write_text("")
+    fd = os.open(tmp_path / "f", os.O_RDONLY)
+    stream = io.TextIOWrapper(io.BufferedWriter(io.FileIO(fd, "w")))
+    try:
+        cli._emit(stream, "INFO x\n")
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        stream.write("more\n")
+        stream.flush()
+    finally:
+        stream.close()
+    assert (tmp_path / "f").read_text() == ""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["help", "run-help"])
+def test_help_into_closed_stdout_exit_0(argv, unbuffered):
+    # `rail --help | true`: argparse prints the help inside parse_args and
+    # drops a failed write, so buffered help ended in "Exception ignored ...
+    # BrokenPipeError" and exit 120 at interpreter exit
+    with gone_reader() as write:
+        proc = rail(argv, unbuffered, stdout=write)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+# stderr is line-buffered under both settings, so a gone reader fails the same
+# write; buffered, the flush at exit fails too
+@pytest.mark.parametrize("stderr, unbuffered", [
+    ("closed", True), ("closed", False), ("gone-reader", False),
+], ids=["closed-unbuffered", "closed-buffered", "gone-reader-buffered"])
+@STATUS_LINES
+def test_closed_stderr_keeps_exit_code(argv, status, line, stderr, unbuffered, status_paths,
+                                       tmp_path, capsys):
+    # `rail ... 2>&-`, or stderr into a pipe whose reader is gone: the status
+    # line is dropped and the command's own code stands. A failed write of
+    # it ended in exit 1 (an OSError or BrokenPipeError traceback) or 120
+    # (the flush at exit), and a stderr closed when Python started sent it
+    # to stdout
+    argv = [status_paths.get(a, a) for a in argv]
+    if stderr == "closed":
+        # a shell's 2>&-: Python starts with sys.stderr None
+        proc = rail(argv, unbuffered, stdout=subprocess.PIPE, stderr=None,
+                    preexec_fn=lambda: os.close(2))
+    else:
+        with gone_reader() as write:
+            proc = rail(argv, unbuffered, stdout=subprocess.PIPE, stderr=write)
+    assert proc.returncode == status
+    out = pathlib.Path(status_paths["OUT"])
+    if status:
+        assert proc.stdout == "" and not out.exists()
+        return
+    # stdout and the files are those of the same command run in process
+    normal = tmp_path / "normal"
+    capsys.readouterr()
+    assert main([str(normal) if a == str(out) else a for a in argv]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in normal.iterdir())
+    for p in normal.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 class TestUsage:
@@ -437,8 +531,7 @@ class TestDemo:
         assert svg.count('class="ray"') == 3
         assert svg.count('class="bbox"') == 1
         scene = json.loads((out / "scene.json").read_text())
-        dep = Deployment.from_json_dict(scene["deployment"])
-        assert len(dep.nodes) == SMALL_CFG["densities"][0] + 3
+        assert len(scene["deployment"]["nodes"]) == SMALL_CFG["densities"][0] + 3
         assert scene["target"] in {int(k) for k in scene["estimates"]}
 
     def test_draws_run_0_of_first_density(self, tmp_path):
@@ -449,7 +542,9 @@ class TestDemo:
         scene = json.loads((out / "scene.json").read_text())
         cfg = ExperimentConfig.from_json_dict({**SMALL_CFG, "base_seed": 8})
         dep, _ = scenario(cfg, SMALL_CFG["densities"][0], 0)
-        assert Deployment.from_json_dict(scene["deployment"]) == dep
+        assert scene["deployment"] == {
+            "width": dep.width, "height": dep.height, "nodes": dep.coords.tolist(),
+            "anchor_ids": list(dep.anchor_ids), "comm_range": dep.comm_range}
 
     def test_target_selection(self, cfg_path, tmp_path):
         out = tmp_path / "demo"
