@@ -7,8 +7,9 @@ scores all three algorithms (``ALL_ALGORITHMS``, in that order) on one
 deployment and graph for paired comparison.
 The unit of work is a chunk of runs of one density (``chunks``): each run
 draws its own scenario, the runs' graphs are stacked as the blocks of one
-``NetworkGraph``, and the algorithms and the scoring run once over the
-targets of all of them, so their fixed cost is paid once per chunk; each
+``NetworkGraph``, and ``_run_chunk``'s stages (``_scenes``, RAIL's one
+composition ``rail._localize``, ``_baselines`` and ``_score``) run once over
+the targets of all of them, so their fixed cost is paid once per chunk; each
 block keeps its run's node ids.
 
 A run's record holds arrays, not per-node objects: each algorithm's
@@ -199,51 +200,52 @@ def _scenes(cfg: ExperimentConfig, density: int, runs: Sequence[int]):
             NetworkGraph.stack(graphs))
 
 
-def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list[RunRecord]:
-    """The records of some runs of one density, in ``runs`` order.
-
-    Each run draws its own scenario; then every algorithm and the scoring
-    run once over the targets of all runs, as (run, target) arrays
-    (``localize_chunk``'s column order), and each run's record holds views
-    of its rows.
-    """
-    coords, anchors, targets, g = _scenes(cfg, density, runs)
-    n_runs = len(coords)
-    m = len(targets)
-    truth = np.moveaxis(coords[:, targets], 2, 0)  # (x or y, run, target)
-    anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run), for all three algorithms
-
-    results = rail.localize_chunk(anchor_x, anchor_y, anchors, g)
-    rail_contained = results.box_contains(*truth.reshape(2, -1)).reshape(n_runs, m).sum(axis=1)
-
-    # Both baselines flood beacons by hop count: one BFS tree per anchor
-    # gives Min-Max its minimum hop counts and DV-hop its accumulated RSSI
-    # distance along the hop-minimal path (not the distance-optimal one RAIL
-    # uses). Arrays are (anchor, run, target).
+def _baselines(cfg: ExperimentConfig, g: NetworkGraph, anchors, targets, anchor_x, anchor_y):
+    """Min-Max's and DV-hop's estimates, each an (x, y) pair of (run,
+    target) arrays. Both flood beacons by hop count: one BFS tree per anchor
+    gives Min-Max its minimum hop counts and DV-hop its accumulated RSSI
+    distance along the hop-minimal path (not the distance-optimal one RAIL
+    uses), both (anchor, run, target), and DV-hop solves from the three
+    anchors with the shortest accumulated distance, nearest first."""
     floods = hop_floods(g, anchors)
     acc, hops = (a[:, :, targets].transpose(1, 0, 2) for a in (floods.dist, floods.hops))
-
     mm_x, mm_y, _ = baselines.min_max_all(anchor_x, anchor_y, hops, cfg.comm_range)
-    # the three anchors with the shortest accumulated distance, nearest first
     chosen = np.argsort(acc, axis=0, kind="stable")[:3]
     dv_x, dv_y, _ = baselines.rssi_dv_hop_all(anchor_x, anchor_y, chosen,
                                               np.take_along_axis(acc, chosen, axis=0))
+    return (mm_x, mm_y), (dv_x, dv_y)
 
-    # every algorithm clamped and scored in one stacked pass over (algorithm,
-    # run, target) arrays, row r for ALL_ALGORITHMS[r]. Every node lies inside
-    # the area, so every algorithm's estimates are clipped into it
-    x, y = np.stack([np.reshape((results.x, results.y), (2, n_runs, m)),
-                     (mm_x, mm_y), (dv_x, dv_y)], axis=1)
+
+def _score(cfg: ExperimentConfig, truth: np.ndarray, *estimates):
+    """The ``ESTIMATE`` records and the errors of every algorithm's (x, y)
+    estimates, given in ``ALL_ALGORITHMS`` order, in one stacked pass over
+    (algorithm, run, target) arrays. Every node lies inside the area, so
+    every estimate is clipped into it."""
+    x, y = np.stack(estimates, axis=1)
     x, y = np.clip(x, 0.0, cfg.width), np.clip(y, 0.0, cfg.height)
-    err = localization_errors(*truth, x, y)
-    est = np.rec.fromarrays((x, y), dtype=ESTIMATE)
+    return np.rec.fromarrays((x, y), dtype=ESTIMATE), localization_errors(*truth, x, y)
+
+
+def _run_chunk(cfg: ExperimentConfig, density: int, runs: Sequence[int]) -> list[RunRecord]:
+    """The records of some runs of one density, in ``runs`` order: the
+    stages ``_scenes``, ``rail._localize``, ``_baselines`` and ``_score``,
+    each once over the (run, target) arrays of all runs (``localize_chunk``'s
+    column order), and then each run's record as views of its rows.
+    """
+    coords, anchors, targets, g = _scenes(cfg, density, runs)
+    truth = np.moveaxis(coords[:, targets], 2, 0)  # (x or y, run, target)
+    anchor_x, anchor_y = coords[:, anchors].T  # (anchor, run), for all three algorithms
+    geo, _, _, _, (x, y, _, _) = rail._localize(anchor_x, anchor_y, anchors, g)
+    held = rail._inside(geo.box, *truth.reshape(2, -1)).reshape(truth.shape[1:]).sum(axis=1)
+    est, err = _score(cfg, truth, np.reshape((x, y), truth.shape),
+                      *_baselines(cfg, g, anchors, targets, anchor_x, anchor_y))
     return [RunRecord(
         density=density,
         run_index=run_index,
         node_ids=targets,
         estimates=dict(zip(ALL_ALGORITHMS, est[:, b])),
         errors=dict(zip(ALL_ALGORITHMS, err[:, b])),
-        rail_box_contains=int(rail_contained[b]),
+        rail_box_contains=int(held[b]),
     ) for b, run_index in enumerate(runs)]
 
 

@@ -4,15 +4,15 @@ ray construction, and the four-case precise-location rule.
 
 Every stage is an array pass over all targets of a chunk of same-size
 runs, whose graphs are the blocks of one ``NetworkGraph``; a node keeps
-its id in its run's graph. ``localize_chunk`` reads the graph and the
-anchors' positions alone and composes the paper's three steps,
-``_anchor_geometry``, ``_triangle_angles`` and ``_place``, into
-``RailResults``: the estimates, case codes, boxes, rays and ray-pair hits
-as arrays. ``localize_all`` is the chunk of one run. ``corrected_angle``
-is the one scalar entry point, a 0-d call of the angle formula.
-Transcendentals and distances (``math.hypot``) go through
-``geometry.libm``, and every expression keeps the scalar operand order,
-so the passes give the results of the per-target scalar formulas in
+its id in its run's graph. ``_localize``, which the sweep calls, is the one
+composition of the paper's three steps, ``_anchor_geometry``,
+``_triangle_angles`` and ``_place``; ``localize_chunk`` checks the graph and
+the anchors' positions, calls it and returns ``RailResults``: the estimates,
+case codes, boxes, rays and ray-pair hits as arrays. ``localize_all`` is the
+chunk of one run. ``corrected_angle`` is the one scalar entry point, a 0-d
+call of the angle formula. Transcendentals and distances (``math.hypot``)
+go through ``geometry.libm``, and every expression keeps the scalar operand
+order, so the passes give the results of the per-target scalar formulas in
 ``tests/oracle.py`` bit for bit. Max, min, clip and argmin need no such
 care: they return one of their finite operands exactly.
 """
@@ -63,10 +63,6 @@ class RailResults(NamedTuple):
     box: np.ndarray
     rays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     hits: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def box_contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per target, whether its box holds the point (x[i], y[i])."""
-        return _inside(self.box, x, y)
 
 
 def _boxes(ax: np.ndarray, ay: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +219,7 @@ def _ray_directions(ax: np.ndarray, ay: np.ndarray, dist: np.ndarray, theta_j: n
 
 
 def _inside(box: np.ndarray, x, y) -> np.ndarray:
+    """Per column, whether the box (4, m) holds the point (x[i], y[i])."""
     tol = DEFAULT_TOL
     return (box[0] - tol <= x) & (x <= box[1] + tol) & (box[2] - tol <= y) & (y <= box[3] + tol)
 
@@ -298,7 +295,7 @@ class _AnchorGeometry(NamedTuple):
 
 def _anchor_geometry(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: np.ndarray,
                      g: NetworkGraph) -> _AnchorGeometry:
-    """RAIL's first stage, over ``localize_chunk``'s checked inputs. When more
+    """RAIL's first stage, over ``_localize``'s inputs. When more
     than three anchors exist, each target uses its three nearest anchors by
     estimated shortest distance. One ``dijkstra_trees`` call gives every
     run's anchor trees, so each run's block sees at most two scipy Dijkstra
@@ -352,6 +349,15 @@ def _place(geo: _AnchorGeometry, theta: np.ndarray):
     return rays, _locate(geo.box, rays)
 
 
+def _localize(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: np.ndarray,
+              g: NetworkGraph):
+    """The three stages over ``localize_chunk``'s inputs, which it does not
+    check: ``(geo, theta, k, rays, (x, y, case, hits))``."""
+    geo = _anchor_geometry(anchor_x, anchor_y, anchor_ids, g)
+    theta, k = _triangle_angles(g, geo)
+    return (geo, theta, k, *_place(geo, theta))
+
+
 def localize_all(dep: Deployment, g: NetworkGraph) -> RailResults:
     """``localize_chunk`` of one run, whose graph ``g`` is one block, from
     ``dep``'s anchor positions; ValueError unless dep has g's node count."""
@@ -367,8 +373,8 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
     (anchor, run) hold the positions of the anchors ``anchor_ids`` (the
     same ids in every run), as the baselines take them, and ``g`` the
     runs' graphs, block b for run b. Column ``b * m + t`` of the result is
-    target t of run b, for the m unknowns of a run in id order. It
-    composes ``_anchor_geometry``, ``_triangle_angles`` and ``_place``.
+    target t of run b, for the m unknowns of a run in id order. It checks
+    its inputs and calls ``_localize``.
 
     Raises ``ValueError`` for an anchor id that is not an integer in
     [0, n), for fewer than 3 distinct anchors or a repeated anchor id, and
@@ -391,6 +397,5 @@ def localize_chunk(anchor_x: np.ndarray, anchor_y: np.ndarray, anchor_ids: Seque
                          f"{runs}) arrays, got {anchor_x.shape} and {anchor_y.shape}")
     if not (np.isfinite(anchor_x).all() and np.isfinite(anchor_y).all()):
         raise ValueError("non-finite anchor position")
-    geo = _anchor_geometry(anchor_x, anchor_y, anchor_ids, g)
-    rays, (x, y, case, hits) = _place(geo, _triangle_angles(g, geo)[0])
+    geo, _, _, rays, (x, y, case, hits) = _localize(anchor_x, anchor_y, anchor_ids, g)
     return RailResults(geo.cols, x, y, case, geo.box, rays, hits)

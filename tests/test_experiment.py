@@ -97,7 +97,7 @@ class TestBasics:
         # the chunk's anchors are cut once as (anchor, run) arrays, and RAIL,
         # Min-Max and DV-hop each take those same two arrays
         seen = {}
-        for module, name in ((rail, "localize_chunk"), (baselines, "min_max_all"),
+        for module, name in ((rail, "_localize"), (baselines, "min_max_all"),
                              (baselines, "rssi_dv_hop_all")):
             def spy(ax, ay, *rest, fn=getattr(module, name), name=name):
                 seen[name] = ax, ay

@@ -83,7 +83,16 @@ class TestBoundingBox:
             assert not empty.any()
             results = localize_all(dep, g)
             assert (results.box == box).all()
-            assert results.box_contains(dep.coords[targets, 0], dep.coords[targets, 1]).all()
+            assert rail._inside(results.box, dep.coords[targets, 0], dep.coords[targets, 1]).all()
+
+    @pytest.mark.parametrize("beyond, inside", [(1e-9, True), (1.5e-9, False)])
+    def test_holds_points_to_the_tolerance(self, beyond, inside):
+        # a point DEFAULT_TOL (1e-9) beyond any face is inside, as in the
+        # oracle's contains, and one 1.5e-9 beyond is not
+        x = np.array([-beyond, 10 + beyond, 5.0, 5.0])
+        y = np.array([5.0, 5.0, -beyond, 10 + beyond])
+        assert rail._inside(column(0, 10, 0, 10), x, y).tolist() == [inside] * 4
+        assert [contains(AABox(0, 10, 0, 10), Point(*p)) for p in zip(x, y)] == [inside] * 4
 
 
 class TestPerHopError:
@@ -111,6 +120,11 @@ class TestCorrectedAngle:
 
     def test_corrected_equilateral(self):
         assert corrected_angle(12, 12, 12, 1.0, 2, 2, 2) == pytest.approx(math.pi / 3, abs=1e-9)
+
+    def test_sides_floored_at_one_centimetre(self):
+        # MIN_SIDE (0.01 m) raises the shorter sides and keeps the longer
+        assert corrected_angle(0.005, 0.005, 0.01, 0.0, 1, 1, 1) == pytest.approx(math.pi / 3)
+        assert corrected_angle(0.015, 0.015, 0.015, 0.0, 1, 1, 1) == pytest.approx(math.pi / 3)
 
     def test_fuzz_stays_in_range(self):
         rng = np.random.default_rng(5)
@@ -335,6 +349,18 @@ class TestPreciseLocation:
         assert case[0] == ALL_OUTSIDE
         assert (x[0], y[0]) == pytest.approx((10, 5))
 
+    @pytest.mark.parametrize("behind, hits", [(1e-9, True), (2e-9, False)])
+    def test_pair_meeting_behind_an_origin(self, behind, hits):
+        # the rays meet ``behind`` m back along ray r0, as the first ray of
+        # the pair and as the second: DEFAULT_TOL (1e-9) back still counts
+        # as a hit, as in the oracle, and twice that does not
+        r0, r1 = make_ray(Point(0, 5), 1, 0), make_ray(Point(-behind, 0), 0, 1)
+        for pair in ([r0, r1], [r1, r0]):
+            rays = np.array([[[r.origin.x], [r.origin.y], [r.dx], [r.dy]] for r in pair])
+            _, _, _, (_, _, hit) = _locate(column(0, 10, 0, 10), tuple(rays.transpose(1, 0, 2)))
+            assert hit.tolist() == [[hits]]
+            assert (ray_pair_intersection(*pair) is not None) == hits
+
     def test_parallel_rays_box_center(self):
         rays = [make_ray(Point(0, i), 1, 0) for i in range(3)]
         x, y, case = locate([(self.box, rays)])
@@ -502,6 +528,38 @@ class TestStages:
         _, (x, y, case, _) = rail._place(geo, theta)
         assert (case == MULTI).all()
         assert np.hypot(x - tx, y - ty).max() < 1e-5
+
+    @pytest.mark.parametrize("config, density", [
+        ("table2.json", 100), ("table2.json", 200), ("table2.json", 500), ("noisy6.json", 200)])
+    def test_sweep_matches_localize_chunk(self, config, density, monkeypatch):
+        # a 2-run chunk's RAIL estimates and box counts are localize_chunk's
+        # on the same arrays, bit for bit, and the sweep reaches the three
+        # stages through one rail._localize call, never through the checks
+        cfg = ExperimentConfig.from_json_file(CONFIGS / config)
+        coords, anchors, targets, g = _scenes(cfg, density, range(2))
+        results = localize_chunk(*anchor_xy(coords, anchors), anchors, g)
+        truth = coords[:, targets].reshape(-1, 2).T  # (x or y, column)
+        held = rail._inside(results.box, *truth).reshape(2, -1).sum(axis=1)
+        x = np.clip(results.x, 0.0, cfg.width).reshape(2, -1)
+        y = np.clip(results.y, 0.0, cfg.height).reshape(2, -1)
+
+        calls = []
+
+        def spy(*args, fn=rail._localize):
+            calls.append(args)
+            return fn(*args)
+
+        def checked(*args):
+            raise AssertionError("the sweep called localize_chunk")
+
+        monkeypatch.setattr(rail, "_localize", spy)
+        monkeypatch.setattr(rail, "localize_chunk", checked)
+        records = _run_chunk(cfg, density, range(2))
+        assert len(calls) == 1
+        for b, rec in enumerate(records):
+            est = rec.estimates["RAIL"]
+            assert est.x.tobytes() == x[b].tobytes() and est.y.tobytes() == y[b].tobytes()
+            assert rec.rail_box_contains == held[b]
 
 
 class TestLocalizeAll:
